@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import dp
 from .errors import CapabilityError
+from .genres.base import SolveResult, build_cell_graph, run_search
 from .grid import (
     Cell,
     CellLoop,
@@ -23,7 +24,6 @@ from .grid import (
     Violation,
     edge_in_bounds,
     edge_sort_key,
-    internal_edges,
     is_internal,
     neighbors,
     validate_loop,
@@ -97,30 +97,9 @@ def degenerate_cells(puzzle: BslPuzzle) -> list[Cell]:
     return [cell for cell in puzzle.dims.cells() if len(puzzle.accessible_neighbors(cell)) < 2]
 
 
-@dataclass(frozen=True, slots=True)
-class SolveResult:
-    status: str  # "sat" | "unsat" | "timeout"
-    solution: Optional[CellLoop] = None
-
-
-def _puzzle_graph(puzzle: BslPuzzle) -> tuple[list[Edge], list[tuple[int, int]]]:
-    dims = puzzle.dims
-    edges = [e for e in internal_edges(dims) if e not in puzzle.bars]
-    index = {cell: i for i, cell in enumerate(dims.cells())}
-    pairs = []
-    for axis, c, r in edges:
-        if axis == "h":
-            pairs.append((index[(c, r)], index[(c + 1, r)]))
-        else:
-            pairs.append((index[(c, r)], index[(c, r + 1)]))
-    return edges, pairs
-
-
 def solve_bsl_backtrack(puzzle: BslPuzzle, budget_ms: Optional[float] = None) -> SolveResult:
     """Exact search; returns the canonically least solution when one exists."""
-    from .errors import SearchTimeout
-
-    edges, pairs = _puzzle_graph(puzzle)
+    edges, pairs, _ = build_cell_graph(puzzle.dims, bars=puzzle.bars)
     n = puzzle.dims.cell_count
     search = LoopSearch(
         n,
@@ -129,14 +108,7 @@ def solve_bsl_backtrack(puzzle: BslPuzzle, budget_ms: Optional[float] = None) ->
         budget_ms=budget_ms,
         connectivity_every=32,
     )
-    try:
-        found = search.first_solution()
-    except SearchTimeout:
-        return SolveResult("timeout")
-    if found is None:
-        return SolveResult("unsat")
-    loop = CellLoop(frozenset(edges[i] for i in found))
-    return SolveResult("sat", loop)
+    return run_search(search, edges, CellLoop, lambda loop: verify_bsl(puzzle, loop))
 
 
 def solve_bsl_dp(puzzle: BslPuzzle, profile_cap: int = DEFAULT_PROFILE_CAP) -> bool:

@@ -26,17 +26,16 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import FormatError, SearchTimeout
-from .grid import Cell, Edge, GridDims, edge_sort_key
+from .grid import SIDE_DELTAS, SIDES, Cell, Edge, GridDims, edge_cells, edge_sort_key
 from .tileart import parse_fragment_grid, parse_lattice_fragment, strip_comments
+from .tiling import crossing_edge, place_fragment
 from .transforms import ALL_TRANSFORMS, ROTATIONS, Transform
 
 DEFAULT_CATALOG = Path(__file__).parent / "data" / "gadgets"
 MANDATORY_GENRES = ("slitherlink", "masyu", "yajilin", "simple-loop")
-SIDES = ("N", "E", "S", "W")
-_OPP = {"N": "S", "S": "N", "E": "W", "W": "E"}
 
 # Tiles small enough to enumerate every board solution at 2x2 scale.
 EXHAUSTIVE_TILE_CELLS = 30
@@ -278,26 +277,14 @@ def validate_descriptor(desc: GadgetDescriptor) -> Optional[str]:
 
 def _fragment_ends(frag: frozenset[Edge]) -> set[Cell]:
     deg: dict[Cell, int] = {}
-    for axis, c, r in frag:
-        a, b = ((c, r), (c + 1, r)) if axis == "h" else ((c, r), (c, r + 1))
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
+    for edge in frag:
+        for end in edge_cells(edge):
+            deg[end] = deg.get(end, 0) + 1
     return {cell for cell, d in deg.items() if d == 1}
 
 
 # ----------------------------------------------------------------------
 # board assembly (shared with the reduction engine)
-
-def transform_fragment(desc: GadgetDescriptor, frag: Iterable[Edge], t: Transform) -> set[Edge]:
-    w, h = desc.frame
-    return {t.apply_edge(w, h, e) for e in frag}
-
-
-def place_fragment(desc: GadgetDescriptor, frag: Iterable[Edge], t: Transform, tile_pos: Cell) -> set[Edge]:
-    pw, ph = desc.pitch
-    ox, oy = pw * tile_pos[0], ph * tile_pos[1]
-    return {(axis, c + ox, r + oy) for axis, c, r in transform_fragment(desc, frag, t)}
-
 
 def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_w: int, tiles_h: int):
     """Union the transformed clue payloads of every placed tile."""
@@ -343,33 +330,6 @@ def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_
                 shaded.add(cell_map(t, pos, cell))
         return SimpleLoopPuzzle(dims, frozenset(shaded))
     raise FormatError(f"unsupported genre {desc.genre!r}")
-
-
-def crossing_edge(desc: GadgetDescriptor, layout: dict[Cell, Transform], tile_pos: Cell, side: str) -> Optional[Edge]:
-    """Board edge through which the loop crosses from tile_pos toward side.
-
-    None when either tile lacks an exit on the shared boundary.
-    """
-    i, j = tile_pos
-    nbr = {"N": (i, j - 1), "E": (i + 1, j), "S": (i, j + 1), "W": (i - 1, j)}[side]
-    if nbr not in layout:
-        return None
-    mine = desc.placed_exits(layout[tile_pos])
-    theirs = desc.placed_exits(layout[nbr])
-    if side not in mine or _OPP[side] not in theirs:
-        return None
-    pw, ph = desc.pitch
-    ox, oy = pw * i, ph * j
-    p = mine[side]
-    if side == "E":
-        return ("h", ox + p[0], oy + p[1])
-    if side == "S":
-        return ("v", ox + p[0], oy + p[1])
-    if side == "W":
-        q = theirs["E"]
-        return ("h", pw * nbr[0] + q[0], ph * nbr[1] + q[1])
-    q = theirs["S"]
-    return ("v", pw * nbr[0] + q[0], ph * nbr[1] + q[1])
 
 
 def boundary_positions(desc: GadgetDescriptor, tiles_w: int, tiles_h: int) -> set[Edge]:
@@ -470,8 +430,8 @@ def _ring_sides(layout: dict[Cell, Transform], tiles_w: int) -> dict[Cell, list[
     ring: dict[Cell, list[str]] = {}
     for i, j in sorted(layout):
         sides = []
-        for side, nbr in (("E", (i + 1, j)), ("S", (i, j + 1)), ("W", (i - 1, j)), ("N", (i, j - 1))):
-            if nbr in layout:
+        for side, (di, dj) in SIDE_DELTAS.items():
+            if (i + di, j + dj) in layout:
                 sides.append(side)
         if tiles_w == 3 and i == 1:
             sides = ["E", "W"]  # middle tiles of a 2x3 ring go straight through

@@ -17,15 +17,14 @@ from .genres.masyu import MasyuPuzzle
 from .genres.simple_loop import SimpleLoopPuzzle
 from .genres.slitherlink import LatticeLoop, SlitherlinkPuzzle
 from .genres.yajilin import YajilinPuzzle
-from .grid import CellLoop, Edge, GridDims, edge_sort_key
-from .reduction import GenreReductionManifest
-from .metacell import CubicReductionManifest
+from .grid import SIDES, CellLoop, Edge, GridDims, edge_sort_key
+from .metacell import CubicReductionManifest, reduce_to_cubic
+from .reduction import GenreReductionManifest, reduce_to_genre
+from .transforms import Transform
 
 Puzzle = Union[
     BslPuzzle, CubicBslPuzzle, SlitherlinkPuzzle, MasyuPuzzle, YajilinPuzzle, SimpleLoopPuzzle
 ]
-
-_DIRS = ("N", "E", "S", "W")
 
 
 def puzzle_genre(puzzle: Puzzle) -> str:
@@ -134,7 +133,7 @@ def puzzle_from_json(doc: dict) -> Puzzle:
             grey.add(cell)
             if i.get("count") is not None:
                 direction = i.get("dir")
-                if direction not in _DIRS:
+                if direction not in SIDES:
                     raise FormatError(f"bad arrow direction {direction!r}")
                 clues.append((cell, int(i["count"]), direction))
         return YajilinPuzzle(dims, frozenset(grey), tuple(sorted(clues)))
@@ -206,19 +205,12 @@ def manifest_to_json(manifest) -> dict:
 
 
 def manifest_from_json(doc: dict):
-    from .metacell import load_metacell
-    from .catalog import load_gadget
-    from .reduction import TilePlacement
-    from .transforms import Transform
-
+    # Both reductions are deterministic: the manifest is rebuilt from its
+    # source and the stored cells are a consistency check.
     kind = doc.get("kind")
     if kind == "cubic-manifest":
         source = puzzle_from_json(doc["source"])
-        template = load_metacell()
-        from .metacell import reduce_to_cubic
-
-        image, manifest = reduce_to_cubic(source, template)
-        # The reduction is deterministic; the stored cells are a consistency check.
+        _, manifest = reduce_to_cubic(source)
         for item in doc["cells"]:
             cell = (int(item["col"]), int(item["row"]))
             if manifest.transforms[cell].name != Transform.named(item["transform"]).name:
@@ -228,15 +220,19 @@ def manifest_from_json(doc: dict):
         source = puzzle_from_json(doc["source"])
         if not isinstance(source, CubicBslPuzzle):
             source = CubicBslPuzzle(source)
-        desc = load_gadget(doc["genre"])
-        manifest = GenreReductionManifest(doc["genre"], source, desc, bool(doc["degenerate"]))
+        _, manifest = reduce_to_genre(source, doc["genre"])
+        if manifest.degenerate != bool(doc["degenerate"]):
+            raise FormatError("manifest degenerate flag mismatch")
         for item in doc["cells"]:
             cell = (int(item["col"]), int(item["row"]))
-            manifest.placements[cell] = TilePlacement(
-                Transform.named(item["transform"]),
-                frozenset(item["exits"]),
-                item.get("free_edge"),
-            )
+            placement = manifest.placements.get(cell)
+            if (
+                placement is None
+                or placement.transform.name != Transform.named(item["transform"]).name
+                or placement.exits != frozenset(item["exits"])
+                or placement.free_edge != item.get("free_edge")
+            ):
+                raise FormatError(f"manifest placement mismatch at {cell}")
         return manifest
     raise FormatError(f"unknown manifest kind {kind!r}")
 

@@ -13,5 +13,3 @@ GENRES = {
     "yajilin": yajilin,
     "simple-loop": simple_loop,
 }
-
-CELL_GENRES = ("masyu", "yajilin", "simple-loop")

@@ -1,46 +1,64 @@
-"""Shared plumbing for the genre solvers."""
+"""Shared plumbing for the loop solvers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..grid import Cell, CellLoop, Edge, GridDims, edge_cells, edge_sort_key, internal_edges
-from ..search import LoopSearch
+from ..errors import SearchTimeout
+from ..grid import Cell, Edge, GridDims, Violation, edge_cells, internal_edges
+from ..search import IN, OUT, LoopSearch
 
 
 @dataclass(frozen=True, slots=True)
-class GenreSolveResult:
+class SolveResult:
     status: str  # "sat" | "unsat" | "timeout"
     solution: Optional[object] = None
 
 
 def build_cell_graph(
-    dims: GridDims, allowed: Callable[[Cell], bool]
+    dims: GridDims, closed: frozenset[Cell] = frozenset(), bars: frozenset[Edge] = frozenset()
 ) -> tuple[list[Edge], list[tuple[int, int]], dict[Cell, int]]:
-    """Canonical edge list over allowed cells plus a node index."""
+    """Canonical edges joining cells outside ``closed`` across no bar, plus a node index."""
     index = {cell: i for i, cell in enumerate(dims.cells())}
     edges = []
     pairs = []
     for edge in internal_edges(dims):
         a, b = edge_cells(edge)
-        if allowed(a) and allowed(b):
+        if a not in closed and b not in closed and edge not in bars:
             edges.append(edge)
             pairs.append((index[a], index[b]))
     return edges, pairs, index
 
 
-def run_first(search: LoopSearch, edges: list[Edge], seeds=()) -> Optional[CellLoop]:
-    found = search.first_solution(seeds)
-    if found is None:
-        return None
-    return CellLoop(frozenset(edges[i] for i in found))
+def run_search(
+    search: LoopSearch,
+    edges: list[Edge],
+    make_solution: Callable[[frozenset[Edge]], object],
+    verify: Callable[[object], Optional[Violation]],
+    seeds_in=(),
+    seeds_out=(),
+    enumerate_all: bool = False,
+):
+    """Solve with ``search`` over ``edges``, accepting only what ``verify`` passes.
 
+    Returns a generator of every solution with ``enumerate_all``, and
+    otherwise a SolveResult for the first one.  Seeds are edges forced
+    into or out of the loop.
+    """
 
-def make_seeds(edges: list[Edge], seeds_in, seeds_out) -> list[tuple[int, int]]:
+    def solution(ids: frozenset[int]):
+        return make_solution(frozenset(edges[i] for i in ids))
+
+    search.accept = lambda ids: verify(solution(ids)) is None
     eidx = {e: i for i, e in enumerate(edges)}
-    return [(eidx[e], 1) for e in seeds_in] + [(eidx[e], 2) for e in seeds_out]
-
-
-def sorted_edge_list(edges) -> list[Edge]:
-    return sorted(edges, key=edge_sort_key)
+    seeds = [(eidx[e], IN) for e in seeds_in] + [(eidx[e], OUT) for e in seeds_out]
+    if enumerate_all:
+        return (solution(ids) for ids in search.solutions(seeds))
+    try:
+        found = search.first_solution(seeds)
+    except SearchTimeout:
+        return SolveResult("timeout")
+    if found is None:
+        return SolveResult("unsat")
+    return SolveResult("sat", solution(found))

@@ -7,15 +7,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import SearchTimeout
-from ..grid import Cell, CellLoop, GridDims, Violation, validate_loop
+from ..grid import (
+    OPPOSITE_SIDE,
+    SIDE_DELTAS,
+    SIDES,
+    Cell,
+    CellLoop,
+    GridDims,
+    Violation,
+    side_edge,
+    validate_loop,
+)
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import GenreSolveResult, build_cell_graph, make_seeds
-
-SOLUTION_KIND = "cell-loop"
-
-DIR_DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
-OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
+from .base import build_cell_graph, run_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,22 +42,8 @@ class MasyuPuzzle:
 
 
 def _step(cell: Cell, direction: str) -> Cell:
-    dc, dr = DIR_DELTAS[direction]
+    dc, dr = SIDE_DELTAS[direction]
     return (cell[0] + dc, cell[1] + dr)
-
-
-def _loop_dirs(sol: CellLoop, cell: Cell) -> list[str]:
-    c, r = cell
-    dirs = []
-    for d, edge in (
-        ("N", ("v", c, r - 1)),
-        ("E", ("h", c, r)),
-        ("S", ("v", c, r)),
-        ("W", ("h", c - 1, r)),
-    ):
-        if edge in sol.transitions:
-            dirs.append(d)
-    return dirs
 
 
 def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
@@ -64,26 +54,21 @@ def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
     for cell, colour in puzzle.pearls:
         if cell not in visited:
             return Violation("pearl", "pearl not on the loop", cell=cell)
-        d1, d2 = _loop_dirs(sol, cell)
-        straight_here = OPPOSITE[d1] == d2
+        d1, d2 = sol.sides(cell)
+        # A neighbour turns when the loop does not continue in the same
+        # direction beyond it.
+        continues = [side_edge(_step(cell, d), d) in sol.transitions for d in (d1, d2)]
+        straight_here = OPPOSITE_SIDE[d1] == d2
         if colour == "white":
             if not straight_here:
                 return Violation("pearl", "loop must run straight through a white pearl", cell=cell)
-            # At least one side must turn: a neighbour turns when the loop
-            # does not continue in the same direction beyond it.
-            def continues(d: str) -> bool:
-                nxt = _step(cell, d)
-                return d in _loop_dirs(sol, nxt)
-
-            if continues(d1) and continues(d2):
+            if all(continues):
                 return Violation("pearl", "neither side of a white pearl turns", cell=cell)
         else:
             if straight_here:
                 return Violation("pearl", "loop must turn on a black pearl", cell=cell)
-            for d in (d1, d2):
-                nxt = _step(cell, d)
-                if d not in _loop_dirs(sol, nxt):
-                    return Violation("pearl", "loop must run straight beside a black pearl", cell=cell)
+            if not all(continues):
+                return Violation("pearl", "loop must run straight beside a black pearl", cell=cell)
     return None
 
 
@@ -100,16 +85,10 @@ class _MasyuSearch(LoopSearch):
         self.side_edge: list[dict[str, int]] = [dict() for _ in range(n)]
         eidx = {e: i for i, e in enumerate(edges)}
         for cell in puzzle.dims.cells():
-            i = index[cell]
-            c, r = cell
-            for d, edge in (
-                ("N", ("v", c, r - 1)),
-                ("E", ("h", c, r)),
-                ("S", ("v", c, r)),
-                ("W", ("h", c - 1, r)),
-            ):
+            for d in SIDES:
+                edge = side_edge(cell, d)
                 if edge in eidx:
-                    self.side_edge[i][d] = eidx[edge]
+                    self.side_edge[index[cell]][d] = eidx[edge]
         # node -> pearls to recheck (the pearl itself and cells whose
         # edges appear in its straight-continuation rules).
         self.pearl_at: dict[int, str] = {index[c]: colour for c, colour in puzzle.pearls}
@@ -122,7 +101,7 @@ class _MasyuSearch(LoopSearch):
 
     def _rule_nodes(self, cell: Cell) -> list[int]:
         nodes = [self.index[cell]]
-        for d in DIR_DELTAS:
+        for d in SIDES:
             x = _step(cell, d)
             if self.puzzle.dims.contains(x):
                 nodes.append(self.index[x])
@@ -156,15 +135,16 @@ class _MasyuSearch(LoopSearch):
         state = self._edge_state
         if colour == "black":
             # Exactly one of each axis; straight continuation beyond both.
-            for d in ("N", "E", "S", "W"):
-                o = OPPOSITE[d]
+            for d in SIDES:
+                o = OPPOSITE_SIDE[d]
                 if state(p, d) == 1:
                     if not self._force(p, o, OUT):
                         return False
                     nxt = self._side_neighbor(p, d)
                     if nxt is None or not self._force(nxt, d, 1):
                         return False
-                if state(p, d) == OUT and not self._force_in_if_axis_dead(p, d):
+                # One opening per axis: a dead side forces the opposite one in.
+                if state(p, d) == OUT and not self._force(p, o, 1):
                     return False
                 # An opening is unusable when its straight continuation
                 # cannot exist.
@@ -175,7 +155,7 @@ class _MasyuSearch(LoopSearch):
                             return False
         else:
             for d in ("N", "E"):
-                o = OPPOSITE[d]
+                o = OPPOSITE_SIDE[d]
                 a, b = state(p, d), state(p, o)
                 if a == 1 and not self._force(p, o, 1):
                     return False
@@ -187,7 +167,7 @@ class _MasyuSearch(LoopSearch):
                     return False
             # If the loop runs through along axis d, at least one side turns.
             for d in ("N", "E"):
-                o = OPPOSITE[d]
+                o = OPPOSITE_SIDE[d]
                 if state(p, d) == 1 and state(p, o) == 1:
                     na, nb = self._side_neighbor(p, d), self._side_neighbor(p, o)
                     a_straight = state(na, d) == 1
@@ -199,11 +179,6 @@ class _MasyuSearch(LoopSearch):
                     if b_straight and not self._force(na, d, OUT):
                         return False
         return True
-
-    def _force_in_if_axis_dead(self, p: int, d: str) -> bool:
-        # Black pearl: one opening per axis, so a dead side forces the
-        # opposite side in.
-        return self._force(p, OPPOSITE[d], 1)
 
     def _side_neighbor(self, p: int, d: str) -> Optional[int]:
         ei = self.side_edge[p].get(d)
@@ -220,16 +195,6 @@ def solve(
     seeds_out=(),
     enumerate_all: bool = False,
 ):
-    edges, pairs, index = build_cell_graph(puzzle.dims, lambda c: True)
+    edges, pairs, index = build_cell_graph(puzzle.dims)
     search = _MasyuSearch(puzzle, edges, pairs, index, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True)
-    search.accept = lambda cand: verify(puzzle, CellLoop(frozenset(edges[i] for i in cand))) is None
-    seeds = make_seeds(edges, seeds_in, seeds_out)
-    if enumerate_all:
-        return (CellLoop(frozenset(edges[i] for i in cand)) for cand in search.solutions(seeds))
-    try:
-        found = search.first_solution(seeds)
-    except SearchTimeout:
-        return GenreSolveResult("timeout")
-    if found is None:
-        return GenreSolveResult("unsat")
-    return GenreSolveResult("sat", CellLoop(frozenset(edges[i] for i in found)))
+    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, seeds_out, enumerate_all)

@@ -5,12 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import SearchTimeout
 from ..grid import Cell, CellLoop, GridDims, Violation, validate_loop
 from ..search import EXACT2, OPT, LoopSearch
-from .base import GenreSolveResult, build_cell_graph, make_seeds, run_first
-
-SOLUTION_KIND = "cell-loop"
+from .base import build_cell_graph, run_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,20 +34,10 @@ def solve(
     enumerate_all: bool = False,
 ):
     """Exact solver; with ``enumerate_all`` returns a solution generator."""
-    edges, pairs, index = build_cell_graph(puzzle.dims, lambda c: c not in puzzle.shaded)
+    edges, pairs, index = build_cell_graph(puzzle.dims, closed=puzzle.shaded)
     n = puzzle.dims.cell_count
     req = [EXACT2] * n
     for cell in puzzle.shaded:
         req[index[cell]] = OPT  # no incident edges, never required
     search = LoopSearch(n, pairs, req, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True)
-    search.accept = lambda cand: verify(puzzle, CellLoop(frozenset(edges[i] for i in cand))) is None
-    seeds = make_seeds(edges, seeds_in, seeds_out)
-    if enumerate_all:
-        return (CellLoop(frozenset(edges[i] for i in cand)) for cand in search.solutions(seeds))
-    try:
-        loop = run_first(search, edges, seeds)
-    except SearchTimeout:
-        return GenreSolveResult("timeout")
-    if loop is None:
-        return GenreSolveResult("unsat")
-    return GenreSolveResult("sat", loop)
+    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, seeds_out, enumerate_all)

@@ -6,12 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import SearchTimeout
 from ..grid import Cell, Edge, GridDims, Violation, edge_sort_key
 from ..search import OPT, OUT, LoopSearch
-from .base import GenreSolveResult
-
-SOLUTION_KIND = "lattice-loop"
+from .base import run_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,9 +36,6 @@ class LatticeLoop:
     ("v", i, j) joins (i,j)-(i,j+1)."""
 
     edges: frozenset[Edge]
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges, key=edge_sort_key)
 
 
 def lattice_edges(dims: GridDims) -> list[Edge]:
@@ -167,15 +161,4 @@ def solve(
             pairs.append((idx(i, j), idx(i, j + 1)))
     n_dots = dw * (puzzle.dims.height + 1)
     search = _SlitherlinkSearch(puzzle, edges, pairs, n_dots, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True)
-    search.accept = lambda cand: verify(puzzle, LatticeLoop(frozenset(edges[i] for i in cand))) is None
-    eidx = {e: i for i, e in enumerate(edges)}
-    seeds = [(eidx[e], 1) for e in seeds_in] + [(eidx[e], 2) for e in seeds_out]
-    if enumerate_all:
-        return (LatticeLoop(frozenset(edges[i] for i in cand)) for cand in search.solutions(seeds))
-    try:
-        found = search.first_solution(seeds)
-    except SearchTimeout:
-        return GenreSolveResult("timeout")
-    if found is None:
-        return GenreSolveResult("unsat")
-    return GenreSolveResult("sat", LatticeLoop(frozenset(edges[i] for i in found)))
+    return run_search(search, edges, LatticeLoop, lambda sol: verify(puzzle, sol), seeds_in, seeds_out, enumerate_all)

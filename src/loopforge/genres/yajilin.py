@@ -7,14 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import SearchTimeout
-from ..grid import Cell, CellLoop, GridDims, Violation, validate_loop
-from ..search import EXACT2, IN, OPT, OUT, LoopSearch
-from .base import GenreSolveResult, build_cell_graph, make_seeds
-
-SOLUTION_KIND = "cell-loop"
-
-DIR_DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
+from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, validate_loop
+from ..search import EXACT2, OPT, OUT, LoopSearch
+from .base import build_cell_graph, run_search
 
 UNDET, VISITED, SHADED = 0, 1, 2
 
@@ -31,11 +26,11 @@ class YajilinPuzzle:
         for cell, count, direction in self.clues:
             if cell not in self.grey:
                 raise ValueError(f"clue at {cell} is not on a grey cell")
-            if count < 0 or direction not in DIR_DELTAS:
+            if count < 0 or direction not in SIDE_DELTAS:
                 raise ValueError(f"bad clue {count}{direction} at {cell}")
 
     def ray(self, cell: Cell, direction: str) -> list[Cell]:
-        dc, dr = DIR_DELTAS[direction]
+        dc, dr = SIDE_DELTAS[direction]
         c, r = cell
         out = []
         while True:
@@ -88,7 +83,7 @@ class _YajilinSearch(LoopSearch):
             if i in self.grey_idx:
                 continue
             c, r = cell
-            for d in DIR_DELTAS.values():
+            for d in SIDE_DELTAS.values():
                 x = (c + d[0], r + d[1])
                 if puzzle.dims.contains(x) and index[x] not in self.grey_idx:
                     self.nbrs[i].append(index[x])
@@ -172,18 +167,8 @@ def solve(
     seeds_out=(),
     enumerate_all: bool = False,
 ):
-    edges, pairs, index = build_cell_graph(puzzle.dims, lambda c: c not in puzzle.grey)
+    edges, pairs, index = build_cell_graph(puzzle.dims, closed=puzzle.grey)
     search = _YajilinSearch(
         puzzle, edges, pairs, index, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True
     )
-    search.accept = lambda cand: verify(puzzle, CellLoop(frozenset(edges[i] for i in cand))) is None
-    seeds = make_seeds(edges, seeds_in, seeds_out)
-    if enumerate_all:
-        return (CellLoop(frozenset(edges[i] for i in cand)) for cand in search.solutions(seeds))
-    try:
-        found = search.first_solution(seeds)
-    except SearchTimeout:
-        return GenreSolveResult("timeout")
-    if found is None:
-        return GenreSolveResult("unsat")
-    return GenreSolveResult("sat", CellLoop(frozenset(edges[i] for i in found)))
+    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, seeds_out, enumerate_all)

@@ -98,6 +98,18 @@ def edge_between(a: Cell, b: Cell) -> Edge:
     raise ValueError(f"cells {a} and {b} are not adjacent")
 
 
+def side_edge(cell: Cell, side: str) -> Edge:
+    """The internal edge through one side of a cell (it may lie off the grid)."""
+    c, r = cell
+    if side == "E":
+        return ("h", c, r)
+    if side == "W":
+        return ("h", c - 1, r)
+    if side == "S":
+        return ("v", c, r)
+    return ("v", c, r - 1)
+
+
 def boundary_edge(cell: Cell, side: str) -> Edge:
     return (side, cell[0], cell[1])
 
@@ -190,8 +202,9 @@ class CellLoop:
             cells.update(edge_cells(edge))
         return cells
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.transitions, key=edge_sort_key)
+    def sides(self, cell: Cell) -> list[str]:
+        """Sides through which the loop leaves a cell, in ``SIDES`` order."""
+        return [side for side in SIDES if side_edge(cell, side) in self.transitions]
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,13 +12,14 @@ is solvable exactly when the source is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .bsl import BslPuzzle, CubicBslPuzzle, check_cubic, verify_bsl
 from .errors import FormatError, ReductionError
 from .grid import (
+    SIDES,
     Cell,
     CellLoop,
     CellPathFragmentSet,
@@ -33,6 +34,7 @@ from .grid import (
     neighbors,
 )
 from .tileart import parse_bar_grid, strip_comments
+from .tiling import crossing_edge, lift_loop, place_fragment
 from .transforms import Transform
 
 TEMPLATE_W, TEMPLATE_H = 5, 7
@@ -47,9 +49,7 @@ _PLACEMENTS = {
     (1, 1): Transform.named("fxy"),
 }
 
-def _translate(edge: Edge, dx: int, dy: int) -> Edge:
-    axis, c, r = edge
-    return (axis, c + dx, r + dy)
+MetacellBank = dict[frozenset, CellPathFragmentSet]  # {side, side} -> covering tour
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +57,23 @@ class MetacellTemplate:
     dims: GridDims
     bars: frozenset[Edge]
     exits: tuple[tuple[str, Cell], ...]  # (side, border cell) for N, E, S, W
+    _bank: dict[frozenset, frozenset[Edge]] = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def bank(self) -> dict[frozenset, frozenset[Edge]]:
+        """Covering-tour transitions per opening pair, searched for on first use."""
+        if not self._bank:
+            self._bank.update((pair, frag.transitions) for pair, frag in build_metacell_bank(self).items())
+        return self._bank
+
+    @property
+    def frame(self) -> tuple[int, int]:
+        return (self.dims.width, self.dims.height)
+
+    @property
+    def pitch(self) -> tuple[int, int]:
+        """Blocks sit side by side with no seam."""
+        return self.frame
 
     def exit_cell(self, side: str) -> Cell:
         for s, cell in self.exits:
@@ -66,32 +83,22 @@ class MetacellTemplate:
 
     def placed_exits(self, transform: Transform) -> dict[str, Cell]:
         """Side -> local cell map after applying a placement transform."""
-        out = {}
-        for side, cell in self.exits:
-            out[transform.apply_side(side)] = transform.apply_cell(TEMPLATE_W, TEMPLATE_H, cell)
-        return out
-
-
-class MetacellSolutionBank:
-    """One covering tour fragment per unordered pair of openings."""
-
-    def __init__(self, fragments: dict[frozenset, CellPathFragmentSet]):
-        self.fragments = fragments
-
-    def fragment(self, pair: frozenset) -> CellPathFragmentSet:
-        return self.fragments[pair]
+        return {
+            transform.apply_side(side): transform.apply_cell(TEMPLATE_W, TEMPLATE_H, cell)
+            for side, cell in self.exits
+        }
 
 
 def load_metacell(path: Optional[Path] = None) -> MetacellTemplate:
     """Load and certify the block template; any invariant failure raises."""
     text = (path or _DATA_PATH).read_text(encoding="utf-8")
     bars, exits = parse_bar_grid(strip_comments(text), TEMPLATE_W, TEMPLATE_H)
-    if sorted(exits) != ["E", "N", "S", "W"]:
+    if sorted(exits) != sorted(SIDES):
         raise FormatError(f"template must have one exit per side, found {sorted(exits)}")
     template = MetacellTemplate(
         GridDims(TEMPLATE_W, TEMPLATE_H),
         bars,
-        tuple((side, exits[side]) for side in ("N", "E", "S", "W")),
+        tuple((side, exits[side]) for side in SIDES),
     )
     problem = _certify_template(template)
     if problem is not None:
@@ -173,10 +180,10 @@ def _covering_path(template: MetacellTemplate, start: Cell, goal: Cell) -> Optio
     return path if rec(start) else None
 
 
-def build_metacell_bank(template: MetacellTemplate) -> MetacellSolutionBank:
+def build_metacell_bank(template: MetacellTemplate) -> MetacellBank:
     """Derive a covering fragment for each of the six opening pairs by search."""
     sides = [side for side, _ in template.exits]
-    fragments: dict[frozenset, CellPathFragmentSet] = {}
+    fragments: MetacellBank = {}
     for i in range(len(sides)):
         for j in range(i + 1, len(sides)):
             a, b = sides[i], sides[j]
@@ -188,17 +195,17 @@ def build_metacell_bank(template: MetacellTemplate) -> MetacellSolutionBank:
                 {boundary_edge(template.exit_cell(a), a), boundary_edge(template.exit_cell(b), b)}
             )
             fragments[frozenset((a, b))] = CellPathFragmentSet(transitions, stubs)
-    return MetacellSolutionBank(fragments)
+    return fragments
 
 
-def validate_metacell_bank(template: MetacellTemplate, bank: MetacellSolutionBank) -> Optional[Violation]:
+def validate_metacell_bank(template: MetacellTemplate, bank: MetacellBank) -> Optional[Violation]:
     """Structural checks on every fragment plus an independent existence search."""
     sides = [side for side, _ in template.exits]
     pairs = [frozenset((sides[i], sides[j])) for i in range(4) for j in range(i + 1, 4)]
     for pair in pairs:
-        if pair not in bank.fragments:
+        if pair not in bank:
             return Violation("missing-pair", f"no fragment for opening pair {sorted(pair)}")
-        frag = bank.fragments[pair]
+        frag = bank[pair]
         crossing = frag.transitions & template.bars
         if crossing:
             return Violation("bar", "fragment crosses a bar", edge=min(crossing))
@@ -246,22 +253,6 @@ class CubicReductionManifest:
     transforms: dict[Cell, Transform]
     blocked: dict[Cell, frozenset[str]]
     template: MetacellTemplate
-    bank: Optional[MetacellSolutionBank] = None
-
-    def bank_or_build(self) -> MetacellSolutionBank:
-        if self.bank is None:
-            self.bank = build_metacell_bank(self.template)
-        return self.bank
-
-
-def _crossing_edge(template: MetacellTemplate, transforms: dict[Cell, Transform], edge: Edge) -> Edge:
-    """Image edge through which the loop crosses between two adjacent blocks."""
-    axis, c, r = edge
-    t = transforms[(c, r)]
-    exit_cell = template.placed_exits(t)["E" if axis == "h" else "S"]
-    if axis == "h":
-        return ("h", 5 * c + TEMPLATE_W - 1, 7 * r + exit_cell[1])
-    return ("v", 5 * c + exit_cell[0], 7 * r + TEMPLATE_H - 1)
 
 
 def reduce_to_cubic(
@@ -280,13 +271,12 @@ def reduce_to_cubic(
         t = _PLACEMENTS[(c % 2, r % 2)]
         transforms[(c, r)] = t
         blocked[(c, r)] = set()
-        for bar in tpl.bars:
-            bars.add(_translate(t.apply_edge(TEMPLATE_W, TEMPLATE_H, bar), 5 * c, 7 * r))
+        bars |= place_fragment(tpl, tpl.bars, t, (c, r))
 
     for c, r in puzzle.dims.cells():
         # Shared boundary with the right neighbour.
         if c + 1 < W:
-            open_edge = _crossing_edge(tpl, transforms, ("h", c, r))
+            open_edge = crossing_edge(tpl, transforms, (c, r), "E")
             source_barred = ("h", c, r) in puzzle.bars
             for rr in range(7 * r, 7 * r + TEMPLATE_H):
                 e = ("h", 5 * c + TEMPLATE_W - 1, rr)
@@ -301,7 +291,7 @@ def reduce_to_cubic(
             blocked[(c, r)].add("W")
         # Shared boundary with the neighbour below.
         if r + 1 < H:
-            open_edge = _crossing_edge(tpl, transforms, ("v", c, r))
+            open_edge = crossing_edge(tpl, transforms, (c, r), "S")
             source_barred = ("v", c, r) in puzzle.bars
             for cc in range(5 * c, 5 * c + TEMPLATE_W):
                 e = ("v", cc, 7 * r + TEMPLATE_H - 1)
@@ -326,42 +316,12 @@ def reduce_to_cubic(
     return image, manifest
 
 
-def _cell_directions(puzzle: BslPuzzle, sol: CellLoop, cell: Cell) -> list[str]:
-    c, r = cell
-    dirs = []
-    for side, edge in (
-        ("N", ("v", c, r - 1)),
-        ("E", ("h", c, r)),
-        ("S", ("v", c, r)),
-        ("W", ("h", c - 1, r)),
-    ):
-        if edge in sol.transitions:
-            dirs.append(side)
-    return dirs
-
-
 def lift_to_cubic(manifest: CubicReductionManifest, bsl_solution: CellLoop) -> CellLoop:
     """Stitch per-block tour fragments along the source loop."""
     bad = verify_bsl(manifest.source, bsl_solution)
     if bad is not None:
         raise ReductionError(f"source solution rejected: {bad}")
-    bank = manifest.bank_or_build()
-    tpl = manifest.template
-    edges: set[Edge] = set()
-    for cell in manifest.source.dims.cells():
-        c, r = cell
-        t = manifest.transforms[cell]
-        dirs = _cell_directions(manifest.source, bsl_solution, cell)
-        if len(dirs) != 2:
-            raise ReductionError(f"cell {cell} uses {len(dirs)} openings")
-        inv = t.inverse()
-        pair = frozenset(inv.apply_side(d) for d in dirs)
-        frag = bank.fragment(pair)
-        for edge in frag.transitions:
-            edges.add(_translate(t.apply_edge(TEMPLATE_W, TEMPLATE_H, edge), 5 * c, 7 * r))
-    for edge in bsl_solution.transitions:
-        edges.add(_crossing_edge(tpl, manifest.transforms, edge))
-    lifted = CellLoop(frozenset(edges))
+    lifted = CellLoop(frozenset(lift_loop(manifest.template, manifest.transforms, bsl_solution)))
     bad = verify_bsl(manifest.image.inner, lifted)
     if bad is not None:
         raise ReductionError(f"lifted solution invalid: {bad}")
@@ -369,25 +329,17 @@ def lift_to_cubic(manifest: CubicReductionManifest, bsl_solution: CellLoop) -> C
 
 
 def project_from_cubic(manifest: CubicReductionManifest, cubic_solution: CellLoop) -> CellLoop:
-    """Read off which openings each block uses; exactly two are crossed."""
+    """Read off which openings the image loop crosses; every block must use two."""
     bad = verify_bsl(manifest.image.inner, cubic_solution)
     if bad is not None:
         raise ReductionError(f"image solution rejected: {bad}")
-    tpl = manifest.template
-    source = manifest.source
-    transitions: set[Edge] = set()
-    crossings: dict[Cell, int] = {cell: 0 for cell in source.dims.cells()}
-    for edge in internal_edges(source.dims):
-        if _crossing_edge(tpl, manifest.transforms, edge) in cubic_solution.transitions:
-            transitions.add(edge)
-            a, b = edge_cells(edge)
-            crossings[a] += 1
-            crossings[b] += 1
-    for cell, count in crossings.items():
-        if count != 2:
-            raise ReductionError(f"block for cell {cell} crossed {count} openings, expected 2")
+    transitions = set()
+    for axis, c, r in internal_edges(manifest.source.dims):
+        cross = crossing_edge(manifest.template, manifest.transforms, (c, r), "E" if axis == "h" else "S")
+        if cross in cubic_solution.transitions:
+            transitions.add((axis, c, r))
     projected = CellLoop(frozenset(transitions))
-    bad = verify_bsl(source, projected)
+    bad = verify_bsl(manifest.source, projected)
     if bad is not None:
         raise ReductionError(f"projected solution invalid: {bad}")
     return projected

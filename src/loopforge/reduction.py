@@ -11,17 +11,16 @@ a fixed two-tile unsolvable instance instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bsl import CubicBslPuzzle, degenerate_cells, verify_bsl
-from .catalog import GadgetDescriptor, assemble_board, crossing_edge, load_gadget, place_fragment
+from .catalog import GadgetDescriptor, assemble_board, load_gadget
 from .errors import ReductionError
-from .grid import Cell, CellLoop, Edge
+from .grid import SIDES, Cell, CellLoop, side_edge
 from .orientation import build_bar_graph, orient
+from .tiling import lift_loop
 from .transforms import Transform
-
-SIDE_DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
 
 
 @dataclass
@@ -37,18 +36,12 @@ class GenreReductionManifest:
     source: CubicBslPuzzle
     descriptor: GadgetDescriptor
     degenerate: bool
-    placements: dict[Cell, TilePlacement] = field(default_factory=dict)
+    board: object  # the genre puzzle the reduction built
+    placements: dict[Cell, TilePlacement]
 
     @property
     def layout(self) -> dict[Cell, Transform]:
         return {cell: p.transform for cell, p in self.placements.items()}
-
-    def tile_origin(self, cell: Cell) -> tuple[int, int]:
-        pw, ph = self.descriptor.pitch
-        return (pw * cell[0], ph * cell[1])
-
-
-DEGENERATE_LAYOUT_FREE_SIDES = ("E", "W")  # facing walls: no crossing exists
 
 
 def reduce_to_genre(
@@ -61,47 +54,34 @@ def reduce_to_genre(
     if desc.genre != genre:
         raise ReductionError(f"descriptor genre {desc.genre!r} does not match {genre!r}")
 
-    if degenerate_cells(puzzle.inner):
+    degenerate = bool(degenerate_cells(puzzle.inner))
+    placements: dict[Cell, TilePlacement] = {}
+    if degenerate:
         # Canonical unsolvable two-tile instance: the shared boundary has a
         # wall on both sides, so no loop can visit both tiles.
-        layout = {
-            (0, 0): desc.transform_for_free_side("E"),
-            (1, 0): desc.transform_for_free_side("W"),
-        }
-        board = assemble_board(desc, layout, 2, 1)
-        manifest = GenreReductionManifest(genre, puzzle, desc, degenerate=True)
-        for cell, t in layout.items():
-            manifest.placements[cell] = TilePlacement(t, frozenset(), None)
-        return board, manifest
+        tiles_w, tiles_h = 2, 1
+        placements[(0, 0)] = TilePlacement(desc.transform_for_free_side("E"), frozenset(), None)
+        placements[(1, 0)] = TilePlacement(desc.transform_for_free_side("W"), frozenset(), None)
+    else:
+        tiles_w, tiles_h = puzzle.dims.width, puzzle.dims.height
+        assignment = orient(build_bar_graph(puzzle))
+        for cell in puzzle.dims.cells():
+            accessible = {edge for _, edge in puzzle.inner.accessible_neighbors(cell)}
+            open_dirs = {side for side in SIDES if side_edge(cell, side) in accessible}
+            free_edge = None
+            if len(open_dirs) == 3:
+                exits = frozenset(open_dirs)
+            elif len(open_dirs) == 2:
+                free_edge = assignment.directions[cell]
+                exits = frozenset(open_dirs | {free_edge})
+            else:
+                raise ReductionError(f"cell {cell} has {len(open_dirs)} exits after the degenerate check")
+            walled = next(iter(set(SIDES) - exits))
+            placements[cell] = TilePlacement(desc.transform_for_free_side(walled), exits, free_edge)
 
-    assignment = orient(build_bar_graph(puzzle))
-    manifest = GenreReductionManifest(genre, puzzle, desc, degenerate=False)
-    layout: dict[Cell, Transform] = {}
-    for cell in puzzle.dims.cells():
-        open_dirs = set()
-        c, r = cell
-        for side, (dc, dr) in SIDE_DELTAS.items():
-            nbr = (c + dc, r + dr)
-            if puzzle.dims.contains(nbr):
-                for other, _edge in puzzle.inner.accessible_neighbors(cell):
-                    if other == nbr:
-                        open_dirs.add(side)
-                        break
-        free_edge = None
-        if len(open_dirs) == 3:
-            exits = frozenset(open_dirs)
-        elif len(open_dirs) == 2:
-            free_edge = assignment.directions[cell]
-            exits = frozenset(open_dirs | {free_edge})
-        else:
-            raise ReductionError(f"cell {cell} has {len(open_dirs)} exits after the degenerate check")
-        walled = next(iter(set("NESW") - exits))
-        t = desc.transform_for_free_side(walled)
-        layout[cell] = t
-        manifest.placements[cell] = TilePlacement(t, exits, free_edge)
-
-    board = assemble_board(desc, layout, puzzle.dims.width, puzzle.dims.height)
-    return board, manifest
+    layout = {cell: p.transform for cell, p in placements.items()}
+    board = assemble_board(desc, layout, tiles_w, tiles_h)
+    return board, GenreReductionManifest(genre, puzzle, desc, degenerate, board, placements)
 
 
 def lift_to_genre(manifest: GenreReductionManifest, cubic_solution: CellLoop):
@@ -111,49 +91,13 @@ def lift_to_genre(manifest: GenreReductionManifest, cubic_solution: CellLoop):
 
     if manifest.degenerate:
         raise ReductionError("cannot lift through a degenerate (unsolvable) reduction")
-    source = manifest.source
-    bad = verify_bsl(source.inner, cubic_solution)
+    bad = verify_bsl(manifest.source.inner, cubic_solution)
     if bad is not None:
         raise ReductionError(f"source solution rejected: {bad}")
-
     desc = manifest.descriptor
-    layout = manifest.layout
-    edges: set[Edge] = set()
-    for cell in source.dims.cells():
-        c, r = cell
-        dirs = []
-        for side, edge in (
-            ("N", ("v", c, r - 1)),
-            ("E", ("h", c, r)),
-            ("S", ("v", c, r)),
-            ("W", ("h", c - 1, r)),
-        ):
-            if edge in cubic_solution.transitions:
-                dirs.append(side)
-        if len(dirs) != 2:
-            raise ReductionError(f"cell {cell} uses {len(dirs)} loop directions")
-        t = manifest.placements[cell].transform
-        inv = t.inverse()
-        pair = frozenset(inv.apply_side(d) for d in dirs)
-        try:
-            frag = desc.bank[pair]
-        except KeyError:
-            raise ReductionError(f"no bank sub-solution for local pair {sorted(pair)}") from None
-        edges |= place_fragment(desc, frag, t, cell)
-
-    for axis, c, r in cubic_solution.transitions:
-        side = "E" if axis == "h" else "S"
-        cross = crossing_edge(desc, layout, (c, r), side)
-        if cross is None:
-            raise ReductionError(f"source transition ({axis},{c},{r}) has no facing exits")
-        edges.add(cross)
-
-    if desc.is_lattice:
-        sol = LatticeLoop(frozenset(edges))
-    else:
-        sol = CellLoop(frozenset(edges))
-    board = assemble_board(desc, layout, source.dims.width, source.dims.height)
-    bad = GENRES[manifest.genre].verify(board, sol)
+    edges = frozenset(lift_loop(desc, manifest.layout, cubic_solution))
+    sol = LatticeLoop(edges) if desc.is_lattice else CellLoop(edges)
+    bad = GENRES[manifest.genre].verify(manifest.board, sol)
     if bad is not None:
         raise ReductionError(f"lifted solution invalid: {bad}")
     return sol

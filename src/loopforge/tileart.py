@@ -12,9 +12,7 @@ exit letter for a blockable opening).
 from __future__ import annotations
 
 from .errors import FormatError
-from .grid import Cell, Edge
-
-_SIDE_OF_BORDER = {"N": "N", "E": "E", "S": "S", "W": "W"}
+from .grid import SIDES, Cell, Edge
 
 
 def strip_comments(text: str) -> list[str]:
@@ -41,7 +39,7 @@ def parse_bar_grid(lines: list[str], width: int, height: int) -> tuple[frozenset
     def border(ch: str, side: str, cell: Cell) -> None:
         if ch == "#":
             return
-        if ch in _SIDE_OF_BORDER:
+        if ch in SIDES:
             if ch != side:
                 raise FormatError(f"exit letter {ch} on the {side} border at {cell}")
             if side in exits:
@@ -99,16 +97,6 @@ def parse_fragment_grid(lines: list[str], width: int, height: int) -> frozenset[
     return frozenset(edges)
 
 
-def render_fragment_grid(edges: frozenset[Edge] | set[Edge], width: int, height: int) -> list[str]:
-    rows = [["."] * (2 * width - 1) for _ in range(2 * height - 1)]
-    for axis, c, r in edges:
-        if axis == "h":
-            rows[2 * r][2 * c + 1] = "-"
-        else:
-            rows[2 * r + 1][2 * c] = "|"
-    return ["".join(row) for row in rows]
-
-
 def parse_lattice_fragment(lines: list[str], dots_w: int, dots_h: int) -> frozenset[Edge]:
     """Read a dot-lattice fragment: dots at even/even, edges between dots."""
     rows = 2 * dots_h - 1
@@ -133,12 +121,3 @@ def parse_lattice_fragment(lines: list[str], dots_w: int, dots_h: int) -> frozen
                 raise FormatError(f"bad lattice character {ch!r}")
     return frozenset(edges)
 
-
-def render_lattice_fragment(edges: frozenset[Edge] | set[Edge], dots_w: int, dots_h: int) -> list[str]:
-    rows = [["."] * (2 * dots_w - 1) for _ in range(2 * dots_h - 1)]
-    for axis, i, j in edges:
-        if axis == "h":
-            rows[2 * j][2 * i + 1] = "-"
-        else:
-            rows[2 * j + 1][2 * i] = "|"
-    return ["".join(row) for row in rows]

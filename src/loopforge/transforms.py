@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import Cell, Edge, edge_between, is_internal
+from .grid import OPPOSITE_SIDE, SIDES, Cell, Edge, edge_between, edge_cells, is_internal
 
 _NAMES = {
     (0, False): "r0",
@@ -26,9 +26,6 @@ _NAMES = {
 }
 _BY_NAME = {name: key for key, name in _NAMES.items()}
 _BY_NAME["fxy"] = (2, False)
-
-_ROT_SIDE = {"N": "E", "E": "S", "S": "W", "W": "N"}
-_MIRROR_SIDE = {"N": "N", "S": "S", "E": "W", "W": "E"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,9 +45,6 @@ class Transform:
             raise ValueError(f"unknown transform name {name!r}") from None
         return Transform(rot, mirror)
 
-    def out_dims(self, w: int, h: int) -> tuple[int, int]:
-        return (h, w) if self.rot % 2 else (w, h)
-
     def apply_cell(self, w: int, h: int, cell: Cell) -> Cell:
         c, r = cell
         if self.mirror:
@@ -61,19 +55,14 @@ class Transform:
         return (c, r)
 
     def apply_side(self, side: str) -> str:
-        if self.mirror:
-            side = _MIRROR_SIDE[side]
-        for _ in range(self.rot):
-            side = _ROT_SIDE[side]
-        return side
+        if self.mirror and side in ("E", "W"):
+            side = OPPOSITE_SIDE[side]
+        # SIDES runs clockwise, so a quarter turn is one step along it.
+        return SIDES[(SIDES.index(side) + self.rot) % 4]
 
     def apply_edge(self, w: int, h: int, edge: Edge) -> Edge:
         if is_internal(edge):
-            axis, c, r = edge
-            if axis == "h":
-                a, b = (c, r), (c + 1, r)
-            else:
-                a, b = (c, r), (c, r + 1)
+            a, b = edge_cells(edge)
             return edge_between(self.apply_cell(w, h, a), self.apply_cell(w, h, b))
         side, c, r = edge
         nc, nr = self.apply_cell(w, h, (c, r))
@@ -90,6 +79,5 @@ class Transform:
         return Transform((-self.rot) % 4, False)
 
 
-IDENTITY = Transform(0, False)
 ROTATIONS = tuple(Transform(k, False) for k in range(4))
 ALL_TRANSFORMS = tuple(Transform(k, m) for m in (False, True) for k in range(4))

@@ -62,7 +62,7 @@ def test_criterion_1_metacell_certification():
     ok = (
         template.dims.cell_count == 35
         and blacks == 18
-        and len(bank.fragments) == 6
+        and len(bank) == 6
         and problem is None
         and elapsed < 10.0
     )

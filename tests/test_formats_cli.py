@@ -43,19 +43,29 @@ def test_cubic_file_must_pass_cubicity(tmp_path):
 
 
 def test_manifest_round_trip():
-    from loopforge.metacell import reduce_to_cubic
-    from loopforge.reduction import reduce_to_genre
+    from loopforge.metacell import lift_to_cubic, reduce_to_cubic
+    from loopforge.reduction import lift_to_genre, reduce_to_genre
 
     source = formats.puzzle_from_json(load_fixture("bsl_example"))
+    solution = formats.solution_from_json(load_fixture("bsl_example_solution"))
     cubic, cman = reduce_to_cubic(source)
     doc = formats.manifest_to_json(cman)
     again = formats.manifest_from_json(json.loads(formats.dumps_canonical(doc)))
     assert formats.manifest_to_json(again) == doc
+    cubic_sol = lift_to_cubic(again, solution)
+    assert cubic_sol == lift_to_cubic(cman, solution)
 
     board, gman = reduce_to_genre(cubic, "yajilin")
     doc = formats.manifest_to_json(gman)
     again = formats.manifest_from_json(json.loads(formats.dumps_canonical(doc)))
     assert formats.manifest_to_json(again) == doc
+    # A reloaded manifest carries its board, so it lifts on its own.
+    assert again.board == board
+    assert lift_to_genre(again, cubic_sol) == lift_to_genre(gman, cubic_sol)
+
+    doc["cells"][0]["exits"] = ["N"]
+    with pytest.raises(formats.FormatError):
+        formats.manifest_from_json(doc)
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +97,25 @@ def test_cli_solve_parse_error(tmp_path):
 def test_cli_solve_dp_oracle(capsys):
     assert main(["solve", fx("bsl_example"), "--oracle", "dp"]) == 0
     assert json.loads(capsys.readouterr().out)["solvable"] is True
+
+
+def test_cli_solve_dp_capability_is_internal_error(tmp_path, capsys):
+    p = tmp_path / "wide.json"
+    p.write_text('{"genre":"bsl","width":15,"height":16,"bars":[]}')
+    assert main(["solve", str(p), "--oracle", "dp"]) == 70
+    assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_cli_reduction_error_is_internal_error(monkeypatch, capsys):
+    from loopforge import cli
+    from loopforge.errors import ReductionError
+
+    def broken_lift(manifest, solution):
+        raise ReductionError("lifted solution invalid")
+
+    monkeypatch.setattr(cli, "lift_to_genre", broken_lift)
+    assert main(["roundtrip", fx("bsl_example"), "--genre", "simple-loop"]) == 70
+    assert "lifted solution invalid" in capsys.readouterr().err
 
 
 def test_cli_solve_byte_identical(capsys):

@@ -7,7 +7,6 @@ from loopforge.bsl import BslPuzzle, check_cubic, solve_bsl_dp, verify_bsl
 from loopforge.errors import ReductionError
 from loopforge.grid import CellLoop, CellPathFragmentSet, GridDims, checkerboard_color, internal_edges
 from loopforge.metacell import (
-    MetacellSolutionBank,
     build_metacell_bank,
     lift_to_cubic,
     load_metacell,
@@ -40,22 +39,20 @@ def test_template_invariants(template):
 
 def test_bank_covers_all_six_pairs(template, bank):
     assert validate_metacell_bank(template, bank) is None
-    assert len(bank.fragments) == 6
+    assert len(bank) == 6
 
 
 def test_bank_mutation_detected(template, bank):
     pair = frozenset(("N", "S"))
-    frag = bank.fragments[pair]
+    frag = bank[pair]
     dropped = CellPathFragmentSet(frozenset(list(frag.transitions)[1:]), frag.stubs)
-    broken = MetacellSolutionBank({**bank.fragments, pair: dropped})
+    broken = {**bank, pair: dropped}
     v = validate_metacell_bank(template, broken)
     assert v is not None and v.code in ("degree", "coverage", "path")
 
 
 def test_bank_missing_pair(template, bank):
-    partial = MetacellSolutionBank(
-        {k: v for k, v in bank.fragments.items() if k != frozenset(("N", "S"))}
-    )
+    partial = {k: v for k, v in bank.items() if k != frozenset(("N", "S"))}
     v = validate_metacell_bank(template, partial)
     assert v is not None and v.code == "missing-pair"
 
