@@ -170,6 +170,11 @@ def cmd_roundtrip(args) -> int:
     if genre not in GENRE_TARGETS:
         print(f"no gadget for genre {genre!r}", file=sys.stderr)
         return EXIT_NO_GADGET
+    try:
+        desc = catalog_mod.load_gadget(genre)
+    except FormatError as exc:
+        print(f"gadget unavailable: {exc}", file=sys.stderr)
+        return EXIT_NO_GADGET
 
     stages: dict[str, str] = {}
     verdict = "ok"
@@ -180,7 +185,7 @@ def cmd_roundtrip(args) -> int:
         stages["cubic-reduce"] = f"{cubic.dims.width}x{cubic.dims.height}"
         lifted_cubic = lift_to_cubic(cman, source_result.solution)
         stages["cubic-lift"] = "ok"
-        board, gman = reduce_to_genre(cubic, genre)
+        board, gman = reduce_to_genre(cubic, genre, desc)
         stages["genre-reduce"] = f"{board.dims.width}x{board.dims.height}"
         # lift_to_genre verifies the lifted solution against the board and
         # raises when it fails.
@@ -196,7 +201,7 @@ def cmd_roundtrip(args) -> int:
             cubic = CubicBslPuzzle(puzzle)
         else:
             cubic, _ = reduce_to_cubic(puzzle)
-        board, gman = reduce_to_genre(cubic, genre)
+        board, gman = reduce_to_genre(cubic, genre, desc)
         stages["genre-reduce"] = f"{board.dims.width}x{board.dims.height}"
         if gman.degenerate:
             stages["genre-image"] = "canonical-unsolvable"

@@ -15,8 +15,8 @@ from ..grid import (
     CellLoop,
     GridDims,
     Violation,
+    loop_ids,
     side_edge,
-    validate_loop,
 )
 from ..search import EXACT2, OPT, OUT, LoopSearch
 from .base import build_cell_graph, run_search
@@ -47,28 +47,35 @@ def _step(cell: Cell, direction: str) -> Cell:
 
 
 def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
-    bad = validate_loop(puzzle.dims, sol)
-    if bad is not None:
-        return bad
-    visited = sol.visited_cells()
-    for cell, colour in puzzle.pearls:
-        if cell not in visited:
-            return Violation("pearl", "pearl not on the loop", cell=cell)
-        d1, d2 = sol.sides(cell)
-        # A neighbour turns when the loop does not continue in the same
-        # direction beyond it.
-        continues = [side_edge(_step(cell, d), d) in sol.transitions for d in (d1, d2)]
-        straight_here = OPPOSITE_SIDE[d1] == d2
+    w = puzzle.dims.width
+    loop = loop_ids(w, puzzle.dims.height, sol.transitions)
+    if isinstance(loop, Violation):
+        return loop
+    east, south = loop.east, loop.south
+    for (c, r), colour in puzzle.pearls:
+        p = r * w + c
+        if p not in loop.visited:
+            return Violation("pearl", "pearl not on the loop", cell=(c, r))
+        # Sides N, E, S, W the loop leaves p through, each with whether the
+        # loop runs on straight beyond that neighbour (else it turns there).
+        sides = (
+            (p - w in south, p - 2 * w in south),
+            (p in east, p + 1 in east),
+            (p in south, p + w in south),
+            (p - 1 in east, p - 2 in east),
+        )
+        continues = [beyond for used, beyond in sides if used]
+        straight_here = (sides[0][0] and sides[2][0]) or (sides[1][0] and sides[3][0])
         if colour == "white":
             if not straight_here:
-                return Violation("pearl", "loop must run straight through a white pearl", cell=cell)
+                return Violation("pearl", "loop must run straight through a white pearl", cell=(c, r))
             if all(continues):
-                return Violation("pearl", "neither side of a white pearl turns", cell=cell)
+                return Violation("pearl", "neither side of a white pearl turns", cell=(c, r))
         else:
             if straight_here:
-                return Violation("pearl", "loop must turn on a black pearl", cell=cell)
+                return Violation("pearl", "loop must turn on a black pearl", cell=(c, r))
             if not all(continues):
-                return Violation("pearl", "loop must run straight beside a black pearl", cell=cell)
+                return Violation("pearl", "loop must run straight beside a black pearl", cell=(c, r))
     return None
 
 

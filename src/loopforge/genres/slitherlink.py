@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..grid import Cell, Edge, GridDims, Violation, edge_sort_key
+from ..grid import Cell, Edge, GridDims, Violation, edge_sort_key, loop_ids
 from ..search import OPT, OUT, LoopSearch
 from .base import run_search
 
@@ -57,44 +57,22 @@ def cell_border_edges(cell: Cell) -> list[Edge]:
     return [("h", c, r), ("h", c, r + 1), ("v", c, r), ("v", c + 1, r)]
 
 
-def edge_count_around(sol: LatticeLoop, cell: Cell) -> int:
-    return sum(1 for e in cell_border_edges(cell) if e in sol.edges)
+LATTICE_LOOP_WORDS = ("a loop must be drawn", "edge outside the lattice", "dot has degree {}")
 
 
 def verify(puzzle: SlitherlinkPuzzle, sol: LatticeLoop) -> Optional[Violation]:
-    if not sol.edges:
-        return Violation("empty", "a loop must be drawn")
-    dw, dh = puzzle.dims.width + 1, puzzle.dims.height + 1
-    degree: dict[Cell, list[Cell]] = {}
-    for axis, i, j in sol.edges:
-        if axis == "h":
-            a, b = (i, j), (i + 1, j)
-        else:
-            a, b = (i, j), (i, j + 1)
-        if not (0 <= a[0] < dw and 0 <= a[1] < dh and 0 <= b[0] < dw and 0 <= b[1] < dh):
-            return Violation("bounds", "edge outside the lattice", edge=(axis, i, j))
-        degree.setdefault(a, []).append(b)
-        degree.setdefault(b, []).append(a)
-    for dot, nbrs in degree.items():
-        if len(nbrs) != 2:
-            return Violation("degree", f"dot has degree {len(nbrs)}", cell=dot)
-    start = min(degree)
-    prev, cur, steps = None, start, 0
-    while True:
-        a, b = degree[cur]
-        nxt = b if a == prev else a
-        prev, cur = cur, nxt
-        steps += 1
-        if cur == start:
-            break
-        if steps > len(sol.edges):
-            return Violation("walk", "cycle walk failed to close", cell=cur)
-    if steps != len(sol.edges):
-        return Violation("components", "loop has more than one component", cell=start)
-    for cell, count in puzzle.clues:
-        got = edge_count_around(sol, cell)
+    dw = puzzle.dims.width + 1
+    loop = loop_ids(dw, puzzle.dims.height + 1, sol.edges, LATTICE_LOOP_WORDS)
+    if isinstance(loop, Violation):
+        return loop
+    # The four sides of cell (c, r) are the "h" edges of dots (c, r) and
+    # (c, r+1) and the "v" edges of dots (c, r) and (c+1, r).
+    east, south = loop.east, loop.south
+    for (c, r), count in puzzle.clues:
+        d = r * dw + c
+        got = (d in east) + (d + dw in east) + (d in south) + (d + 1 in south)
         if got != count:
-            return Violation("clue", f"cell has {got} edges, expected {count}", cell=cell)
+            return Violation("clue", f"cell has {got} edges, expected {count}", cell=(c, r))
     return None
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, validate_loop
+from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, loop_ids
 from ..search import EXACT2, OPT, OUT, LoopSearch
 from .base import build_cell_graph, run_search
 
@@ -46,20 +46,22 @@ def shaded_cells(puzzle: YajilinPuzzle, sol: CellLoop) -> set[Cell]:
 
 
 def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:
-    bad = validate_loop(puzzle.dims, sol)
-    if bad is not None:
-        return bad
-    visited = sol.visited_cells()
-    hit = visited & puzzle.grey
+    w, h = puzzle.dims.width, puzzle.dims.height
+    loop = loop_ids(w, h, sol.transitions)
+    if isinstance(loop, Violation):
+        return loop
+    grey = {r * w + c for c, r in puzzle.grey}
+    hit = loop.visited & grey
     if hit:
-        return Violation("grey", "loop passes through a grey cell", cell=min(hit))
-    shaded = shaded_cells(puzzle, sol)
-    for c, r in sorted(shaded):
-        for nbr in ((c + 1, r), (c, r + 1)):
-            if nbr in shaded:
-                return Violation("shading", "two shaded cells are adjacent", cell=(c, r))
+        return Violation("grey", "loop passes through a grey cell", cell=loop.least(hit))
+    shaded = set(range(w * h)) - loop.visited - grey
+    # A shaded cell whose east neighbour (not across the row end) or south
+    # neighbour is shaded too.
+    touching = {i for i in shaded if (i + 1 in shaded and i % w != w - 1) or i + w in shaded}
+    if touching:
+        return Violation("shading", "two shaded cells are adjacent", cell=loop.least(touching))
     for cell, count, direction in puzzle.clues:
-        got = sum(1 for x in puzzle.ray(cell, direction) if x in shaded)
+        got = sum(r * w + c in shaded for c, r in puzzle.ray(cell, direction))
         if got != count:
             return Violation("clue", f"arrow count is {got}, expected {count}", cell=cell)
     return None

@@ -16,8 +16,9 @@ order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import BoundsError
 
@@ -246,51 +247,98 @@ class Violation:
         return f"{self.code}: {self.message}{where}"
 
 
+@dataclass(frozen=True, slots=True)
+class LoopIds:
+    """A single closed loop on flat cell ids ``r * width + c``.
+
+    ``east`` holds the ids whose east side the loop crosses (its "h"
+    edges), ``south`` those whose south side it crosses ("v" edges), and
+    ``visited`` every id on the loop.
+    """
+
+    width: int
+    east: set[int]
+    south: set[int]
+    visited: set[int]
+
+    def least(self, ids: Iterable[int]) -> Cell:
+        """The smallest of ``ids`` as a cell, in (col, row) order."""
+        return min((i % self.width, i // self.width) for i in ids)
+
+
+# Wording of the empty, bounds and degree violations, for loops on cells.
+CELL_LOOP_WORDS = ("loop has no transitions", "transition outside grid", "cell has degree {}, expected 2")
+
+
+def loop_ids(
+    width: int, height: int, edges: frozenset[Edge], words: tuple[str, str, str] = CELL_LOOP_WORDS
+) -> Union[LoopIds, Violation]:
+    """Check that ``edges`` form one closed loop on a width x height grid.
+
+    Returns the loop on flat ids, or the first violation in the order
+    empty, bounds, degree, walk/components.  A bounds violation names the
+    smallest offending edge, a degree violation the smallest offending
+    cell.  ``words`` phrases the first three for grids whose nodes are not
+    cells.
+    """
+    empty, outside, bad_degree = words
+    if not edges:
+        return Violation("empty", empty)
+    w1, h1 = width - 1, height - 1
+    east = [r * width + c for axis, c, r in edges if axis == "h" and 0 <= c < w1 and 0 <= r < height]
+    south = [r * width + c for axis, c, r in edges if axis == "v" and 0 <= c < width and 0 <= r < h1]
+    if len(east) + len(south) != len(edges):
+        inside = {("h", i % width, i // width) for i in east} | {("v", i % width, i // width) for i in south}
+        return Violation("bounds", outside, edge=min(edges - inside, key=edge_sort_key))
+
+    degree = Counter(east)
+    degree.update(south)
+    degree.update([i + 1 for i in east])
+    degree.update([i + width for i in south])
+    loop = LoopIds(width, set(east), set(south), set(degree))
+    if len(degree) != len(edges) or max(degree.values()) != 2:
+        cell = loop.least(i for i, d in degree.items() if d != 2)
+        return Violation("degree", bad_degree.format(degree[cell[1] * width + cell[0]]), cell=cell)
+
+    # Every id has degree 2, so the walk leaves each one by the side it
+    # did not come in through and must close after one lap of the loop.
+    east, south = loop.east, loop.south
+    start = prev = cur = next(iter(degree))
+    for steps in range(1, len(edges) + 1):
+        if cur in east and cur + 1 != prev:
+            prev, cur = cur, cur + 1
+        elif cur - 1 in east and cur - 1 != prev:
+            prev, cur = cur, cur - 1
+        elif cur in south and cur + width != prev:
+            prev, cur = cur, cur + width
+        else:
+            prev, cur = cur, cur - width
+        if cur == start:
+            break
+    else:
+        return Violation("walk", "cycle walk failed to close", cell=loop.least([cur]))
+    if steps != len(edges):
+        return Violation("components", "loop has more than one component", cell=loop.least(degree))
+    return loop
+
+
 def validate_loop(dims: GridDims, loop: CellLoop, must_visit: Optional[Iterable[Cell]] = None) -> Optional[Violation]:
     """Check degree-2-everywhere-visited, single cycle, and optional exact cover.
 
     Returns None when the loop is valid, otherwise the first violation
-    found.  ``must_visit`` of None skips the coverage comparison.
+    found.  ``must_visit`` of None skips the coverage comparison; its
+    cells must lie on the grid.
     """
-    if not loop.transitions:
-        return Violation("empty", "loop has no transitions")
-    for edge in loop.transitions:
-        if not edge_in_bounds(dims, edge):
-            return Violation("bounds", "transition outside grid", edge=edge)
-
-    degree: dict[Cell, list[Cell]] = {}
-    for edge in loop.transitions:
-        a, b = edge_cells(edge)
-        degree.setdefault(a, []).append(b)
-        degree.setdefault(b, []).append(a)
-    for cell, nbrs in degree.items():
-        if len(nbrs) != 2:
-            return Violation("degree", f"cell has degree {len(nbrs)}, expected 2", cell=cell)
-
-    # Walk the cycle from an arbitrary visited cell; a single closed tour
-    # must come back to the start after traversing every transition once.
-    start = min(degree)
-    prev, cur = None, start
-    steps = 0
-    while True:
-        a, b = degree[cur]
-        nxt = b if a == prev else a
-        prev, cur = cur, nxt
-        steps += 1
-        if cur == start:
-            break
-        if steps > len(loop.transitions):
-            return Violation("walk", "cycle walk failed to close", cell=cur)
-    if steps != len(loop.transitions):
-        return Violation("components", "loop has more than one component", cell=start)
-
-    if must_visit is not None:
-        required = set(must_visit)
-        visited = set(degree)
-        missing = required - visited
-        if missing:
-            return Violation("unvisited", "required cell not visited", cell=min(missing))
-        extra = visited - required
-        if extra:
-            return Violation("forbidden", "cell visited but not allowed", cell=min(extra))
+    ids = loop_ids(dims.width, dims.height, loop.transitions)
+    if isinstance(ids, Violation):
+        return ids
+    if must_visit is None:
+        return None
+    required = {r * dims.width + c for c, r in must_visit}
+    missing = required - ids.visited
+    if missing:
+        return Violation("unvisited", "required cell not visited", cell=ids.least(missing))
+    extra = ids.visited - required
+    if extra:
+        return Violation("forbidden", "cell visited but not allowed", cell=ids.least(extra))
     return None

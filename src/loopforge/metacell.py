@@ -12,6 +12,7 @@ is solvable exactly when the source is.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -104,6 +105,15 @@ def load_metacell(path: Optional[Path] = None) -> MetacellTemplate:
     if problem is not None:
         raise FormatError(f"metacell template rejected: {problem}")
     return template
+
+
+@functools.cache
+def default_metacell() -> MetacellTemplate:
+    """The packaged template, loaded and certified once per process.
+
+    Callers share the one object, so its bank is searched once as well.
+    """
+    return load_metacell()
 
 
 def _certify_template(template: MetacellTemplate) -> Optional[str]:
@@ -260,7 +270,7 @@ def reduce_to_cubic(
     template: Optional[MetacellTemplate] = None,
 ) -> tuple[CubicBslPuzzle, CubicReductionManifest]:
     """Expand every cell into a 5x7 block; image dims are (5W, 7H)."""
-    tpl = template or load_metacell()
+    tpl = template or default_metacell()
     W, H = puzzle.dims.width, puzzle.dims.height
     image_dims = GridDims(5 * W, 7 * H)
     bars: set[Edge] = set()

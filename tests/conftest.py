@@ -26,3 +26,9 @@ def fixture_puzzle(name: str):
 
 def fixture_solution(name: str):
     return formats.solution_from_json(load_fixture(f"{name}_solution"))
+
+
+def ring(c0, r0, c1, r1) -> frozenset:
+    """Edges of the rectangle ring through cells (c0, r0)..(c1, r1)."""
+    edges = {("h", c, r) for c in range(c0, c1) for r in (r0, r1)}
+    return frozenset(edges | {("v", c, r) for c in (c0, c1) for r in range(r0, r1)})

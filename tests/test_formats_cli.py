@@ -173,6 +173,16 @@ def test_cli_reduce_unknown_genre(tmp_path):
             os.environ["LOOPFORGE_CATALOG"] = old
 
 
+def test_cli_roundtrip_missing_gadget(tmp_path, monkeypatch, capsys):
+    # The gadget is loaded before any stage runs, so a missing descriptor
+    # is "missing gadget" (66), not an internal error.
+    monkeypatch.setenv("LOOPFORGE_CATALOG", str(tmp_path))
+    assert main(["roundtrip", fx("bsl_example"), "--genre", "masyu"]) == 66
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "gadget unavailable" in out.err
+
+
 def test_cli_roundtrip_fixture(capsys):
     assert main(["roundtrip", fx("bsl_example"), "--genre", "simple-loop"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution
+from conftest import fixture_puzzle, fixture_solution, ring
 from loopforge.genres import GENRES
 from loopforge.genres.masyu import MasyuPuzzle
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
@@ -188,3 +188,74 @@ def test_solver_verdicts_match_brute_force_on_tiny_boards():
         )
         p = SlitherlinkPuzzle(dims, tuple(sorted(clues)))
         assert (GENRES["slitherlink"].solve(p).status == "sat") == brute_force_lattice(p)
+
+
+def _verdict(genre, puzzle, sol):
+    v = GENRES[genre].verify(puzzle, sol)
+    return v and (v.code, v.message, v.cell)
+
+
+@pytest.mark.parametrize(
+    "pearl,dims,corners,want",
+    [
+        # Every pearl sits on the board edge, where its outer neighbour is off the grid.
+        (((3, 0), "white"), (4, 2), (0, 0, 2, 1), ("pearl", "pearl not on the loop", (3, 0))),
+        (((0, 0), "white"), (2, 2), (0, 0, 1, 1), ("pearl", "loop must run straight through a white pearl", (0, 0))),
+        (((2, 0), "white"), (5, 2), (0, 0, 4, 1), ("pearl", "neither side of a white pearl turns", (2, 0))),
+        (((1, 0), "white"), (4, 2), (0, 0, 3, 1), None),
+        (((0, 1), "black"), (2, 3), (0, 0, 1, 2), ("pearl", "loop must turn on a black pearl", (0, 1))),
+        (((0, 0), "black"), (2, 2), (0, 0, 1, 1), ("pearl", "loop must run straight beside a black pearl", (0, 0))),
+        (((2, 2), "black"), (3, 3), (0, 0, 2, 2), None),
+    ],
+)
+def test_masyu_pearl_rule_on_board_edge(pearl, dims, corners, want):
+    puzzle = MasyuPuzzle(GridDims(*dims), (pearl,))
+    assert _verdict("masyu", puzzle, CellLoop(ring(*corners))) == want
+
+
+def test_slitherlink_clue_and_lattice_wording():
+    puzzle = SlitherlinkPuzzle(GridDims(2, 2), (((0, 0), 3), ((1, 1), 0)))
+    square = LatticeLoop(ring(0, 0, 1, 1))
+    assert _verdict("slitherlink", puzzle, square) == ("clue", "cell has 4 edges, expected 3", (0, 0))
+    puzzle = SlitherlinkPuzzle(GridDims(2, 2), (((0, 0), 0),))
+    assert _verdict("slitherlink", puzzle, LatticeLoop(ring(1, 1, 2, 2))) is None
+    puzzle = SlitherlinkPuzzle(GridDims(2, 2), (((1, 0), 0),))
+    assert _verdict("slitherlink", puzzle, LatticeLoop(ring(1, 1, 2, 2))) == (
+        "clue", "cell has 1 edges, expected 0", (1, 0))
+    # The lattice of a 2x2 board has 3x3 dots: "h" at dot column 2 and
+    # "v" at dot row 2 leave it.
+    v = GENRES["slitherlink"].verify(puzzle, LatticeLoop(ring(0, 0, 1, 1) | {("h", 2, 0)}))
+    assert (v.code, v.message, v.edge) == ("bounds", "edge outside the lattice", ("h", 2, 0))
+    v = GENRES["slitherlink"].verify(puzzle, LatticeLoop(ring(0, 0, 1, 1) | {("v", 0, 2)}))
+    assert (v.code, v.message, v.edge) == ("bounds", "edge outside the lattice", ("v", 0, 2))
+    open_path = LatticeLoop(ring(0, 0, 2, 2) - {("h", 1, 2)})
+    assert _verdict("slitherlink", puzzle, open_path) == ("degree", "dot has degree 1", (1, 2))
+
+
+def test_yajilin_grey_shading_and_clue():
+    dims = GridDims(4, 3)
+    # Loop (1,0)-(2,0)-(2,1)-(3,1)-(3,2)-(2,2)-(1,2)-(1,1); (0,0) and (0,2)
+    # are grey, leaving (3,0) and (0,1) shaded.  Their flat ids 3 and 4 are
+    # consecutive, but the cells do not touch.
+    loop = CellLoop(frozenset({
+        ("h", 1, 0), ("v", 2, 0), ("h", 2, 1), ("v", 3, 1), ("h", 2, 2), ("h", 1, 2), ("v", 1, 1), ("v", 1, 0),
+    }))
+    grey = frozenset({(0, 0), (0, 2)})
+    clues = (((0, 0), 1, "E"), ((0, 0), 1, "S"), ((0, 2), 1, "N"), ((0, 2), 0, "E"))
+    for clue in clues:
+        assert _verdict("yajilin", YajilinPuzzle(dims, grey, (clue,)), loop) is None
+    assert _verdict("yajilin", YajilinPuzzle(dims, grey, (((0, 0), 2, "E"),)), loop) == (
+        "clue", "arrow count is 1, expected 2", (0, 0))
+    assert _verdict("yajilin", YajilinPuzzle(dims, grey | {(3, 2), (1, 1)}, ()), loop) == (
+        "grey", "loop passes through a grey cell", (1, 1))
+    # Without the grey cells, (0, 0), (0, 1) and (0, 2) are shaded in a column.
+    assert _verdict("yajilin", YajilinPuzzle(dims, frozenset(), ()), loop) == (
+        "shading", "two shaded cells are adjacent", (0, 0))
+
+
+@pytest.mark.parametrize("genre", sorted(FIXTURE_NAMES))
+def test_empty_solution_rejected(genre):
+    puzzle = fixture_puzzle(FIXTURE_NAMES[genre])
+    sol = LatticeLoop(frozenset()) if genre == "slitherlink" else CellLoop(frozenset())
+    message = "a loop must be drawn" if genre == "slitherlink" else "loop has no transitions"
+    assert _verdict(genre, puzzle, sol) == ("empty", message, None)

@@ -5,6 +5,13 @@ produced from ``bsl_example`` and its solution: the image puzzle, the
 manifest and the lifted solution of the cubic stage and of every genre,
 plus the ``roundtrip`` report without its wall-clock ``timing_ms``.  Any
 change to placement, lifting or serialisation shows up here.
+
+``BROKEN`` covers the rejecting path: the digest of ``loopforge verify``
+output for each fixture solution with its first edge dropped.  The
+dropped edge leaves two cells (dots) of degree 1 and the smaller one is
+reported; these digests were taken from the verifiers before they moved
+to flat ids, in a run where that older code (whose choice followed set
+iteration order) also reported the smaller one.
 """
 
 import hashlib
@@ -52,6 +59,15 @@ ROUNDTRIP = {
     "simple-loop": "e5259d386f7ed91433f61bceda4828a30e56d9998ae8966808deb3cd8d9aedfa",
 }
 
+BROKEN = {
+    "bsl_example": "479dcafc94bd9f83bdfaf8fc71ff9acbe410ec37330488efd941580489668c6b",
+    "cubic_example": "479dcafc94bd9f83bdfaf8fc71ff9acbe410ec37330488efd941580489668c6b",
+    "masyu_example": "479dcafc94bd9f83bdfaf8fc71ff9acbe410ec37330488efd941580489668c6b",
+    "simple_loop_example": "479dcafc94bd9f83bdfaf8fc71ff9acbe410ec37330488efd941580489668c6b",
+    "slitherlink_example": "c75d8447a647584481ba79968a4e3aa8f83fe44c5f0fa85f9abcc32394f410ba",
+    "yajilin_example": "5f7900c3e517c0105696f65ebbb9dca70b34e0400688895b31d0f53ac33bc171",
+}
+
 
 def _digest(doc: dict) -> str:
     return hashlib.sha256(formats.dumps_canonical(doc).encode("utf-8")).hexdigest()
@@ -95,3 +111,14 @@ def test_roundtrip_report_byte_identical(genre, capsys):
     report = json.loads(capsys.readouterr().out)
     del report["timing_ms"]
     assert _digest(report) == ROUNDTRIP[genre]
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_verify_rejection_byte_identical(name, tmp_path, capsys):
+    doc = json.loads((FIXTURES / f"{name}_solution.json").read_text(encoding="utf-8"))
+    key = "lattice_edges" if "lattice_edges" in doc else "edges"
+    doc[key] = doc[key][1:]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(FIXTURES / f"{name}.json"), str(broken)]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == BROKEN[name]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import ring
 from loopforge.errors import BoundsError
 from loopforge.grid import (
     CellLoop,
@@ -12,9 +13,12 @@ from loopforge.grid import (
     edge_cells,
     edge_sort_key,
     internal_edges,
+    loop_ids,
     neighbors,
     validate_loop,
 )
+from loopforge.genres.slitherlink import LatticeLoop, SlitherlinkPuzzle, lattice_edges
+from loopforge.genres.slitherlink import verify as verify_slitherlink
 
 SQUARE_2X2 = CellLoop(frozenset({("h", 0, 0), ("h", 0, 1), ("v", 0, 0), ("v", 1, 0)}))
 
@@ -108,6 +112,25 @@ def _walk_oracle(loop: CellLoop) -> bool:
             return steps == len(loop.transitions)
 
 
+def _random_edge_sets(rng, w, h, pool, count):
+    """Random subsets plus rings, pairs of rings and rings with toggled edges."""
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.4 or w < 2 or h < 2:
+            yield frozenset(rng.sample(pool, rng.randint(1, min(10, len(pool)))))
+            continue
+        c0, c1 = sorted(rng.sample(range(w), 2))
+        r0, r1 = sorted(rng.sample(range(h), 2))
+        edges = ring(c0, r0, c1, r1)
+        if kind < 0.7:
+            c2, c3 = sorted(rng.sample(range(w), 2))
+            r2, r3 = sorted(rng.sample(range(h), 2))
+            edges ^= ring(c2, r2, c3, r3)
+        elif kind < 0.85:
+            edges ^= {rng.choice(pool)}
+        yield frozenset(edges)
+
+
 def test_validate_loop_matches_walk_oracle_on_random_edge_sets():
     rng = random.Random(7)
     d = GridDims(4, 4)
@@ -120,3 +143,66 @@ def test_validate_loop_matches_walk_oracle_on_random_edge_sets():
         assert got == want
         agree += 1
     assert agree == 300
+
+
+@pytest.mark.parametrize("w,h", [(4, 4), (5, 3), (3, 5), (1, 4), (6, 2)])
+def test_validate_loop_matches_walk_oracle_on_rings(w, h):
+    rng = random.Random(7)
+    d = GridDims(w, h)
+    pool = internal_edges(d)
+    verdicts = set()
+    for edges in _random_edge_sets(rng, w, h, pool, 300):
+        got = validate_loop(d, CellLoop(edges)) is None
+        assert got == _walk_oracle(CellLoop(edges))
+        verdicts.add(got)
+    assert verdicts == ({True, False} if min(w, h) > 1 else {False})
+
+
+@pytest.mark.parametrize("w,h", [(3, 3), (4, 2), (2, 4)])
+def test_lattice_loop_matches_walk_oracle(w, h):
+    # A clueless Slitherlink board accepts exactly the single loops on its
+    # (w+1) x (h+1) dot lattice, which the cell oracle checks on a grid of
+    # that size.
+    rng = random.Random(13)
+    puzzle = SlitherlinkPuzzle(GridDims(w, h), ())
+    pool = lattice_edges(puzzle.dims)
+    verdicts = set()
+    for edges in _random_edge_sets(rng, w + 1, h + 1, pool, 300):
+        got = verify_slitherlink(puzzle, LatticeLoop(edges)) is None
+        assert got == _walk_oracle(CellLoop(edges))
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def _violation(dims, edges, must_visit=None):
+    v = validate_loop(dims, CellLoop(frozenset(edges)), must_visit=must_visit)
+    return v and (v.code, v.message, v.cell, v.edge)
+
+
+def test_loop_ids_on_flat_ids():
+    loop = loop_ids(3, 2, frozenset(ring(1, 0, 2, 1)))
+    assert (loop.east, loop.south, loop.visited) == ({1, 4}, {1, 2}, {1, 2, 4, 5})
+
+
+def test_validate_loop_violation_codes():
+    d = GridDims(3, 3)
+    left = ring(0, 0, 1, 1)
+    assert _violation(d, set()) == ("empty", "loop has no transitions", None, None)
+    # An "h" edge in the last column and a "v" edge on the last row would
+    # join consecutive flat ids across the row end and past the last row.
+    assert _violation(d, left | {("h", 2, 0)}) == ("bounds", "transition outside grid", None, ("h", 2, 0))
+    assert _violation(d, left | {("v", 0, 2)}) == ("bounds", "transition outside grid", None, ("v", 0, 2))
+    assert _violation(d, left | {("v", 0, 2), ("h", 2, 1), ("h", -1, 0)}) == (
+        "bounds", "transition outside grid", None, ("h", -1, 0))
+    # An open path: both ends have degree 1; the smallest is reported.
+    assert _violation(d, left - {("v", 1, 0)}) == ("degree", "cell has degree 1, expected 2", (1, 0), None)
+    # A chord across the 3x2 ring gives two cells of degree 3.
+    assert _violation(d, ring(0, 0, 2, 1) | {("v", 1, 0)}) == (
+        "degree", "cell has degree 3, expected 2", (1, 0), None)
+    assert _violation(GridDims(5, 2), ring(3, 0, 4, 1) | ring(0, 0, 1, 1)) == (
+        "components", "loop has more than one component", (0, 0), None)
+    assert _violation(d, left, must_visit=[(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (2, 0)]) == (
+        "unvisited", "required cell not visited", (2, 0), None)
+    assert _violation(d, left, must_visit=[(0, 0), (1, 0)]) == (
+        "forbidden", "cell visited but not allowed", (0, 1), None)
+    assert _violation(d, left, must_visit=[(0, 0), (1, 0), (0, 1), (1, 1)]) is None

@@ -83,6 +83,38 @@ def test_lift_and_project_round_trip():
     assert back.transitions == SQUARE_2X2.transitions
 
 
+def test_default_template_loaded_and_banked_once(monkeypatch):
+    from loopforge import metacell
+
+    calls = {"load_metacell": 0, "build_metacell_bank": 0}
+
+    def counting(name):
+        original = getattr(metacell, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metacell, name, wrapper)
+
+    counting("load_metacell")
+    counting("build_metacell_bank")
+    metacell.default_metacell.cache_clear()
+    source = fixture_puzzle("bsl_example")
+    first = reduce_to_cubic(source)[1]
+    second = reduce_to_cubic(source)[1]
+    for manifest in (first, second):
+        lift_to_cubic(manifest, fixture_solution("bsl_example"))
+    assert first.template is second.template
+    assert calls == {"load_metacell": 1, "build_metacell_bank": 1}
+    # An explicit template is used as given, with its own bank.
+    template = metacell.load_metacell()
+    manifest = reduce_to_cubic(source, template=template)[1]
+    lift_to_cubic(manifest, fixture_solution("bsl_example"))
+    assert manifest.template is template
+    assert calls == {"load_metacell": 2, "build_metacell_bank": 2}
+
+
 def test_lift_rejects_invalid_source_solution():
     source = BslPuzzle(GridDims(2, 2), frozenset({("h", 0, 0)}))
     _, manifest = reduce_to_cubic(source)
