@@ -22,6 +22,7 @@ false pass.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass, field
@@ -191,6 +192,21 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
     if problem:
         raise FormatError(f"descriptor for {genre} rejected: {problem}")
     return desc
+
+
+def default_gadget(genre: str) -> GadgetDescriptor:
+    """The descriptor for ``genre`` in ``catalog_dir()``, loaded once per process.
+
+    Callers share the one object.  The cache is keyed by the directory as
+    well, so a changed ``LOOPFORGE_CATALOG`` is honoured; ``load_gadget``
+    reads the file afresh.
+    """
+    return _load_gadget_once(genre, catalog_dir())
+
+
+@functools.cache
+def _load_gadget_once(genre: str, directory: Path) -> GadgetDescriptor:
+    return load_gadget(genre, directory)
 
 
 def _parse_fragment(desc: GadgetDescriptor, body: list[str], fw: int, fh: int) -> frozenset[Edge]:

@@ -5,10 +5,18 @@ Cells are scanned row-major.  A state is the plug profile on the frontier:
 (chain end closing, ``)``).  While cell (c, r) is being processed, slot c
 holds the plug entering it from the left and slot c+1 the plug entering
 from above; afterwards slot c holds the plug leaving downward and slot
-c+1 the plug leaving rightward.  Bracket flips on chain joins follow the
-usual matched-parenthesis bookkeeping.  Every cell must be covered, so
-the single permitted cycle closure is at the last cell with an otherwise
+c+1 the plug leaving rightward.  Every cell must be covered, so the
+single permitted cycle closure is at the last cell with an otherwise
 empty profile.
+
+A profile is packed into one ``int``, two bits per slot, slot i at bits
+2i..2i+1.  The cell's two plugs are the 4-bit field ``(s >> 2c) & 15``
+(left in the low half, up in the high half); a new chain opens as
+``9 << 2c`` (``(`` then ``)``).  Joining two chain ends of the same kind
+turns the partner bracket of the inner one around: the partner is found
+by a depth-counting scan over the 2-bit fields, and since ``1 ^ 3 == 2``
+and ``2 ^ 3 == 1``, the flip is ``s ^ (3 << 2j)``.  At a row change the
+top slot must be empty and the profile shifts one slot, ``s << 2``.
 
 This is the independent oracle the backtracking solver is checked
 against; it shares no code with the search engine.
@@ -19,27 +27,20 @@ from __future__ import annotations
 from .grid import Edge
 
 
-def _match_right(state: tuple[int, ...], pos: int) -> int:
+def _partner(s: int, slot: int, step: int) -> int:
+    """Bit offset of the bracket matching the one at ``slot``, scanning by ``step``."""
+    mine = (s >> 2 * slot) & 3
     depth = 0
-    for i in range(pos + 1, len(state)):
-        if state[i] == 1:
+    j = slot + step
+    while j >= 0 and s >> 2 * j:
+        plug = (s >> 2 * j) & 3
+        if plug == mine:
             depth += 1
-        elif state[i] == 2:
+        elif plug:
             if depth == 0:
-                return i
+                return 2 * j
             depth -= 1
-    raise AssertionError("unbalanced plug profile")
-
-
-def _match_left(state: tuple[int, ...], pos: int) -> int:
-    depth = 0
-    for i in range(pos - 1, -1, -1):
-        if state[i] == 2:
-            depth += 1
-        elif state[i] == 1:
-            if depth == 0:
-                return i
-            depth -= 1
+        j += step
     raise AssertionError("unbalanced plug profile")
 
 
@@ -49,7 +50,7 @@ def hamiltonian_cycle_exists(width: int, height: int, barred: frozenset[Edge] | 
         return False
 
     w, h = width, height
-    states: set[tuple[int, ...]] = {(0,) * (w + 1)}
+    states: set[int] = {0}
     found = False
 
     for r in range(h):
@@ -57,54 +58,45 @@ def hamiltonian_cycle_exists(width: int, height: int, barred: frozenset[Edge] | 
             right_ok = c + 1 < w and ("h", c, r) not in barred
             down_ok = r + 1 < h and ("v", c, r) not in barred
             last_cell = (c == w - 1 and r == h - 1)
-            nxt: set[tuple[int, ...]] = set()
+            sh = 2 * c
+            clear = ~(15 << sh)
+            nxt: set[int] = set()
+            add = nxt.add
             for s in states:
-                left, up = s[c], s[c + 1]
-                if left == 0 and up == 0:
+                pair = (s >> sh) & 15
+                if pair == 0:
                     if right_ok and down_ok:
-                        t = list(s)
-                        t[c], t[c + 1] = 1, 2
-                        nxt.add(tuple(t))
-                elif left != 0 and up == 0:
+                        add(s | (9 << sh))
+                elif pair < 4:
+                    # Only a left plug: keep it going down, or move it right.
                     if down_ok:
-                        t = list(s)
-                        t[c], t[c + 1] = left, 0
-                        nxt.add(tuple(t))
+                        add(s)
                     if right_ok:
-                        t = list(s)
-                        t[c], t[c + 1] = 0, left
-                        nxt.add(tuple(t))
-                elif left == 0 and up != 0:
+                        add(s + (3 * pair << sh))
+                elif pair & 3 == 0:
+                    # Only an up plug: keep it going right, or move it down.
+                    if right_ok:
+                        add(s)
                     if down_ok:
-                        t = list(s)
-                        t[c], t[c + 1] = up, 0
-                        nxt.add(tuple(t))
-                    if right_ok:
-                        t = list(s)
-                        t[c], t[c + 1] = 0, up
-                        nxt.add(tuple(t))
-                else:
-                    t = list(s)
-                    if left == 1 and up == 1:
-                        t[_match_right(s, c + 1)] = 1
-                    elif left == 2 and up == 2:
-                        t[_match_left(s, c)] = 2
-                    elif left == 1 and up == 2:
-                        # The plugs are the two ends of one chain: closing it
-                        # is only a solution when nothing else remains.
-                        if last_cell and all(x == 0 for i, x in enumerate(s) if i not in (c, c + 1)):
-                            found = True
-                        continue
-                    t[c], t[c + 1] = 0, 0
-                    nxt.add(tuple(t))
+                        add(s - (3 * (pair >> 2) << sh))
+                elif pair == 5:
+                    # "((": the up plug's partner ")" becomes "(".
+                    add((s & clear) ^ (3 << _partner(s, c + 1, 1)))
+                elif pair == 10:
+                    # "))": the left plug's partner "(" becomes ")".
+                    add((s & clear) ^ (3 << _partner(s, c, -1)))
+                elif pair == 6:
+                    # ")(": two chains join; their outer ends stay matched.
+                    add(s & clear)
+                elif last_cell and s & clear == 0:
+                    # "()": the two ends of one chain.  Closing it is only
+                    # a solution when nothing else remains.
+                    found = True
             states = nxt
             if not states:
                 return found
         # Row change: the rightmost plug slot must be empty, then the
         # profile shifts one slot to make room for the new left border.
-        shifted: set[tuple[int, ...]] = set()
-        for s in states:
-            if s[w] == 0:
-                shifted.add((0,) + s[:w])
-        states = shifted
+        limit = 1 << 2 * w
+        states = {s << 2 for s in states if s < limit}
     return found

@@ -44,7 +44,10 @@ def run_search(
 
     Returns a generator of every solution with ``enumerate_all``, and
     otherwise a SolveResult for the first one.  Seeds are edges forced
-    into or out of the loop.
+    into or out of the loop.  When the search's budget runs out, the
+    first-solution path returns status "timeout", while the generator
+    raises ``SearchTimeout`` from the ``next()`` call that finds the
+    budget spent; solutions it yielded before stay valid.
     """
 
     def solution(ids: frozenset[int]):

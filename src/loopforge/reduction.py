@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bsl import CubicBslPuzzle, degenerate_cells, verify_bsl
-from .catalog import GadgetDescriptor, assemble_board, load_gadget
+from .catalog import GadgetDescriptor, assemble_board, default_gadget
 from .errors import ReductionError
 from .grid import SIDES, Cell, CellLoop, side_edge
 from .orientation import build_bar_graph, orient
@@ -50,7 +50,7 @@ def reduce_to_genre(
     descriptor: Optional[GadgetDescriptor] = None,
 ):
     """Build the genre puzzle and the manifest that makes lifting deterministic."""
-    desc = descriptor or load_gadget(genre)
+    desc = descriptor or default_gadget(genre)
     if desc.genre != genre:
         raise ReductionError(f"descriptor genre {desc.genre!r} does not match {genre!r}")
 

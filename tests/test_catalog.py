@@ -134,3 +134,12 @@ def test_zero_clue_flag_fills_grey_cells(descriptors):
     result = GENRES["yajilin"].solve(board, budget_ms=30000)
     assert result.status == "sat"
     assert GENRES["yajilin"].verify(board, result.solution) is None
+
+
+@pytest.mark.parametrize("genre", ["yajilin", "masyu"])
+def test_tiny_budget_is_budget_limited_never_no(descriptors, genre):
+    cert = certify_gadget(descriptors[genre], budget_ms=1)
+    statuses = {key: verdict.status for key, verdict in cert.conditions.items()}
+    assert statuses["e"] == "budget-limited"
+    assert "fail" not in statuses.values()
+    assert cert.overall == "partial"

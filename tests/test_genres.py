@@ -259,3 +259,16 @@ def test_empty_solution_rejected(genre):
     sol = LatticeLoop(frozenset()) if genre == "slitherlink" else CellLoop(frozenset())
     message = "a loop must be drawn" if genre == "slitherlink" else "loop has no transitions"
     assert _verdict(genre, puzzle, sol) == ("empty", message, None)
+
+
+def test_enumeration_raises_search_timeout():
+    from loopforge.errors import SearchTimeout
+
+    # A barless 10x10 board has far too many loops to enumerate at once,
+    # and a zero budget is spent before the first decision.
+    puzzle = SimpleLoopPuzzle(GridDims(10, 10), frozenset())
+    solutions = GENRES["simple-loop"].solve(puzzle, budget_ms=0.0, enumerate_all=True)
+    with pytest.raises(SearchTimeout):
+        list(solutions)
+    # The first-solution path reports the same budget as a status.
+    assert GENRES["simple-loop"].solve(puzzle, budget_ms=0.0).status == "timeout"

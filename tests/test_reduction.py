@@ -119,3 +119,39 @@ def test_random_sources_end_to_end():
             board, manifest = reduce_to_genre(cubic, genre)
             lifted = lift_to_genre(manifest, cubic_sol)
             assert GENRES[genre].verify(board, lifted) is None
+
+
+def test_packaged_gadget_loaded_once(monkeypatch, tmp_path):
+    from loopforge import catalog
+    from loopforge.errors import FormatError
+
+    calls = []
+    original = catalog.load_gadget
+
+    def counting(genre, directory=None):
+        calls.append(genre)
+        return original(genre, directory)
+
+    monkeypatch.setattr(catalog, "load_gadget", counting)
+    catalog._load_gadget_once.cache_clear()
+    cubic = fixture_puzzle("cubic_example")
+    first = reduce_to_genre(cubic, "masyu")[1]
+    second = reduce_to_genre(cubic, "masyu")[1]
+    assert first.descriptor is second.descriptor
+    assert calls == ["masyu"]
+    # Another LOOPFORGE_CATALOG is another directory: loaded once more.
+    (tmp_path / "masyu.txt").write_bytes((catalog.DEFAULT_CATALOG / "masyu.txt").read_bytes())
+    monkeypatch.setenv("LOOPFORGE_CATALOG", str(tmp_path))
+    third = reduce_to_genre(cubic, "masyu")[1]
+    assert reduce_to_genre(cubic, "masyu")[1].descriptor is third.descriptor
+    assert third.descriptor is not first.descriptor
+    assert calls == ["masyu"] * 2
+    # An explicit load reads the file afresh.
+    assert catalog.load_gadget("masyu", tmp_path) is not third.descriptor
+    assert calls == ["masyu"] * 3
+    # A missing descriptor is an error every time, never a cached result.
+    monkeypatch.setenv("LOOPFORGE_CATALOG", str(tmp_path / "empty"))
+    for _ in range(2):
+        with pytest.raises(FormatError):
+            reduce_to_genre(cubic, "masyu")
+    assert calls == ["masyu"] * 5
