@@ -69,18 +69,11 @@ class GadgetDescriptor:
             return (self.tile.width + 1, self.tile.height + 1)
         return (self.tile.width, self.tile.height)
 
-    @property
-    def pitch(self) -> tuple[int, int]:
-        """Tile-to-tile spacing in cells (lattice tiles share a seam line)."""
-        if self.is_lattice:
-            return (self.tile.width + 1, self.tile.height + 1)
-        return (self.tile.width, self.tile.height)
-
     def board_dims(self, tiles_w: int, tiles_h: int) -> GridDims:
-        pw, ph = self.pitch
+        fw, fh = self.frame
         if self.is_lattice:
-            return GridDims(pw * tiles_w - 1, ph * tiles_h - 1)
-        return GridDims(pw * tiles_w, ph * tiles_h)
+            return GridDims(fw * tiles_w - 1, fh * tiles_h - 1)
+        return GridDims(fw * tiles_w, fh * tiles_h)
 
     def exit_pos(self, side: str) -> Cell:
         w, h = self.frame
@@ -310,12 +303,12 @@ def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_
     from .genres.yajilin import YajilinPuzzle
 
     dims = desc.board_dims(tiles_w, tiles_h)
-    pw, ph = desc.pitch
+    fw, fh = desc.frame
     tw, th = desc.tile.width, desc.tile.height
 
     def cell_map(t: Transform, tile_pos: Cell, cell: Cell) -> Cell:
         c, r = t.apply_cell(tw, th, cell)
-        return (c + pw * tile_pos[0], r + ph * tile_pos[1])
+        return (c + fw * tile_pos[0], r + fh * tile_pos[1])
 
     if desc.genre == "slitherlink":
         clues = []
@@ -351,37 +344,37 @@ def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_
 def boundary_positions(desc: GadgetDescriptor, tiles_w: int, tiles_h: int) -> set[Edge]:
     """Every board edge that straddles a tile boundary."""
     dims = desc.board_dims(tiles_w, tiles_h)
-    pw, ph = desc.pitch
+    fw, fh = desc.frame
     out: set[Edge] = set()
     if desc.is_lattice:
         dw, dh = dims.width + 1, dims.height + 1
         for j in range(dh):
             for i in range(dw - 1):
-                if i % pw == pw - 1:
+                if i % fw == fw - 1:
                     out.add(("h", i, j))
         for j in range(dh - 1):
             for i in range(dw):
-                if j % ph == ph - 1:
+                if j % fh == fh - 1:
                     out.add(("v", i, j))
         return out
     for r in range(dims.height):
         for c in range(dims.width - 1):
-            if c % pw == pw - 1:
+            if c % fw == fw - 1:
                 out.add(("h", c, r))
     for r in range(dims.height - 1):
         for c in range(dims.width):
-            if r % ph == ph - 1:
+            if r % fh == fh - 1:
                 out.add(("v", c, r))
     return out
 
 
 def tile_visited(desc: GadgetDescriptor, sol_edges: frozenset[Edge], tile_pos: Cell) -> bool:
-    pw, ph = desc.pitch
-    x0, y0 = pw * tile_pos[0], ph * tile_pos[1]
+    fw, fh = desc.frame
+    x0, y0 = fw * tile_pos[0], fh * tile_pos[1]
     if desc.is_lattice:
         x1, y1 = x0 + desc.tile.width, y0 + desc.tile.height  # inclusive dot range
     else:
-        x1, y1 = x0 + pw - 1, y0 + ph - 1
+        x1, y1 = x0 + fw - 1, y0 + fh - 1
     for axis, c, r in sol_edges:
         if x0 <= c <= x1 and y0 <= r <= y1:
             return True
@@ -587,7 +580,7 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
         count = 0
         problem = None
         try:
-            for sol in _solve_board(desc, board, max(remaining, 1000.0), (), enumerate_all=True):
+            for sol in _solve_board(desc, board, remaining, (), enumerate_all=True):
                 count += 1
                 edges = _solution_edges(desc, sol)
                 problem = _audit_solution(desc, layout, 2, 2, edges)

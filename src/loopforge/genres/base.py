@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 from ..errors import SearchTimeout
 from ..grid import Cell, Edge, GridDims, Violation, edge_cells, internal_edges
-from ..search import IN, OUT, LoopSearch
+from ..search import IN, LoopSearch
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,17 +37,16 @@ def run_search(
     make_solution: Callable[[frozenset[Edge]], object],
     verify: Callable[[object], Optional[Violation]],
     seeds_in=(),
-    seeds_out=(),
     enumerate_all: bool = False,
 ):
     """Solve with ``search`` over ``edges``, accepting only what ``verify`` passes.
 
     Returns a generator of every solution with ``enumerate_all``, and
     otherwise a SolveResult for the first one.  Seeds are edges forced
-    into or out of the loop.  When the search's budget runs out, the
-    first-solution path returns status "timeout", while the generator
-    raises ``SearchTimeout`` from the ``next()`` call that finds the
-    budget spent; solutions it yielded before stay valid.
+    into the loop.  When the search's budget runs out, the first-solution
+    path returns status "timeout", while the generator raises
+    ``SearchTimeout`` from the ``next()`` call that finds the budget
+    spent; solutions it yielded before stay valid.
     """
 
     def solution(ids: frozenset[int]):
@@ -55,11 +54,11 @@ def run_search(
 
     search.accept = lambda ids: verify(solution(ids)) is None
     eidx = {e: i for i, e in enumerate(edges)}
-    seeds = [(eidx[e], IN) for e in seeds_in] + [(eidx[e], OUT) for e in seeds_out]
+    seeds = [(eidx[e], IN) for e in seeds_in]
     if enumerate_all:
         return (solution(ids) for ids in search.solutions(seeds))
     try:
-        found = search.first_solution(seeds)
+        found = next(search.solutions(seeds), None)
     except SearchTimeout:
         return SolveResult("timeout")
     if found is None:

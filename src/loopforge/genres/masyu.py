@@ -199,9 +199,8 @@ def solve(
     puzzle: MasyuPuzzle,
     budget_ms: Optional[float] = None,
     seeds_in=(),
-    seeds_out=(),
     enumerate_all: bool = False,
 ):
     edges, pairs, index = build_cell_graph(puzzle.dims)
     search = _MasyuSearch(puzzle, edges, pairs, index, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True)
-    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, seeds_out, enumerate_all)
+    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

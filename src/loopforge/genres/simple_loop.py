@@ -30,7 +30,6 @@ def solve(
     puzzle: SimpleLoopPuzzle,
     budget_ms: Optional[float] = None,
     seeds_in=(),
-    seeds_out=(),
     enumerate_all: bool = False,
 ):
     """Exact solver; with ``enumerate_all`` returns a solution generator."""
@@ -40,4 +39,4 @@ def solve(
     for cell in puzzle.shaded:
         req[index[cell]] = OPT  # no incident edges, never required
     search = LoopSearch(n, pairs, req, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True)
-    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, seeds_out, enumerate_all)
+    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

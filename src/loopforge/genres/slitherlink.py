@@ -26,9 +26,6 @@ class SlitherlinkPuzzle:
                 raise ValueError(f"duplicate clue at {cell}")
             seen.add(cell)
 
-    def clue_map(self) -> dict[Cell, int]:
-        return dict(self.clues)
-
 
 @dataclass(frozen=True, slots=True)
 class LatticeLoop:
@@ -125,7 +122,6 @@ def solve(
     puzzle: SlitherlinkPuzzle,
     budget_ms: Optional[float] = None,
     seeds_in=(),
-    seeds_out=(),
     enumerate_all: bool = False,
 ):
     dw = puzzle.dims.width + 1
@@ -139,4 +135,4 @@ def solve(
             pairs.append((idx(i, j), idx(i, j + 1)))
     n_dots = dw * (puzzle.dims.height + 1)
     search = _SlitherlinkSearch(puzzle, edges, pairs, n_dots, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True)
-    return run_search(search, edges, LatticeLoop, lambda sol: verify(puzzle, sol), seeds_in, seeds_out, enumerate_all)
+    return run_search(search, edges, LatticeLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

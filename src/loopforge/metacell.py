@@ -71,11 +71,6 @@ class MetacellTemplate:
     def frame(self) -> tuple[int, int]:
         return (self.dims.width, self.dims.height)
 
-    @property
-    def pitch(self) -> tuple[int, int]:
-        """Blocks sit side by side with no seam."""
-        return self.frame
-
     def exit_cell(self, side: str) -> Cell:
         for s, cell in self.exits:
             if s == side:

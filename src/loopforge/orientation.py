@@ -43,9 +43,6 @@ class BarGraph:
     puzzle: CubicBslPuzzle
     adjacency: dict[Vertex, list[tuple[Vertex, Edge]]]
 
-    def degree(self, v: Vertex) -> int:
-        return len(self.adjacency[v])
-
 
 @dataclass
 class FreeEdgeAssignment:

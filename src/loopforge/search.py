@@ -8,6 +8,12 @@ propagation enforces degree arithmetic, chains are tracked so a closed
 cycle is detected immediately, and genre-specific rules plug in through
 the ``on_assigned`` / ``node_rules_extra`` / ``accept`` hooks.
 
+The search is one loop over an explicit stack with an (edge, trail mark,
+index-order floor) entry for each decision whose ``OUT`` branch has not
+run yet.  When a branch ends, the loop pops the deepest entry, rolls the
+trail back to its mark and tries ``OUT``, so depth costs list entries,
+not interpreter or C stack frames.
+
 Two deterministic branching modes exist, both trying ``IN`` before
 ``OUT``.  The default sweeps edges in index order, so with canonically
 sorted edges the first solution found is the lexicographically least
@@ -24,7 +30,6 @@ leaves the state mid-branch.
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import deque
 from typing import Iterable, Iterator, Optional
@@ -388,9 +393,6 @@ class LoopSearch:
 
     def solutions(self, seeds: Iterable[tuple[int, int]] = ()) -> Iterator[frozenset[int]]:
         """Enumerate every valid assignment in deterministic order."""
-        limit = len(self.edges) * 2 + 10000
-        if sys.getrecursionlimit() < limit:
-            sys.setrecursionlimit(limit)
         mark = len(self.trail)
         for x in range(self.n_nodes):
             if not self._node_rules(x):
@@ -398,17 +400,39 @@ class LoopSearch:
                 return
         for ei, val in seeds:
             self.queue.append((ei, val))
-        if self._propagate():
-            if self.closed:
-                if self._sweep_out():
-                    cand = self._candidate()
-                    if self.accept(cand):
-                        yield cand
-            else:
-                yield from self._dfs(0)
+        stack: list[tuple[int, int, int]] = []  # (edge, trail mark, lo) owing OUT
+        lo = 0
+        ok = self._propagate()
+        while True:
+            if ok:
+                if self.closed:
+                    if self._sweep_out():
+                        cand = self._candidate()
+                        if self.accept(cand):
+                            yield cand
+                else:
+                    branch = self._branch(lo)
+                    if branch is not None:
+                        ei, lo = branch
+                        stack.append((ei, len(self.trail), lo))
+                        self.queue.append((ei, IN))
+                        ok = self._propagate()
+                        continue
+            # This branch is over: resume the deepest decision still owing OUT.
+            if not stack:
+                break
+            ei, branch_mark, lo = stack.pop()
+            self._rollback(branch_mark)
+            self.queue.append((ei, OUT))
+            ok = self._propagate()
         self._rollback(mark)
 
-    def _dfs(self, lo: int) -> Iterator[frozenset[int]]:
+    def _branch(self, lo: int) -> Optional[tuple[int, int]]:
+        """The next edge to decide and the new index-order floor ``lo``.
+
+        None when the branch is dead: every edge is decided without a
+        closed cycle, or the periodic cut check fails.
+        """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout("search budget exhausted")
         state = self.state
@@ -426,8 +450,7 @@ class LoopSearch:
             while lo < n and state[lo]:
                 lo += 1
             if lo == n:
-                # All edges decided with no closed cycle: dead end.
-                return
+                return None
             ei = lo
         self._calls += 1
         if (
@@ -437,22 +460,5 @@ class LoopSearch:
         ):
             self._out_dirty = False
             if not self._connected_ok():
-                return
-        for val in (IN, OUT):
-            mark = len(self.trail)
-            self.queue.append((ei, val))
-            ok = self._propagate()
-            if ok:
-                if self.closed:
-                    if self._sweep_out():
-                        cand = self._candidate()
-                        if self.accept(cand):
-                            yield cand
-                else:
-                    yield from self._dfs(lo)
-            self._rollback(mark)
-
-    def first_solution(self, seeds: Iterable[tuple[int, int]] = ()) -> Optional[frozenset[int]]:
-        for sol in self.solutions(seeds):
-            return sol
-        return None
+                return None
+        return ei, lo

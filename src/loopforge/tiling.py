@@ -6,8 +6,9 @@ exits: the 5x7 block of the cubic stage and the genre gadgets.  A tile is
 any object with
 
 * ``frame``: the (w, h) coordinate frame its edges and exits live in
-  (cells, or dots for lattice tiles), which transforms act on;
-* ``pitch``: the (dx, dy) offset between neighbouring tile positions;
+  (cells, or dots for lattice tiles), which transforms act on.  Tiles
+  abut in frame coordinates, so it is also the (dx, dy) offset between
+  neighbouring tile positions;
 * ``placed_exits(t)``: side -> frame position of every exit under the
   placement transform ``t``;
 * ``bank``: frozenset of two tile-local exit sides -> the edges of a
@@ -29,8 +30,7 @@ from .transforms import Transform
 def place_fragment(tile, frag: Iterable[Edge], t: Transform, tile_pos: Cell) -> set[Edge]:
     """Tile-local edges transformed by ``t`` and moved to ``tile_pos``."""
     w, h = tile.frame
-    pw, ph = tile.pitch
-    ox, oy = pw * tile_pos[0], ph * tile_pos[1]
+    ox, oy = w * tile_pos[0], h * tile_pos[1]
     placed = set()
     for edge in frag:
         axis, c, r = t.apply_edge(w, h, edge)
@@ -57,8 +57,8 @@ def crossing_edge(tile, layout: dict[Cell, Transform], tile_pos: Cell, side: str
         (i, j), (x, y) = tile_pos, mine[side]
     else:
         (i, j), (x, y) = nbr, theirs[OPPOSITE_SIDE[side]]
-    pw, ph = tile.pitch
-    return ("h" if side in ("E", "W") else "v", pw * i + x, ph * j + y)
+    fw, fh = tile.frame
+    return ("h" if side in ("E", "W") else "v", fw * i + x, fh * j + y)
 
 
 def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> set[Edge]:
@@ -70,7 +70,7 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> set[Edge]:
     # Transformed fragments at the origin, one per (transform, pair): at
     # most 8 x 6, however many tiles share them.
     oriented: dict[tuple[Transform, frozenset], set[Edge]] = {}
-    pw, ph = tile.pitch
+    fw, fh = tile.frame
     edges: set[Edge] = set()
     for cell, t in layout.items():
         inv = t.inverse()
@@ -80,7 +80,7 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> set[Edge]:
             if pair not in tile.bank:
                 raise ReductionError(f"no bank fragment for local exit pair {sorted(pair)} at cell {cell}")
             frag = oriented[(t, pair)] = place_fragment(tile, tile.bank[pair], t, (0, 0))
-        ox, oy = pw * cell[0], ph * cell[1]
+        ox, oy = fw * cell[0], fh * cell[1]
         edges.update((axis, c + ox, r + oy) for axis, c, r in frag)
     for axis, c, r in loop.transitions:
         cross = crossing_edge(tile, layout, (c, r), "E" if axis == "h" else "S")

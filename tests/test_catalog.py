@@ -1,6 +1,9 @@
 import copy
+import time
 
 import pytest
+
+from loopforge import catalog
 
 from loopforge.catalog import (
     RING_2X2,
@@ -143,3 +146,23 @@ def test_tiny_budget_is_budget_limited_never_no(descriptors, genre):
     assert statuses["e"] == "budget-limited"
     assert "fail" not in statuses.values()
     assert cert.overall == "partial"
+
+
+def test_enumeration_gets_only_the_budget_left(monkeypatch, descriptors):
+    calls = []  # (budget given, enumerate_all, seconds the call took to return)
+    original = catalog._solve_board
+
+    def wrapper(desc, board, budget, seeds_in, enumerate_all=False):
+        start = time.monotonic()
+        result = original(desc, board, budget, seeds_in, enumerate_all)
+        calls.append((budget, enumerate_all, time.monotonic() - start))
+        return result
+
+    monkeypatch.setattr(catalog, "_solve_board", wrapper)
+    budget_ms = 1.0
+    certify_gadget(descriptors["yajilin"], budget_ms=budget_ms)
+    *witnesses, (budget, enumerate_all, _) = calls
+    assert enumerate_all and not any(e for _, e, _ in witnesses)
+    # The witness searches ran inside certification, so at least their
+    # time is gone from the budget.
+    assert budget <= budget_ms - 1000.0 * sum(seconds for _, _, seconds in witnesses)

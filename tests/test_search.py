@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from loopforge import bsl
-from loopforge.bsl import BslPuzzle, solve_bsl_backtrack
+from loopforge.bsl import BslPuzzle, solve_bsl_backtrack, verify_bsl
 from loopforge.catalog import (
     RING_2X2,
     RING_2X3,
@@ -176,3 +180,44 @@ def test_enumeration_order(monkeypatch, genre, count, calls, digest):
     assert len(taken) == count
     assert searches[0]._calls == calls
     assert _digest(taken) == digest
+
+
+# Solving a barless 40x40 board nests 1,462 decisions deep.
+DEEP_SOLVE = """
+import sys
+from loopforge.bsl import BslPuzzle, solve_bsl_backtrack, verify_bsl
+from loopforge.grid import GridDims
+limit = sys.getrecursionlimit()
+puzzle = BslPuzzle(GridDims(40, 40), frozenset())
+result = solve_bsl_backtrack(puzzle)
+print(result.status, verify_bsl(puzzle, result.solution) is None, sys.getrecursionlimit() == limit)
+"""
+
+
+def test_deep_search_runs_on_a_small_stack():
+    resource = pytest.importorskip("resource")
+
+    def small_stack():
+        hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+        resource.setrlimit(resource.RLIMIT_STACK, (512 * 1024, hard))
+
+    src = str(Path(bsl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_SOLVE],
+        env=env,
+        preexec_fn=small_stack,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["sat", "True", "True"]
+
+
+def test_solve_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    puzzle = BslPuzzle(GridDims(40, 40), frozenset())
+    result = solve_bsl_backtrack(puzzle)
+    assert result.status == "sat" and verify_bsl(puzzle, result.solution) is None
+    assert sys.getrecursionlimit() == limit
