@@ -82,16 +82,6 @@ def check_cubic(puzzle: BslPuzzle) -> list[Cell]:
     return [cell for cell in puzzle.dims.cells() if len(puzzle.accessible_neighbors(cell)) > 3]
 
 
-def parity_unsat(puzzle: BslPuzzle) -> bool:
-    """True when both side lengths are odd, which forces unsolvability.
-
-    The cell adjacency graph is bipartite under the checkerboard colouring
-    and an odd-by-odd board has unequal colour classes, so no Hamiltonian
-    cycle exists.  False implies nothing.
-    """
-    return puzzle.dims.width % 2 == 1 and puzzle.dims.height % 2 == 1
-
-
 def degenerate_cells(puzzle: BslPuzzle) -> list[Cell]:
     """Cells with fewer than two accessible neighbours; any one proves unsat."""
     return [cell for cell in puzzle.dims.cells() if len(puzzle.accessible_neighbors(cell)) < 2]
@@ -111,11 +101,11 @@ def solve_bsl_backtrack(puzzle: BslPuzzle, budget_ms: Optional[float] = None) ->
     return run_search(search, edges, CellLoop, lambda loop: verify_bsl(puzzle, loop))
 
 
-def solve_bsl_dp(puzzle: BslPuzzle, profile_cap: int = DEFAULT_PROFILE_CAP) -> bool:
+def solve_bsl_dp(puzzle: BslPuzzle) -> bool:
     """Independent solvability oracle over the shorter grid dimension."""
     w, h = puzzle.dims.width, puzzle.dims.height
-    if min(w, h) > profile_cap:
-        raise CapabilityError(f"profile width {min(w, h)} exceeds cap {profile_cap}")
+    if min(w, h) > DEFAULT_PROFILE_CAP:
+        raise CapabilityError(f"profile width {min(w, h)} exceeds cap {DEFAULT_PROFILE_CAP}")
     if w <= h:
         return dp.hamiltonian_cycle_exists(w, h, puzzle.bars)
     # Transpose so the profile runs across the shorter dimension.

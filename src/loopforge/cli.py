@@ -32,8 +32,6 @@ EXIT_MISMATCH = 65
 EXIT_NO_GADGET = 66
 EXIT_INTERNAL = 70
 
-GENRE_TARGETS = ("slitherlink", "masyu", "yajilin", "simple-loop")
-
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(formats.dumps_canonical(doc))
@@ -134,7 +132,7 @@ def cmd_reduce(args) -> int:
     if target == "cubic":
         out_puzzle = current
     else:
-        if target not in GENRE_TARGETS:
+        if target not in catalog_mod.MANDATORY_GENRES:
             print(f"no gadget for target genre {target!r}", file=sys.stderr)
             return EXIT_NO_GADGET
         try:
@@ -167,7 +165,7 @@ def cmd_roundtrip(args) -> int:
         print("roundtrip expects a bsl input", file=sys.stderr)
         return EXIT_PARSE
     genre = args.genre
-    if genre not in GENRE_TARGETS:
+    if genre not in catalog_mod.MANDATORY_GENRES:
         print(f"no gadget for genre {genre!r}", file=sys.stderr)
         return EXIT_NO_GADGET
     try:
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="compile a puzzle to another genre")
     p.add_argument("file")
-    p.add_argument("--to", required=True, choices=("cubic",) + GENRE_TARGETS)
+    p.add_argument("--to", required=True, choices=("cubic",) + catalog_mod.MANDATORY_GENRES)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_reduce)

@@ -18,9 +18,8 @@ from .genres.simple_loop import SimpleLoopPuzzle
 from .genres.slitherlink import LatticeLoop, SlitherlinkPuzzle
 from .genres.yajilin import YajilinPuzzle
 from .grid import SIDES, CellLoop, Edge, GridDims, edge_sort_key
-from .metacell import CubicReductionManifest, reduce_to_cubic
-from .reduction import GenreReductionManifest, reduce_to_genre
-from .transforms import Transform
+from .metacell import CubicReductionManifest
+from .reduction import GenreReductionManifest
 
 Puzzle = Union[
     BslPuzzle, CubicBslPuzzle, SlitherlinkPuzzle, MasyuPuzzle, YajilinPuzzle, SimpleLoopPuzzle
@@ -202,39 +201,6 @@ def manifest_to_json(manifest) -> dict:
             ],
         }
     raise FormatError(f"unknown manifest object {type(manifest).__name__}")
-
-
-def manifest_from_json(doc: dict):
-    # Both reductions are deterministic: the manifest is rebuilt from its
-    # source and the stored cells are a consistency check.
-    kind = doc.get("kind")
-    if kind == "cubic-manifest":
-        source = puzzle_from_json(doc["source"])
-        _, manifest = reduce_to_cubic(source)
-        for item in doc["cells"]:
-            cell = (int(item["col"]), int(item["row"]))
-            if manifest.transforms[cell].name != Transform.named(item["transform"]).name:
-                raise FormatError(f"manifest transform mismatch at {cell}")
-        return manifest
-    if kind == "genre-manifest":
-        source = puzzle_from_json(doc["source"])
-        if not isinstance(source, CubicBslPuzzle):
-            source = CubicBslPuzzle(source)
-        _, manifest = reduce_to_genre(source, doc["genre"])
-        if manifest.degenerate != bool(doc["degenerate"]):
-            raise FormatError("manifest degenerate flag mismatch")
-        for item in doc["cells"]:
-            cell = (int(item["col"]), int(item["row"]))
-            placement = manifest.placements.get(cell)
-            if (
-                placement is None
-                or placement.transform.name != Transform.named(item["transform"]).name
-                or placement.exits != frozenset(item["exits"])
-                or placement.free_edge != item.get("free_edge")
-            ):
-                raise FormatError(f"manifest placement mismatch at {cell}")
-        return manifest
-    raise FormatError(f"unknown manifest kind {kind!r}")
 
 
 def dumps_canonical(doc: dict) -> str:

@@ -40,11 +40,6 @@ class YajilinPuzzle:
             out.append((c, r))
 
 
-def shaded_cells(puzzle: YajilinPuzzle, sol: CellLoop) -> set[Cell]:
-    visited = sol.visited_cells()
-    return {c for c in puzzle.dims.cells() if c not in puzzle.grey and c not in visited}
-
-
 def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:
     w, h = puzzle.dims.width, puzzle.dims.height
     loop = loop_ids(w, h, sol.transitions)

@@ -197,36 +197,9 @@ class CellLoop:
             if not is_internal(edge):
                 raise ValueError(f"loop transition {edge} is not an internal edge")
 
-    def visited_cells(self) -> set[Cell]:
-        cells: set[Cell] = set()
-        for edge in self.transitions:
-            cells.update(edge_cells(edge))
-        return cells
-
     def sides(self, cell: Cell) -> list[str]:
         """Sides through which the loop leaves a cell, in ``SIDES`` order."""
         return [side for side in SIDES if side_edge(cell, side) in self.transitions]
-
-
-@dataclass(frozen=True, slots=True)
-class CellPathFragmentSet:
-    """Open loop fragments inside a tile: transitions plus boundary stubs.
-
-    A stub is a boundary edge treated as an open end; every involved cell
-    has degree at most two counting stubs.
-    """
-
-    transitions: frozenset[Edge]
-    stubs: frozenset[Edge]
-
-    def degree_map(self) -> dict[Cell, int]:
-        deg: dict[Cell, int] = {}
-        for edge in self.transitions:
-            for cell in edge_cells(edge):
-                deg[cell] = deg.get(cell, 0) + 1
-        for axis, c, r in self.stubs:
-            deg[(c, r)] = deg.get((c, r), 0) + 1
-        return deg
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,14 +23,11 @@ from .grid import (
     SIDES,
     Cell,
     CellLoop,
-    CellPathFragmentSet,
     Edge,
     GridDims,
-    Violation,
     boundary_edge,
     checkerboard_color,
     edge_between,
-    edge_cells,
     internal_edges,
     neighbors,
 )
@@ -50,8 +47,6 @@ _PLACEMENTS = {
     (1, 1): Transform.named("fxy"),
 }
 
-MetacellBank = dict[frozenset, CellPathFragmentSet]  # {side, side} -> covering tour
-
 
 @dataclass(frozen=True, slots=True)
 class MetacellTemplate:
@@ -64,7 +59,7 @@ class MetacellTemplate:
     def bank(self) -> dict[frozenset, frozenset[Edge]]:
         """Covering-tour transitions per opening pair, searched for on first use."""
         if not self._bank:
-            self._bank.update((pair, frag.transitions) for pair, frag in build_metacell_bank(self).items())
+            self._bank.update(build_metacell_bank(self))
         return self._bank
 
     @property
@@ -185,65 +180,18 @@ def _covering_path(template: MetacellTemplate, start: Cell, goal: Cell) -> Optio
     return path if rec(start) else None
 
 
-def build_metacell_bank(template: MetacellTemplate) -> MetacellBank:
-    """Derive a covering fragment for each of the six opening pairs by search."""
+def build_metacell_bank(template: MetacellTemplate) -> dict[frozenset, frozenset[Edge]]:
+    """Derive a covering tour's transitions for each of the six opening pairs by search."""
     sides = [side for side, _ in template.exits]
-    fragments: MetacellBank = {}
+    fragments: dict[frozenset, frozenset[Edge]] = {}
     for i in range(len(sides)):
         for j in range(i + 1, len(sides)):
             a, b = sides[i], sides[j]
             cells = _covering_path(template, template.exit_cell(a), template.exit_cell(b))
             if cells is None:
                 raise FormatError(f"no covering tour between openings {a} and {b}")
-            transitions = frozenset(edge_between(x, y) for x, y in zip(cells, cells[1:]))
-            stubs = frozenset(
-                {boundary_edge(template.exit_cell(a), a), boundary_edge(template.exit_cell(b), b)}
-            )
-            fragments[frozenset((a, b))] = CellPathFragmentSet(transitions, stubs)
+            fragments[frozenset((a, b))] = frozenset(edge_between(x, y) for x, y in zip(cells, cells[1:]))
     return fragments
-
-
-def validate_metacell_bank(template: MetacellTemplate, bank: MetacellBank) -> Optional[Violation]:
-    """Structural checks on every fragment plus an independent existence search."""
-    sides = [side for side, _ in template.exits]
-    pairs = [frozenset((sides[i], sides[j])) for i in range(4) for j in range(i + 1, 4)]
-    for pair in pairs:
-        if pair not in bank:
-            return Violation("missing-pair", f"no fragment for opening pair {sorted(pair)}")
-        frag = bank[pair]
-        crossing = frag.transitions & template.bars
-        if crossing:
-            return Violation("bar", "fragment crosses a bar", edge=min(crossing))
-        expected_stubs = frozenset(boundary_edge(template.exit_cell(s), s) for s in pair)
-        if frag.stubs != expected_stubs:
-            return Violation("stubs", f"fragment open ends differ for pair {sorted(pair)}")
-        deg = frag.degree_map()
-        if set(deg) != set(template.dims.cells()):
-            missing = set(template.dims.cells()) - set(deg)
-            return Violation("coverage", "fragment misses a cell", cell=min(missing))
-        bad = [cell for cell, d in deg.items() if d != 2]
-        if bad:
-            return Violation("degree", "fragment cell degree is not 2", cell=min(bad))
-        # Connectivity: one open path, so a walk from one stub end must
-        # traverse every transition.
-        a, b = (template.exit_cell(s) for s in sorted(pair))
-        adj: dict[Cell, list[Cell]] = {}
-        for edge in frag.transitions:
-            x, y = edge_cells(edge)
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-        prev, cur, steps = None, a, 0
-        while True:
-            nxts = [n for n in adj.get(cur, []) if n != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            steps += 1
-        if steps != len(frag.transitions) or cur != b:
-            return Violation("path", f"fragment for {sorted(pair)} is not a single open path")
-        if _covering_path(template, a, b) is None:
-            return Violation("existence", f"no covering tour exists for {sorted(pair)}")
-    return None
 
 
 # ----------------------------------------------------------------------

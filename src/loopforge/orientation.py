@@ -12,9 +12,6 @@ no two unused openings face each other across a bar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .bsl import CubicBslPuzzle
 from .errors import ReductionError
 from .grid import (
@@ -28,6 +25,8 @@ from .grid import (
 
 # Graph vertices: ("cell", col, row) or ("ext", side, col, row).
 Vertex = tuple
+# Each vertex's neighbours, with the bar joining them.
+Adjacency = dict[Vertex, list[tuple[Vertex, Edge]]]
 
 
 def _vertex_key(v: Vertex):
@@ -36,25 +35,10 @@ def _vertex_key(v: Vertex):
     return (1, edge_sort_key((v[1], v[2], v[3])))
 
 
-@dataclass
-class BarGraph:
-    """Adjacency over cells and exterior vertices, one edge per bar."""
-
-    puzzle: CubicBslPuzzle
-    adjacency: dict[Vertex, list[tuple[Vertex, Edge]]]
-
-
-@dataclass
-class FreeEdgeAssignment:
-    """Chosen outgoing bar direction for every two-exit cell."""
-
-    directions: dict[Cell, str]  # cell -> side letter
-
-
-def build_bar_graph(puzzle: CubicBslPuzzle) -> BarGraph:
-    """Vertices on cells and exterior edges, joined along bars."""
+def build_bar_graph(puzzle: CubicBslPuzzle) -> Adjacency:
+    """Adjacency over cells and exterior vertices, one graph edge per bar."""
     dims = puzzle.dims
-    adjacency: dict[Vertex, list[tuple[Vertex, Edge]]] = {}
+    adjacency: Adjacency = {}
     for cell in dims.cells():
         adjacency[("cell", cell[0], cell[1])] = []
 
@@ -77,7 +61,7 @@ def build_bar_graph(puzzle: CubicBslPuzzle) -> BarGraph:
                 "the puzzle has a cell with fewer than two exits"
             )
         nbrs.sort(key=lambda item: _vertex_key(item[0]))
-    return BarGraph(puzzle, adjacency)
+    return adjacency
 
 
 def _direction_of(via: Edge, cell: Cell) -> str:
@@ -89,9 +73,8 @@ def _direction_of(via: Edge, cell: Cell) -> str:
     return axis  # boundary edge: its side letter
 
 
-def orient(graph: BarGraph) -> FreeEdgeAssignment:
-    """Assign every degree-2 cell an outgoing direction, one walk per component."""
-    adjacency = graph.adjacency
+def orient(adjacency: Adjacency) -> dict[Cell, str]:
+    """Assign every degree-2 cell an outgoing side, one walk per component."""
     directions: dict[Cell, str] = {}
     visited: set[Vertex] = set()
 
@@ -127,41 +110,4 @@ def orient(graph: BarGraph) -> FreeEdgeAssignment:
             continue
         visited.add(v)
         walk(v, adjacency[v][0])
-    return FreeEdgeAssignment(directions)
-
-
-def dump_components(graph: BarGraph, assignment: Optional[FreeEdgeAssignment] = None) -> dict:
-    """JSON-friendly component listing for golden tests."""
-    adjacency = graph.adjacency
-    seen: set[Vertex] = set()
-    components = []
-
-    def vertex_json(v: Vertex):
-        if v[0] == "cell":
-            return {"cell": [v[1], v[2]]}
-        return {"exterior": [v[2], v[3]], "side": v[1]}
-
-    for v in sorted(adjacency, key=_vertex_key):
-        if v in seen or not adjacency[v]:
-            continue
-        endpoints = [v]
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for y, _ in adjacency[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        seen |= comp
-        kind = "cycle" if all(len(adjacency[x]) == 2 for x in comp) else "path"
-        ordered = sorted(comp, key=_vertex_key)
-        entry = {"kind": kind, "vertices": [vertex_json(x) for x in ordered]}
-        if assignment is not None:
-            entry["orientation"] = [
-                {"cell": [x[1], x[2]], "out": assignment.directions[(x[1], x[2])]}
-                for x in ordered
-                if x[0] == "cell" and (x[1], x[2]) in assignment.directions
-            ]
-        components.append(entry)
-    return {"components": components}
+    return directions

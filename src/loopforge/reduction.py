@@ -64,7 +64,7 @@ def reduce_to_genre(
         placements[(1, 0)] = TilePlacement(desc.transform_for_free_side("W"), frozenset(), None)
     else:
         tiles_w, tiles_h = puzzle.dims.width, puzzle.dims.height
-        assignment = orient(build_bar_graph(puzzle))
+        directions = orient(build_bar_graph(puzzle))
         for cell in puzzle.dims.cells():
             accessible = {edge for _, edge in puzzle.inner.accessible_neighbors(cell)}
             open_dirs = {side for side in SIDES if side_edge(cell, side) in accessible}
@@ -72,7 +72,7 @@ def reduce_to_genre(
             if len(open_dirs) == 3:
                 exits = frozenset(open_dirs)
             elif len(open_dirs) == 2:
-                free_edge = assignment.directions[cell]
+                free_edge = directions[cell]
                 exits = frozenset(open_dirs | {free_edge})
             else:
                 raise ReductionError(f"cell {cell} has {len(open_dirs)} exits after the degenerate check")

@@ -6,6 +6,11 @@ from pathlib import Path
 import pytest
 
 from loopforge import formats
+from loopforge.bsl import BslPuzzle
+from loopforge.genres import GENRES
+from loopforge.genres.simple_loop import SimpleLoopPuzzle
+from loopforge.grid import GridDims
+from loopforge.metacell import lift_to_cubic, reduce_to_cubic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -32,3 +37,21 @@ def ring(c0, r0, c1, r1) -> frozenset:
     """Edges of the rectangle ring through cells (c0, r0)..(c1, r1)."""
     edges = {("h", c, r) for c in range(c0, c1) for r in (r0, r1)}
     return frozenset(edges | {("v", c, r) for c in (c0, c1) for r in range(r0, r1)})
+
+
+def lifted_opening_pairs(template) -> set:
+    """Lift all six Hamiltonian cycles of the barless 4x4 board through
+    ``template`` and return the block-local opening pairs they use.
+
+    ``lift_to_cubic`` raises when a lift fails its checks.
+    """
+    board = SimpleLoopPuzzle(GridDims(4, 4), frozenset())
+    cycles = list(GENRES["simple-loop"].solve(board, enumerate_all=True))
+    assert len(cycles) == 6
+    _, manifest = reduce_to_cubic(BslPuzzle(GridDims(4, 4), frozenset()), template=template)
+    pairs = set()
+    for loop in cycles:
+        lift_to_cubic(manifest, loop)
+        for cell, t in manifest.transforms.items():
+            pairs.add(frozenset(t.inverse().apply_side(side) for side in loop.sides(cell)))
+    return pairs

@@ -9,7 +9,6 @@ from loopforge.bsl import (
     CubicBslPuzzle,
     check_cubic,
     degenerate_cells,
-    parity_unsat,
     solve_bsl_backtrack,
     solve_bsl_dp,
     verify_bsl,
@@ -46,13 +45,6 @@ def test_check_cubic():
 def test_cubic_type_rejects_non_cubic():
     with pytest.raises(ValueError):
         CubicBslPuzzle(barless(3, 3))
-
-
-@pytest.mark.parametrize(
-    "w,h,expected", [(3, 3, True), (2, 3, False), (5, 7, True), (1, 1, True), (4, 4, False)]
-)
-def test_parity_unsat(w, h, expected):
-    assert parity_unsat(barless(w, h)) is expected
 
 
 def test_degenerate_cells():
@@ -122,7 +114,7 @@ def test_parity_implies_unsat_small():
         pool = internal_edges(GridDims(w, h))
         bars = frozenset(e for e in pool if rng.random() < 0.3)
         p = BslPuzzle(GridDims(w, h), bars)
-        assert parity_unsat(p)
+        assert solve_bsl_dp(p) is False
         assert solve_bsl_backtrack(p).status == "unsat"
 
 

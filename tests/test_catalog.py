@@ -13,7 +13,8 @@ from loopforge.catalog import (
     load_gadget,
     validate_descriptor,
 )
-from loopforge.errors import FormatError
+from loopforge.errors import FormatError, SearchTimeout
+from loopforge.genres.base import SolveResult
 
 
 @pytest.fixture(scope="module")
@@ -149,20 +150,42 @@ def test_tiny_budget_is_budget_limited_never_no(descriptors, genre):
 
 
 def test_enumeration_gets_only_the_budget_left(monkeypatch, descriptors):
-    calls = []  # (budget given, enumerate_all, seconds the call took to return)
+    calls = []  # (budget given, seconds the call took to return)
     original = catalog._solve_board
 
     def wrapper(desc, board, budget, seeds_in, enumerate_all=False):
         start = time.monotonic()
         result = original(desc, board, budget, seeds_in, enumerate_all)
-        calls.append((budget, enumerate_all, time.monotonic() - start))
+        calls.append((budget, time.monotonic() - start))
         return result
 
     monkeypatch.setattr(catalog, "_solve_board", wrapper)
     budget_ms = 1.0
     certify_gadget(descriptors["yajilin"], budget_ms=budget_ms)
-    *witnesses, (budget, enumerate_all, _) = calls
-    assert enumerate_all and not any(e for _, e, _ in witnesses)
-    # The witness searches ran inside certification, so at least their
-    # time is gone from the budget.
-    assert budget <= budget_ms - 1000.0 * sum(seconds for _, _, seconds in witnesses)
+    assert calls
+    for i, (budget, _) in enumerate(calls):
+        # None starts once the budget is spent, and the searches before
+        # it ran inside certification, so at least their time is gone.
+        assert 0 < budget <= budget_ms - 1000.0 * sum(seconds for _, seconds in calls[:i])
+
+
+@pytest.mark.parametrize("genre", ["slitherlink", "masyu", "yajilin", "simple-loop"])
+def test_witness_timeouts_are_partial_never_no(monkeypatch, descriptors, genre):
+    def timing_out(desc, board, budget, seeds_in, enumerate_all=False):
+        if enumerate_all:
+            raise SearchTimeout("budget spent")
+        return SolveResult("timeout")
+
+    monkeypatch.setattr(catalog, "_solve_board", timing_out)
+    cert = certify_gadget(descriptors[genre], budget_ms=60000)
+    assert cert.conditions["e"].status == "budget-limited"
+    assert cert.overall == "partial"
+
+
+@pytest.mark.parametrize("genre", ["slitherlink", "masyu", "yajilin", "simple-loop"])
+def test_spent_budget_starts_no_search(monkeypatch, descriptors, genre):
+    calls = []
+    monkeypatch.setattr(catalog, "_solve_board", lambda *args, **kwargs: calls.append(args))
+    cert = certify_gadget(descriptors[genre], budget_ms=0)
+    assert calls == []
+    assert cert.overall == "partial"

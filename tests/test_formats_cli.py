@@ -42,32 +42,6 @@ def test_cubic_file_must_pass_cubicity(tmp_path):
         formats.puzzle_from_json(doc)
 
 
-def test_manifest_round_trip():
-    from loopforge.metacell import lift_to_cubic, reduce_to_cubic
-    from loopforge.reduction import lift_to_genre, reduce_to_genre
-
-    source = formats.puzzle_from_json(load_fixture("bsl_example"))
-    solution = formats.solution_from_json(load_fixture("bsl_example_solution"))
-    cubic, cman = reduce_to_cubic(source)
-    doc = formats.manifest_to_json(cman)
-    again = formats.manifest_from_json(json.loads(formats.dumps_canonical(doc)))
-    assert formats.manifest_to_json(again) == doc
-    cubic_sol = lift_to_cubic(again, solution)
-    assert cubic_sol == lift_to_cubic(cman, solution)
-
-    board, gman = reduce_to_genre(cubic, "yajilin")
-    doc = formats.manifest_to_json(gman)
-    again = formats.manifest_from_json(json.loads(formats.dumps_canonical(doc)))
-    assert formats.manifest_to_json(again) == doc
-    # A reloaded manifest carries its board, so it lifts on its own.
-    assert again.board == board
-    assert lift_to_genre(again, cubic_sol) == lift_to_genre(gman, cubic_sol)
-
-    doc["cells"][0]["exits"] = ["N"]
-    with pytest.raises(formats.FormatError):
-        formats.manifest_from_json(doc)
-
-
 # ----------------------------------------------------------------------
 # command line
 

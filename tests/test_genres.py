@@ -7,8 +7,8 @@ from loopforge.genres import GENRES
 from loopforge.genres.masyu import MasyuPuzzle
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
 from loopforge.genres.slitherlink import LatticeLoop, SlitherlinkPuzzle, lattice_edges
-from loopforge.genres.yajilin import YajilinPuzzle, shaded_cells
-from loopforge.grid import CellLoop, GridDims, internal_edges
+from loopforge.genres.yajilin import YajilinPuzzle
+from loopforge.grid import CellLoop, GridDims, edge_cells, internal_edges
 
 FIXTURE_NAMES = {
     "slitherlink": "slitherlink_example",
@@ -65,7 +65,10 @@ def test_simple_loop_tiny_cases():
 def test_yajilin_shading_derivation():
     puzzle = fixture_puzzle("yajilin_example")
     sol = fixture_solution("yajilin_example")
-    assert shaded_cells(puzzle, sol) == {(0, 0), (0, 3), (2, 2), (3, 3), (5, 1)}
+    visited = {cell for edge in sol.transitions for cell in edge_cells(edge)}
+    shaded = set(puzzle.dims.cells()) - visited - puzzle.grey
+    assert shaded == {(0, 0), (0, 3), (2, 2), (3, 3), (5, 1)}
+    assert GENRES["yajilin"].verify(puzzle, sol) is None
 
 
 def test_yajilin_rejects_adjacent_shading():

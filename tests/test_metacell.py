@@ -2,17 +2,16 @@ import itertools
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution
+from conftest import fixture_puzzle, fixture_solution, lifted_opening_pairs
 from loopforge.bsl import BslPuzzle, check_cubic, solve_bsl_dp, verify_bsl
 from loopforge.errors import ReductionError
-from loopforge.grid import CellLoop, CellPathFragmentSet, GridDims, checkerboard_color, internal_edges
+from loopforge.grid import CellLoop, GridDims, checkerboard_color, edge_cells, edge_sort_key, internal_edges
 from loopforge.metacell import (
-    build_metacell_bank,
+    MetacellTemplate,
     lift_to_cubic,
     load_metacell,
     project_from_cubic,
     reduce_to_cubic,
-    validate_metacell_bank,
 )
 
 SQUARE_2X2 = CellLoop(frozenset({("h", 0, 0), ("h", 0, 1), ("v", 0, 0), ("v", 1, 0)}))
@@ -21,11 +20,6 @@ SQUARE_2X2 = CellLoop(frozenset({("h", 0, 0), ("h", 0, 1), ("v", 0, 0), ("v", 1,
 @pytest.fixture(scope="module")
 def template():
     return load_metacell()
-
-
-@pytest.fixture(scope="module")
-def bank(template):
-    return build_metacell_bank(template)
 
 
 def test_template_invariants(template):
@@ -37,24 +31,29 @@ def test_template_invariants(template):
     assert check_cubic(BslPuzzle(template.dims, template.bars)) == []
 
 
-def test_bank_covers_all_six_pairs(template, bank):
-    assert validate_metacell_bank(template, bank) is None
-    assert len(bank) == 6
+def with_bank(template, bank) -> MetacellTemplate:
+    return MetacellTemplate(template.dims, template.bars, template.exits, _bank=bank)
 
 
-def test_bank_mutation_detected(template, bank):
-    pair = frozenset(("N", "S"))
-    frag = bank[pair]
-    dropped = CellPathFragmentSet(frozenset(list(frag.transitions)[1:]), frag.stubs)
-    broken = {**bank, pair: dropped}
-    v = validate_metacell_bank(template, broken)
-    assert v is not None and v.code in ("degree", "coverage", "path")
+def test_bank_covers_all_six_pairs(template):
+    # Every lift is verified against the image, so each fragment the six
+    # barless 4x4 cycles use is a covering tour between its openings.
+    assert len(template.bank) == 6
+    assert lifted_opening_pairs(template) == set(template.bank)
 
 
-def test_bank_missing_pair(template, bank):
-    partial = {k: v for k, v in bank.items() if k != frozenset(("N", "S"))}
-    v = validate_metacell_bank(template, partial)
-    assert v is not None and v.code == "missing-pair"
+def test_bank_mutation_detected(template):
+    for pair, frag in template.bank.items():
+        dropped = frozenset(sorted(frag, key=edge_sort_key)[1:])
+        with pytest.raises(ReductionError, match="lifted solution invalid"):
+            lifted_opening_pairs(with_bank(template, {**template.bank, pair: dropped}))
+
+
+def test_bank_missing_pair(template):
+    for pair in template.bank:
+        partial = {k: v for k, v in template.bank.items() if k != pair}
+        with pytest.raises(ReductionError, match="no bank fragment"):
+            lifted_opening_pairs(with_bank(template, partial))
 
 
 def test_reduce_size_law():
@@ -78,7 +77,7 @@ def test_lift_and_project_round_trip():
     image, manifest = reduce_to_cubic(source)
     lifted = lift_to_cubic(manifest, SQUARE_2X2)
     assert verify_bsl(image.inner, lifted) is None
-    assert len(lifted.visited_cells()) == 140
+    assert len({cell for edge in lifted.transitions for cell in edge_cells(edge)}) == 140
     back = project_from_cubic(manifest, lifted)
     assert back.transitions == SQUARE_2X2.transitions
 

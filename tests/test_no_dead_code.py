@@ -1,0 +1,71 @@
+"""Every definition in the package has a caller in the package.
+
+A top-level function, class or module constant, or a method, that no
+code under ``src/`` names outside its own definition is only reachable
+from tests and should be deleted along with them.  Dunder names are
+called by Python itself and are left out.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "loopforge"
+
+# Kept without a caller, with the reason.
+ALLOWED = {
+    # Projects a cubic image solution back to its BSL source.  Its caller,
+    # a projection back from genre boards, is not written yet.
+    "project_from_cubic",
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for top-level functions, classes, constants and methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """How often each name is read, or taken as an attribute, within ``tree``."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+    return found
+
+
+def test_every_definition_is_named_elsewhere_in_src():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.rglob("*.py"))}
+    total: Counter = Counter()
+    for tree in trees.values():
+        total.update(_uses(tree))
+    defined, unused = set(), []
+    for path, tree in trees.items():
+        for name, node in _definitions(tree):
+            defined.add(name)
+            if _is_dunder(name) or name in ALLOWED:
+                continue
+            # A definition's own body does not count as a caller.
+            if total[name] == _uses(node)[name]:
+                unused.append(f"{path.relative_to(SRC)}: {name}")
+    assert unused == []
+    assert ALLOWED <= defined, "an allowlisted name is gone; drop it from ALLOWED"
+

@@ -5,7 +5,7 @@ import pytest
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle, degenerate_cells
 from loopforge.errors import ReductionError
 from loopforge.grid import GridDims, neighbors
-from loopforge.orientation import build_bar_graph, dump_components, orient
+from loopforge.orientation import build_bar_graph, orient
 
 DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
 
@@ -14,6 +14,7 @@ FIG_BARS = frozenset(
     {("v", 1, 3), ("h", 1, 3), ("h", 1, 2), ("h", 1, 1), ("v", 1, 1),
      ("h", 2, 3), ("h", 2, 2), ("h", 2, 1), ("v", 3, 1), ("v", 4, 2)}
 )
+INTERIOR_CYCLE = {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)}
 
 
 def facing_violations(puzzle: BslPuzzle, directions: dict) -> list:
@@ -25,6 +26,24 @@ def facing_violations(puzzle: BslPuzzle, directions: dict) -> list:
             dc2, dr2 = DELTAS[directions[nbr]]
             if (nbr[0] + dc2, nbr[1] + dr2) == cell:
                 out.append((cell, nbr))
+    return out
+
+
+def components(adjacency: dict) -> list:
+    """(kind, member vertices) for each component with an edge, "cycle" when every member has degree 2."""
+    seen, out = set(), []
+    for v in sorted(adjacency, key=repr):
+        if v in seen or not adjacency[v]:
+            continue
+        comp, frontier = {v}, [v]
+        while frontier:
+            for y, _ in adjacency[frontier.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    frontier.append(y)
+        seen |= comp
+        kind = "cycle" if all(len(adjacency[x]) == 2 for x in comp) else "path"
+        out.append((kind, comp))
     return out
 
 
@@ -59,28 +78,36 @@ def random_cubic(rng, w, h):
 def test_reference_instance_graph_shape():
     p = CubicBslPuzzle(BslPuzzle(GridDims(5, 5), FIG_BARS))
     g = build_bar_graph(p)
-    dump = dump_components(g)
-    kinds = [c["kind"] for c in dump["components"]]
+    assert all(len(nbrs) <= 2 for nbrs in g.values())
+    comps = components(g)
+    kinds = [kind for kind, _ in comps]
     assert kinds.count("cycle") == 1
     assert kinds.count("path") == 15
     # the cycle is the six interior cells
-    cycle = next(c for c in dump["components"] if c["kind"] == "cycle")
-    members = {tuple(v["cell"]) for v in cycle["vertices"]}
-    assert members == {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)}
+    cycle = next(members for kind, members in comps if kind == "cycle")
+    assert cycle == {("cell", c, r) for c, r in INTERIOR_CYCLE}
 
 
 def test_reference_instance_orientation_properties():
     p = CubicBslPuzzle(BslPuzzle(GridDims(5, 5), FIG_BARS))
     a = orient(build_bar_graph(p))
     two = two_exit_cells(p.inner)
-    assert set(a.directions) == set(two)
-    assert facing_violations(p.inner, a.directions) == []
+    assert set(a) == set(two)
+    assert facing_violations(p.inner, a) == []
+    # Following the directions walks the interior cycle one way round.
+    for start in INTERIOR_CYCLE:
+        cell, visited = start, []
+        for _ in INTERIOR_CYCLE:
+            visited.append(cell)
+            dc, dr = DELTAS[a[cell]]
+            cell = (cell[0] + dc, cell[1] + dr)
+        assert cell == start
+        assert set(visited) == INTERIOR_CYCLE
 
 
 def test_2x2_barless_has_four_paths():
     g = build_bar_graph(CubicBslPuzzle(BslPuzzle(GridDims(2, 2), frozenset())))
-    dump = dump_components(g)
-    assert [c["kind"] for c in dump["components"]] == ["path"] * 4
+    assert [kind for kind, _ in components(g)] == ["path"] * 4
 
 
 def test_degenerate_grid_rejected():
@@ -96,7 +123,7 @@ def test_no_degree_two_vertices_gives_empty_assignment():
     # simply check a single-cycle instance instead.
     p = CubicBslPuzzle(BslPuzzle(GridDims(4, 2), frozenset()))
     a = orient(build_bar_graph(p))
-    assert set(a.directions) == set(two_exit_cells(p.inner))
+    assert set(a) == set(two_exit_cells(p.inner))
 
 
 def test_cycle_component_oriented_consistently():
@@ -105,11 +132,10 @@ def test_cycle_component_oriented_consistently():
     bars = frozenset({("h", 1, 1), ("v", 1, 1), ("h", 1, 2), ("v", 2, 1)})
     p = CubicBslPuzzle(BslPuzzle(GridDims(4, 4), bars))
     g = build_bar_graph(p)
-    dump = dump_components(g)
-    cycle = [c for c in dump["components"] if c["kind"] == "cycle"]
+    cycle = [kind for kind, _ in components(g) if kind == "cycle"]
     assert len(cycle) == 1
     a = orient(g)
-    assert facing_violations(p.inner, a.directions) == []
+    assert facing_violations(p.inner, a) == []
 
 
 def test_random_instances_property():
@@ -122,10 +148,10 @@ def test_random_instances_property():
             continue
         count += 1
         a = orient(build_bar_graph(p))
-        assert set(a.directions) == set(two_exit_cells(p.inner))
-        assert facing_violations(p.inner, a.directions) == []
+        assert set(a) == set(two_exit_cells(p.inner))
+        assert facing_violations(p.inner, a) == []
         again = orient(build_bar_graph(p))
-        assert again.directions == a.directions
+        assert again == a
 
 
 def test_assignment_only_along_barred_directions():
@@ -137,7 +163,7 @@ def test_assignment_only_along_barred_directions():
             continue
         count += 1
         a = orient(build_bar_graph(p))
-        for cell, d in a.directions.items():
+        for cell, d in a.items():
             dc, dr = DELTAS[d]
             nbr = (cell[0] + dc, cell[1] + dr)
             accessible = {n for n, _ in p.inner.accessible_neighbors(cell)}

@@ -6,8 +6,7 @@ from conftest import fixture_puzzle, fixture_solution
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle, solve_bsl_dp
 from loopforge.errors import ReductionError
 from loopforge.genres import GENRES
-from loopforge.genres.yajilin import shaded_cells
-from loopforge.grid import CellLoop, GridDims, internal_edges
+from loopforge.grid import CellLoop, GridDims, edge_cells, internal_edges
 from loopforge.metacell import lift_to_cubic, reduce_to_cubic
 from loopforge.reduction import lift_to_genre, reduce_to_genre
 
@@ -51,7 +50,8 @@ def test_lifted_yajilin_never_shades():
     cubic_sol = lift_to_cubic(cman, SQUARE_2X2)
     board, manifest = reduce_to_genre(cubic, "yajilin")
     lifted = lift_to_genre(manifest, cubic_sol)
-    assert shaded_cells(board, lifted) == set()
+    visited = {cell for edge in lifted.transitions for cell in edge_cells(edge)}
+    assert set(board.dims.cells()) - visited - board.grey == set()
 
 
 def test_small_scale_equivalence_direct():
