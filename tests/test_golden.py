@@ -12,6 +12,10 @@ dropped edge leaves two cells (dots) of degree 1 and the smaller one is
 reported; these digests were taken from the verifiers before they moved
 to flat ids, in a run where that older code (whose choice followed set
 iteration order) also reported the smaller one.
+
+``CERTIFY`` pins the canonical JSON of ``loopforge certify`` for each
+genre without its wall-clock ``elapsed_ms``, and ``SOLVE`` the stdout of
+``loopforge solve`` on each example fixture.
 """
 
 import hashlib
@@ -68,6 +72,22 @@ BROKEN = {
     "yajilin_example": "5f7900c3e517c0105696f65ebbb9dca70b34e0400688895b31d0f53ac33bc171",
 }
 
+CERTIFY = {
+    "masyu": "50560dbe3ab8056b8f2471d547297221697329b0f710e1aa85723b64edfd9352",
+    "simple-loop": "f349af80bf059b3f052f45b0863bf2b995b0f9813a76e2cd67e7725c6ddae87e",
+    "slitherlink": "72a2831c333552691328e2e1a82458ea5131889fe24b06bfd5f6505c1eb128cb",
+    "yajilin": "010167e133905831ef111650b95e161de5395310d97f5cca76b989aa5a220c3f",
+}
+
+SOLVE = {
+    "bsl_example": "e3d557f042acaa0b02e88421def8c3184ba5299efec8d68e18a42c099eb6d84e",
+    "cubic_example": "65ffa0abcbfce88de9c6b2889ad0db3ba23077d305fe7a15d6a7a53b4eeec9d5",
+    "masyu_example": "5373f4a137add8a881a05bea8389157738efdcf49f31928387482e7a5b3480fa",
+    "simple_loop_example": "486cd12bdac9b6a441528e985e9f27016aacfaeaf42816eed44bd3c3cdae46aa",
+    "slitherlink_example": "148382c1d37534c1974676a2dee7d8e97129f48c017366f392d4d02619255904",
+    "yajilin_example": "3a27bb1b2bd65e64ddf0d4921083252d571fdc503b1d0834720c3b7f950a9853",
+}
+
 
 def _digest(doc: dict) -> str:
     return hashlib.sha256(formats.dumps_canonical(doc).encode("utf-8")).hexdigest()
@@ -122,3 +142,17 @@ def test_verify_rejection_byte_identical(name, tmp_path, capsys):
     broken.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", str(FIXTURES / f"{name}.json"), str(broken)]) == 1
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == BROKEN[name]
+
+
+@pytest.mark.parametrize("genre", sorted(CERTIFY))
+def test_certify_report_byte_identical(genre, capsys):
+    assert main(["certify", "--genre", genre]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["elapsed_ms"]
+    assert _digest(report) == CERTIFY[genre]
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE))
+def test_solve_output_byte_identical(name, capsys):
+    assert main(["solve", str(FIXTURES / f"{name}.json")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == SOLVE[name]
