@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import FormatError, SearchTimeout
-from .grid import SIDE_DELTAS, SIDES, Cell, Edge, GridDims, edge_cells, edge_sort_key
-from .tileart import parse_fragment_grid, parse_lattice_fragment, strip_comments
+from .errors import FormatError, SearchTimeout, malformed
+from .grid import SIDES, Cell, CellLoop, Edge, GridDims, edge_cells, edge_sort_key
+from .tileart import parse_fragment_grid, strip_comments
 from .tiling import crossing_edge, place_fragment
 from .transforms import ALL_TRANSFORMS, ROTATIONS, Transform
 
@@ -65,7 +65,7 @@ class GadgetDescriptor:
 
     @property
     def frame(self) -> tuple[int, int]:
-        """Edge/exit coordinate frame: cells, or dots for lattice tiles."""
+        """Node grid of the tile's edges and exits: cells, or dots for lattice tiles."""
         if self.is_lattice:
             return (self.tile.width + 1, self.tile.height + 1)
         return (self.tile.width, self.tile.height)
@@ -148,41 +148,39 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
 
     if headers.get("genre") != genre:
         raise FormatError(f"descriptor genre {headers.get('genre')!r} does not match {genre!r}")
-    tw, th = (int(x) for x in headers["tile"].split())
-    tile = GridDims(tw, th)
-    transforms = frozenset(headers["transforms"].split())
-    if not transforms <= {"rotate", "reflect"}:
-        raise FormatError(f"unknown transform set {sorted(transforms)}")
-    exits: dict[str, int] = {}
-    for part in headers["exits"].split(","):
-        side, off = part.split()
-        exits[side] = int(off)
-    free = headers["free"]
+    with malformed(f"descriptor for {genre}"):
+        tw, th = (int(x) for x in headers["tile"].split())
+        transforms = frozenset(headers["transforms"].split())
+        if not transforms <= {"rotate", "reflect"}:
+            raise FormatError(f"unknown transform set {sorted(transforms)}")
+        exits: dict[str, int] = {}
+        for part in headers["exits"].split(","):
+            side, off = part.split()
+            exits[side] = int(off)
 
-    desc = GadgetDescriptor(
-        genre=genre,
-        tile=tile,
-        exits=exits,
-        free_side=free,
-        transforms=transforms,
-        forced=frozenset(),
-        bank={},
-        zero_clues=headers.get("zero_clues", "off") == "on",
-    )
+        desc = GadgetDescriptor(
+            genre=genre,
+            tile=GridDims(tw, th),
+            exits=exits,
+            free_side=headers["free"],
+            transforms=transforms,
+            forced=frozenset(),
+            bank={},
+            zero_clues=headers.get("zero_clues", "off") == "on",
+        )
 
-    fw, fh = desc.frame
-    for name, body in _sections(lines[body_start:]):
-        if name == "tile":
-            _parse_tile_payload(desc, body)
-        elif name == "forced":
-            desc.forced = _parse_fragment(desc, body, fw, fh)
-        elif name.startswith("solution "):
-            a, _, b = name.split()[1].partition("-")
-            desc.bank[frozenset((a, b))] = _parse_fragment(desc, body, fw, fh)
-        else:
-            raise FormatError(f"unknown descriptor section [{name}]")
-
-    problem = validate_descriptor(desc)
+        fw, fh = desc.frame
+        for name, body in _sections(lines[body_start:]):
+            if name == "tile":
+                _parse_tile_payload(desc, body)
+            elif name == "forced":
+                desc.forced = parse_fragment_grid(body, fw, fh)
+            elif name.startswith("solution "):
+                a, _, b = name.split()[1].partition("-")
+                desc.bank[frozenset((a, b))] = parse_fragment_grid(body, fw, fh)
+            else:
+                raise FormatError(f"unknown descriptor section [{name}]")
+        problem = validate_descriptor(desc)
     if problem:
         raise FormatError(f"descriptor for {genre} rejected: {problem}")
     return desc
@@ -201,12 +199,6 @@ def default_gadget(genre: str) -> GadgetDescriptor:
 @functools.cache
 def _load_gadget_once(genre: str, directory: Path) -> GadgetDescriptor:
     return load_gadget(genre, directory)
-
-
-def _parse_fragment(desc: GadgetDescriptor, body: list[str], fw: int, fh: int) -> frozenset[Edge]:
-    if desc.is_lattice:
-        return parse_lattice_fragment(body, fw, fh)
-    return parse_fragment_grid(body, fw, fh)
 
 
 def _parse_tile_payload(desc: GadgetDescriptor, rows: list[str]) -> None:
@@ -343,43 +335,18 @@ def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_
 
 
 def boundary_positions(desc: GadgetDescriptor, tiles_w: int, tiles_h: int) -> set[Edge]:
-    """Every board edge that straddles a tile boundary."""
-    dims = desc.board_dims(tiles_w, tiles_h)
+    """Every edge of the board's node grid that straddles a tile boundary."""
     fw, fh = desc.frame
-    out: set[Edge] = set()
-    if desc.is_lattice:
-        dw, dh = dims.width + 1, dims.height + 1
-        for j in range(dh):
-            for i in range(dw - 1):
-                if i % fw == fw - 1:
-                    out.add(("h", i, j))
-        for j in range(dh - 1):
-            for i in range(dw):
-                if j % fh == fh - 1:
-                    out.add(("v", i, j))
-        return out
-    for r in range(dims.height):
-        for c in range(dims.width - 1):
-            if c % fw == fw - 1:
-                out.add(("h", c, r))
-    for r in range(dims.height - 1):
-        for c in range(dims.width):
-            if r % fh == fh - 1:
-                out.add(("v", c, r))
-    return out
+    w, h = fw * tiles_w, fh * tiles_h
+    out = {("h", c, r) for c in range(fw - 1, w - 1, fw) for r in range(h)}
+    return out | {("v", c, r) for c in range(w) for r in range(fh - 1, h - 1, fh)}
 
 
 def tile_visited(desc: GadgetDescriptor, sol_edges: frozenset[Edge], tile_pos: Cell) -> bool:
+    """Whether an edge of the solution starts at a node of the tile's frame."""
     fw, fh = desc.frame
     x0, y0 = fw * tile_pos[0], fh * tile_pos[1]
-    if desc.is_lattice:
-        x1, y1 = x0 + desc.tile.width, y0 + desc.tile.height  # inclusive dot range
-    else:
-        x1, y1 = x0 + fw - 1, y0 + fh - 1
-    for axis, c, r in sol_edges:
-        if x0 <= c <= x1 and y0 <= r <= y1:
-            return True
-    return False
+    return any(x0 <= c < x0 + fw and y0 <= r < y0 + fh for _, c, r in sol_edges)
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +366,12 @@ RING_2X3 = {
     (1, 1): Transform.named("r180"),
     (2, 1): Transform.named("r90"),
 }
+# The one tour through every tile of each ring, as a loop on tile positions;
+# the middle tiles of the 2x3 ring go straight through.
+RING_2X2_TOUR = CellLoop(frozenset({("h", 0, 0), ("h", 0, 1), ("v", 0, 0), ("v", 1, 0)}))
+RING_2X3_TOUR = CellLoop(
+    frozenset({("h", 0, 0), ("h", 1, 0), ("h", 0, 1), ("h", 1, 1), ("v", 0, 0), ("v", 2, 0)})
+)
 
 
 @dataclass
@@ -435,40 +408,20 @@ class GadgetCertificate:
         }
 
 
-def _ring_sides(layout: dict[Cell, Transform], tiles_w: int) -> dict[Cell, list[str]]:
-    """Board-frame sides each tile uses on the unique all-tile ring tour."""
-    ring: dict[Cell, list[str]] = {}
-    for i, j in sorted(layout):
-        sides = []
-        for side, (di, dj) in SIDE_DELTAS.items():
-            if (i + di, j + dj) in layout:
-                sides.append(side)
-        if tiles_w == 3 and i == 1:
-            sides = ["E", "W"]  # middle tiles of a 2x3 ring go straight through
-        if len(sides) != 2:
-            raise ValueError(f"layout tile {(i, j)} has {len(sides)} ring neighbours")
-        ring[(i, j)] = sides
-    return ring
+def _ring_required_pairs(layout: dict[Cell, Transform], ring: CellLoop) -> dict[Cell, frozenset]:
+    """Tile-local exit pairs used by the ring tour."""
+    return {pos: frozenset(t.inverse().apply_side(s) for s in ring.sides(pos)) for pos, t in layout.items()}
 
 
-def _ring_required_pairs(layout: dict[Cell, Transform], tiles_w: int, tiles_h: int) -> dict[Cell, frozenset]:
-    """Tile-local exit pairs used by the unique all-tile ring tour."""
-    required = {}
-    for pos, sides in _ring_sides(layout, tiles_w).items():
-        inv = layout[pos].inverse()
-        required[pos] = frozenset(inv.apply_side(s) for s in sides)
-    return required
-
-
-def _ring_crossings(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_w: int) -> set[Edge]:
+def _ring_crossings(desc: GadgetDescriptor, layout: dict[Cell, Transform], ring: CellLoop) -> set[Edge]:
+    """Board edges through which the ring tour crosses between tiles."""
     out: set[Edge] = set()
-    for pos, sides in _ring_sides(layout, tiles_w).items():
-        for side in sides:
-            if side in ("E", "S"):
-                e = crossing_edge(desc, layout, pos, side)
-                if e is None:
-                    raise FormatError(f"ring boundary at {pos} side {side} has no facing exits")
-                out.add(e)
+    for axis, c, r in ring.transitions:
+        side = "E" if axis == "h" else "S"
+        e = crossing_edge(desc, layout, (c, r), side)
+        if e is None:
+            raise FormatError(f"ring boundary at {(c, r)} side {side} has no facing exits")
+        out.add(e)
     return out
 
 
@@ -477,10 +430,6 @@ def _solve_board(desc, board, budget_ms, seeds_in, enumerate_all=False):
 
     module = GENRES[desc.genre]
     return module.solve(board, budget_ms=budget_ms, seeds_in=seeds_in, enumerate_all=enumerate_all)
-
-
-def _solution_edges(desc, sol) -> frozenset[Edge]:
-    return sol.edges if desc.is_lattice else sol.transitions
 
 
 def _audit_solution(desc, layout, tiles_w, tiles_h, edges: frozenset[Edge]) -> Optional[str]:
@@ -547,14 +496,14 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
             e_status, detail = "fail", f"no ring context realises pair {sorted(pair)}"
             e_details.append(detail)
             continue
-        layout, tiles_w, tiles_h, pos = ctx
+        layout, ring, tiles_w, tiles_h, pos = ctx
         board = assemble_board(desc, layout, tiles_w, tiles_h)
         seeds = set(place_fragment(desc, desc.bank[pair], layout[pos], pos))
-        seeds |= _ring_crossings(desc, layout, tiles_w)
+        seeds |= _ring_crossings(desc, layout, ring)
         if desc.tile.cell_count > EXHAUSTIVE_TILE_CELLS:
             # Large tiles: pre-fill the other tiles from the bank so the
             # solver only has to close and validate the board.
-            required = _ring_required_pairs(layout, tiles_w, tiles_h)
+            required = _ring_required_pairs(layout, ring)
             for p, local_pair in required.items():
                 if p != pos and local_pair in desc.bank:
                     seeds |= place_fragment(desc, desc.bank[local_pair], layout[p], p)
@@ -570,7 +519,7 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
             e_status = "fail"
             e_details.append(f"{sorted(pair)}: no board solution extends the sub-solution")
             continue
-        edges = _solution_edges(desc, result.solution)
+        edges = result.solution.transitions
         problem = _audit_solution(desc, layout, tiles_w, tiles_h, edges)
         if problem:
             e_status = "fail"
@@ -589,7 +538,7 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
         try:
             for sol in search(board, budget_ms, (), enumerate_all=True):
                 count += 1
-                edges = _solution_edges(desc, sol)
+                edges = sol.transitions
                 problem = _audit_solution(desc, layout, 2, 2, edges)
                 if problem:
                     break
@@ -621,13 +570,13 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
 
 def _witness_context(desc: GadgetDescriptor, pair: frozenset):
     """Smallest ring layout with a tile whose local pair matches."""
-    for layout, tiles_w, tiles_h in ((RING_2X2, 2, 2), (RING_2X3, 3, 2)):
+    for layout, ring, tiles_w, tiles_h in ((RING_2X2, RING_2X2_TOUR, 2, 2), (RING_2X3, RING_2X3_TOUR, 3, 2)):
         if not all(t in desc.allowed_transforms() for t in layout.values()):
             continue
-        required = _ring_required_pairs(layout, tiles_w, tiles_h)
+        required = _ring_required_pairs(layout, ring)
         for pos in sorted(required):
             if required[pos] == pair:
-                return layout, tiles_w, tiles_h, pos
+                return layout, ring, tiles_w, tiles_h, pos
     return None
 
 

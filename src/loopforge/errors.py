@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class LoopforgeError(Exception):
     """Base class for all package-specific errors."""
@@ -27,3 +30,14 @@ class SearchTimeout(LoopforgeError):
 
 class ReductionError(LoopforgeError):
     """A reduction or lifting step received inconsistent inputs."""
+
+
+@contextmanager
+def malformed(what: str) -> Iterator[None]:
+    """Report what parsing or building ``what`` lets escape as a FormatError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"bad {what}: missing {exc}") from exc
+    except (TypeError, ValueError, BoundsError) as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc

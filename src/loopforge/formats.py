@@ -12,12 +12,12 @@ import json
 from typing import Union
 
 from .bsl import BslPuzzle, CubicBslPuzzle
-from .errors import FormatError, GenreMismatchError
+from .errors import FormatError, GenreMismatchError, malformed
 from .genres.masyu import MasyuPuzzle
 from .genres.simple_loop import SimpleLoopPuzzle
-from .genres.slitherlink import LatticeLoop, SlitherlinkPuzzle
+from .genres.slitherlink import SlitherlinkPuzzle
 from .genres.yajilin import YajilinPuzzle
-from .grid import SIDES, CellLoop, Edge, GridDims, edge_sort_key
+from .grid import CellLoop, Edge, GridDims, edge_sort_key
 from .metacell import CubicReductionManifest
 from .reduction import GenreReductionManifest
 
@@ -95,68 +95,49 @@ def puzzle_to_json(puzzle: Puzzle) -> dict:
 
 
 def puzzle_from_json(doc: dict) -> Puzzle:
-    try:
+    with malformed("puzzle document"):
         genre = doc["genre"]
         dims = GridDims(int(doc["width"]), int(doc["height"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad puzzle document: {exc}") from exc
-    if genre == "bsl" or genre == "cubic-bsl":
-        bars = set()
-        for item in doc.get("bars", []):
-            axis = item["axis"]
-            if axis not in ("h", "v"):
-                raise FormatError(f"bad bar axis {axis!r}")
-            bars.add((axis, int(item["col"]), int(item["row"])))
-        puzzle = BslPuzzle(dims, frozenset(bars))
-        if genre == "cubic-bsl":
-            try:
-                return CubicBslPuzzle(puzzle)
-            except ValueError as exc:
-                raise FormatError(str(exc)) from exc
-        return puzzle
-    if genre == "slitherlink":
-        clues = tuple(
-            ((int(i["col"]), int(i["row"])), int(i["count"])) for i in doc.get("clues", [])
-        )
-        return SlitherlinkPuzzle(dims, tuple(sorted(clues)))
-    if genre == "masyu":
-        pearls = tuple(
-            ((int(i["col"]), int(i["row"])), i["color"]) for i in doc.get("pearls", [])
-        )
-        return MasyuPuzzle(dims, tuple(sorted(pearls)))
-    if genre == "yajilin":
-        grey = set()
-        clues = []
-        for i in doc.get("grey", []):
-            cell = (int(i["col"]), int(i["row"]))
-            grey.add(cell)
-            if i.get("count") is not None:
-                direction = i.get("dir")
-                if direction not in SIDES:
-                    raise FormatError(f"bad arrow direction {direction!r}")
-                clues.append((cell, int(i["count"]), direction))
-        return YajilinPuzzle(dims, frozenset(grey), tuple(sorted(clues)))
-    if genre == "simple-loop":
-        shaded = frozenset((int(i["col"]), int(i["row"])) for i in doc.get("shaded", []))
-        return SimpleLoopPuzzle(dims, shaded)
-    raise FormatError(f"unknown genre {genre!r}")
+        if genre == "bsl" or genre == "cubic-bsl":
+            puzzle = BslPuzzle(dims, _edges_from_json(doc.get("bars", [])))
+            return CubicBslPuzzle(puzzle) if genre == "cubic-bsl" else puzzle
+        if genre == "slitherlink":
+            clues = tuple(
+                ((int(i["col"]), int(i["row"])), int(i["count"])) for i in doc.get("clues", [])
+            )
+            return SlitherlinkPuzzle(dims, tuple(sorted(clues)))
+        if genre == "masyu":
+            pearls = tuple(
+                ((int(i["col"]), int(i["row"])), i["color"]) for i in doc.get("pearls", [])
+            )
+            return MasyuPuzzle(dims, tuple(sorted(pearls)))
+        if genre == "yajilin":
+            grey = set()
+            clues = []
+            for i in doc.get("grey", []):
+                cell = (int(i["col"]), int(i["row"]))
+                grey.add(cell)
+                if i.get("count") is not None:
+                    clues.append((cell, int(i["count"]), i.get("dir")))
+            return YajilinPuzzle(dims, frozenset(grey), tuple(sorted(clues)))
+        if genre == "simple-loop":
+            shaded = frozenset((int(i["col"]), int(i["row"])) for i in doc.get("shaded", []))
+            return SimpleLoopPuzzle(dims, shaded)
+        raise FormatError(f"unknown genre {genre!r}")
 
 
-def solution_to_json(genre: str, sol) -> dict:
-    if genre == "slitherlink":
-        return {"genre": genre, "lattice_edges": _edges_json(sol.edges)}
-    return {"genre": genre, "edges": _edges_json(sol.transitions)}
+def solution_to_json(genre: str, sol: CellLoop) -> dict:
+    # A Slitherlink loop runs on the dot grid, and its key says so.
+    key = "lattice_edges" if genre == "slitherlink" else "edges"
+    return {"genre": genre, key: _edges_json(sol.transitions)}
 
 
-def solution_from_json(doc: dict):
-    genre = doc.get("genre")
-    if genre == "slitherlink":
-        if "lattice_edges" not in doc:
-            raise FormatError("slitherlink solution needs lattice_edges")
-        return LatticeLoop(_edges_from_json(doc["lattice_edges"]))
-    if "edges" not in doc:
-        raise FormatError("solution document needs an edges list")
-    return CellLoop(_edges_from_json(doc["edges"]))
+def solution_from_json(doc: dict) -> CellLoop:
+    key = "lattice_edges" if doc.get("genre") == "slitherlink" else "edges"
+    if key not in doc:
+        raise FormatError(f"solution document needs a {key} list")
+    with malformed("solution document"):
+        return CellLoop(_edges_from_json(doc[key]))
 
 
 def ensure_solution_matches(puzzle_genre_id: str, doc: dict) -> None:
@@ -210,6 +191,9 @@ def dumps_canonical(doc: dict) -> str:
 def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path} does not hold a JSON object")
+    return doc

@@ -1,14 +1,19 @@
 """Slitherlink: a single loop on the dot lattice; a clue counts the loop
-edges around its cell."""
+edges around its cell.
+
+The dots of a W x H board form an ordinary (W+1) x (H+1) node grid, so a
+solution is a ``CellLoop`` on that grid: ("h", i, j) joins dots (i, j)
+and (i+1, j), ("v", i, j) joins (i, j) and (i, j+1).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from ..grid import Cell, Edge, GridDims, Violation, edge_sort_key, loop_ids
+from ..grid import Cell, CellLoop, Edge, GridDims, Violation, loop_ids
 from ..search import OPT, OUT, LoopSearch
-from .base import run_search
+from .base import build_cell_graph, run_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,28 +32,6 @@ class SlitherlinkPuzzle:
             seen.add(cell)
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeLoop:
-    """Loop on the dot lattice: ("h", i, j) joins dots (i,j)-(i+1,j),
-    ("v", i, j) joins (i,j)-(i,j+1)."""
-
-    edges: frozenset[Edge]
-
-
-def lattice_edges(dims: GridDims) -> list[Edge]:
-    """All lattice edges of a (W+1) x (H+1) dot grid, canonical order."""
-    dw, dh = dims.width + 1, dims.height + 1
-    edges: list[Edge] = []
-    for j in range(dh):
-        for i in range(dw):
-            if i + 1 < dw:
-                edges.append(("h", i, j))
-            if j + 1 < dh:
-                edges.append(("v", i, j))
-    edges.sort(key=edge_sort_key)
-    return edges
-
-
 def cell_border_edges(cell: Cell) -> list[Edge]:
     c, r = cell
     return [("h", c, r), ("h", c, r + 1), ("v", c, r), ("v", c + 1, r)]
@@ -57,9 +40,9 @@ def cell_border_edges(cell: Cell) -> list[Edge]:
 LATTICE_LOOP_WORDS = ("a loop must be drawn", "edge outside the lattice", "dot has degree {}")
 
 
-def verify(puzzle: SlitherlinkPuzzle, sol: LatticeLoop) -> Optional[Violation]:
+def verify(puzzle: SlitherlinkPuzzle, sol: CellLoop) -> Optional[Violation]:
     dw = puzzle.dims.width + 1
-    loop = loop_ids(dw, puzzle.dims.height + 1, sol.edges, LATTICE_LOOP_WORDS)
+    loop = loop_ids(dw, puzzle.dims.height + 1, sol.transitions, LATTICE_LOOP_WORDS)
     if isinstance(loop, Violation):
         return loop
     # The four sides of cell (c, r) are the "h" edges of dots (c, r) and
@@ -124,15 +107,8 @@ def solve(
     seeds_in=(),
     enumerate_all: bool = False,
 ):
-    dw = puzzle.dims.width + 1
-    edges = lattice_edges(puzzle.dims)
-    idx = lambda i, j: j * dw + i
-    pairs = []
-    for axis, i, j in edges:
-        if axis == "h":
-            pairs.append((idx(i, j), idx(i + 1, j)))
-        else:
-            pairs.append((idx(i, j), idx(i, j + 1)))
-    n_dots = dw * (puzzle.dims.height + 1)
-    search = _SlitherlinkSearch(puzzle, edges, pairs, n_dots, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True)
-    return run_search(search, edges, LatticeLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    edges, pairs, dots = build_cell_graph(GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1))
+    search = _SlitherlinkSearch(
+        puzzle, edges, pairs, len(dots), budget_ms=budget_ms, connectivity_every=1, branch_frontier=True
+    )
+    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

@@ -111,10 +111,6 @@ def side_edge(cell: Cell, side: str) -> Edge:
     return ("v", c, r - 1)
 
 
-def boundary_edge(cell: Cell, side: str) -> Edge:
-    return (side, cell[0], cell[1])
-
-
 def edge_in_bounds(dims: GridDims, edge: Edge) -> bool:
     axis, c, r = edge
     if axis == "h":

@@ -25,7 +25,6 @@ from .grid import (
     CellLoop,
     Edge,
     GridDims,
-    boundary_edge,
     checkerboard_color,
     edge_between,
     internal_edges,
@@ -116,8 +115,6 @@ def _certify_template(template: MetacellTemplate) -> Optional[str]:
     for side, cell in template.exits:
         if checkerboard_color(cell) != "black":
             return f"{side} exit at {cell} is not on a black cell"
-        if boundary_edge(cell, side)[0] != side:  # sanity of construction
-            return "exit side mismatch"
     # Cubicity with every opening blocked: the bare block.
     if check_cubic(BslPuzzle(dims, template.bars)):
         return "a cell has four accessible neighbours with exits blocked"

@@ -87,16 +87,13 @@ def reduce_to_genre(
 def lift_to_genre(manifest: GenreReductionManifest, cubic_solution: CellLoop):
     """Stitch bank sub-solutions along the source loop into a board solution."""
     from .genres import GENRES
-    from .genres.slitherlink import LatticeLoop
 
     if manifest.degenerate:
         raise ReductionError("cannot lift through a degenerate (unsolvable) reduction")
     bad = verify_bsl(manifest.source.inner, cubic_solution)
     if bad is not None:
         raise ReductionError(f"source solution rejected: {bad}")
-    desc = manifest.descriptor
-    edges = frozenset(lift_loop(desc, manifest.layout, cubic_solution))
-    sol = LatticeLoop(edges) if desc.is_lattice else CellLoop(edges)
+    sol = CellLoop(frozenset(lift_loop(manifest.descriptor, manifest.layout, cubic_solution)))
     bad = GENRES[manifest.genre].verify(manifest.board, sol)
     if bad is not None:
         raise ReductionError(f"lifted solution invalid: {bad}")

@@ -1,12 +1,13 @@
 """Parsers and renderers for the interleaved ASCII tile formats.
 
-Two matrices share one character grid: cells sit at (odd col, odd row)
+A bar grid interleaves cells and edges: cells sit at (odd col, odd row)
 positions of a (2W+1) x (2H+1) grid, horizontal edges between cells at
-(even col, odd row), vertical edges at (odd col, even row), and lattice
-corners at (even, even).  A bar grid marks bars with ``#``; a fragment
-grid marks loop transitions with ``-`` and ``|``.  The border ring of a
-bar grid carries the boundary-edge marks (``#`` for a permanent bar, an
-exit letter for a blockable opening).
+(even col, odd row) and vertical edges at (odd col, even row); it marks
+bars with ``#``.  Its border ring carries the boundary-edge marks (``#``
+for a permanent bar, an exit letter for a blockable opening).  A fragment
+grid drops that ring: the nodes of a W x H grid sit at (even, even)
+positions of a (2W-1) x (2H-1) grid, and ``-`` and ``|`` mark loop
+transitions.  Its nodes are cells, or the dots of a lattice tile.
 """
 
 from __future__ import annotations
@@ -73,7 +74,11 @@ def parse_bar_grid(lines: list[str], width: int, height: int) -> tuple[frozenset
 
 
 def parse_fragment_grid(lines: list[str], width: int, height: int) -> frozenset[Edge]:
-    """Read loop transitions (``-`` between cells, ``|`` below cells)."""
+    """Read loop transitions on a width x height node grid.
+
+    Nodes (cells, or the dots of a lattice tile) sit at even/even
+    positions, ``-`` joins two nodes of a row and ``|`` two of a column.
+    """
     rows = 2 * height - 1
     if len(lines) != rows:
         raise FormatError(f"expected {rows} fragment rows, found {len(lines)}")
@@ -95,29 +100,3 @@ def parse_fragment_grid(lines: list[str], width: int, height: int) -> frozenset[
             elif ch not in " .":
                 raise FormatError(f"bad fragment character {ch!r}")
     return frozenset(edges)
-
-
-def parse_lattice_fragment(lines: list[str], dots_w: int, dots_h: int) -> frozenset[Edge]:
-    """Read a dot-lattice fragment: dots at even/even, edges between dots."""
-    rows = 2 * dots_h - 1
-    if len(lines) != rows:
-        raise FormatError(f"expected {rows} lattice rows, found {len(lines)}")
-    edges: set[Edge] = set()
-    for j in range(dots_h):
-        line = lines[2 * j].ljust(2 * dots_w - 1)
-        for i in range(dots_w - 1):
-            ch = line[2 * i + 1]
-            if ch == "-":
-                edges.add(("h", i, j))
-            elif ch not in " .":
-                raise FormatError(f"bad lattice character {ch!r}")
-    for j in range(dots_h - 1):
-        line = lines[2 * j + 1].ljust(2 * dots_w - 1)
-        for i in range(dots_w):
-            ch = line[2 * i]
-            if ch == "|":
-                edges.add(("v", i, j))
-            elif ch not in " .":
-                raise FormatError(f"bad lattice character {ch!r}")
-    return frozenset(edges)
-

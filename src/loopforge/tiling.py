@@ -5,17 +5,20 @@ tile and let the loop cross between neighbouring tiles at their facing
 exits: the 5x7 block of the cubic stage and the genre gadgets.  A tile is
 any object with
 
-* ``frame``: the (w, h) coordinate frame its edges and exits live in
-  (cells, or dots for lattice tiles), which transforms act on.  Tiles
-  abut in frame coordinates, so it is also the (dx, dy) offset between
-  neighbouring tile positions;
+* ``frame``: the (w, h) node grid its edges and exits live in, which
+  transforms act on.  Its nodes are cells, except for a lattice
+  (Slitherlink) tile, whose frame is measured in dots: a W x H tile has a
+  (W+1) x (H+1) frame.  Tiles abut in frame coordinates, so it is also
+  the (dx, dy) offset between neighbouring tile positions;
 * ``placed_exits(t)``: side -> frame position of every exit under the
   placement transform ``t``;
 * ``bank``: frozenset of two tile-local exit sides -> the edges of a
   tile sub-solution joining those exits.
 
 A layout maps tile positions, which are the source cells, to placement
-transforms.
+transforms.  Lifted edges join nodes of the board's node grid, so every
+lifted solution is a ``CellLoop``: on the cells, or on the dot grid of a
+lattice board.
 """
 
 from __future__ import annotations

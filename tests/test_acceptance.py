@@ -22,7 +22,6 @@ from loopforge.bsl import (
 )
 from loopforge.catalog import certify_gadget, load_gadget
 from loopforge.genres import GENRES
-from loopforge.genres.slitherlink import LatticeLoop, lattice_edges
 from loopforge.grid import CellLoop, GridDims, checkerboard_color, internal_edges, neighbors
 from loopforge.metacell import build_metacell_bank, lift_to_cubic, load_metacell, reduce_to_cubic
 from loopforge.orientation import build_bar_graph, orient
@@ -250,14 +249,12 @@ def test_criterion_9_fixture_conformance_and_mutation_kill():
             pool = internal_edges(inner.dims)
             current = sol.transitions
             check = lambda edges: verify_bsl(inner, CellLoop(edges)) is None
-        elif genre == "slitherlink":
-            accepted = GENRES[genre].verify(puzzle, sol) is None
-            pool = lattice_edges(puzzle.dims)
-            current = sol.edges
-            check = lambda edges: GENRES[genre].verify(puzzle, LatticeLoop(edges)) is None
         else:
             accepted = GENRES[genre].verify(puzzle, sol) is None
-            pool = internal_edges(puzzle.dims)
+            if genre == "slitherlink":
+                pool = internal_edges(GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1))
+            else:
+                pool = internal_edges(puzzle.dims)
             current = sol.transitions
             check = lambda edges: GENRES[genre].verify(puzzle, CellLoop(edges)) is None
         kills = 0

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import FIXTURES, load_fixture
 from loopforge import formats
+from loopforge.catalog import DEFAULT_CATALOG
 from loopforge.cli import main
 
 ALL_FIXTURES = [
@@ -211,3 +212,57 @@ def test_cli_reduce_single_command_chain(tmp_path, capsys):
     mdoc = json.loads(man.read_text())
     assert mdoc["kind"] == "chain"
     assert [s["kind"] for s in mdoc["stages"]] == ["cubic-manifest", "genre-manifest"]
+
+
+# Malformed documents are parse errors (64) and malformed descriptors
+# missing gadgets (66); neither may surface as a traceback, which exits 1
+# and reads as "unsat", or as an internal error (70).
+MALFORMED_PUZZLES = {
+    "bar-off-board": {"genre": "bsl", "width": 2, "height": 2, "bars": [{"axis": "h", "col": 5, "row": 0}]},
+    "bar-without-axis": {"genre": "bsl", "width": 2, "height": 2, "bars": [{"col": 0, "row": 0}]},
+    "arrow-without-direction": {
+        "genre": "yajilin", "width": 3, "height": 3, "grey": [{"col": 0, "row": 0, "count": 1}]
+    },
+    "red-pearl": {"genre": "masyu", "width": 3, "height": 3, "pearls": [{"col": 0, "row": 0, "color": "red"}]},
+    "shaded-off-board": {"genre": "simple-loop", "width": 3, "height": 3, "shaded": [{"col": 9, "row": 0}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PUZZLES))
+def test_cli_solve_malformed_puzzle_is_parse_error(case, tmp_path, capsys):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(MALFORMED_PUZZLES[case]), encoding="utf-8")
+    assert main(["solve", str(p)]) == 64
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_cli_verify_solution_that_is_no_object_is_parse_error(tmp_path, capsys):
+    p = tmp_path / "s.json"
+    p.write_text("[]", encoding="utf-8")
+    assert main(["verify", fx("masyu_example"), str(p)]) == 64
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["masyu_example", "slitherlink_example"])
+def test_cli_verify_edge_without_row_is_parse_error(name, tmp_path, capsys):
+    doc = load_fixture(f"{name}_solution")
+    key = "lattice_edges" if "lattice_edges" in doc else "edges"
+    del doc[key][0]["row"]
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", fx(name), str(p)]) == 64
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("exits: W 2, E 2, S 2\n", ""), ("tile: 5 5\n", "tile: 9 x\n"), ("exits: W 2,", "exits: W two,")],
+    ids=["no-exits-line", "bad-tile-size", "bad-exit-offset"],
+)
+def test_cli_certify_malformed_descriptor_is_missing_gadget(old, new, tmp_path, monkeypatch, capsys):
+    text = (DEFAULT_CATALOG / "simple_loop.txt").read_text(encoding="utf-8")
+    assert old in text
+    (tmp_path / "simple_loop.txt").write_text(text.replace(old, new), encoding="utf-8")
+    monkeypatch.setenv("LOOPFORGE_CATALOG", str(tmp_path))
+    assert main(["certify", "--genre", "simple-loop"]) == 66
+    assert "gadget unavailable" in capsys.readouterr().err

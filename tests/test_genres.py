@@ -6,7 +6,7 @@ from conftest import fixture_puzzle, fixture_solution, ring
 from loopforge.genres import GENRES
 from loopforge.genres.masyu import MasyuPuzzle
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
-from loopforge.genres.slitherlink import LatticeLoop, SlitherlinkPuzzle, lattice_edges
+from loopforge.genres.slitherlink import SlitherlinkPuzzle
 from loopforge.genres.yajilin import YajilinPuzzle
 from loopforge.grid import CellLoop, GridDims, edge_cells, internal_edges
 
@@ -39,18 +39,14 @@ def test_single_edge_mutations_rejected(genre):
     sol = fixture_solution(FIXTURE_NAMES[genre])
     rng = random.Random(4)
     if genre == "slitherlink":
-        current = sol.edges
-        pool = lattice_edges(puzzle.dims)
-        rebuild = LatticeLoop
+        pool = internal_edges(GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1))
     else:
-        current = sol.transitions
         pool = internal_edges(puzzle.dims)
-        rebuild = CellLoop
     kills = 0
     for _ in range(20):
         edge = rng.choice(pool)
-        mutated = current ^ {edge}
-        if GENRES[genre].verify(puzzle, rebuild(frozenset(mutated))) is not None:
+        mutated = sol.transitions ^ {edge}
+        if GENRES[genre].verify(puzzle, CellLoop(frozenset(mutated))) is not None:
             kills += 1
     assert kills == 20
 
@@ -113,14 +109,14 @@ def test_masyu_unvisited_pearl_rejected():
 
 def test_slitherlink_empty_loop_rejected():
     puzzle = SlitherlinkPuzzle(GridDims(2, 2), ())
-    v = GENRES["slitherlink"].verify(puzzle, LatticeLoop(frozenset()))
+    v = GENRES["slitherlink"].verify(puzzle, CellLoop(frozenset()))
     assert v is not None and v.code == "empty"
 
 
 def test_slitherlink_clue_check():
     puzzle = fixture_puzzle("slitherlink_example")
     sol = fixture_solution("slitherlink_example")
-    toggled = LatticeLoop(sol.edges ^ {("h", 2, 3)})
+    toggled = CellLoop(sol.transitions ^ {("h", 2, 3)})
     assert GENRES["slitherlink"].verify(puzzle, toggled) is not None
 
 
@@ -137,8 +133,8 @@ def test_solver_determinism():
         puzzle = fixture_puzzle(name)
         a = GENRES[genre].solve(puzzle, budget_ms=60000)
         b = GENRES[genre].solve(puzzle, budget_ms=60000)
-        ea = a.solution.edges if genre == "slitherlink" else a.solution.transitions
-        eb = b.solution.edges if genre == "slitherlink" else b.solution.transitions
+        ea = a.solution.transitions
+        eb = b.solution.transitions
         assert ea == eb
 
 
@@ -160,10 +156,10 @@ def test_solver_verdicts_match_brute_force_on_tiny_boards():
         return False
 
     def brute_force_lattice(puzzle):
-        pool = lattice_edges(puzzle.dims)
+        pool = internal_edges(GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1))
         for k in range(1, len(pool) + 1):
             for combo in itertools.combinations(pool, k):
-                if GENRES["slitherlink"].verify(puzzle, LatticeLoop(frozenset(combo))) is None:
+                if GENRES["slitherlink"].verify(puzzle, CellLoop(frozenset(combo))) is None:
                     return True
         return False
 
@@ -218,20 +214,20 @@ def test_masyu_pearl_rule_on_board_edge(pearl, dims, corners, want):
 
 def test_slitherlink_clue_and_lattice_wording():
     puzzle = SlitherlinkPuzzle(GridDims(2, 2), (((0, 0), 3), ((1, 1), 0)))
-    square = LatticeLoop(ring(0, 0, 1, 1))
+    square = CellLoop(ring(0, 0, 1, 1))
     assert _verdict("slitherlink", puzzle, square) == ("clue", "cell has 4 edges, expected 3", (0, 0))
     puzzle = SlitherlinkPuzzle(GridDims(2, 2), (((0, 0), 0),))
-    assert _verdict("slitherlink", puzzle, LatticeLoop(ring(1, 1, 2, 2))) is None
+    assert _verdict("slitherlink", puzzle, CellLoop(ring(1, 1, 2, 2))) is None
     puzzle = SlitherlinkPuzzle(GridDims(2, 2), (((1, 0), 0),))
-    assert _verdict("slitherlink", puzzle, LatticeLoop(ring(1, 1, 2, 2))) == (
+    assert _verdict("slitherlink", puzzle, CellLoop(ring(1, 1, 2, 2))) == (
         "clue", "cell has 1 edges, expected 0", (1, 0))
     # The lattice of a 2x2 board has 3x3 dots: "h" at dot column 2 and
     # "v" at dot row 2 leave it.
-    v = GENRES["slitherlink"].verify(puzzle, LatticeLoop(ring(0, 0, 1, 1) | {("h", 2, 0)}))
+    v = GENRES["slitherlink"].verify(puzzle, CellLoop(ring(0, 0, 1, 1) | {("h", 2, 0)}))
     assert (v.code, v.message, v.edge) == ("bounds", "edge outside the lattice", ("h", 2, 0))
-    v = GENRES["slitherlink"].verify(puzzle, LatticeLoop(ring(0, 0, 1, 1) | {("v", 0, 2)}))
+    v = GENRES["slitherlink"].verify(puzzle, CellLoop(ring(0, 0, 1, 1) | {("v", 0, 2)}))
     assert (v.code, v.message, v.edge) == ("bounds", "edge outside the lattice", ("v", 0, 2))
-    open_path = LatticeLoop(ring(0, 0, 2, 2) - {("h", 1, 2)})
+    open_path = CellLoop(ring(0, 0, 2, 2) - {("h", 1, 2)})
     assert _verdict("slitherlink", puzzle, open_path) == ("degree", "dot has degree 1", (1, 2))
 
 
@@ -259,7 +255,7 @@ def test_yajilin_grey_shading_and_clue():
 @pytest.mark.parametrize("genre", sorted(FIXTURE_NAMES))
 def test_empty_solution_rejected(genre):
     puzzle = fixture_puzzle(FIXTURE_NAMES[genre])
-    sol = LatticeLoop(frozenset()) if genre == "slitherlink" else CellLoop(frozenset())
+    sol = CellLoop(frozenset())
     message = "a loop must be drawn" if genre == "slitherlink" else "loop has no transitions"
     assert _verdict(genre, puzzle, sol) == ("empty", message, None)
 

@@ -17,7 +17,7 @@ from loopforge.grid import (
     neighbors,
     validate_loop,
 )
-from loopforge.genres.slitherlink import LatticeLoop, SlitherlinkPuzzle, lattice_edges
+from loopforge.genres.slitherlink import SlitherlinkPuzzle
 from loopforge.genres.slitherlink import verify as verify_slitherlink
 
 SQUARE_2X2 = CellLoop(frozenset({("h", 0, 0), ("h", 0, 1), ("v", 0, 0), ("v", 1, 0)}))
@@ -165,10 +165,10 @@ def test_lattice_loop_matches_walk_oracle(w, h):
     # that size.
     rng = random.Random(13)
     puzzle = SlitherlinkPuzzle(GridDims(w, h), ())
-    pool = lattice_edges(puzzle.dims)
+    pool = internal_edges(GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1))
     verdicts = set()
     for edges in _random_edge_sets(rng, w + 1, h + 1, pool, 300):
-        got = verify_slitherlink(puzzle, LatticeLoop(edges)) is None
+        got = verify_slitherlink(puzzle, CellLoop(edges)) is None
         assert got == _walk_oracle(CellLoop(edges))
         verdicts.add(got)
     assert verdicts == {True, False}

@@ -3,7 +3,9 @@
 A top-level function, class or module constant, or a method, that no
 code under ``src/`` names outside its own definition is only reachable
 from tests and should be deleted along with them.  Dunder names are
-called by Python itself and are left out.
+called by Python itself and are left out.  Likewise every name a module
+imports is read somewhere in that module; ``from __future__`` imports
+are directives, not names, and are left out.
 """
 
 import ast
@@ -69,3 +71,23 @@ def test_every_definition_is_named_elsewhere_in_src():
     assert unused == []
     assert ALLOWED <= defined, "an allowlisted name is gone; drop it from ALLOWED"
 
+
+
+def _imported(tree: ast.Module):
+    """(name, line) for each name an import statement binds in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+
+
+def test_every_import_is_read_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.relative_to(SRC)}:{line}: {name}" for name, line in _imported(tree) if name not in read]
+    assert unused == []
