@@ -1,10 +1,13 @@
 """Gadget descriptors and their certification harness.
 
-A descriptor is a declarative must-visit tile for one genre: clue
-payload, three exits on distinct sides, the walled fourth side, allowed
-placement transforms, forced lines, and one complete tile sub-solution
-per unordered exit pair.  Certification assembles small tiled boards and
-machine-checks the conditions a working tile must satisfy:
+A descriptor is a declarative must-visit tile for one genre: tile art,
+three exits on distinct sides, the walled fourth side, allowed placement
+transforms, forced lines, and one complete tile sub-solution per
+unordered exit pair.  The art is the tile's characters other than ``.``;
+what they mean is the genre's own, read by its ``from_art`` at load and
+again for every assembled board, so catalog never branches on genre.
+Certification assembles small tiled boards and machine-checks the
+conditions a working tile must satisfy:
 
 (a) every board solution visits every tile;
 (b) copies tile the plane on a rectangular adjacency;
@@ -30,14 +33,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import FormatError, SearchTimeout, malformed
+from .errors import FormatError, ReductionError, SearchTimeout, malformed
+from .genres import GENRES
 from .grid import SIDES, Cell, CellLoop, Edge, GridDims, edge_cells, edge_sort_key
 from .tileart import parse_fragment_grid, strip_comments
-from .tiling import crossing_edge, place_fragment
+from .tiling import crossing_edge, lift_loop, place_fragment
 from .transforms import ALL_TRANSFORMS, ROTATIONS, Transform
 
 DEFAULT_CATALOG = Path(__file__).parent / "data" / "gadgets"
 MANDATORY_GENRES = ("slitherlink", "masyu", "yajilin", "simple-loop")
+HEADER_KEYS = ("genre", "tile", "transforms", "exits", "free")
 
 # Tiles small enough to enumerate every board solution at 2x2 scale.
 EXHAUSTIVE_TILE_CELLS = 30
@@ -52,11 +57,7 @@ class GadgetDescriptor:
     transforms: frozenset[str]  # {"rotate"} or {"rotate", "reflect"}
     forced: frozenset[Edge]
     bank: dict[frozenset, frozenset[Edge]]  # {side, side} -> tile sub-solution
-    clues: dict[Cell, int] = field(default_factory=dict)  # slitherlink
-    pearls: dict[Cell, str] = field(default_factory=dict)  # masyu
-    grey: frozenset = frozenset()  # yajilin
-    shaded: frozenset = frozenset()  # simple-loop
-    zero_clues: bool = False  # yajilin optional clue fill
+    art: dict[Cell, str] = field(default_factory=dict)  # cell -> tile character other than "."
 
     # ------------------------------------------------------------------
     @property
@@ -117,7 +118,10 @@ def _parse_header(lines: list[str]) -> tuple[dict[str, str], int]:
         if ":" not in line:
             raise FormatError(f"bad header line {line!r}")
         key, _, value = line.partition(":")
-        headers[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in HEADER_KEYS:
+            raise FormatError(f"unknown descriptor header {key!r}")
+        headers[key] = value.strip()
     return headers, len(lines)
 
 
@@ -166,13 +170,14 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
             transforms=transforms,
             forced=frozenset(),
             bank={},
-            zero_clues=headers.get("zero_clues", "off") == "on",
         )
 
         fw, fh = desc.frame
         for name, body in _sections(lines[body_start:]):
             if name == "tile":
-                _parse_tile_payload(desc, body)
+                if len(body) != th or any(len(row) != tw for row in body):
+                    raise FormatError(f"tile art must be {tw}x{th}")
+                desc.art = {(c, r): ch for r, row in enumerate(body) for c, ch in enumerate(row) if ch != "."}
             elif name == "forced":
                 desc.forced = parse_fragment_grid(body, fw, fh)
             elif name.startswith("solution "):
@@ -180,6 +185,7 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
                 desc.bank[frozenset((a, b))] = parse_fragment_grid(body, fw, fh)
             else:
                 raise FormatError(f"unknown descriptor section [{name}]")
+        GENRES[genre].from_art(desc.tile, desc.art)
         problem = validate_descriptor(desc)
     if problem:
         raise FormatError(f"descriptor for {genre} rejected: {problem}")
@@ -199,44 +205,6 @@ def default_gadget(genre: str) -> GadgetDescriptor:
 @functools.cache
 def _load_gadget_once(genre: str, directory: Path) -> GadgetDescriptor:
     return load_gadget(genre, directory)
-
-
-def _parse_tile_payload(desc: GadgetDescriptor, rows: list[str]) -> None:
-    tile = desc.tile
-    if len(rows) != tile.height or any(len(r) != tile.width for r in rows):
-        raise FormatError(f"tile art must be {tile.width}x{tile.height}")
-    if desc.genre == "slitherlink":
-        clues = {}
-        for r, row in enumerate(rows):
-            for c, ch in enumerate(row):
-                if ch != ".":
-                    clues[(c, r)] = int(ch)
-        desc.clues = clues
-    elif desc.genre == "masyu":
-        pearls = {}
-        for r, row in enumerate(rows):
-            for c, ch in enumerate(row):
-                if ch == "B":
-                    pearls[(c, r)] = "black"
-                elif ch == "W":
-                    pearls[(c, r)] = "white"
-                elif ch != ".":
-                    raise FormatError(f"bad masyu tile character {ch!r}")
-        desc.pearls = pearls
-    elif desc.genre in ("yajilin", "simple-loop"):
-        mask = set()
-        for r, row in enumerate(rows):
-            for c, ch in enumerate(row):
-                if ch == "#":
-                    mask.add((c, r))
-                elif ch != ".":
-                    raise FormatError(f"bad tile character {ch!r}")
-        if desc.genre == "yajilin":
-            desc.grey = frozenset(mask)
-        else:
-            desc.shaded = frozenset(mask)
-    else:
-        raise FormatError(f"unsupported genre {desc.genre!r}")
 
 
 def validate_descriptor(desc: GadgetDescriptor) -> Optional[str]:
@@ -289,49 +257,15 @@ def _fragment_ends(frag: frozenset[Edge]) -> set[Cell]:
 # board assembly (shared with the reduction engine)
 
 def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_w: int, tiles_h: int):
-    """Union the transformed clue payloads of every placed tile."""
-    from .genres.masyu import MasyuPuzzle
-    from .genres.simple_loop import SimpleLoopPuzzle
-    from .genres.slitherlink import SlitherlinkPuzzle
-    from .genres.yajilin import YajilinPuzzle
-
-    dims = desc.board_dims(tiles_w, tiles_h)
+    """The genre puzzle whose art is every placed tile's art, moved through its transform."""
     fw, fh = desc.frame
     tw, th = desc.tile.width, desc.tile.height
-
-    def cell_map(t: Transform, tile_pos: Cell, cell: Cell) -> Cell:
-        c, r = t.apply_cell(tw, th, cell)
-        return (c + fw * tile_pos[0], r + fh * tile_pos[1])
-
-    if desc.genre == "slitherlink":
-        clues = []
-        for pos, t in layout.items():
-            for cell, count in desc.clues.items():
-                clues.append((cell_map(t, pos, cell), count))
-        return SlitherlinkPuzzle(dims, tuple(sorted(clues)))
-    if desc.genre == "masyu":
-        pearls = []
-        for pos, t in layout.items():
-            for cell, colour in desc.pearls.items():
-                pearls.append((cell_map(t, pos, cell), colour))
-        return MasyuPuzzle(dims, tuple(sorted(pearls)))
-    if desc.genre == "yajilin":
-        grey = set()
-        clues = []
-        for pos, t in layout.items():
-            for cell in desc.grey:
-                target = cell_map(t, pos, cell)
-                grey.add(target)
-                if desc.zero_clues:
-                    clues.append((target, 0, t.apply_side("N")))
-        return YajilinPuzzle(dims, frozenset(grey), tuple(sorted(clues)))
-    if desc.genre == "simple-loop":
-        shaded = set()
-        for pos, t in layout.items():
-            for cell in desc.shaded:
-                shaded.add(cell_map(t, pos, cell))
-        return SimpleLoopPuzzle(dims, frozenset(shaded))
-    raise FormatError(f"unsupported genre {desc.genre!r}")
+    art = {}
+    for (i, j), t in layout.items():
+        for cell, ch in desc.art.items():
+            c, r = t.apply_cell(tw, th, cell)
+            art[(c + fw * i, r + fh * j)] = ch
+    return GENRES[desc.genre].from_art(desc.board_dims(tiles_w, tiles_h), art)
 
 
 def boundary_positions(desc: GadgetDescriptor, tiles_w: int, tiles_h: int) -> set[Edge]:
@@ -426,10 +360,7 @@ def _ring_crossings(desc: GadgetDescriptor, layout: dict[Cell, Transform], ring:
 
 
 def _solve_board(desc, board, budget_ms, seeds_in, enumerate_all=False):
-    from .genres import GENRES
-
-    module = GENRES[desc.genre]
-    return module.solve(board, budget_ms=budget_ms, seeds_in=seeds_in, enumerate_all=enumerate_all)
+    return GENRES[desc.genre].solve(board, budget_ms=budget_ms, seeds_in=seeds_in, enumerate_all=enumerate_all)
 
 
 def _audit_solution(desc, layout, tiles_w, tiles_h, edges: frozenset[Edge]) -> Optional[str]:
@@ -498,15 +429,17 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
             continue
         layout, ring, tiles_w, tiles_h, pos = ctx
         board = assemble_board(desc, layout, tiles_w, tiles_h)
-        seeds = set(place_fragment(desc, desc.bank[pair], layout[pos], pos))
-        seeds |= _ring_crossings(desc, layout, ring)
         if desc.tile.cell_count > EXHAUSTIVE_TILE_CELLS:
-            # Large tiles: pre-fill the other tiles from the bank so the
-            # solver only has to close and validate the board.
-            required = _ring_required_pairs(layout, ring)
-            for p, local_pair in required.items():
-                if p != pos and local_pair in desc.bank:
-                    seeds |= place_fragment(desc, desc.bank[local_pair], layout[p], p)
+            # Large tiles: seed the whole ring tour lifted through the bank,
+            # so the solver only has to validate the board.
+            try:
+                seeds = lift_loop(desc, layout, ring)
+            except ReductionError as exc:
+                e_status = "fail"
+                e_details.append(f"{sorted(pair)}: {exc}")
+                continue
+        else:
+            seeds = place_fragment(desc, desc.bank[pair], layout[pos], pos) | _ring_crossings(desc, layout, ring)
         try:
             result = search(board, witness_budget, sorted(seeds, key=edge_sort_key))
         except SearchTimeout:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import catalog as catalog_mod
 from . import formats
-from .bsl import CubicBslPuzzle, solve_bsl_backtrack, solve_bsl_dp, verify_bsl
+from .bsl import CubicBslPuzzle, check_cubic, solve_bsl_backtrack, solve_bsl_dp, verify_bsl
 from .errors import FormatError, LoopforgeError
 from .genres import GENRES
 from .metacell import lift_to_cubic, reduce_to_cubic
@@ -191,8 +191,6 @@ def cmd_roundtrip(args) -> int:
         stages["genre-lift"] = "ok"
         stages["genre-verify"] = "ok"
     elif source_result.status == "unsat":
-        from .bsl import check_cubic
-
         if not check_cubic(puzzle):
             # Already cubic (true for the degenerate fast-path instances):
             # tile it directly, reaching the canonical unsolvable image.

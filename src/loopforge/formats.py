@@ -26,20 +26,20 @@ Puzzle = Union[
 ]
 
 
+PUZZLE_GENRES = {
+    BslPuzzle: "bsl",
+    CubicBslPuzzle: "cubic-bsl",
+    SlitherlinkPuzzle: "slitherlink",
+    MasyuPuzzle: "masyu",
+    YajilinPuzzle: "yajilin",
+    SimpleLoopPuzzle: "simple-loop",
+}
+
+
 def puzzle_genre(puzzle: Puzzle) -> str:
-    if isinstance(puzzle, CubicBslPuzzle):
-        return "cubic-bsl"
-    if isinstance(puzzle, BslPuzzle):
-        return "bsl"
-    if isinstance(puzzle, SlitherlinkPuzzle):
-        return "slitherlink"
-    if isinstance(puzzle, MasyuPuzzle):
-        return "masyu"
-    if isinstance(puzzle, YajilinPuzzle):
-        return "yajilin"
-    if isinstance(puzzle, SimpleLoopPuzzle):
-        return "simple-loop"
-    raise FormatError(f"unknown puzzle object {type(puzzle).__name__}")
+    if type(puzzle) not in PUZZLE_GENRES:
+        raise FormatError(f"unknown puzzle object {type(puzzle).__name__}")
+    return PUZZLE_GENRES[type(puzzle)]
 
 
 def _edges_json(edges) -> list[dict]:

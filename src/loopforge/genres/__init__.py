@@ -1,6 +1,7 @@
 """Genre puzzle types, rule verifiers and exact solvers.
 
-Each genre module exposes a puzzle dataclass, a ``verify`` function
+Each genre module exposes a puzzle dataclass, a ``from_art`` function
+that reads a tile's characters as that puzzle, a ``verify`` function
 returning None or a Violation, and a ``solve`` function returning a
 sat/unsat/timeout result.  The registry maps genre ids to the modules.
 """

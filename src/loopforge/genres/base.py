@@ -31,6 +31,14 @@ def build_cell_graph(
     return edges, pairs, index
 
 
+def check_art(art: dict[Cell, str], alphabet: str) -> None:
+    """Raise a ValueError naming a character of tile art outside ``alphabet``, and its cell."""
+    allowed = set(alphabet)
+    if not allowed.issuperset(art.values()):
+        cell, ch = next((cell, ch) for cell, ch in art.items() if ch not in allowed)
+        raise ValueError(f"bad tile character {ch!r} at {cell}")
+
+
 def run_search(
     search: LoopSearch,
     edges: list[Edge],

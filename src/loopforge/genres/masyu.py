@@ -19,7 +19,7 @@ from ..grid import (
     side_edge,
 )
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import build_cell_graph, run_search
+from .base import build_cell_graph, check_art, run_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +39,15 @@ class MasyuPuzzle:
 
     def pearl_map(self) -> dict[Cell, str]:
         return dict(self.pearls)
+
+
+PEARL_COLOURS = {"B": "black", "W": "white"}
+
+
+def from_art(dims: GridDims, art: dict[Cell, str]) -> MasyuPuzzle:
+    """Tile art as a puzzle: ``B`` is a black pearl, ``W`` a white one."""
+    check_art(art, "BW")
+    return MasyuPuzzle(dims, tuple(sorted((cell, PEARL_COLOURS[ch]) for cell, ch in art.items())))
 
 
 def _step(cell: Cell, direction: str) -> Cell:

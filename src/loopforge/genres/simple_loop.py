@@ -7,7 +7,7 @@ from typing import Optional
 
 from ..grid import Cell, CellLoop, GridDims, Violation, validate_loop
 from ..search import EXACT2, OPT, LoopSearch
-from .base import build_cell_graph, run_search
+from .base import build_cell_graph, check_art, run_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -18,6 +18,12 @@ class SimpleLoopPuzzle:
     def __post_init__(self) -> None:
         for cell in self.shaded:
             self.dims.require(cell)
+
+
+def from_art(dims: GridDims, art: dict[Cell, str]) -> SimpleLoopPuzzle:
+    """Tile art as a puzzle: ``#`` is a shaded cell."""
+    check_art(art, "#")
+    return SimpleLoopPuzzle(dims, frozenset(art))
 
 
 def verify(puzzle: SimpleLoopPuzzle, sol: CellLoop) -> Optional[Violation]:

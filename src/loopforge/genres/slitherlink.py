@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..grid import Cell, CellLoop, Edge, GridDims, Violation, loop_ids
 from ..search import OPT, OUT, LoopSearch
-from .base import build_cell_graph, run_search
+from .base import build_cell_graph, check_art, run_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,6 +30,12 @@ class SlitherlinkPuzzle:
             if cell in seen:
                 raise ValueError(f"duplicate clue at {cell}")
             seen.add(cell)
+
+
+def from_art(dims: GridDims, art: dict[Cell, str]) -> SlitherlinkPuzzle:
+    """Tile art as a puzzle: each digit is the clue of its cell."""
+    check_art(art, "0123456789")
+    return SlitherlinkPuzzle(dims, tuple(sorted((cell, int(ch)) for cell, ch in art.items())))
 
 
 def cell_border_edges(cell: Cell) -> list[Edge]:

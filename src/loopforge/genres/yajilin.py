@@ -9,7 +9,7 @@ from typing import Optional
 
 from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, loop_ids
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import build_cell_graph, run_search
+from .base import build_cell_graph, check_art, run_search
 
 UNDET, VISITED, SHADED = 0, 1, 2
 
@@ -38,6 +38,12 @@ class YajilinPuzzle:
             if not self.dims.contains((c, r)):
                 return out
             out.append((c, r))
+
+
+def from_art(dims: GridDims, art: dict[Cell, str]) -> YajilinPuzzle:
+    """Tile art as a puzzle: ``#`` is a grey cell."""
+    check_art(art, "#")
+    return YajilinPuzzle(dims, frozenset(art))
 
 
 def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:

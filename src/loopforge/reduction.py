@@ -17,6 +17,7 @@ from typing import Optional
 from .bsl import CubicBslPuzzle, degenerate_cells, verify_bsl
 from .catalog import GadgetDescriptor, assemble_board, default_gadget
 from .errors import ReductionError
+from .genres import GENRES
 from .grid import SIDES, Cell, CellLoop, side_edge
 from .orientation import build_bar_graph, orient
 from .tiling import lift_loop
@@ -86,8 +87,6 @@ def reduce_to_genre(
 
 def lift_to_genre(manifest: GenreReductionManifest, cubic_solution: CellLoop):
     """Stitch bank sub-solutions along the source loop into a board solution."""
-    from .genres import GENRES
-
     if manifest.degenerate:
         raise ReductionError("cannot lift through a degenerate (unsolvable) reduction")
     bad = verify_bsl(manifest.source.inner, cubic_solution)

@@ -177,7 +177,7 @@ def test_criterion_6_gadget_certification():
         details.append(f"{genre}={cert.overall}")
     yajilin = load_gadget("yajilin")
     mutated = copy.copy(yajilin)
-    mutated.grey = yajilin.grey - {(0, 1)}
+    mutated.art = {c: ch for c, ch in yajilin.art.items() if c != (0, 1)}
     flipped = certify_gadget(mutated, budget_ms=120000).overall != "yes"
     ok &= flipped
     details.append(f"yajilin-mutation-flips={flipped}")

@@ -24,13 +24,13 @@ def descriptors():
 
 def test_loaded_shapes(descriptors):
     assert (descriptors["yajilin"].tile.width, descriptors["yajilin"].tile.height) == (5, 5)
-    assert descriptors["simple-loop"].shaded == descriptors["yajilin"].grey
+    assert descriptors["simple-loop"].art == descriptors["yajilin"].art
     assert (descriptors["slitherlink"].tile.width, descriptors["slitherlink"].tile.height) == (10, 10)
     assert (descriptors["masyu"].tile.width, descriptors["masyu"].tile.height) == (9, 9)
     # border clue walls: chains of 3s and the two 1s on the top row
     slk = descriptors["slitherlink"]
-    assert slk.clues[(4, 0)] == 1 and slk.clues[(5, 0)] == 1
-    assert sum(1 for v in slk.clues.values() if v == 3) == 24
+    assert slk.art[(4, 0)] == "1" and slk.art[(5, 0)] == "1"
+    assert sum(1 for v in slk.art.values() if v == "3") == 24
 
 
 def test_transform_sets(descriptors):
@@ -104,15 +104,15 @@ def test_yajilin_wall_mutations_flip(descriptors):
     # Wall-critical grey cells: every removal must break a condition.
     for cell in ((0, 1), (0, 4), (1, 4), (4, 3)):
         mutated = copy.copy(descriptors["yajilin"])
-        mutated.grey = descriptors["yajilin"].grey - {cell}
+        mutated.art = {c: ch for c, ch in descriptors["yajilin"].art.items() if c != cell}
         cert = certify_gadget(mutated, budget_ms=120000)
         assert cert.overall == "no", f"removing {cell} should flip a condition"
 
 
 def test_simple_loop_every_mutation_flips(descriptors):
-    for cell in sorted(descriptors["simple-loop"].shaded):
+    for cell in sorted(descriptors["simple-loop"].art):
         mutated = copy.copy(descriptors["simple-loop"])
-        mutated.shaded = descriptors["simple-loop"].shaded - {cell}
+        mutated.art = {c: ch for c, ch in descriptors["simple-loop"].art.items() if c != cell}
         cert = certify_gadget(mutated, budget_ms=120000)
         assert cert.overall == "no", f"removing {cell} should flip a condition"
 
@@ -126,18 +126,21 @@ def test_listing_format(descriptors):
         assert certified.startswith("certified=")
 
 
-def test_zero_clue_flag_fills_grey_cells(descriptors):
-    desc = copy.copy(descriptors["yajilin"])
-    desc.zero_clues = True
-    from loopforge.catalog import assemble_board, RING_2X2
-    from loopforge.genres import GENRES
-
-    board = assemble_board(desc, RING_2X2, 2, 2)
-    assert len(board.clues) == len(board.grey)
-    assert all(n == 0 for _, n, _ in board.clues)
-    result = GENRES["yajilin"].solve(board, budget_ms=30000)
-    assert result.status == "sat"
-    assert GENRES["yajilin"].verify(board, result.solution) is None
+@pytest.mark.parametrize("genre", ["masyu", "slitherlink"])
+def test_missing_bank_pair_fails_without_raising(descriptors, genre):
+    # The large-tile witness seeds are the ring tour lifted through the
+    # bank; a ring tile whose pair is missing fails that pair's (e).
+    desc = descriptors[genre]
+    for missing in sorted(desc.bank, key=sorted):
+        mutated = copy.copy(desc)
+        mutated.bank = {pair: frag for pair, frag in desc.bank.items() if pair != missing}
+        cert = certify_gadget(mutated, budget_ms=60000)
+        assert cert.overall == "no"
+        e = cert.conditions["e"]
+        for entry in e.detail.split("; "):
+            assert "witnessed" in entry or f"no bank fragment for local exit pair {sorted(missing)}" in entry
+        if "no bank fragment" in e.detail:
+            assert e.status == "fail"
 
 
 @pytest.mark.parametrize("genre", ["yajilin", "masyu"])

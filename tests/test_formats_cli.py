@@ -254,15 +254,49 @@ def test_cli_verify_edge_without_row_is_parse_error(name, tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "old,new",
-    [("exits: W 2, E 2, S 2\n", ""), ("tile: 5 5\n", "tile: 9 x\n"), ("exits: W 2,", "exits: W two,")],
-    ids=["no-exits-line", "bad-tile-size", "bad-exit-offset"],
-)
-def test_cli_certify_malformed_descriptor_is_missing_gadget(old, new, tmp_path, monkeypatch, capsys):
-    text = (DEFAULT_CATALOG / "simple_loop.txt").read_text(encoding="utf-8")
+def _catalog_with(tmp_path, monkeypatch, genre, old, new):
+    """Point the catalog at a copy of ``genre``'s descriptor with ``old`` replaced by ``new``."""
+    name = f"{genre.replace('-', '_')}.txt"
+    text = (DEFAULT_CATALOG / name).read_text(encoding="utf-8")
     assert old in text
-    (tmp_path / "simple_loop.txt").write_text(text.replace(old, new), encoding="utf-8")
+    (tmp_path / name).write_text(text.replace(old, new, 1), encoding="utf-8")
     monkeypatch.setenv("LOOPFORGE_CATALOG", str(tmp_path))
-    assert main(["certify", "--genre", "simple-loop"]) == 66
+
+
+@pytest.mark.parametrize(
+    "genre,old,new",
+    [
+        ("simple-loop", "exits: W 2, E 2, S 2\n", ""),
+        ("simple-loop", "tile: 5 5\n", "tile: 9 x\n"),
+        ("simple-loop", "exits: W 2,", "exits: W two,"),
+        ("slitherlink", "[tile]\n.333", "[tile]\n4333"),
+        ("slitherlink", "[tile]\n.333", "[tile]\nx333"),
+        ("masyu", "[tile]\nB", "[tile]\nQ"),
+        ("yajilin", "[tile]\n#", "[tile]\nB"),
+        ("yajilin", "free: N\n", "free: N\nzero_clues: on\n"),
+    ],
+    ids=[
+        "no-exits-line",
+        "bad-tile-size",
+        "bad-exit-offset",
+        "slitherlink-4",
+        "slitherlink-x",
+        "masyu-Q",
+        "yajilin-B",
+        "zero-clues-header",
+    ],
+)
+def test_cli_certify_malformed_descriptor_is_missing_gadget(genre, old, new, tmp_path, monkeypatch, capsys):
+    _catalog_with(tmp_path, monkeypatch, genre, old, new)
+    assert main(["certify", "--genre", genre]) == 66
+    assert "gadget unavailable" in capsys.readouterr().err
+
+
+def test_cli_reduce_and_roundtrip_with_out_of_range_clue_are_missing_gadget(tmp_path, monkeypatch, capsys):
+    _catalog_with(tmp_path, monkeypatch, "slitherlink", "[tile]\n.333", "[tile]\n4333")
+    out = tmp_path / "out.json"
+    assert main(["reduce", fx("bsl_example"), "--to", "slitherlink", "-o", str(out)]) == 66
+    assert "gadget unavailable" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["roundtrip", fx("bsl_example"), "--genre", "slitherlink"]) == 66
     assert "gadget unavailable" in capsys.readouterr().err

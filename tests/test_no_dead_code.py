@@ -5,7 +5,8 @@ code under ``src/`` names outside its own definition is only reachable
 from tests and should be deleted along with them.  Dunder names are
 called by Python itself and are left out.  Likewise every name a module
 imports is read somewhere in that module; ``from __future__`` imports
-are directives, not names, and are left out.
+are directives, not names, and are left out.  Every import sits at
+module level, where an import cycle shows at once.
 """
 
 import ast
@@ -91,3 +92,16 @@ def test_every_import_is_read_in_its_module():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{path.relative_to(SRC)}:{line}: {name}" for name, line in _imported(tree) if name not in read]
     assert unused == []
+
+
+def test_no_import_inside_a_function():
+    nested = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {
+                    f"{path.relative_to(SRC)}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                }
+    assert sorted(nested) == []
