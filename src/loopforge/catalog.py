@@ -260,11 +260,16 @@ def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_
     """The genre puzzle whose art is every placed tile's art, moved through its transform."""
     fw, fh = desc.frame
     tw, th = desc.tile.width, desc.tile.height
+    # The art moved through each transform at the origin: at most 8,
+    # however many tiles share them.
+    oriented: dict[Transform, list[tuple[int, int, str]]] = {}
     art = {}
     for (i, j), t in layout.items():
-        for cell, ch in desc.art.items():
-            c, r = t.apply_cell(tw, th, cell)
-            art[(c + fw * i, r + fh * j)] = ch
+        moved = oriented.get(t)
+        if moved is None:
+            moved = oriented[t] = [(*t.apply_cell(tw, th, cell), ch) for cell, ch in desc.art.items()]
+        ox, oy = fw * i, fh * j
+        art.update(((c + ox, r + oy), ch) for c, r, ch in moved)
     return GENRES[desc.genre].from_art(desc.board_dims(tiles_w, tiles_h), art)
 
 

@@ -117,7 +117,7 @@ class _YajilinSearch(LoopSearch):
                     if self.status[y] == SHADED:
                         return False
                     if self.req[y] != EXACT2:
-                        self.set_req(y, EXACT2)
+                        self.require(y)
                         if not self._node_rules(y):
                             return False
             for ci in self.watch.get(x, ()):
@@ -147,7 +147,7 @@ class _YajilinSearch(LoopSearch):
                 # Remaining ray cells must be visited.
                 for x in undet_nodes:
                     if self.req[x] != EXACT2:
-                        self.set_req(x, EXACT2)
+                        self.require(x)
                         if not self._node_rules(x):
                             return False
             elif shaded + undet == count:

@@ -3,10 +3,15 @@
 The engine works on an abstract graph: nodes are cell centres (or lattice
 dots) and edges are the places a loop segment may lie.  Every edge ends up
 ``IN`` or ``OUT``; nodes carry a degree requirement (``EXACT2`` for cells
-that must be visited, ``OPT`` for cells that may be skipped).  Unit
-propagation enforces degree arithmetic, chains are tracked so a closed
-cycle is detected immediately, and genre-specific rules plug in through
-the ``on_assigned`` / ``node_rules_extra`` / ``accept`` hooks.
+that must be visited, ``OPT`` for cells that may be skipped).  A node's
+requirement only ever rises within a branch (``require``), never falls.
+Unit propagation enforces degree arithmetic.  Chains are tracked by
+their ends.  Whenever an ``IN`` edge grows a chain while a must-visit
+node or another chain is still off it, any undecided edge joining that
+chain's two ends is forced ``OUT``: a premature cycle is propagated
+away, not only detected once it closes.
+Genre-specific rules plug in through the ``on_assigned`` /
+``node_rules_extra`` / ``accept`` hooks.
 
 The search is one loop over an explicit stack with an (edge, trail mark,
 index-order floor) entry for each decision whose ``OUT`` branch has not
@@ -25,7 +30,9 @@ Pruning (degree conflicts, premature closure, bridge/articulation cuts,
 bipartite parity) only ever discards branches that cannot contain a
 valid solution, so exhausting the tree is a proof of unsatisfiability.
 Instances are one-shot: abandoning a solution generator mid-flight
-leaves the state mid-branch.
+leaves the state mid-branch.  A budget is checked before the seeds
+propagate, at every decision and every 4,096 assignments; once it is
+spent the search raises ``SearchTimeout``.
 """
 
 from __future__ import annotations
@@ -130,14 +137,12 @@ class LoopSearch:
     def trail_extra(self, entry: tuple) -> None:
         self.trail.append((3, entry))
 
-    def set_req(self, x: int, value: int) -> None:
-        if self.req[x] != value:
-            self.trail.append((4, x, self.req[x]))
-            if value == EXACT2 and self.in_cnt[x] == 0:
-                self.uncovered += 1
-            elif self.req[x] == EXACT2 and self.in_cnt[x] == 0:
-                self.uncovered -= 1
-            self.req[x] = value
+    def require(self, x: int) -> None:
+        """Raise an ``OPT`` node to ``EXACT2``; within a branch ``req`` only rises."""
+        self.trail.append((4, x))
+        if self.in_cnt[x] == 0:
+            self.uncovered += 1
+        self.req[x] = EXACT2
 
     def _set_partner(self, x: int, val: int) -> None:
         self.trail.append((1, x, self.partner[x]))
@@ -180,6 +185,14 @@ class LoopSearch:
             else:
                 self._set_partner(pu, pv)
                 self._set_partner(pv, pu)
+                # Closing the new chain now would leave a must-visit node or
+                # another chain off the only cycle.  Its interior is fixed
+                # while pu and pv stay its ends and req only rises, so an
+                # edge joining them can never be IN on this branch.
+                if self.uncovered or len(self.ends) > 2:
+                    for e in self.incident[pu]:
+                        if not self.state[e] and pv in self.edges[e]:
+                            self.queue.append((e, OUT))
         else:
             self._out_dirty = True
         if not self._node_rules(u) or not self._node_rules(v):
@@ -222,13 +235,16 @@ class LoopSearch:
                         self.queue.append((ei, OUT))
         return self.node_rules_extra(x)
 
+    def _check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SearchTimeout("search budget exhausted")
+
     def _propagate(self) -> bool:
         queue = self.queue
         while queue:
             self._ticks += 1
-            if self.deadline is not None and self._ticks % 4096 == 0:
-                if time.monotonic() > self.deadline:
-                    raise SearchTimeout("search budget exhausted")
+            if self._ticks % 4096 == 0:
+                self._check_deadline()
             ei, val = queue.popleft()
             if not self._assign(ei, val):
                 queue.clear()
@@ -261,12 +277,10 @@ class LoopSearch:
             elif tag == 2:
                 self.closed = False
             elif tag == 4:
-                old = entry[2]
-                if self.req[entry[1]] == EXACT2 and old != EXACT2 and self.in_cnt[entry[1]] == 0:
+                x = entry[1]
+                self.req[x] = OPT
+                if self.in_cnt[x] == 0:
                     self.uncovered -= 1
-                elif old == EXACT2 and self.req[entry[1]] != EXACT2 and self.in_cnt[entry[1]] == 0:
-                    self.uncovered += 1
-                self.req[entry[1]] = old
             else:
                 self.undo_extra(entry[1])
 
@@ -400,6 +414,7 @@ class LoopSearch:
                 return
         for ei, val in seeds:
             self.queue.append((ei, val))
+        self._check_deadline()
         stack: list[tuple[int, int, int]] = []  # (edge, trail mark, lo) owing OUT
         lo = 0
         ok = self._propagate()
@@ -433,8 +448,7 @@ class LoopSearch:
         None when the branch is dead: every edge is decided without a
         closed cycle, or the periodic cut check fails.
         """
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeout("search budget exhausted")
+        self._check_deadline()
         state = self.state
         ei = None
         if self.branch_frontier and self.ends:

@@ -14,7 +14,9 @@ from loopforge.bsl import (
     verify_bsl,
 )
 from loopforge.errors import CapabilityError
-from loopforge.grid import CellLoop, GridDims, internal_edges
+from loopforge.genres.base import build_cell_graph
+from loopforge.grid import CellLoop, GridDims, edge_sort_key, internal_edges
+from loopforge.search import EXACT2, LoopSearch
 
 
 def barless(w, h):
@@ -67,14 +69,66 @@ def test_backtrack_unsat_cases():
     assert solve_bsl_backtrack(blocked).status == "unsat"
 
 
+def _hamiltonian_cycles(puzzle):
+    """Every Hamiltonian cycle of the board, as edge sets, by plain path extension."""
+    start = next(puzzle.dims.cells())
+    n = puzzle.dims.cell_count
+    path, on_path, cycles = [], {start}, set()
+
+    def extend(cell):
+        for nbr, edge in puzzle.accessible_neighbors(cell):
+            if nbr == start and len(on_path) == n:
+                cycles.add(frozenset(path + [edge]))
+            elif nbr not in on_path:
+                path.append(edge)
+                on_path.add(nbr)
+                extend(nbr)
+                on_path.discard(nbr)
+                path.pop()
+
+    extend(start)
+    return cycles
+
+
+def _small_boards():
+    """Barless 4x4, 3x4 and 2x6, then 200 seeded barred boards up to 4x4."""
+    boards = [barless(4, 4), barless(3, 4), barless(2, 6)]
+    for seed in range(200):
+        rng = random.Random(seed)
+        dims = GridDims(*rng.choice(((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4), (4, 4))))
+        density = rng.choice((0.03, 0.06, 0.1, 0.2))
+        bars = frozenset(e for e in internal_edges(dims) if rng.random() < density)
+        boards.append(BslPuzzle(dims, bars))
+    return boards
+
+
+SMALL_BOARDS = _small_boards()
+
+
+def test_small_corpus_has_sat_and_unsat_boards():
+    counts = [len(_hamiltonian_cycles(p)) for p in SMALL_BOARDS]
+    assert sum(c == 0 for c in counts) >= 50 and sum(c > 1 for c in counts) >= 25
+
+
 def test_backtrack_returns_lexicographically_least():
-    # On a 3x4 barless grid several loops exist; the solver's answer must be
-    # reproducible and minimal against brute-force enumeration of subsets
-    # of the smallest solution size.
-    p = barless(2, 4)
-    first = solve_bsl_backtrack(p).solution
-    again = solve_bsl_backtrack(p).solution
-    assert first.transitions == again.transitions
+    for puzzle in SMALL_BOARDS:
+        cycles = _hamiltonian_cycles(puzzle)
+        result = solve_bsl_backtrack(puzzle)
+        if not cycles:
+            assert result.status == "unsat", puzzle
+            continue
+        least = min(cycles, key=lambda c: sorted(map(edge_sort_key, c)))
+        assert result.status == "sat" and result.solution.transitions == least, puzzle
+
+
+def test_search_enumerates_every_cycle_once():
+    for puzzle in SMALL_BOARDS:
+        edges, pairs, _ = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+        n = puzzle.dims.cell_count
+        search = LoopSearch(n, pairs, [EXACT2] * n, connectivity_every=32)
+        found = [frozenset(edges[i] for i in ids) for ids in search.solutions()]
+        assert len(found) == len(set(found)), puzzle
+        assert set(found) == _hamiltonian_cycles(puzzle), puzzle
 
 
 def test_dp_examples():
