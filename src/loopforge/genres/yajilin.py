@@ -153,7 +153,7 @@ class _YajilinSearch(LoopSearch):
             elif shaded + undet == count:
                 # Remaining ray cells must be shaded: all their edges out.
                 for x in undet_nodes:
-                    for ei in self.incident[x]:
+                    for _, ei in self.incident[x]:
                         if not self.state[ei]:
                             self.queue.append((ei, OUT))
         return True

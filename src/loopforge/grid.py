@@ -189,9 +189,9 @@ class CellLoop:
     transitions: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        for edge in self.transitions:
-            if not is_internal(edge):
-                raise ValueError(f"loop transition {edge} is not an internal edge")
+        if not {edge[0] for edge in self.transitions} <= {"h", "v"}:
+            edge = next(edge for edge in self.transitions if not is_internal(edge))
+            raise ValueError(f"loop transition {edge} is not an internal edge")
 
     def sides(self, cell: Cell) -> list[str]:
         """Sides through which the loop leaves a cell, in ``SIDES`` order."""

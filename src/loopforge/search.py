@@ -29,10 +29,17 @@ guarantee; reruns still produce the identical solution.
 Pruning (degree conflicts, premature closure, bridge/articulation cuts,
 bipartite parity) only ever discards branches that cannot contain a
 valid solution, so exhausting the tree is a proof of unsatisfiability.
+The cut check (``_connected_ok``) walks only the live component, the
+non-``OUT`` edges reachable from a chain end or a must-visit node; the
+count of required nodes comes from counters kept by assignment and
+rollback, so nodes off that component cost nothing.  It runs every
+``connectivity_every`` decisions, and only when an edge went ``OUT``
+since the last run.
 Instances are one-shot: abandoning a solution generator mid-flight
-leaves the state mid-branch.  A budget is checked before the seeds
-propagate, at every decision and every 4,096 assignments; once it is
-spent the search raises ``SearchTimeout``.
+leaves the state mid-branch.  The budget clock starts when the instance
+is built, so set-up counts against it; the deadline is checked before
+the seeds propagate, at every decision and every 4,096 assignments; once
+it is spent the search raises ``SearchTimeout``.
 """
 
 from __future__ import annotations
@@ -60,13 +67,16 @@ class LoopSearch:
         connectivity_every: int = 0,
         branch_frontier: bool = False,
     ):
+        # The budget covers set-up too: the adjacency and the two-colouring.
+        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.n_nodes = n_nodes
         self.edges = edges
         self.req = list(req)
-        self.incident: list[list[int]] = [[] for _ in range(n_nodes)]
+        # (neighbour, edge) pairs of each node, in edge index order.
+        self.incident: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
         for i, (u, v) in enumerate(edges):
-            self.incident[u].append(i)
-            self.incident[v].append(i)
+            self.incident[u].append((v, i))
+            self.incident[v].append((u, i))
         self.state = bytearray(len(edges))
         self.in_cnt = [0] * n_nodes
         self.unk_cnt = [len(self.incident[x]) for x in range(n_nodes)]
@@ -74,7 +84,6 @@ class LoopSearch:
         self.closed = False
         self.trail: list[tuple] = []
         self.queue: deque[tuple[int, int]] = deque()
-        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.connectivity_every = connectivity_every
         # Frontier branching extends an open chain end instead of sweeping
         # edges in index order: far better locality on large boards, still
@@ -85,33 +94,31 @@ class LoopSearch:
         # Must-visit nodes not yet on the loop: a cycle may only close
         # when this reaches zero and no other chain is open.
         self.uncovered = sum(1 for x in range(n_nodes) if self.req[x] == EXACT2)
+        # Nodes with at least one IN edge.
+        self.on_loop = 0
         self._out_dirty = True
         self._last_end = -1
-        self.color = self._two_color()
+        self.side = self._two_color()
         self._calls = 0
         self._ticks = 0
 
-    def _two_color(self) -> Optional[bytearray]:
-        """Bipartition classes of the node graph; None when not bipartite."""
-        color = bytearray(self.n_nodes)
-        seen = bytearray(self.n_nodes)
+    def _two_color(self) -> list[int]:
+        """Bipartition side of each node, +1 or -1; all 0 when not bipartite."""
+        side = [0] * self.n_nodes
         for s in range(self.n_nodes):
-            if seen[s]:
+            if side[s]:
                 continue
-            seen[s] = 1
+            side[s] = 1
             stack = [s]
             while stack:
                 x = stack.pop()
-                for ei in self.incident[x]:
-                    u, v = self.edges[ei]
-                    y = v if u == x else u
-                    if not seen[y]:
-                        seen[y] = 1
-                        color[y] = color[x] ^ 1
+                for y, _ in self.incident[x]:
+                    if not side[y]:
+                        side[y] = -side[x]
                         stack.append(y)
-                    elif color[y] == color[x]:
-                        return None
-        return color
+                    elif side[y] == side[x]:
+                        return [0] * self.n_nodes
+        return side
 
     # ------------------------------------------------------------------
     # genre hooks
@@ -169,6 +176,7 @@ class LoopSearch:
                 if ic == 1:
                     self.ends.add(x)
                     self._last_end = x
+                    self.on_loop += 1
                     if self.req[x] == EXACT2:
                         self.uncovered -= 1
                 else:
@@ -190,8 +198,8 @@ class LoopSearch:
                 # while pu and pv stay its ends and req only rises, so an
                 # edge joining them can never be IN on this branch.
                 if self.uncovered or len(self.ends) > 2:
-                    for e in self.incident[pu]:
-                        if not self.state[e] and pv in self.edges[e]:
+                    for y, e in self.incident[pu]:
+                        if y == pv and not self.state[e]:
                             self.queue.append((e, OUT))
         else:
             self._out_dirty = True
@@ -207,7 +215,7 @@ class LoopSearch:
         if ic == 2:
             if uc:
                 state = self.state
-                for ei in self.incident[x]:
+                for _, ei in self.incident[x]:
                     if not state[ei]:
                         self.queue.append((ei, OUT))
         elif self.req[x] == EXACT2:
@@ -215,7 +223,7 @@ class LoopSearch:
                 return False
             if uc and ic + uc == 2:
                 state = self.state
-                for ei in self.incident[x]:
+                for _, ei in self.incident[x]:
                     if not state[ei]:
                         self.queue.append((ei, IN))
         else:
@@ -224,13 +232,13 @@ class LoopSearch:
                     return False
                 if uc == 1:
                     state = self.state
-                    for ei in self.incident[x]:
+                    for _, ei in self.incident[x]:
                         if not state[ei]:
                             self.queue.append((ei, IN))
             elif ic == 0 and uc == 1:
                 # A lone undecided edge cannot give this node degree 2.
                 state = self.state
-                for ei in self.incident[x]:
+                for _, ei in self.incident[x]:
                     if not state[ei]:
                         self.queue.append((ei, OUT))
         return self.node_rules_extra(x)
@@ -270,8 +278,10 @@ class LoopSearch:
                             self.ends.add(x)
                         else:
                             self.ends.discard(x)
-                            if ic == 0 and self.req[x] == EXACT2:
-                                self.uncovered += 1
+                            if ic == 0:
+                                self.on_loop -= 1
+                                if self.req[x] == EXACT2:
+                                    self.uncovered += 1
             elif tag == 1:
                 self.partner[entry[1]] = entry[2]
             elif tag == 2:
@@ -288,111 +298,90 @@ class LoopSearch:
     # search
 
     def _connected_ok(self) -> bool:
-        """Cut analysis of the non-OUT graph.
+        """Cut analysis of the live component: the non-OUT graph around the loop.
 
         A single closed tour crosses every edge cut an even number of
         times and passes through every node at most once, so a branch is
         dead as soon as a bridge or an articulation node separates two
-        regions that both still hold must-visit or on-loop nodes.
+        regions that both still hold must-visit or on-loop ("required")
+        nodes.  The walk visits only the component of one required node;
+        a required node it misses lies in another component.
         """
-        req = self.req
-        in_cnt = self.in_cnt
-        n = self.n_nodes
-        required = bytearray(n)
-        total_req = 0
-        for x in range(n):
-            if req[x] == EXACT2 or in_cnt[x]:
-                required[x] = 1
-                total_req += 1
+        total_req = self.on_loop + self.uncovered
         if total_req == 0:
             return True
-        start = next(iter(self.ends)) if self.ends else next(
-            x for x in range(n) if required[x]
-        )
+        req = self.req
+        in_cnt = self.in_cnt
+        # Without an open chain nothing is on the loop yet (a closed one
+        # never reaches the check), so the first must-visit node starts.
+        start = next(iter(self.ends)) if self.ends else req.index(EXACT2)
 
         state = self.state
-        edges = self.edges
         incident = self.incident
+        unk_cnt = self.unk_cnt
+        side = self.side
+        n = self.n_nodes
         disc = [0] * n  # 0 = unvisited; discovery times start at 1
         low = [0] * n
-        req_sub = [0] * n
-        parent_edge = [-1] * n
+        holds_req = bytearray(n)  # 1 when the DFS subtree holds a required node
         timer = 1
         disc[start] = low[start] = timer
-        req_sub[start] = required[start]
-        seen_req = required[start]
+        seen_req = 1
+        # Loop parity: bipartition balance of the required nodes, and
+        # whether the component offers an optional stepping stone.
+        balance = side[start]
+        spare = False
         root_parts = 0
-        # Iterative DFS: (node, incident index) with post-processing on pop.
-        stack = [(start, 0)]
-        while stack:
-            x, i = stack.pop()
-            inc = incident[x]
-            advanced = False
-            while i < len(inc):
-                ei = inc[i]
-                i += 1
-                if state[ei] == OUT or ei == parent_edge[x]:
+        # Iterative DFS: x is the node being expanded, it its remaining
+        # (neighbour, edge) pairs and pe the edge it was reached by; the
+        # stack holds the same for each ancestor.
+        x, it, pe = start, iter(incident[start]), -1
+        stack = []
+        while True:
+            for y, ei in it:
+                if ei == pe or state[ei] == OUT:
                     continue
-                u, v = edges[ei]
-                y = v if u == x else u
-                if disc[y]:
-                    if low[x] > disc[y]:
-                        low[x] = disc[y]
+                d = disc[y]
+                if d:
+                    if low[x] > d:
+                        low[x] = d
                     continue
                 timer += 1
                 disc[y] = low[y] = timer
-                req_sub[y] = required[y]
-                seen_req += required[y]
-                parent_edge[y] = ei
-                stack.append((x, i))
-                stack.append((y, 0))
-                advanced = True
-                break
-            if advanced:
-                continue
-            # x is finished: fold into its parent.
-            pe = parent_edge[x]
-            if pe < 0:
-                continue
-            u, v = edges[pe]
-            p = v if u == x else u
-            if low[x] > disc[p]:
-                # Bridge p-x: the subtree under x is reachable only here.
-                if 0 < req_sub[x] < total_req:
-                    return False
-            elif low[x] >= disc[p] and p != start:
-                # p is an articulation node isolating x's subtree.
-                rest = total_req - req_sub[x] - required[p]
-                if req_sub[x] > 0 and rest > 0:
-                    return False
-            if p == start and req_sub[x] > 0:
-                root_parts += 1
-            low[p] = min(low[p], low[x])
-            req_sub[p] += req_sub[x]
-        if seen_req < total_req:
-            return False
-        if root_parts > 1:
-            return False
-        # Loop parity: the single cycle alternates bipartition classes, so
-        # when the live component offers no optional stepping stones, its
-        # must-visit classes have to balance exactly.
-        if self.color is not None:
-            b = w = 0
-            spare = False
-            for x in range(n):
-                if not disc[x]:
-                    continue
-                if required[x]:
-                    if self.color[x]:
-                        b += 1
-                    else:
-                        w += 1
-                elif self.unk_cnt[x]:
+                if req[y] == EXACT2 or in_cnt[y]:
+                    holds_req[y] = 1
+                    seen_req += 1
+                    balance += side[y]
+                elif unk_cnt[y]:
                     spare = True
+                stack.append((x, it, pe))
+                x, it, pe = y, iter(incident[y]), ei
+                break
+            else:
+                # x is finished: fold it into its parent.
+                if not stack:
                     break
-            if not spare and b != w:
-                return False
-        return True
+                p, it, pe = stack.pop()
+                if holds_req[x]:
+                    # The required start lies outside x's subtree, so a
+                    # required node inside it is cut off from the start by
+                    # a bridge p-x or by the articulation node p.
+                    if low[x] > disc[p]:
+                        return False
+                    if p == start:
+                        root_parts += 1
+                    elif low[x] >= disc[p]:
+                        return False
+                    holds_req[p] = 1
+                if low[p] > low[x]:
+                    low[p] = low[x]
+                x = p
+        if seen_req < total_req or root_parts > 1:
+            return False
+        # The single cycle alternates bipartition sides, so when the live
+        # component offers no optional stepping stones, its required
+        # sides have to balance exactly.
+        return spare or not balance
 
     def _sweep_out(self) -> bool:
         state = self.state
@@ -455,7 +444,7 @@ class LoopSearch:
             # Keep extending the chain worked on last; locality makes
             # conflicts surface close to the decisions that caused them.
             x = self._last_end if self._last_end in self.ends else min(self.ends)
-            for e in self.incident[x]:
+            for _, e in self.incident[x]:
                 if not state[e]:
                     ei = e
                     break

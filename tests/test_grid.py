@@ -71,6 +71,11 @@ def test_edge_helpers():
         edge_between((0, 0), (2, 0))
 
 
+def test_cell_loop_names_its_non_internal_edge():
+    with pytest.raises(ValueError, match=r"\('x', 1, 0\) is not an internal edge"):
+        CellLoop(frozenset({("h", 0, 0), ("x", 1, 0), ("v", 0, 0)}))
+
+
 def test_validate_loop_accepts_square():
     assert validate_loop(GridDims(2, 2), SQUARE_2X2, must_visit=GridDims(2, 2).cells()) is None
 

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from loopforge import bsl
-from loopforge.bsl import BslPuzzle, solve_bsl_backtrack, verify_bsl
+from loopforge import bsl, reduction
+from loopforge.bsl import BslPuzzle, CubicBslPuzzle, solve_bsl_backtrack, verify_bsl
 from loopforge.catalog import (
     RING_2X2,
     RING_2X2_TOUR,
@@ -40,7 +40,8 @@ from loopforge.errors import SearchTimeout
 from loopforge.genres import GENRES
 from loopforge.genres.base import build_cell_graph
 from loopforge.grid import GridDims, edge_sort_key, internal_edges
-from loopforge.search import EXACT2, IN, LoopSearch
+from loopforge.search import EXACT2, IN, OPT, OUT, UNKNOWN, LoopSearch
+from test_bsl import SMALL_BOARDS
 
 
 def _digest(solutions) -> str:
@@ -196,6 +197,183 @@ def test_ring_enumeration_counts(genre, count):
     board = assemble_board(load_gadget(genre), RING_2X2, 2, 2)
     solutions = list(GENRES[genre].solve(board, enumerate_all=True))
     assert len(solutions) == len(set(solutions)) == count
+
+
+# Every degenerate cubic source reduces to one two-tile image per genre,
+# which no loop can cover.  (genre, decisions)
+DEGENERATE_PINS = [("masyu", 6), ("simple-loop", 0), ("yajilin", 7)]
+
+
+@pytest.mark.parametrize("genre,calls", DEGENERATE_PINS, ids=[p[0] for p in DEGENERATE_PINS])
+def test_degenerate_image_traversal(monkeypatch, genre, calls):
+    corner = frozenset({("h", 0, 0), ("v", 0, 0)})
+    board, _ = reduction.reduce_to_genre(CubicBslPuzzle(BslPuzzle(GridDims(2, 2), corner)), genre)
+    module = GENRES[genre]
+    searches = _capture(monkeypatch, module)
+    assert module.solve(board, budget_ms=5000).status == "unsat"
+    assert searches[0]._calls == calls
+
+
+def _reach(n: int, pairs, start: int) -> list:
+    """Breadth-first distances from ``start`` over ``pairs``; None where unreached."""
+    adj = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = [None] * n
+    dist[start] = 0
+    todo = [start]
+    for x in todo:
+        for y in adj[x]:
+            if dist[y] is None:
+                dist[y] = dist[x] + 1
+                todo.append(y)
+    return dist
+
+
+def _split(n: int, pairs, required: set) -> bool:
+    """Whether the nodes in ``required`` lie in more than one component."""
+    if not required:
+        return False
+    dist = _reach(n, pairs, min(required))
+    return any(dist[x] is None for x in required)
+
+
+def _brute_cut_ok(search: LoopSearch) -> bool:
+    """The verdict of ``_connected_ok`` by exhaustion.
+
+    Required nodes are the must-visit and on-loop ones.  The branch is
+    dead when they do not share one component of the non-OUT graph, when
+    removing any one node or edge splits them, or when the graph is
+    bipartite, the live component has no optional node with an undecided
+    edge, and the required nodes are not split evenly between the sides.
+    """
+    n = search.n_nodes
+    live = [e for e, st in zip(search.edges, search.state) if st != OUT]
+    required = {x for x in range(n) if search.req[x] == EXACT2 or search.in_cnt[x]}
+    if not required:
+        return True
+    if _split(n, live, required):
+        return False
+    for x in range(n):
+        if _split(n, [e for e in live if x not in e], required - {x}):
+            return False
+    for i in range(len(live)):
+        if _split(n, live[:i] + live[i + 1:], required):
+            return False
+    side = [None] * n
+    for x in range(n):
+        if side[x] is None:
+            for y, d in enumerate(_reach(n, search.edges, x)):
+                if d is not None:
+                    side[y] = d % 2
+    if any(side[u] == side[v] for u, v in search.edges):
+        return True
+    undecided = [0] * n
+    for (u, v), st in zip(search.edges, search.state):
+        if st == UNKNOWN:
+            undecided[u] += 1
+            undecided[v] += 1
+    dist = _reach(n, live, min(required))
+    if any(dist[x] is not None and x not in required and undecided[x] for x in range(n)):
+        return True
+    return 2 * sum(side[x] for x in required) == len(required)
+
+
+def _compare_cuts(monkeypatch, every: int = 1) -> list[bool]:
+    """Check ``_connected_ok`` against the brute force before every ``every``-th decision."""
+    verdicts = []
+    original = LoopSearch._branch
+
+    def branch(self, lo):
+        if self._calls % every == 0:
+            fast = self._connected_ok()
+            assert fast == _brute_cut_ok(self)
+            verdicts.append(fast)
+        return original(self, lo)
+
+    monkeypatch.setattr(LoopSearch, "_branch", branch)
+    return verdicts
+
+
+def test_cut_check_matches_brute_force_on_small_boards(monkeypatch):
+    verdicts = _compare_cuts(monkeypatch)
+    odd = [BslPuzzle(GridDims(5, 5), frozenset()), BslPuzzle(GridDims(5, 7), frozenset())]
+    for puzzle in SMALL_BOARDS + odd:
+        _, pairs, _ = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+        n = puzzle.dims.cell_count
+        list(LoopSearch(n, pairs, [EXACT2] * n, connectivity_every=1).solutions())
+    assert True in verdicts and False in verdicts
+
+
+def test_cut_check_matches_brute_force_on_random_states():
+    """Random assignments reach bridges and cut nodes that the solvers' propagation avoids."""
+    verdicts = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        dims = GridDims(rng.randint(3, 6), rng.randint(3, 6))
+        _, pairs, _ = build_cell_graph(dims)
+        n = dims.cell_count
+        search = LoopSearch(n, pairs, [EXACT2 if rng.random() < 0.6 else OPT for _ in range(n)])
+        order = list(range(len(pairs)))
+        rng.shuffle(order)
+        for ei in order:
+            mark = len(search.trail)
+            search.queue.append((ei, IN if rng.random() < 0.3 else OUT))
+            if not search._propagate() or search.closed:
+                search._rollback(mark)
+                continue
+            fast = search._connected_ok()
+            assert fast == _brute_cut_ok(search), seed
+            verdicts.append(fast)
+    assert True in verdicts and False in verdicts
+
+
+def _grid3(ids: list[int]) -> list[tuple[int, int]]:
+    """Edges of a 3x3 grid whose nodes, row by row, are ``ids``."""
+    return [(ids[i], ids[i + 1]) for i in range(9) if i % 3 < 2] + [(ids[i], ids[i + 3]) for i in range(6)]
+
+
+@pytest.mark.parametrize(
+    "pairs,must_visit",
+    [
+        # Two optional 3x3 grids joined by the bridge 0-9: its two ends
+        # can only meet across it once.
+        ([(0, 9)] + _grid3(list(range(9))) + _grid3(list(range(9, 18))), ()),
+        # Two 3x3 grids sharing the corner 0, each with a must-visit centre.
+        (_grid3(list(range(9))) + _grid3([0] + list(range(9, 17))), (4, 12)),
+    ],
+    ids=["bridge", "cut-node"],
+)
+def test_cut_at_the_chain_end_is_dead(pairs, must_visit):
+    """The walk starts at the chain end 0, so a cut there needs its own rule."""
+    n = max(map(max, pairs)) + 1
+    search = LoopSearch(n, pairs, [EXACT2 if x in must_visit else OPT for x in range(n)])
+    search.queue.append((0, IN))
+    assert search._propagate() and next(iter(search.ends)) == 0
+    assert search._connected_ok() is _brute_cut_ok(search) is False
+
+
+def test_cut_check_matches_brute_force_on_rings(monkeypatch):
+    required = []
+    require = LoopSearch.require
+    monkeypatch.setattr(LoopSearch, "require", lambda self, x: required.append(x) or require(self, x))
+    seen = []
+    # Slitherlink's 21x21 dot grid makes one brute-force pass take about
+    # 0.2 s, so its ring is compared at every 40th decision only.
+    for genre, every in (("masyu", 1), ("simple-loop", 1), ("slitherlink", 40), ("yajilin", 1)):
+        board, seeds = _ring_board(genre, 2)
+        with monkeypatch.context() as m:
+            verdicts = _compare_cuts(m, every)
+            assert GENRES[genre].solve(board, seeds_in=seeds).status == "sat"
+        seen += verdicts
+    # The unseeded Yajilin ring shades cells, which raises their
+    # neighbours to must-visit through ``require``.
+    verdicts = _compare_cuts(monkeypatch)
+    assert GENRES["yajilin"].solve(assemble_board(load_gadget("yajilin"), RING_2X2, 2, 2)).status == "sat"
+    assert required and verdicts
+    seen += verdicts
+    assert True in seen and False in seen
 
 
 def test_spent_budget_stops_before_the_seeds_propagate():
