@@ -19,7 +19,7 @@ from ..grid import (
     side_edge,
 )
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import build_cell_graph, check_art, run_search
+from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,5 +211,7 @@ def solve(
     enumerate_all: bool = False,
 ):
     edges, pairs, index = build_cell_graph(puzzle.dims)
-    search = _MasyuSearch(puzzle, edges, pairs, index, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True)
+    search = _MasyuSearch(
+        puzzle, edges, pairs, index, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
+    )
     return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

@@ -7,7 +7,7 @@ from typing import Optional
 
 from ..grid import Cell, CellLoop, GridDims, Violation, validate_loop
 from ..search import EXACT2, OPT, LoopSearch
-from .base import build_cell_graph, check_art, run_search
+from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,5 +44,7 @@ def solve(
     req = [EXACT2] * n
     for cell in puzzle.shaded:
         req[index[cell]] = OPT  # no incident edges, never required
-    search = LoopSearch(n, pairs, req, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True)
+    search = LoopSearch(
+        n, pairs, req, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
+    )
     return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

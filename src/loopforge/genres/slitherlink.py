@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..grid import Cell, CellLoop, Edge, GridDims, Violation, loop_ids
 from ..search import OPT, OUT, LoopSearch
-from .base import build_cell_graph, check_art, run_search
+from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,6 +115,6 @@ def solve(
 ):
     edges, pairs, dots = build_cell_graph(GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1))
     search = _SlitherlinkSearch(
-        puzzle, edges, pairs, len(dots), budget_ms=budget_ms, connectivity_every=1, branch_frontier=True
+        puzzle, edges, pairs, len(dots), budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )
     return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

@@ -9,7 +9,7 @@ from typing import Optional
 
 from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, loop_ids
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import build_cell_graph, check_art, run_search
+from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
 
 UNDET, VISITED, SHADED = 0, 1, 2
 
@@ -171,6 +171,6 @@ def solve(
 ):
     edges, pairs, index = build_cell_graph(puzzle.dims, closed=puzzle.grey)
     search = _YajilinSearch(
-        puzzle, edges, pairs, index, budget_ms=budget_ms, connectivity_every=1, branch_frontier=True
+        puzzle, edges, pairs, index, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )
     return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

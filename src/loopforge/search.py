@@ -32,9 +32,10 @@ valid solution, so exhausting the tree is a proof of unsatisfiability.
 The cut check (``_connected_ok``) walks only the live component, the
 non-``OUT`` edges reachable from a chain end or a must-visit node; the
 count of required nodes comes from counters kept by assignment and
-rollback, so nodes off that component cost nothing.  It runs every
-``connectivity_every`` decisions, and only when an edge went ``OUT``
-since the last run.
+rollback, so nodes off that component cost nothing.  It runs at every
+``connectivity_every``-th decision, and only when an edge went ``OUT``
+since the last run: every 4th for the genre solvers
+(``genres.base.CUT_CHECK_EVERY``), every 32nd for BSL backtracking.
 Instances are one-shot: abandoning a solution generator mid-flight
 leaves the state mid-branch.  The budget clock starts when the instance
 is built, so set-up counts against it; the deadline is checked before
