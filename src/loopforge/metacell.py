@@ -13,12 +13,14 @@ is solvable exactly when the source is.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .bsl import BslPuzzle, CubicBslPuzzle, check_cubic, verify_bsl
 from .errors import FormatError, ReductionError
+from .genres.base import build_cell_graph
 from .grid import (
     SIDES,
     Cell,
@@ -28,8 +30,8 @@ from .grid import (
     checkerboard_color,
     edge_between,
     internal_edges,
-    neighbors,
 )
+from .search import EXACT2, LoopSearch
 from .tileart import parse_bar_grid, strip_comments
 from .tiling import crossing_edge, lift_loop, place_fragment
 from .transforms import Transform
@@ -52,14 +54,8 @@ class MetacellTemplate:
     dims: GridDims
     bars: frozenset[Edge]
     exits: tuple[tuple[str, Cell], ...]  # (side, border cell) for N, E, S, W
-    _bank: dict[frozenset, frozenset[Edge]] = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def bank(self) -> dict[frozenset, frozenset[Edge]]:
-        """Covering-tour transitions per opening pair, searched for on first use."""
-        if not self._bank:
-            self._bank.update(build_metacell_bank(self))
-        return self._bank
+    # Covering-tour transitions per opening pair; load_metacell fills it.
+    bank: dict[frozenset, frozenset[Edge]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def frame(self) -> tuple[int, int]:
@@ -80,7 +76,11 @@ class MetacellTemplate:
 
 
 def load_metacell(path: Optional[Path] = None) -> MetacellTemplate:
-    """Load and certify the block template; any invariant failure raises."""
+    """Load and certify the block template and search its bank.
+
+    Any invariant failure raises, and so does a pair of openings with no
+    covering tour.
+    """
     text = (path or _DATA_PATH).read_text(encoding="utf-8")
     bars, exits = parse_bar_grid(strip_comments(text), TEMPLATE_W, TEMPLATE_H)
     if sorted(exits) != sorted(SIDES):
@@ -93,14 +93,15 @@ def load_metacell(path: Optional[Path] = None) -> MetacellTemplate:
     problem = _certify_template(template)
     if problem is not None:
         raise FormatError(f"metacell template rejected: {problem}")
-    return template
+    return replace(template, bank=build_metacell_bank(template))
 
 
 @functools.cache
 def default_metacell() -> MetacellTemplate:
     """The packaged template, loaded and certified once per process.
 
-    Callers share the one object, so its bank is searched once as well.
+    Callers share the one object, so its bank is searched once as well:
+    ``load_metacell`` searches it before it returns.
     """
     return load_metacell()
 
@@ -137,58 +138,45 @@ def _certify_template(template: MetacellTemplate) -> Optional[str]:
 # ----------------------------------------------------------------------
 # solution bank
 
-def _covering_path(template: MetacellTemplate, start: Cell, goal: Cell) -> Optional[list[Cell]]:
-    """First tour of all 35 cells from start to goal, canonical order."""
-    dims = template.dims
-    adj: dict[Cell, list[Cell]] = {}
-    for cell in dims.cells():
-        adj[cell] = [n for n, e in neighbors(dims, cell) if e not in template.bars]
-    total = dims.cell_count
-    visited = {start}
-    path = [start]
-
-    def reachable_ok(cur: Cell) -> bool:
-        seen = {cur}
-        stack = [cur]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in visited and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return all(c in seen or c in visited for c in adj)
-
-    def rec(cur: Cell) -> bool:
-        if len(path) == total:
-            return cur == goal
-        if not reachable_ok(cur):
-            return False
-        for nxt in adj[cur]:
-            if nxt in visited or (nxt == goal and len(path) != total - 1):
-                continue
-            visited.add(nxt)
-            path.append(nxt)
-            if rec(nxt):
-                return True
-            visited.remove(nxt)
-            path.pop()
-        return False
-
-    return path if rec(start) else None
-
-
 def build_metacell_bank(template: MetacellTemplate) -> dict[frozenset, frozenset[Edge]]:
-    """Derive a covering tour's transitions for each of the six opening pairs by search."""
-    sides = [side for side, _ in template.exits]
-    fragments: dict[frozenset, frozenset[Edge]] = {}
-    for i in range(len(sides)):
-        for j in range(i + 1, len(sides)):
-            a, b = sides[i], sides[j]
-            cells = _covering_path(template, template.exit_cell(a), template.exit_cell(b))
-            if cells is None:
-                raise FormatError(f"no covering tour between openings {a} and {b}")
-            fragments[frozenset((a, b))] = frozenset(edge_between(x, y) for x, y in zip(cells, cells[1:]))
-    return fragments
+    """A covering tour's transitions for each of the six opening pairs.
+
+    Of a pair's tours the bank keeps the one whose cells, walked from the
+    pair's first opening in ``SIDES`` order and read as (row, col), come
+    first.  That rule keeps the tours the bank has always held, so lifted
+    solutions stay byte-identical; the search's own first tour differs
+    on N-W and E-W.
+    """
+    bank: dict[frozenset, frozenset[Edge]] = {}
+    for a, b in itertools.combinations(SIDES, 2):
+        best = min(_covering_tours(template, a, b), key=lambda tour: [(r, c) for c, r in tour], default=None)
+        if best is None:
+            raise FormatError(f"no covering tour between openings {a} and {b}")
+        bank[frozenset((a, b))] = frozenset(edge_between(x, y) for x, y in zip(best, best[1:]))
+    return bank
+
+
+def _covering_tours(template: MetacellTemplate, a: str, b: str) -> Iterator[list[Cell]]:
+    """Every tour of all 35 cells from opening ``a``'s cell to opening ``b``'s.
+
+    An extra node joined to the two exit cells closes each tour into a
+    loop through all 36 nodes, which ``LoopSearch`` enumerates.
+    """
+    _, pairs, index = build_cell_graph(template.dims, bars=template.bars)
+    cells = list(index)
+    extra, start = len(cells), index[template.exit_cell(a)]
+    graph = pairs + [(extra, start), (extra, index[template.exit_cell(b)])]
+    for loop in LoopSearch(extra + 1, graph, [EXACT2] * (extra + 1)).solutions():
+        nbrs: dict[int, list[int]] = {}
+        for ei in loop:
+            u, v = graph[ei]
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+        path = [extra, start]
+        while len(path) < len(loop):
+            x, y = nbrs[path[-1]]
+            path.append(y if x == path[-2] else x)
+        yield [cells[x] for x in path[1:]]
 
 
 # ----------------------------------------------------------------------

@@ -96,16 +96,9 @@ def orient(adjacency: Adjacency) -> dict[Cell, str]:
         if v[0] == "cell" and len(adjacency[v]) == 2:
             directions[(v[1], v[2])] = _direction_of(via, (v[1], v[2]))
 
-    for v in sorted(adjacency, key=_vertex_key):
-        if v in visited or not adjacency[v]:
-            continue
-        if len(adjacency[v]) == 1:
-            # Path endpoint: orient away from the canonical-least endpoint.
-            visited.add(v)
-            walk(v, adjacency[v][0])
-        # Degree-2 vertices whose component has an endpoint are reached by
-        # the walk above; anything left over is a cycle.
-    for v in sorted(adjacency, key=_vertex_key):
+    # Path endpoints (degree 1) first, so each path is walked away from
+    # its canonical-least endpoint; whatever is left after that is a cycle.
+    for v in sorted(adjacency, key=lambda v: (len(adjacency[v]) != 1, _vertex_key(v))):
         if v in visited or not adjacency[v]:
             continue
         visited.add(v)

@@ -16,6 +16,11 @@ iteration order) also reported the smaller one.
 ``CERTIFY`` pins the canonical JSON of ``loopforge certify`` for each
 genre without its wall-clock ``elapsed_ms``, and ``SOLVE`` the stdout of
 ``loopforge solve`` on each example fixture.
+
+``BANK`` pins the metacell's six covering tours, as canonical JSON of
+each opening pair ("N-E", ...) and its sorted edges.  The fixture lifts
+only three pairs, so the digests above would miss a changed tour on the
+other three.
 """
 
 import hashlib
@@ -26,7 +31,8 @@ import pytest
 from conftest import FIXTURES, fixture_puzzle, fixture_solution
 from loopforge import formats
 from loopforge.cli import main
-from loopforge.metacell import lift_to_cubic, reduce_to_cubic
+from loopforge.grid import SIDES, edge_sort_key
+from loopforge.metacell import default_metacell, lift_to_cubic, reduce_to_cubic
 from loopforge.reduction import lift_to_genre, reduce_to_genre
 
 GOLDEN = {
@@ -87,6 +93,8 @@ SOLVE = {
     "slitherlink_example": "148382c1d37534c1974676a2dee7d8e97129f48c017366f392d4d02619255904",
     "yajilin_example": "3a27bb1b2bd65e64ddf0d4921083252d571fdc503b1d0834720c3b7f950a9853",
 }
+
+BANK = "4279e4223b4a9a021bddb9bbe865cb185d8ee0167962452683a71c81c2db9c56"
 
 
 def _digest(doc: dict) -> str:
@@ -156,3 +164,11 @@ def test_certify_report_byte_identical(genre, capsys):
 def test_solve_output_byte_identical(name, capsys):
     assert main(["solve", str(FIXTURES / f"{name}.json")]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == SOLVE[name]
+
+
+def test_metacell_bank_byte_identical():
+    doc = {
+        "-".join(side for side in SIDES if side in pair): [list(e) for e in sorted(edges, key=edge_sort_key)]
+        for pair, edges in default_metacell().bank.items()
+    }
+    assert _digest(doc) == BANK

@@ -1,13 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from conftest import fixture_puzzle, fixture_solution, lifted_opening_pairs
 from loopforge.bsl import BslPuzzle, check_cubic, solve_bsl_dp, verify_bsl
-from loopforge.errors import ReductionError
-from loopforge.grid import CellLoop, GridDims, checkerboard_color, edge_cells, edge_sort_key, internal_edges
+from loopforge.errors import FormatError, ReductionError
+from loopforge.grid import SIDES, CellLoop, GridDims, checkerboard_color, edge_cells, edge_sort_key, internal_edges
 from loopforge.metacell import (
-    MetacellTemplate,
+    _DATA_PATH,
+    _covering_tours,
     lift_to_cubic,
     load_metacell,
     project_from_cubic,
@@ -31,10 +33,6 @@ def test_template_invariants(template):
     assert check_cubic(BslPuzzle(template.dims, template.bars)) == []
 
 
-def with_bank(template, bank) -> MetacellTemplate:
-    return MetacellTemplate(template.dims, template.bars, template.exits, _bank=bank)
-
-
 def test_bank_covers_all_six_pairs(template):
     # Every lift is verified against the image, so each fragment the six
     # barless 4x4 cycles use is a covering tour between its openings.
@@ -42,18 +40,27 @@ def test_bank_covers_all_six_pairs(template):
     assert lifted_opening_pairs(template) == set(template.bank)
 
 
+def test_tour_counts_per_pair(template):
+    # The cubic stage is not parsimonious: a source solution has a
+    # product of these counts as images.
+    counts = {
+        f"{a}-{b}": sum(1 for _ in _covering_tours(template, a, b)) for a, b in itertools.combinations(SIDES, 2)
+    }
+    assert counts == {"N-E": 2, "N-S": 2, "N-W": 2, "E-S": 2, "E-W": 8, "S-W": 2}
+
+
 def test_bank_mutation_detected(template):
     for pair, frag in template.bank.items():
         dropped = frozenset(sorted(frag, key=edge_sort_key)[1:])
         with pytest.raises(ReductionError, match="lifted solution invalid"):
-            lifted_opening_pairs(with_bank(template, {**template.bank, pair: dropped}))
+            lifted_opening_pairs(replace(template, bank={**template.bank, pair: dropped}))
 
 
 def test_bank_missing_pair(template):
     for pair in template.bank:
         partial = {k: v for k, v in template.bank.items() if k != pair}
         with pytest.raises(ReductionError, match="no bank fragment"):
-            lifted_opening_pairs(with_bank(template, partial))
+            lifted_opening_pairs(replace(template, bank=partial))
 
 
 def test_reduce_size_law():
@@ -160,8 +167,6 @@ def test_checkerboard_exactly_once():
 
 
 def test_loader_rejects_malformed_template(tmp_path):
-    from loopforge.metacell import _DATA_PATH
-
     good = _DATA_PATH.read_text()
     # Unbar one interior edge: a cell gains a fourth accessible neighbour.
     lines = [l for l in good.splitlines() if not l.startswith(";")]
@@ -174,9 +179,19 @@ def test_loader_rejects_malformed_template(tmp_path):
     assert "rejected" in str(exc.value)
 
 
-def test_loader_rejects_missing_exit(tmp_path):
-    from loopforge.metacell import _DATA_PATH
+def test_loader_rejects_template_without_a_tour(tmp_path):
+    # Bar the west side of cell (1, 0): its only open side left is east,
+    # so no tour visits it, yet every cubicity and opening check passes.
+    good = _DATA_PATH.read_text()
+    lines = [l for l in good.splitlines() if not l.startswith(";")]
+    assert lines[1] == "#.........#"
+    bad = tmp_path / "metacell.txt"
+    bad.write_text(good.replace("#.........#", "#.#.......#", 1))
+    with pytest.raises(FormatError, match="no covering tour"):
+        load_metacell(bad)
 
+
+def test_loader_rejects_missing_exit(tmp_path):
     broken = _DATA_PATH.read_text().replace("+N+#+#+#+#+", "+#+#+#+#+#+", 1)
     bad = tmp_path / "metacell.txt"
     bad.write_text(broken)
@@ -186,8 +201,6 @@ def test_loader_rejects_missing_exit(tmp_path):
 
 
 def test_loader_rejects_wrong_shape(tmp_path):
-    from loopforge.metacell import _DATA_PATH
-
     lines = [l for l in _DATA_PATH.read_text().splitlines() if l and not l.startswith(";")]
     bad = tmp_path / "metacell.txt"
     bad.write_text("\n".join(lines[:-2]))

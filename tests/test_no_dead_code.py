@@ -105,3 +105,26 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 }
     assert sorted(nested) == []
+
+
+def _calls_itself(fn: ast.FunctionDef) -> bool:
+    """Whether ``fn``'s body calls ``fn`` by name, or as ``self``'s or ``cls``'s method."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                if f.value.id in ("self", "cls") and f.attr == fn.name:
+                    return True
+    return False
+
+
+def test_no_function_calls_itself():
+    # Searches keep an explicit stack, so depth never meets the recursion limit.
+    recursive = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(fn):
+                recursive.append(f"{path.relative_to(SRC)}:{fn.lineno}: {fn.name}")
+    assert recursive == []
