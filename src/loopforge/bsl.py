@@ -17,6 +17,7 @@ from . import dp
 from .errors import CapabilityError
 from .genres.base import SolveResult, build_cell_graph, run_search
 from .grid import (
+    SIDE_DELTAS,
     Cell,
     CellLoop,
     Edge,
@@ -26,6 +27,7 @@ from .grid import (
     edge_sort_key,
     is_internal,
     neighbors,
+    side_edge,
     validate_loop,
 )
 from .search import EXACT2, LoopSearch
@@ -82,9 +84,23 @@ def check_cubic(puzzle: BslPuzzle) -> list[Cell]:
     return [cell for cell in puzzle.dims.cells() if len(puzzle.accessible_neighbors(cell)) > 3]
 
 
+def open_sides(puzzle: BslPuzzle) -> dict[Cell, set[str]]:
+    """Each cell's sides that lead to a neighbour on the grid across no bar,
+    with the cells in row-major order."""
+    w, h, bars = puzzle.dims.width, puzzle.dims.height, puzzle.bars
+    return {
+        (c, r): {
+            side
+            for side, (dc, dr) in SIDE_DELTAS.items()
+            if 0 <= c + dc < w and 0 <= r + dr < h and side_edge((c, r), side) not in bars
+        }
+        for c, r in puzzle.dims.cells()
+    }
+
+
 def degenerate_cells(puzzle: BslPuzzle) -> list[Cell]:
     """Cells with fewer than two accessible neighbours; any one proves unsat."""
-    return [cell for cell in puzzle.dims.cells() if len(puzzle.accessible_neighbors(cell)) < 2]
+    return [cell for cell, sides in open_sides(puzzle).items() if len(sides) < 2]
 
 
 def solve_bsl_backtrack(puzzle: BslPuzzle, budget_ms: Optional[float] = None) -> SolveResult:

@@ -60,30 +60,32 @@ def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
     loop = loop_ids(w, puzzle.dims.height, sol.transitions)
     if isinstance(loop, Violation):
         return loop
-    east, south = loop.east, loop.south
+    # A pearl at id p reads the sides it leaves through (north south[p - w],
+    # south south[p], east east[p], west east[p - 1]) and the same side of
+    # the neighbour beyond, which is set when the loop runs straight on
+    # through that neighbour.  Look-ups off the grid read the zero padding.
+    east, south, visited = loop.east, loop.south, loop.visited
     for (c, r), colour in puzzle.pearls:
         p = r * w + c
-        if p not in loop.visited:
+        if not visited[p]:
             return Violation("pearl", "pearl not on the loop", cell=(c, r))
-        # Sides N, E, S, W the loop leaves p through, each with whether the
-        # loop runs on straight beyond that neighbour (else it turns there).
-        sides = (
-            (p - w in south, p - 2 * w in south),
-            (p in east, p + 1 in east),
-            (p in south, p + w in south),
-            (p - 1 in east, p - 2 in east),
-        )
-        continues = [beyond for used, beyond in sides if used]
-        straight_here = (sides[0][0] and sides[2][0]) or (sides[1][0] and sides[3][0])
+        north_in, south_in, east_in, west_in = south[p - w], south[p], east[p], east[p - 1]
         if colour == "white":
-            if not straight_here:
+            if north_in and south_in:
+                turns = not (south[p - 2 * w] and south[p + w])
+            elif east_in and west_in:
+                turns = not (east[p + 1] and east[p - 2])
+            else:
                 return Violation("pearl", "loop must run straight through a white pearl", cell=(c, r))
-            if all(continues):
+            if not turns:
                 return Violation("pearl", "neither side of a white pearl turns", cell=(c, r))
         else:
-            if straight_here:
+            if (north_in and south_in) or (east_in and west_in):
                 return Violation("pearl", "loop must turn on a black pearl", cell=(c, r))
-            if not all(continues):
+            # A visited pearl that does not run straight uses one side of each axis.
+            vertical = south[p - 2 * w] if north_in else south[p + w]
+            horizontal = east[p + 1] if east_in else east[p - 2]
+            if not (vertical and horizontal):
                 return Violation("pearl", "loop must run straight beside a black pearl", cell=(c, r))
     return None
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..grid import Cell, CellLoop, GridDims, Violation, validate_loop
+from ..grid import Cell, CellLoop, GridDims, Violation, loop_ids
 from ..search import EXACT2, OPT, LoopSearch
 from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
 
@@ -28,8 +28,14 @@ def from_art(dims: GridDims, art: dict[Cell, str]) -> SimpleLoopPuzzle:
 
 def verify(puzzle: SimpleLoopPuzzle, sol: CellLoop) -> Optional[Violation]:
     """The loop must visit exactly the unshaded cells."""
-    unshaded = [c for c in puzzle.dims.cells() if c not in puzzle.shaded]
-    return validate_loop(puzzle.dims, sol, must_visit=unshaded)
+    w, h = puzzle.dims.width, puzzle.dims.height
+    loop = loop_ids(w, h, sol.transitions)
+    if isinstance(loop, Violation):
+        return loop
+    unshaded = bytearray(b"\1" * (w * h))
+    for c, r in puzzle.shaded:
+        unshaded[r * w + c] = 0
+    return loop.cover(unshaded)
 
 
 def solve(

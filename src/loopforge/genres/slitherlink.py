@@ -56,7 +56,7 @@ def verify(puzzle: SlitherlinkPuzzle, sol: CellLoop) -> Optional[Violation]:
     east, south = loop.east, loop.south
     for (c, r), count in puzzle.clues:
         d = r * dw + c
-        got = (d in east) + (d + dw in east) + (d in south) + (d + 1 in south)
+        got = east[d] + east[d + dw] + south[d] + south[d + 1]
         if got != count:
             return Violation("clue", f"cell has {got} edges, expected {count}", cell=(c, r))
     return None

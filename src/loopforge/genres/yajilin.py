@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, loop_ids
+from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, least_cell, loop_ids
 from ..search import EXACT2, OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
 
@@ -51,18 +51,27 @@ def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:
     loop = loop_ids(w, h, sol.transitions)
     if isinstance(loop, Violation):
         return loop
-    grey = {r * w + c for c, r in puzzle.grey}
-    hit = loop.visited & grey
+    # Cell masks as little-endian integers, one 0/1 byte per flat id.
+    n = w * h
+    grey_mask = bytearray(n)
+    for c, r in puzzle.grey:
+        grey_mask[r * w + c] = 1
+    grey = int.from_bytes(grey_mask, "little")
+    visited = int.from_bytes(loop.visited, "little")
+    hit = visited & grey
     if hit:
-        return Violation("grey", "loop passes through a grey cell", cell=loop.least(hit))
-    shaded = set(range(w * h)) - loop.visited - grey
+        return Violation("grey", "loop passes through a grey cell", cell=least_cell(w, hit.to_bytes(n, "little")))
+    shaded = int.from_bytes(b"\1" * n, "little") ^ visited ^ grey
     # A shaded cell whose east neighbour (not across the row end) or south
     # neighbour is shaded too.
-    touching = {i for i in shaded if (i + 1 in shaded and i % w != w - 1) or i + w in shaded}
+    not_last_column = int.from_bytes((b"\1" * (w - 1) + b"\0") * h, "little")
+    touching = shaded & (((shaded >> 8) & not_last_column) | (shaded >> (8 * w)))
     if touching:
-        return Violation("shading", "two shaded cells are adjacent", cell=loop.least(touching))
+        cell = least_cell(w, touching.to_bytes(n, "little"))
+        return Violation("shading", "two shaded cells are adjacent", cell=cell)
+    shaded_mask = shaded.to_bytes(n, "little")
     for cell, count, direction in puzzle.clues:
-        got = sum(r * w + c in shaded for c, r in puzzle.ray(cell, direction))
+        got = sum(shaded_mask[r * w + c] for c, r in puzzle.ray(cell, direction))
         if got != count:
             return Violation("clue", f"arrow count is {got}, expected {count}", cell=cell)
     return None

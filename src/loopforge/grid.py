@@ -16,7 +16,6 @@ order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -190,7 +189,7 @@ class CellLoop:
 
     def __post_init__(self) -> None:
         if not {edge[0] for edge in self.transitions} <= {"h", "v"}:
-            edge = next(edge for edge in self.transitions if not is_internal(edge))
+            edge = min(edge for edge in self.transitions if not is_internal(edge))
             raise ValueError(f"loop transition {edge} is not an internal edge")
 
     def sides(self, cell: Cell) -> list[str]:
@@ -216,27 +215,61 @@ class Violation:
         return f"{self.code}: {self.message}{where}"
 
 
+def least_cell(width: int, mask: bytes) -> Cell:
+    """The smallest flat id whose byte in ``mask`` is nonzero, as a cell in
+    (col, row) order.  ``mask`` must have a nonzero byte."""
+    for c in range(width):
+        column = mask[c::width]
+        row = len(column) - len(column.lstrip(b"\0"))
+        if row < len(column):
+            return (c, row)
+    raise ValueError("mask has no nonzero byte")
+
+
 @dataclass(frozen=True, slots=True)
 class LoopIds:
-    """A single closed loop on flat cell ids ``r * width + c``.
+    """A single closed loop on flat cell ids ``i = r * width + c``.
 
-    ``east`` holds the ids whose east side the loop crosses (its "h"
-    edges), ``south`` those whose south side it crosses ("v" edges), and
-    ``visited`` every id on the loop.
+    ``east``, ``south`` and ``visited`` are byte arrays holding 1 or 0 per
+    id: whether the loop crosses id i's east side (an "h" edge), its south
+    side (a "v" edge), and whether id i is on the loop.  ``visited`` has
+    one byte per id.  ``east`` has one spare zero byte at the end and
+    ``south`` one spare zero row, so a look-up up to two steps off the
+    grid reads 0 without a bounds test:
+
+    * ``east[i - 1]`` and ``east[i - 2]`` wrap into the spare byte or the
+      last column, which no "h" edge leaves;
+    * ``south[i - width]`` and ``south[i - 2 * width]`` wrap into the
+      spare row or the last row, which no "v" edge leaves;
+    * ``east[i + 1]`` and ``south[i + width]`` reach at most the spare
+      byte and the spare row.
     """
 
     width: int
-    east: set[int]
-    south: set[int]
-    visited: set[int]
+    east: bytearray
+    south: bytearray
+    visited: bytes
 
-    def least(self, ids: Iterable[int]) -> Cell:
-        """The smallest of ``ids`` as a cell, in (col, row) order."""
-        return min((i % self.width, i // self.width) for i in ids)
+    def cover(self, required: bytes) -> Optional[Violation]:
+        """Compare ``visited`` with a 0/1 mask of the ids the loop must visit."""
+        if self.visited == required:
+            return None
+        n = len(self.visited)
+        must = int.from_bytes(required, "little")
+        seen = int.from_bytes(self.visited, "little")
+        missing = must & ~seen
+        if missing:
+            cell = least_cell(self.width, missing.to_bytes(n, "little"))
+            return Violation("unvisited", "required cell not visited", cell=cell)
+        cell = least_cell(self.width, (seen & ~must).to_bytes(n, "little"))
+        return Violation("forbidden", "cell visited but not allowed", cell=cell)
 
 
 # Wording of the empty, bounds and degree violations, for loops on cells.
 CELL_LOOP_WORDS = ("loop has no transitions", "transition outside grid", "cell has degree {}, expected 2")
+
+# Maps a degree byte to 1 when it is neither 0 nor 2.
+_BAD_DEGREE = bytes(0 if d in (0, 2) else 1 for d in range(256))
 
 
 def loop_ids(
@@ -245,7 +278,7 @@ def loop_ids(
     """Check that ``edges`` form one closed loop on a width x height grid.
 
     Returns the loop on flat ids, or the first violation in the order
-    empty, bounds, degree, walk/components.  A bounds violation names the
+    empty, bounds, degree, components.  A bounds violation names the
     smallest offending edge, a degree violation the smallest offending
     cell.  ``words`` phrases the first three for grids whose nodes are not
     cells.
@@ -253,41 +286,54 @@ def loop_ids(
     empty, outside, bad_degree = words
     if not edges:
         return Violation("empty", empty)
+    n = width * height
     w1, h1 = width - 1, height - 1
-    east = [r * width + c for axis, c, r in edges if axis == "h" and 0 <= c < w1 and 0 <= r < height]
-    south = [r * width + c for axis, c, r in edges if axis == "v" and 0 <= c < width and 0 <= r < h1]
-    if len(east) + len(south) != len(edges):
-        inside = {("h", i % width, i // width) for i in east} | {("v", i % width, i // width) for i in south}
-        return Violation("bounds", outside, edge=min(edges - inside, key=edge_sort_key))
+    east = bytearray(n + 1)
+    south = bytearray(n + width)
+    for axis, c, r in edges:
+        if axis == "h" and 0 <= c < w1 and 0 <= r < height:
+            east[r * width + c] = 1
+        elif axis == "v" and 0 <= c < width and 0 <= r < h1:
+            south[r * width + c] = 1
+        else:
+            dims = GridDims(width, height)
+            off = [edge for edge in edges if not is_internal(edge) or not edge_in_bounds(dims, edge)]
+            return Violation("bounds", outside, edge=min(off, key=edge_sort_key))
 
-    degree = Counter(east)
-    degree.update(south)
-    degree.update([i + 1 for i in east])
-    degree.update([i + width for i in south])
-    loop = LoopIds(width, set(east), set(south), set(degree))
-    if len(degree) != len(edges) or max(degree.values()) != 2:
-        cell = loop.least(i for i, d in degree.items() if d != 2)
-        return Violation("degree", bad_degree.format(degree[cell[1] * width + cell[0]]), cell=cell)
+    # The degree of id i is east[i] + east[i - 1] + south[i] + south[i - width].
+    # As little-endian integers the shifted terms line up byte by byte, and
+    # no byte exceeds 4, so one sum adds all four without a carry.  The
+    # last column and last row hold no edges, so the sum fits in n bytes.
+    e = int.from_bytes(east, "little")
+    s = int.from_bytes(south, "little")
+    degree = e + (e << 8) + s + (s << (8 * width))
+    degrees = degree.to_bytes(n, "little")
+    # The degrees sum to 2 * len(edges), so they are all 0 or 2 exactly
+    # when len(edges) of them are 2.
+    if degrees.count(2) != len(edges):
+        cell = least_cell(width, degrees.translate(_BAD_DEGREE))
+        return Violation("degree", bad_degree.format(degrees[cell[1] * width + cell[0]]), cell=cell)
+    # Every byte is 0 or 2, so halving the sum halves each byte.
+    loop = LoopIds(width, east, south, (degree >> 1).to_bytes(n, "little"))
 
     # Every id has degree 2, so the walk leaves each one by the side it
-    # did not come in through and must close after one lap of the loop.
-    east, south = loop.east, loop.south
-    start = prev = cur = next(iter(degree))
-    for steps in range(1, len(edges) + 1):
-        if cur in east and cur + 1 != prev:
+    # did not come in through and closes after one lap of its component.
+    start = prev = cur = degrees.index(2)
+    steps = 0
+    while True:
+        if east[cur] and cur + 1 != prev:
             prev, cur = cur, cur + 1
-        elif cur - 1 in east and cur - 1 != prev:
+        elif east[cur - 1] and cur - 1 != prev:
             prev, cur = cur, cur - 1
-        elif cur in south and cur + width != prev:
+        elif south[cur] and cur + width != prev:
             prev, cur = cur, cur + width
         else:
             prev, cur = cur, cur - width
+        steps += 1
         if cur == start:
             break
-    else:
-        return Violation("walk", "cycle walk failed to close", cell=loop.least([cur]))
     if steps != len(edges):
-        return Violation("components", "loop has more than one component", cell=loop.least(degree))
+        return Violation("components", "loop has more than one component", cell=least_cell(width, loop.visited))
     return loop
 
 
@@ -303,11 +349,7 @@ def validate_loop(dims: GridDims, loop: CellLoop, must_visit: Optional[Iterable[
         return ids
     if must_visit is None:
         return None
-    required = {r * dims.width + c for c, r in must_visit}
-    missing = required - ids.visited
-    if missing:
-        return Violation("unvisited", "required cell not visited", cell=ids.least(missing))
-    extra = ids.visited - required
-    if extra:
-        return Violation("forbidden", "cell visited but not allowed", cell=ids.least(extra))
-    return None
+    required = bytearray(dims.cell_count)
+    for c, r in must_visit:
+        required[r * dims.width + c] = 1
+    return ids.cover(required)

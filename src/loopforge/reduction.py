@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bsl import CubicBslPuzzle, degenerate_cells, verify_bsl
+from .bsl import CubicBslPuzzle, degenerate_cells, open_sides, verify_bsl
 from .catalog import GadgetDescriptor, assemble_board, default_gadget
 from .errors import ReductionError
 from .genres import GENRES
-from .grid import SIDES, Cell, CellLoop, side_edge
+from .grid import SIDES, Cell, CellLoop
 from .orientation import build_bar_graph, orient
 from .tiling import lift_loop
 from .transforms import Transform
@@ -66,9 +66,7 @@ def reduce_to_genre(
     else:
         tiles_w, tiles_h = puzzle.dims.width, puzzle.dims.height
         directions = orient(build_bar_graph(puzzle))
-        for cell in puzzle.dims.cells():
-            accessible = {edge for _, edge in puzzle.inner.accessible_neighbors(cell)}
-            open_dirs = {side for side in SIDES if side_edge(cell, side) in accessible}
+        for cell, open_dirs in open_sides(puzzle.inner).items():
             free_edge = None
             if len(open_dirs) == 3:
                 exits = frozenset(open_dirs)

@@ -76,6 +76,12 @@ def test_cell_loop_names_its_non_internal_edge():
         CellLoop(frozenset({("h", 0, 0), ("x", 1, 0), ("v", 0, 0)}))
 
 
+def test_cell_loop_names_its_least_non_internal_edge():
+    # The set holds two bad edges; the least is named whatever the hash seed.
+    with pytest.raises(ValueError, match=r"\('N', 0, 0\) is not an internal edge"):
+        CellLoop(frozenset({("h", 0, 0), ("N", 0, 0), ("W", 0, 1), ("v", 0, 0)}))
+
+
 def test_validate_loop_accepts_square():
     assert validate_loop(GridDims(2, 2), SQUARE_2X2, must_visit=GridDims(2, 2).cells()) is None
 
@@ -185,8 +191,11 @@ def _violation(dims, edges, must_visit=None):
 
 
 def test_loop_ids_on_flat_ids():
+    # Ids 1, 2, 4, 5 of the 3x2 grid; east has one spare byte, south a spare row.
     loop = loop_ids(3, 2, frozenset(ring(1, 0, 2, 1)))
-    assert (loop.east, loop.south, loop.visited) == ({1, 4}, {1, 2}, {1, 2, 4, 5})
+    assert loop.east == bytes([0, 1, 0, 0, 1, 0, 0])
+    assert loop.south == bytes([0, 1, 1, 0, 0, 0, 0, 0, 0])
+    assert loop.visited == bytes([0, 1, 1, 0, 1, 1])
 
 
 def test_validate_loop_violation_codes():

@@ -1,0 +1,345 @@
+"""The byte-array loop check against a set-based reference.
+
+``loop_ids`` keeps a loop as padded byte arrays, and the four genre
+verifiers read those arrays by flat id.  The reference below keeps the
+loop as sets of ids, counts degrees with a ``Counter`` and tests
+membership with ``in``, the way the check was first written.  Both must
+return the same ``Violation`` (code, message, cell and edge) on seeded
+random boards: rings, pairs of rings, toggled edges and edges off the
+grid, with pearls, clues and grey cells placed mostly in rows and
+columns 0, 1 and last, where the padded look-ups wrap.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
+
+from conftest import ring
+from loopforge.genres import masyu, simple_loop, slitherlink, yajilin
+from loopforge.grid import (
+    CELL_LOOP_WORDS,
+    SIDE_DELTAS,
+    CellLoop,
+    GridDims,
+    Violation,
+    edge_sort_key,
+    internal_edges,
+    loop_ids,
+    validate_loop,
+)
+
+BOARDS = 2000
+
+
+# ----------------------------------------------------------------------
+# Reference: the set-based check.
+
+
+@dataclass(frozen=True)
+class SetLoop:
+    width: int
+    east: set
+    south: set
+    visited: set
+
+    def least(self, ids):
+        return min((i % self.width, i // self.width) for i in ids)
+
+
+def ref_loop_ids(width, height, edges, words=CELL_LOOP_WORDS):
+    empty, outside, bad_degree = words
+    if not edges:
+        return Violation("empty", empty)
+    w1, h1 = width - 1, height - 1
+    east = [r * width + c for axis, c, r in edges if axis == "h" and 0 <= c < w1 and 0 <= r < height]
+    south = [r * width + c for axis, c, r in edges if axis == "v" and 0 <= c < width and 0 <= r < h1]
+    if len(east) + len(south) != len(edges):
+        inside = {("h", i % width, i // width) for i in east} | {("v", i % width, i // width) for i in south}
+        return Violation("bounds", outside, edge=min(edges - inside, key=edge_sort_key))
+    degree = Counter(east)
+    degree.update(south)
+    degree.update([i + 1 for i in east])
+    degree.update([i + width for i in south])
+    loop = SetLoop(width, set(east), set(south), set(degree))
+    if len(degree) != len(edges) or max(degree.values()) != 2:
+        cell = loop.least(i for i, d in degree.items() if d != 2)
+        return Violation("degree", bad_degree.format(degree[cell[1] * width + cell[0]]), cell=cell)
+    east, south = loop.east, loop.south
+    start = prev = cur = next(iter(degree))
+    for steps in range(1, len(edges) + 1):
+        if cur in east and cur + 1 != prev:
+            prev, cur = cur, cur + 1
+        elif cur - 1 in east and cur - 1 != prev:
+            prev, cur = cur, cur - 1
+        elif cur in south and cur + width != prev:
+            prev, cur = cur, cur + width
+        else:
+            prev, cur = cur, cur - width
+        if cur == start:
+            break
+    else:
+        return Violation("walk", "cycle walk failed to close", cell=loop.least([cur]))
+    if steps != len(edges):
+        return Violation("components", "loop has more than one component", cell=loop.least(degree))
+    return loop
+
+
+def ref_validate_loop(dims, loop, must_visit=None):
+    ids = ref_loop_ids(dims.width, dims.height, loop.transitions)
+    if isinstance(ids, Violation):
+        return ids
+    if must_visit is None:
+        return None
+    required = {r * dims.width + c for c, r in must_visit}
+    missing = required - ids.visited
+    if missing:
+        return Violation("unvisited", "required cell not visited", cell=ids.least(missing))
+    extra = ids.visited - required
+    if extra:
+        return Violation("forbidden", "cell visited but not allowed", cell=ids.least(extra))
+    return None
+
+
+def ref_masyu(puzzle, sol) -> Optional[Violation]:
+    w = puzzle.dims.width
+    loop = ref_loop_ids(w, puzzle.dims.height, sol.transitions)
+    if isinstance(loop, Violation):
+        return loop
+    east, south = loop.east, loop.south
+    for (c, r), colour in puzzle.pearls:
+        p = r * w + c
+        if p not in loop.visited:
+            return Violation("pearl", "pearl not on the loop", cell=(c, r))
+        sides = (
+            (p - w in south, p - 2 * w in south),
+            (p in east, p + 1 in east),
+            (p in south, p + w in south),
+            (p - 1 in east, p - 2 in east),
+        )
+        continues = [beyond for used, beyond in sides if used]
+        straight_here = (sides[0][0] and sides[2][0]) or (sides[1][0] and sides[3][0])
+        if colour == "white":
+            if not straight_here:
+                return Violation("pearl", "loop must run straight through a white pearl", cell=(c, r))
+            if all(continues):
+                return Violation("pearl", "neither side of a white pearl turns", cell=(c, r))
+        else:
+            if straight_here:
+                return Violation("pearl", "loop must turn on a black pearl", cell=(c, r))
+            if not all(continues):
+                return Violation("pearl", "loop must run straight beside a black pearl", cell=(c, r))
+    return None
+
+
+def ref_slitherlink(puzzle, sol) -> Optional[Violation]:
+    dw = puzzle.dims.width + 1
+    loop = ref_loop_ids(dw, puzzle.dims.height + 1, sol.transitions, slitherlink.LATTICE_LOOP_WORDS)
+    if isinstance(loop, Violation):
+        return loop
+    east, south = loop.east, loop.south
+    for (c, r), count in puzzle.clues:
+        d = r * dw + c
+        got = (d in east) + (d + dw in east) + (d in south) + (d + 1 in south)
+        if got != count:
+            return Violation("clue", f"cell has {got} edges, expected {count}", cell=(c, r))
+    return None
+
+
+def ref_yajilin(puzzle, sol) -> Optional[Violation]:
+    w, h = puzzle.dims.width, puzzle.dims.height
+    loop = ref_loop_ids(w, h, sol.transitions)
+    if isinstance(loop, Violation):
+        return loop
+    grey = {r * w + c for c, r in puzzle.grey}
+    hit = loop.visited & grey
+    if hit:
+        return Violation("grey", "loop passes through a grey cell", cell=loop.least(hit))
+    shaded = set(range(w * h)) - loop.visited - grey
+    touching = {i for i in shaded if (i + 1 in shaded and i % w != w - 1) or i + w in shaded}
+    if touching:
+        return Violation("shading", "two shaded cells are adjacent", cell=loop.least(touching))
+    for cell, count, direction in puzzle.clues:
+        got = sum(r * w + c in shaded for c, r in puzzle.ray(cell, direction))
+        if got != count:
+            return Violation("clue", f"arrow count is {got}, expected {count}", cell=cell)
+    return None
+
+
+def ref_simple_loop(puzzle, sol) -> Optional[Violation]:
+    unshaded = [c for c in puzzle.dims.cells() if c not in puzzle.shaded]
+    return ref_validate_loop(puzzle.dims, sol, must_visit=unshaded)
+
+
+# ----------------------------------------------------------------------
+# Random boards.
+
+
+def _coord(rng, size):
+    """An index below ``size``, mostly 0, 1 or the last."""
+    return rng.choice((0, 1, size - 1, size - 1, rng.randrange(size))) % size
+
+
+def _cells(rng, dims, k):
+    """Up to k distinct cells, mostly on the first two and the last row or column."""
+    return list(dict.fromkeys((_coord(rng, dims.width), _coord(rng, dims.height)) for _ in range(k)))
+
+
+def _off_grid(rng, w, h, boundary_sides):
+    """An edge outside a w x h node grid: past either end, or not "h"/"v"."""
+    c, r = rng.randrange(w), rng.randrange(h)
+    choices = [("h", w - 1, r), ("v", c, h - 1), ("h", -1, r), ("v", c, -1), ("h", c, h), ("v", w, r)]
+    if boundary_sides:
+        choices.append((rng.choice(("N", "E", "S", "W")), c, r))
+    return rng.choice(choices)
+
+
+def _random_ring(rng, w, h):
+    c0, c1 = sorted(rng.sample(range(w), 2))
+    r0, r1 = sorted(rng.sample(range(h), 2))
+    return set(ring(c0, r0, c1, r1))
+
+
+def _edges(rng, w, h, boundary_sides=False):
+    """Random edges on a w x h node grid, mostly single loops or near misses."""
+    pool = internal_edges(GridDims(w, h))
+    if w >= 2 and h >= 2 and rng.random() < 0.8:
+        edges = _random_ring(rng, w, h)
+        kind = rng.random()
+        if kind < 0.35:
+            edges ^= _random_ring(rng, w, h)
+        elif kind < 0.5:
+            edges ^= {rng.choice(pool)}
+        elif kind < 0.56:
+            edges.add(_off_grid(rng, w, h, boundary_sides))
+    else:
+        edges = set(rng.sample(pool, rng.randint(0, min(6, len(pool)))))
+        if rng.random() < 0.3:
+            edges.add(_off_grid(rng, w, h, boundary_sides))
+    return frozenset(edges)
+
+
+def _dims(rng):
+    return GridDims(rng.randint(1, 7), rng.randint(1, 7))
+
+
+def _on_loop(dims, edges):
+    """Cells the edges touch, clipped to the grid."""
+    cells = set()
+    for axis, c, r in edges:
+        cells.add((c, r))
+        cells.add((c + 1, r) if axis == "h" else (c, r + 1))
+    return {cell for cell in cells if dims.contains(cell)}
+
+
+def _grid_edges(rng, dims):
+    """Edges for a genre board; "h"/"v" only, since a ``CellLoop`` refuses others."""
+    return _edges(rng, dims.width, dims.height)
+
+
+def _check(codes, got, want):
+    assert got == want
+    codes[want.code if want is not None else None] += 1
+
+
+def test_loop_ids_and_validate_loop_match_the_reference():
+    rng = random.Random(2024)
+    codes = Counter()
+    for _ in range(BOARDS):
+        dims = _dims(rng)
+        edges = _edges(rng, dims.width, dims.height, boundary_sides=True)
+        want = ref_loop_ids(dims.width, dims.height, edges)
+        got = loop_ids(dims.width, dims.height, edges)
+        if isinstance(want, Violation):
+            _check(codes, got, want)
+            continue
+        assert bytes(got.visited) == bytes(i in want.visited for i in range(dims.cell_count))
+        assert bytes(got.east) == bytes(i in want.east for i in range(dims.cell_count + 1))
+        assert bytes(got.south) == bytes(i in want.south for i in range(dims.cell_count + dims.width))
+        must = rng.choice((None, list(dims.cells()), list(_on_loop(dims, edges)), _cells(rng, dims, 4)))
+        if must is not None and rng.random() < 0.5:
+            must = must + _cells(rng, dims, 2)
+        _check(codes, validate_loop(dims, CellLoop(edges), must), ref_validate_loop(dims, CellLoop(edges), must))
+    assert set(codes) >= {"empty", "bounds", "degree", "components", "unvisited", "forbidden", None}
+
+
+def test_masyu_verify_matches_the_reference():
+    rng = random.Random(2025)
+    codes = Counter()
+    for _ in range(BOARDS):
+        dims = _dims(rng)
+        sol = CellLoop(_grid_edges(rng, dims))
+        pearls = []
+        for cell in _cells(rng, dims, rng.randint(0, 4)):
+            colour = rng.choice(("white", "black"))
+            if rng.random() < 0.6:
+                # Prefer a colour the loop satisfies, so whole boards pass too.
+                fits = [
+                    c for c in ("white", "black") if ref_masyu(masyu.MasyuPuzzle(dims, ((cell, c),)), sol) is None
+                ]
+                colour = fits[0] if fits else colour
+            pearls.append((cell, colour))
+        puzzle = masyu.MasyuPuzzle(dims, tuple(pearls))
+        _check(codes, masyu.verify(puzzle, sol), ref_masyu(puzzle, sol))
+    assert set(codes) >= {"empty", "bounds", "degree", "components", "pearl", None}
+
+
+def test_slitherlink_verify_matches_the_reference():
+    rng = random.Random(2026)
+    codes = Counter()
+    for _ in range(BOARDS):
+        dims = _dims(rng)
+        sol = CellLoop(_edges(rng, dims.width + 1, dims.height + 1))
+        clues = []
+        for c, r in _cells(rng, dims, rng.randint(0, 4)):
+            sides = {("h", c, r), ("h", c, r + 1), ("v", c, r), ("v", c + 1, r)}
+            count = len(sides & sol.transitions) if rng.random() < 0.7 else rng.randint(0, 3)
+            clues.append(((c, r), min(count, 3)))
+        puzzle = slitherlink.SlitherlinkPuzzle(dims, tuple(clues))
+        _check(codes, slitherlink.verify(puzzle, sol), ref_slitherlink(puzzle, sol))
+    assert set(codes) >= {"empty", "bounds", "degree", "components", "clue", None}
+
+
+def test_yajilin_verify_matches_the_reference():
+    rng = random.Random(2027)
+    codes = Counter()
+    for _ in range(BOARDS):
+        dims = _dims(rng)
+        edges = _grid_edges(rng, dims)
+        sol = CellLoop(edges)
+        if rng.random() < 0.5:
+            # Grey everywhere off the loop but a few cells: little shading.
+            grey = set(dims.cells()) - _on_loop(dims, edges)
+            grey -= set(_cells(rng, dims, rng.randint(0, 3)))
+            grey |= set(_cells(rng, dims, rng.randint(0, 1)))
+            if rng.random() < 0.2 and dims.height > 1:
+                # Shade both ends of a row break, which touch as flat ids only.
+                r = rng.randrange(dims.height - 1)
+                grey -= {(dims.width - 1, r), (0, r + 1)}
+        else:
+            grey = set(_cells(rng, dims, rng.randint(0, 6)))
+        clues = []
+        for cell in sorted(grey):
+            if rng.random() < 0.3:
+                direction = rng.choice(tuple(SIDE_DELTAS))
+                bare = yajilin.YajilinPuzzle(dims, frozenset(grey))
+                count = sum(x not in grey and x not in _on_loop(dims, edges) for x in bare.ray(cell, direction))
+                clues.append((cell, count + (rng.random() < 0.2), direction))
+        puzzle = yajilin.YajilinPuzzle(dims, frozenset(grey), tuple(clues))
+        _check(codes, yajilin.verify(puzzle, sol), ref_yajilin(puzzle, sol))
+    assert set(codes) >= {"empty", "bounds", "degree", "components", "grey", "shading", "clue", None}
+
+
+def test_simple_loop_verify_matches_the_reference():
+    rng = random.Random(2028)
+    codes = Counter()
+    for _ in range(BOARDS):
+        dims = _dims(rng)
+        edges = _grid_edges(rng, dims)
+        shaded = set(dims.cells()) - _on_loop(dims, edges) if rng.random() < 0.7 else set()
+        shaded ^= set(_cells(rng, dims, rng.randint(0, 2)))
+        puzzle = simple_loop.SimpleLoopPuzzle(dims, frozenset(shaded))
+        _check(codes, simple_loop.verify(puzzle, CellLoop(edges)), ref_simple_loop(puzzle, CellLoop(edges)))
+    assert set(codes) >= {"empty", "bounds", "degree", "components", "unvisited", "forbidden", None}
