@@ -37,6 +37,27 @@ def build_cell_graph(
     return edges, pairs, index
 
 
+def grid_faces(dims: GridDims, edges: list[Edge]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The two face ids of each edge in ``edges``, and of each grid edge not in it.
+
+    On the node grid ``dims``, face ``1 + x + y * (width - 1)`` is the
+    unit square between nodes (x, y) and (x + 1, y + 1); face 0 is the
+    outer face.  ``("h", c, r)`` separates squares (c, r - 1) and (c, r),
+    ``("v", c, r)`` squares (c - 1, r) and (c, r).
+    """
+    w, h = dims.width, dims.height
+
+    def face(x: int, y: int) -> int:
+        return 1 + x + y * (w - 1) if 0 <= x < w - 1 and 0 <= y < h - 1 else 0
+
+    def sides(edge: Edge) -> tuple[int, int]:
+        axis, c, r = edge
+        return (face(c, r - 1), face(c, r)) if axis == "h" else (face(c - 1, r), face(c, r))
+
+    present = set(edges)
+    return [sides(e) for e in edges], [sides(e) for e in internal_edges(dims) if e not in present]
+
+
 def check_art(art: dict[Cell, str], alphabet: str) -> None:
     """Raise a ValueError naming a character of tile art outside ``alphabet``, and its cell."""
     allowed = set(alphabet)

@@ -24,11 +24,24 @@ Two deterministic branching modes exist, both trying ``IN`` before
 sorted edges the first solution found is the lexicographically least
 edge set.  ``branch_frontier`` instead keeps extending an open chain
 end, which scales to much larger boards but gives up the lexicographic
-guarantee; reruns still produce the identical solution.
+guarantee; reruns still produce the identical solution.  The end it
+extends next (``_last_end``) is not restored on rollback, so it depends
+on the dead branches explored before: any change to pruning can reorder
+a frontier enumeration, though never change the set of solutions.
+
+A planar graph may come with ``faces``: the two face ids of every edge,
+plus the face pairs of grid edges absent from the graph, which are
+``OUT`` from the start.  The loop is a Jordan curve, so every face lies
+inside or outside it and an edge is ``IN`` exactly when its two faces
+differ.  A parity union-find over the faces records each decided edge
+as "different" or "same" sides; a relation that closes an odd cycle is
+a conflict, and a union forces every undecided edge whose two faces it
+puts in one class.  Without ``faces`` none of this runs.
 
 Pruning (degree conflicts, premature closure, bridge/articulation cuts,
-bipartite parity) only ever discards branches that cannot contain a
-valid solution, so exhausting the tree is a proof of unsatisfiability.
+bipartite parity, face parity) only ever discards branches that cannot
+contain a valid solution, so exhausting the tree is a proof of
+unsatisfiability.
 The cut check (``_connected_ok``) walks only the live component, the
 non-``OUT`` edges reachable from a chain end or a must-visit node; the
 count of required nodes comes from counters kept by assignment and
@@ -39,8 +52,9 @@ since the last run: every 4th for the genre solvers
 Instances are one-shot: abandoning a solution generator mid-flight
 leaves the state mid-branch.  The budget clock starts when the instance
 is built, so set-up counts against it; the deadline is checked before
-the seeds propagate, at every decision and every 4,096 assignments; once
-it is spent the search raises ``SearchTimeout``.
+the first sweep of the node rules, so a spent budget starts no sweep, at
+every decision and every 4,096 assignments; once it is spent the search
+raises ``SearchTimeout``.
 """
 
 from __future__ import annotations
@@ -67,8 +81,10 @@ class LoopSearch:
         budget_ms: Optional[float] = None,
         connectivity_every: int = 0,
         branch_frontier: bool = False,
+        faces: Optional[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = None,
     ):
-        # The budget covers set-up too: the adjacency and the two-colouring.
+        # The budget covers set-up too: the adjacency, the two-colouring
+        # and the faces joined by absent edges.
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.n_nodes = n_nodes
         self.edges = edges
@@ -102,6 +118,25 @@ class LoopSearch:
         self.side = self._two_color()
         self._calls = 0
         self._ticks = 0
+        # Face parity: None, or the two face ids of every edge.  Each face
+        # keeps its class root and its parity to that root (1 = the other
+        # side of the loop), so a look-up is O(1); each root lists its
+        # class, and a union relabels the smaller one.
+        self.edge_faces: Optional[list[tuple[int, int]]] = None
+        if faces is not None:
+            self.edge_faces, absent = faces
+            n_faces = 1 + max((f for pair in self.edge_faces + absent for f in pair), default=0)
+            self.face_root = list(range(n_faces))
+            self.face_par = [0] * n_faces
+            self.face_class = [[f] for f in range(n_faces)]
+            # (edge, other face) pairs of each face.
+            self.face_edges: list[list[tuple[int, int]]] = [[] for _ in range(n_faces)]
+            for i, (f, g) in enumerate(self.edge_faces):
+                self.face_edges[f].append((i, g))
+                self.face_edges[g].append((i, f))
+            # An absent grid edge is OUT from the start.
+            for f, g in absent:
+                self._join_faces(f, g, 0)
 
     def _two_color(self) -> list[int]:
         """Bipartition side of each node, +1 or -1; all 0 when not bipartite."""
@@ -206,7 +241,43 @@ class LoopSearch:
             self._out_dirty = True
         if not self._node_rules(u) or not self._node_rules(v):
             return False
+        if self.edge_faces is not None:
+            f, g = self.edge_faces[ei]
+            if not self._join_faces(f, g, val == IN):
+                return False
         return self.on_assigned(ei, val)
+
+    def _join_faces(self, f: int, g: int, differ: int) -> bool:
+        """Record that faces f and g lie on different (1) or the same (0) side.
+
+        False when that contradicts what is known: the relations would
+        close an odd cycle.  A union queues every undecided edge whose two
+        faces it puts in one class, with the value their parity forces.
+        """
+        root = self.face_root
+        par = self.face_par
+        rf = root[f]
+        rg = root[g]
+        p = par[f] ^ par[g] ^ differ  # parity between the two roots
+        if rf == rg:
+            return not p
+        cls = self.face_class
+        if len(cls[rf]) > len(cls[rg]):
+            rf, rg = rg, rf
+        moved = cls[rf]
+        state = self.state
+        queue = self.queue
+        for x in moved:
+            px = par[x] ^ p
+            for ei, y in self.face_edges[x]:
+                if root[y] == rg and not state[ei]:
+                    queue.append((ei, IN if px ^ par[y] else OUT))
+        for x in moved:
+            root[x] = rg
+            par[x] ^= p
+        cls[rg].extend(moved)
+        self.trail.append((5, rf, rg, p))
+        return True
 
     def _node_rules(self, x: int) -> bool:
         ic = self.in_cnt[x]
@@ -292,6 +363,13 @@ class LoopSearch:
                 self.req[x] = OPT
                 if self.in_cnt[x] == 0:
                     self.uncovered -= 1
+            elif tag == 5:
+                _, rf, rg, p = entry
+                moved = self.face_class[rf]
+                for x in moved:
+                    self.face_root[x] = rf
+                    self.face_par[x] ^= p
+                del self.face_class[rg][-len(moved) :]
             else:
                 self.undo_extra(entry[1])
 
@@ -398,13 +476,13 @@ class LoopSearch:
     def solutions(self, seeds: Iterable[tuple[int, int]] = ()) -> Iterator[frozenset[int]]:
         """Enumerate every valid assignment in deterministic order."""
         mark = len(self.trail)
+        self._check_deadline()
         for x in range(self.n_nodes):
             if not self._node_rules(x):
                 self._rollback(mark)
                 return
         for ei, val in seeds:
             self.queue.append((ei, val))
-        self._check_deadline()
         stack: list[tuple[int, int, int]] = []  # (edge, trail mark, lo) owing OUT
         lo = 0
         ok = self._propagate()

@@ -41,18 +41,27 @@ def place_fragment(tile, frag: Iterable[Edge], t: Transform, tile_pos: Cell) -> 
     return placed
 
 
-def crossing_edge(tile, layout: dict[Cell, Transform], tile_pos: Cell, side: str) -> Optional[Edge]:
+def crossing_edge(
+    tile,
+    layout: dict[Cell, Transform],
+    tile_pos: Cell,
+    side: str,
+    placed: Optional[dict[Transform, dict[str, Cell]]] = None,
+) -> Optional[Edge]:
     """Image edge through which the loop crosses from ``tile_pos`` toward ``side``.
 
     None when there is no neighbour there or either tile lacks an exit on
-    the shared boundary.
+    the shared boundary.  ``placed`` maps every transform of ``layout`` to
+    its ``tile.placed_exits``; a caller crossing many boundaries passes it
+    so each is computed once.
     """
     dc, dr = SIDE_DELTAS[side]
     nbr = (tile_pos[0] + dc, tile_pos[1] + dr)
     if nbr not in layout:
         return None
-    mine = tile.placed_exits(layout[tile_pos])
-    theirs = tile.placed_exits(layout[nbr])
+    exits = tile.placed_exits if placed is None else placed.__getitem__
+    mine = exits(layout[tile_pos])
+    theirs = exits(layout[nbr])
     if side not in mine or OPPOSITE_SIDE[side] not in theirs:
         return None
     # The edge leaves the west (north) tile through its east (south) exit.
@@ -85,8 +94,9 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> set[Edge]:
             frag = oriented[(t, pair)] = place_fragment(tile, tile.bank[pair], t, (0, 0))
         ox, oy = fw * cell[0], fh * cell[1]
         edges.update((axis, c + ox, r + oy) for axis, c, r in frag)
+    placed = {t: tile.placed_exits(t) for t in set(layout.values())}
     for axis, c, r in loop.transitions:
-        cross = crossing_edge(tile, layout, (c, r), "E" if axis == "h" else "S")
+        cross = crossing_edge(tile, layout, (c, r), "E" if axis == "h" else "S", placed)
         if cross is None:
             raise ReductionError(f"source transition ({axis},{c},{r}) has no facing exits")
         edges.add(cross)
