@@ -21,18 +21,32 @@ genre without its wall-clock ``elapsed_ms``, and ``SOLVE`` the stdout of
 each opening pair ("N-E", ...) and its sorted edges.  The fixture lifts
 only three pairs, so the digests above would miss a changed tour on the
 other three.
+
+``CORPUS`` pins each stage over the seeded sources of ``_corpus``: 1xk
+strips, barless boards, random bar shares from 0.2 to 0.6, bar graphs
+with a cycle and degenerate sources.  One digest per stage covers the
+canonical JSON of every source's ``reduce_to_cubic`` image and manifest,
+of every cubic source's ``reduce_to_genre`` image and manifest for each
+genre, with the lift of the source's least solution where it has one,
+and of ``orient(build_bar_graph(...))`` on every cubic source, as its
+sorted ``[col, row, side]`` triples or the error it raises.  The
+fixture alone reaches few orientation walks and few tile geometries.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from conftest import FIXTURES, fixture_puzzle, fixture_solution
 from loopforge import formats
+from loopforge.bsl import BslPuzzle, CubicBslPuzzle, check_cubic, open_sides, solve_bsl_backtrack
 from loopforge.cli import main
-from loopforge.grid import SIDES, edge_sort_key
-from loopforge.metacell import default_metacell, lift_to_cubic, reduce_to_cubic
+from loopforge.errors import ReductionError
+from loopforge.grid import SIDES, GridDims, edge_cells, edge_sort_key, internal_edges, side_edge
+from loopforge.metacell import default_metacell, lift_to_cubic, project_from_cubic, reduce_to_cubic
+from loopforge.orientation import build_bar_graph, orient
 from loopforge.reduction import lift_to_genre, reduce_to_genre
 
 GOLDEN = {
@@ -95,6 +109,15 @@ SOLVE = {
 }
 
 BANK = "4279e4223b4a9a021bddb9bbe865cb185d8ee0167962452683a71c81c2db9c56"
+
+CORPUS = {
+    "cubic": "564405507bd6d81ba566aff0706397234598a3041162cf4d8d5d1104f45c85dc",
+    "masyu": "dd26227fe78d86754ae402024b9d2a247644f46ad2ddaf91f5e81b15666fbb13",
+    "orient": "b683ca179956b9392479907a0b9d7e24f6f2db3e77314ef7ce711d8b565a90c1",
+    "simple-loop": "58600ba0f557542dc5ffbc898861f1bcaa1a09c6ce86ae3f67e166747460a385",
+    "slitherlink": "c031890b6dd84436f5ea8eb0f7e984fb0bd68cd463d1029888bae112b0a49cc3",
+    "yajilin": "a9da1a26879402c78d873dde11387cca34e10ec196c5c20c909ee4aedba0f7f9",
+}
 
 
 def _digest(doc: dict) -> str:
@@ -172,3 +195,94 @@ def test_metacell_bank_byte_identical():
         for pair, edges in default_metacell().bank.items()
     }
     assert _digest(doc) == BANK
+
+
+def _random_source(rng: random.Random, dims: GridDims, share: float, cubic: bool) -> BslPuzzle:
+    """Bars on about ``share`` of the internal edges, none leaving a cell
+    fewer than two open sides; with ``cubic``, each cell still open on
+    four sides then gets one more bar, toward a neighbour that can spare
+    a side where there is one."""
+    edges = internal_edges(dims)
+    rng.shuffle(edges)
+    bars: set = set()
+    left = {cell: len(sides) for cell, sides in open_sides(BslPuzzle(dims, frozenset())).items()}
+    for edge in edges:
+        a, b = edge_cells(edge)
+        if rng.random() < share and left[a] > 2 and left[b] > 2:
+            bars.add(edge)
+            left[a] -= 1
+            left[b] -= 1
+    for cell in dims.cells() if cubic else ():
+        if left[cell] == 4:
+            spare = [e for e in (side_edge(cell, side) for side in SIDES) if min(left[x] for x in edge_cells(e)) > 2]
+            edge = rng.choice(spare or [side_edge(cell, side) for side in SIDES])
+            bars.add(edge)
+            for x in edge_cells(edge):
+                left[x] -= 1
+    return BslPuzzle(dims, frozenset(bars))
+
+
+def _corpus() -> list[BslPuzzle]:
+    """41 seeded sources for the ``CORPUS`` pins."""
+    barless = [(1, 1), (1, 2), (1, 5), (2, 1), (4, 1), (2, 2), (2, 3), (3, 2), (2, 5), (3, 3), (4, 4)]
+    sources = [BslPuzzle(GridDims(w, h), frozenset()) for w, h in barless]
+    rng = random.Random(14)
+    for share in (0.2, 0.3, 0.4, 0.5, 0.6):
+        for k in range(4):
+            dims = GridDims(rng.randint(2, 6), rng.randint(2, 6))
+            sources.append(_random_source(rng, dims, share, cubic=k > 0))
+    # Bar graphs with a cycle: a six-cell ring of bars, a square, two squares.
+    ring = {("v", 1, 3), ("h", 1, 3), ("h", 1, 2), ("h", 1, 1), ("v", 1, 1),
+            ("h", 2, 3), ("h", 2, 2), ("h", 2, 1), ("v", 3, 1), ("v", 4, 2)}
+    square = {("h", 1, 1), ("v", 1, 1), ("h", 1, 2), ("v", 2, 1)}
+    sources.append(BslPuzzle(GridDims(5, 5), frozenset(ring)))
+    sources.append(BslPuzzle(GridDims(4, 4), frozenset(square)))
+    sources.append(BslPuzzle(GridDims(6, 4), frozenset(square | {("h", 3, 1), ("v", 3, 1), ("h", 3, 2), ("v", 4, 1)})))
+    # Degenerate: cells with one or no open side.
+    sources.append(BslPuzzle(GridDims(2, 2), frozenset({("h", 0, 0)})))
+    sources.append(BslPuzzle(GridDims(3, 3), frozenset({("h", 0, 1), ("h", 1, 1), ("v", 1, 0)})))
+    sources.append(BslPuzzle(GridDims(3, 2), frozenset({("h", 0, 0), ("v", 0, 0)})))
+    for _ in range(4):
+        source = _random_source(rng, GridDims(rng.randint(3, 5), rng.randint(3, 5)), 0.3, cubic=True)
+        cell = (rng.randrange(source.dims.width), rng.randrange(source.dims.height))
+        walls = sorted((side_edge(cell, side) for side in open_sides(source)[cell]), key=edge_sort_key)
+        sources.append(BslPuzzle(source.dims, source.bars | frozenset(walls[1:])))
+    return sources
+
+
+def _corpus_digests() -> dict[str, str]:
+    docs: dict[str, list] = {stage: [] for stage in CORPUS}
+    for source in _corpus():
+        solution = solve_bsl_backtrack(source).solution
+        image, manifest = reduce_to_cubic(source)
+        doc = {"image": formats.puzzle_to_json(image), "manifest": formats.manifest_to_json(manifest)}
+        if solution is not None:
+            lifted = lift_to_cubic(manifest, solution)
+            assert project_from_cubic(manifest, lifted) == solution
+            doc["solution"] = formats.solution_to_json("cubic-bsl", lifted)
+        docs["cubic"].append(doc)
+        if check_cubic(source):
+            continue
+        cubic = CubicBslPuzzle(source)
+        for genre in ("slitherlink", "masyu", "yajilin", "simple-loop"):
+            board, gman = reduce_to_genre(cubic, genre)
+            doc = {"image": formats.puzzle_to_json(board), "manifest": formats.manifest_to_json(gman)}
+            if solution is not None:
+                doc["solution"] = formats.solution_to_json(genre, lift_to_genre(gman, solution))
+            docs[genre].append(doc)
+        try:
+            directions = orient(build_bar_graph(cubic))
+            docs["orient"].append(sorted([c, r, side] for (c, r), side in directions.items()))
+        except ReductionError as exc:
+            docs["orient"].append({"error": str(exc)})
+    return {stage: _digest({"cases": cases}) for stage, cases in docs.items()}
+
+
+@pytest.fixture(scope="module")
+def corpus_digests():
+    return _corpus_digests()
+
+
+@pytest.mark.parametrize("stage", sorted(CORPUS))
+def test_corpus_stage_byte_identical(stage, corpus_digests):
+    assert corpus_digests[stage] == CORPUS[stage]
