@@ -25,8 +25,6 @@ from .grid import (
     Violation,
     edge_in_bounds,
     edge_sort_key,
-    is_internal,
-    neighbors,
     side_edge,
     validate_loop,
 )
@@ -44,11 +42,8 @@ class BslPuzzle:
 
     def __post_init__(self) -> None:
         for edge in self.bars:
-            if not is_internal(edge) or not edge_in_bounds(self.dims, edge):
+            if not edge_in_bounds(self.dims, edge):
                 raise ValueError(f"bar {edge} is not an internal edge of the grid")
-
-    def accessible_neighbors(self, cell: Cell) -> list[tuple[Cell, Edge]]:
-        return [(nbr, edge) for nbr, edge in neighbors(self.dims, cell) if edge not in self.bars]
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +76,7 @@ def verify_bsl(puzzle: BslPuzzle, sol: CellLoop) -> Optional[Violation]:
 
 def check_cubic(puzzle: BslPuzzle) -> list[Cell]:
     """Cells with four accessible neighbours (empty list means cubic)."""
-    return [cell for cell in puzzle.dims.cells() if len(puzzle.accessible_neighbors(cell)) > 3]
+    return [cell for cell, sides in open_sides(puzzle).items() if len(sides) > 3]
 
 
 def open_sides(puzzle: BslPuzzle) -> dict[Cell, set[str]]:

@@ -35,9 +35,9 @@ from typing import Optional
 
 from .errors import FormatError, ReductionError, SearchTimeout, malformed
 from .genres import GENRES
-from .grid import SIDES, Cell, CellLoop, Edge, GridDims, edge_cells, edge_sort_key
+from .grid import SIDES, Cell, CellLoop, Edge, GridDims, edge_cells, edge_sort_key, internal_edges
 from .tileart import parse_fragment_grid, strip_comments
-from .tiling import crossing_edge, lift_loop, place_fragment
+from .tiling import boundary_positions, crossing_edge, lift_loop, misaligned, place_fragment
 from .transforms import ALL_TRANSFORMS, ROTATIONS, Transform
 
 DEFAULT_CATALOG = Path(__file__).parent / "data" / "gadgets"
@@ -52,7 +52,7 @@ EXHAUSTIVE_TILE_CELLS = 30
 class GadgetDescriptor:
     genre: str
     tile: GridDims
-    exits: dict[str, int]  # side -> offset (row for W/E, col for N/S)
+    exits: dict[str, Cell]  # side -> frame cell of the exit on that side
     free_side: str
     transforms: frozenset[str]  # {"rotate"} or {"rotate", "reflect"}
     forced: frozenset[Edge]
@@ -76,21 +76,6 @@ class GadgetDescriptor:
         if self.is_lattice:
             return GridDims(fw * tiles_w - 1, fh * tiles_h - 1)
         return GridDims(fw * tiles_w, fh * tiles_h)
-
-    def exit_pos(self, side: str) -> Cell:
-        w, h = self.frame
-        off = self.exits[side]
-        if side == "W":
-            return (0, off)
-        if side == "E":
-            return (w - 1, off)
-        if side == "N":
-            return (off, 0)
-        return (off, h - 1)
-
-    def placed_exits(self, t: Transform) -> dict[str, Cell]:
-        w, h = self.frame
-        return {t.apply_side(s): t.apply_cell(w, h, self.exit_pos(s)) for s in self.exits}
 
     def allowed_transforms(self) -> tuple[Transform, ...]:
         return ALL_TRANSFORMS if "reflect" in self.transforms else ROTATIONS
@@ -157,15 +142,10 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
         transforms = frozenset(headers["transforms"].split())
         if not transforms <= {"rotate", "reflect"}:
             raise FormatError(f"unknown transform set {sorted(transforms)}")
-        exits: dict[str, int] = {}
-        for part in headers["exits"].split(","):
-            side, off = part.split()
-            exits[side] = int(off)
-
         desc = GadgetDescriptor(
             genre=genre,
             tile=GridDims(tw, th),
-            exits=exits,
+            exits={},
             free_side=headers["free"],
             transforms=transforms,
             forced=frozenset(),
@@ -173,6 +153,9 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
         )
 
         fw, fh = desc.frame
+        for part in headers["exits"].split(","):
+            side, off = part.split()
+            desc.exits[side] = _exit_cell(desc, side, int(off))
         for name, body in _sections(lines[body_start:]):
             if name == "tile":
                 if len(body) != th or any(len(row) != tw for row in body):
@@ -207,9 +190,22 @@ def _load_gadget_once(genre: str, directory: Path) -> GadgetDescriptor:
     return load_gadget(genre, directory)
 
 
+def _exit_cell(desc: GadgetDescriptor, side: str, offset: int) -> Cell:
+    """The frame cell of an exit given by its side and its row (W, E) or
+    column (N, S); a side given twice or an offset off the frame raises."""
+    if side in desc.exits:
+        raise FormatError(f"exit side {side} is given twice")
+    if side not in SIDES:
+        raise FormatError(f"unknown exit side {side!r}")
+    w, h = desc.frame
+    if not 0 <= offset < (h if side in ("W", "E") else w):
+        raise FormatError(f"exit {side} {offset} lies outside the {w}x{h} frame")
+    return {"W": (0, offset), "E": (w - 1, offset), "N": (offset, 0), "S": (offset, h - 1)}[side]
+
+
 def validate_descriptor(desc: GadgetDescriptor) -> Optional[str]:
     """Static invariants: exit geometry, bank coverage, transform reach."""
-    if len(desc.exits) != 3 or len(set(desc.exits)) != 3:
+    if len(desc.exits) != 3:
         return "a tile needs exactly 3 exits on distinct sides"
     if desc.free_side in desc.exits or desc.free_side not in SIDES:
         return "the walled side must be the one side without an exit"
@@ -224,7 +220,7 @@ def validate_descriptor(desc: GadgetDescriptor) -> Optional[str]:
         if not desc.forced <= frag:
             return f"forced lines missing from the {sorted(pair)} sub-solution"
         ends = _fragment_ends(frag)
-        want = {desc.exit_pos(s) for s in pair}
+        want = {desc.exits[s] for s in pair}
         if ends != want:
             return f"sub-solution for {sorted(pair)} ends at {sorted(ends)}, expected {sorted(want)}"
     # (f): the walled side can point any of the four directions.
@@ -235,13 +231,11 @@ def validate_descriptor(desc: GadgetDescriptor) -> Optional[str]:
             return f"transforms cannot point the walled side {direction}"
     # Exit alignment across every pair of allowed placements.
     for t1 in desc.allowed_transforms():
-        e1 = desc.placed_exits(t1)
         for t2 in desc.allowed_transforms():
-            e2 = desc.placed_exits(t2)
-            if "E" in e1 and "W" in e2 and e1["E"][1] != e2["W"][1]:
-                return f"east/west exits misaligned between {t1.name} and {t2.name}"
-            if "S" in e1 and "N" in e2 and e1["S"][0] != e2["N"][0]:
-                return f"south/north exits misaligned between {t1.name} and {t2.name}"
+            sides = misaligned(desc, t1, t2)
+            if sides:
+                axis = "east/west" if sides[0] == "E" else "south/north"
+                return f"{axis} exits misaligned between {t1.name} and {t2.name}"
     return None
 
 
@@ -271,14 +265,6 @@ def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_
         ox, oy = fw * i, fh * j
         art.update(((c + ox, r + oy), ch) for c, r, ch in moved)
     return GENRES[desc.genre].from_art(desc.board_dims(tiles_w, tiles_h), art)
-
-
-def boundary_positions(desc: GadgetDescriptor, tiles_w: int, tiles_h: int) -> set[Edge]:
-    """Every edge of the board's node grid that straddles a tile boundary."""
-    fw, fh = desc.frame
-    w, h = fw * tiles_w, fh * tiles_h
-    out = {("h", c, r) for c in range(fw - 1, w - 1, fw) for r in range(h)}
-    return out | {("v", c, r) for c in range(w) for r in range(fh - 1, h - 1, fh)}
 
 
 def tile_visited(desc: GadgetDescriptor, sol_edges: frozenset[Edge], tile_pos: Cell) -> bool:
@@ -355,27 +341,17 @@ def _ring_required_pairs(layout: dict[Cell, Transform], ring: CellLoop) -> dict[
 def _ring_crossings(desc: GadgetDescriptor, layout: dict[Cell, Transform], ring: CellLoop) -> set[Edge]:
     """Board edges through which the ring tour crosses between tiles."""
     out: set[Edge] = set()
-    for axis, c, r in ring.transitions:
-        side = "E" if axis == "h" else "S"
-        e = crossing_edge(desc, layout, (c, r), side)
+    for edge in ring.transitions:
+        e = crossing_edge(desc, layout, edge)
         if e is None:
-            raise FormatError(f"ring boundary at {(c, r)} side {side} has no facing exits")
+            raise FormatError(f"ring edge {edge} has no facing exits")
         out.add(e)
     return out
 
 
-def _solve_board(desc, board, budget_ms, seeds_in, enumerate_all=False):
-    return GENRES[desc.genre].solve(board, budget_ms=budget_ms, seeds_in=seeds_in, enumerate_all=enumerate_all)
-
-
 def _audit_solution(desc, layout, tiles_w, tiles_h, edges: frozenset[Edge]) -> Optional[str]:
     """Check one board solution against (a), (c) and (d)."""
-    allowed = set()
-    for pos in layout:
-        for side in ("E", "S"):
-            e = crossing_edge(desc, layout, pos, side)
-            if e is not None:
-                allowed.add(e)
+    allowed = {crossing_edge(desc, layout, edge) for edge in internal_edges(GridDims(tiles_w, tiles_h))}
     straddling = edges & boundary_positions(desc, tiles_w, tiles_h)
     bad = straddling - allowed
     if bad:
@@ -402,7 +378,7 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
         left = budget_ms - (time.monotonic() - start) * 1000.0
         if left <= 0:
             raise SearchTimeout("certification budget spent")
-        return _solve_board(desc, board, min(cap_ms, left), seeds, enumerate_all)
+        return GENRES[desc.genre].solve(board, budget_ms=min(cap_ms, left), seeds_in=seeds, enumerate_all=enumerate_all)
 
     # (b) square tiling with aligned exits; alignment is re-checked here
     # although load-time validation already enforces it.

@@ -9,7 +9,6 @@ from typing import Optional
 
 from ..grid import (
     OPPOSITE_SIDE,
-    SIDE_DELTAS,
     SIDES,
     Cell,
     CellLoop,
@@ -48,11 +47,6 @@ def from_art(dims: GridDims, art: dict[Cell, str]) -> MasyuPuzzle:
     """Tile art as a puzzle: ``B`` is a black pearl, ``W`` a white one."""
     check_art(art, "BW")
     return MasyuPuzzle(dims, tuple(sorted((cell, PEARL_COLOURS[ch]) for cell, ch in art.items())))
-
-
-def _step(cell: Cell, direction: str) -> Cell:
-    dc, dr = SIDE_DELTAS[direction]
-    return (cell[0] + dc, cell[1] + dr)
 
 
 def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
@@ -98,7 +92,6 @@ class _MasyuSearch(LoopSearch):
         for cell in pearls:
             req[index[cell]] = EXACT2
         super().__init__(n, pairs, req, **kw)
-        self.puzzle = puzzle
         # For every cell: side -> edge id, to express the local pearl rules.
         self.side_edge: list[dict[str, int]] = [dict() for _ in range(n)]
         eidx = {e: i for i, e in enumerate(edges)}
@@ -111,21 +104,21 @@ class _MasyuSearch(LoopSearch):
         # edges appear in its straight-continuation rules).
         self.pearl_at: dict[int, str] = {index[c]: colour for c, colour in puzzle.pearls}
         self.watch: dict[int, list[int]] = {}
-        self.index = index
         for cell, colour in puzzle.pearls:
             p = index[cell]
-            for node in self._rule_nodes(cell):
+            for node in self._rule_nodes(p):
                 self.watch.setdefault(node, []).append(p)
 
-    def _rule_nodes(self, cell: Cell) -> list[int]:
-        nodes = [self.index[cell]]
+    def _rule_nodes(self, p: int) -> list[int]:
+        """The pearl at node ``p`` and up to two nodes beyond it on each side."""
+        nodes = [p]
         for d in SIDES:
-            x = _step(cell, d)
-            if self.puzzle.dims.contains(x):
-                nodes.append(self.index[x])
-                y = _step(x, d)
-                if self.puzzle.dims.contains(y):
-                    nodes.append(self.index[y])
+            x = self._side_neighbor(p, d)
+            if x is not None:
+                nodes.append(x)
+                y = self._side_neighbor(x, d)
+                if y is not None:
+                    nodes.append(y)
         return nodes
 
     def _edge_state(self, node: int, side: str) -> int:

@@ -111,16 +111,12 @@ def side_edge(cell: Cell, side: str) -> Edge:
 
 
 def edge_in_bounds(dims: GridDims, edge: Edge) -> bool:
+    """Whether ``edge`` is an internal edge of the grid."""
     axis, c, r = edge
     if axis == "h":
         return 0 <= c < dims.width - 1 and 0 <= r < dims.height
     if axis == "v":
         return 0 <= c < dims.width and 0 <= r < dims.height - 1
-    if axis in SIDE_DELTAS:
-        if not dims.contains((c, r)):
-            return False
-        dc, dr = SIDE_DELTAS[axis]
-        return not dims.contains((c + dc, r + dr))
     return False
 
 
@@ -135,45 +131,6 @@ def internal_edges(dims: GridDims) -> list[Edge]:
                 edges.append(("v", c, r))
     edges.sort(key=edge_sort_key)
     return edges
-
-
-def boundary_edges(dims: GridDims) -> list[Edge]:
-    """All boundary edges (one per exterior side of a border cell)."""
-    edges: list[Edge] = []
-    for c, r in dims.cells():
-        for side, (dc, dr) in SIDE_DELTAS.items():
-            if not dims.contains((c + dc, r + dr)):
-                edges.append((side, c, r))
-    edges.sort(key=edge_sort_key)
-    return edges
-
-
-def cell_edges(dims: GridDims, cell: Cell) -> list[Edge]:
-    """Internal edges incident to a cell, in canonical order."""
-    c, r = cell
-    dims.require(cell)
-    edges = []
-    if c > 0:
-        edges.append(("h", c - 1, r))
-    if c + 1 < dims.width:
-        edges.append(("h", c, r))
-    if r > 0:
-        edges.append(("v", c, r - 1))
-    if r + 1 < dims.height:
-        edges.append(("v", c, r))
-    edges.sort(key=edge_sort_key)
-    return edges
-
-
-def neighbors(dims: GridDims, cell: Cell) -> list[tuple[Cell, Edge]]:
-    """Orthogonal in-grid neighbours with connecting edges, canonically ordered."""
-    c, r = cell
-    dims.require(cell)
-    out = []
-    for edge in cell_edges(dims, cell):
-        a, b = edge_cells(edge)
-        out.append((b if a == cell else a, edge))
-    return out
 
 
 def checkerboard_color(cell: Cell) -> str:
@@ -297,7 +254,7 @@ def loop_ids(
             south[r * width + c] = 1
         else:
             dims = GridDims(width, height)
-            off = [edge for edge in edges if not is_internal(edge) or not edge_in_bounds(dims, edge)]
+            off = [edge for edge in edges if not edge_in_bounds(dims, edge)]
             return Violation("bounds", outside, edge=min(off, key=edge_sort_key))
 
     # The degree of id i is east[i] + east[i - 1] + south[i] + south[i - width].

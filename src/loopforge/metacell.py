@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .bsl import BslPuzzle, CubicBslPuzzle, check_cubic, verify_bsl
+from .bsl import BslPuzzle, CubicBslPuzzle, check_cubic, open_sides, verify_bsl
 from .errors import FormatError, ReductionError
 from .genres.base import build_cell_graph
 from .grid import (
@@ -33,7 +33,7 @@ from .grid import (
 )
 from .search import EXACT2, LoopSearch
 from .tileart import parse_bar_grid, strip_comments
-from .tiling import crossing_edge, lift_loop, place_fragment
+from .tiling import boundary_positions, crossing_edge, lift_loop, misaligned, place_fragment, placed_exits
 from .transforms import Transform
 
 TEMPLATE_W, TEMPLATE_H = 5, 7
@@ -53,26 +53,13 @@ _PLACEMENTS = {
 class MetacellTemplate:
     dims: GridDims
     bars: frozenset[Edge]
-    exits: tuple[tuple[str, Cell], ...]  # (side, border cell) for N, E, S, W
+    exits: dict[str, Cell]  # side -> border cell, for N, E, S, W
     # Covering-tour transitions per opening pair; load_metacell fills it.
     bank: dict[frozenset, frozenset[Edge]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def frame(self) -> tuple[int, int]:
         return (self.dims.width, self.dims.height)
-
-    def exit_cell(self, side: str) -> Cell:
-        for s, cell in self.exits:
-            if s == side:
-                return cell
-        raise KeyError(side)
-
-    def placed_exits(self, transform: Transform) -> dict[str, Cell]:
-        """Side -> local cell map after applying a placement transform."""
-        return {
-            transform.apply_side(side): transform.apply_cell(TEMPLATE_W, TEMPLATE_H, cell)
-            for side, cell in self.exits
-        }
 
 
 def load_metacell(path: Optional[Path] = None) -> MetacellTemplate:
@@ -88,7 +75,7 @@ def load_metacell(path: Optional[Path] = None) -> MetacellTemplate:
     template = MetacellTemplate(
         GridDims(TEMPLATE_W, TEMPLATE_H),
         bars,
-        tuple((side, exits[side]) for side in SIDES),
+        {side: exits[side] for side in SIDES},
     )
     problem = _certify_template(template)
     if problem is not None:
@@ -113,7 +100,7 @@ def _certify_template(template: MetacellTemplate) -> Optional[str]:
     blacks = sum(1 for cell in dims.cells() if checkerboard_color(cell) == "black")
     if blacks != 18:
         return f"expected 18 black / 17 white cells, got {blacks} black"
-    for side, cell in template.exits:
+    for side, cell in template.exits.items():
         if checkerboard_color(cell) != "black":
             return f"{side} exit at {cell} is not on a black cell"
     # Cubicity with every opening blocked: the bare block.
@@ -126,11 +113,9 @@ def _certify_template(template: MetacellTemplate) -> Optional[str]:
         return "a cell has four accessible neighbours with exits open"
     # Facing openings of adjacent placements must line up.
     for key, t in _PLACEMENTS.items():
-        right = t.then(Transform.named("fx"))
-        below = t.then(Transform.named("fy"))
-        if template.placed_exits(t)["E"][1] != template.placed_exits(right)["W"][1]:
+        if "E" in misaligned(template, t, t.then(Transform.named("fx"))):
             return f"east/west openings misaligned for placement {key}"
-        if template.placed_exits(t)["S"][0] != template.placed_exits(below)["N"][0]:
+        if "S" in misaligned(template, t, t.then(Transform.named("fy"))):
             return f"north/south openings misaligned for placement {key}"
     return None
 
@@ -164,8 +149,8 @@ def _covering_tours(template: MetacellTemplate, a: str, b: str) -> Iterator[list
     """
     _, pairs, index = build_cell_graph(template.dims, bars=template.bars)
     cells = list(index)
-    extra, start = len(cells), index[template.exit_cell(a)]
-    graph = pairs + [(extra, start), (extra, index[template.exit_cell(b)])]
+    extra, start = len(cells), index[template.exits[a]]
+    graph = pairs + [(extra, start), (extra, index[template.exits[b]])]
     for loop in LoopSearch(extra + 1, graph, [EXACT2] * (extra + 1)).solutions():
         nbrs: dict[int, list[int]] = {}
         for ei in loop:
@@ -199,56 +184,25 @@ def reduce_to_cubic(
 ) -> tuple[CubicBslPuzzle, CubicReductionManifest]:
     """Expand every cell into a 5x7 block; image dims are (5W, 7H)."""
     tpl = template or default_metacell()
-    W, H = puzzle.dims.width, puzzle.dims.height
-    image_dims = GridDims(5 * W, 7 * H)
-    bars: set[Edge] = set()
-    transforms: dict[Cell, Transform] = {}
-    blocked: dict[Cell, set[str]] = {}
+    dims = puzzle.dims
+    transforms = {(c, r): _PLACEMENTS[(c % 2, r % 2)] for c, r in dims.cells()}
+    # Wall every block boundary, then reopen the crossing of each
+    # unbarred source edge.
+    bars = boundary_positions(tpl, dims.width, dims.height)
+    for cell, t in transforms.items():
+        bars |= place_fragment(tpl, tpl.bars, t, cell)
+    placed = {t: placed_exits(tpl, t) for t in set(transforms.values())}
+    for edge in internal_edges(dims):
+        if edge not in puzzle.bars:
+            bars.discard(crossing_edge(tpl, transforms, edge, placed))
+    blocked = {cell: frozenset(set(SIDES) - sides) for cell, sides in open_sides(puzzle).items()}
 
-    for c, r in puzzle.dims.cells():
-        t = _PLACEMENTS[(c % 2, r % 2)]
-        transforms[(c, r)] = t
-        blocked[(c, r)] = set()
-        bars |= place_fragment(tpl, tpl.bars, t, (c, r))
-
-    for c, r in puzzle.dims.cells():
-        # Shared boundary with the right neighbour.
-        if c + 1 < W:
-            open_edge = crossing_edge(tpl, transforms, (c, r), "E")
-            source_barred = ("h", c, r) in puzzle.bars
-            for rr in range(7 * r, 7 * r + TEMPLATE_H):
-                e = ("h", 5 * c + TEMPLATE_W - 1, rr)
-                if e != open_edge or source_barred:
-                    bars.add(e)
-            if source_barred:
-                blocked[(c, r)].add("E")
-                blocked[(c + 1, r)].add("W")
-        else:
-            blocked[(c, r)].add("E")
-        if c == 0:
-            blocked[(c, r)].add("W")
-        # Shared boundary with the neighbour below.
-        if r + 1 < H:
-            open_edge = crossing_edge(tpl, transforms, (c, r), "S")
-            source_barred = ("v", c, r) in puzzle.bars
-            for cc in range(5 * c, 5 * c + TEMPLATE_W):
-                e = ("v", cc, 7 * r + TEMPLATE_H - 1)
-                if e != open_edge or source_barred:
-                    bars.add(e)
-            if source_barred:
-                blocked[(c, r)].add("S")
-                blocked[(c, r + 1)].add("N")
-        else:
-            blocked[(c, r)].add("S")
-        if r == 0:
-            blocked[(c, r)].add("N")
-
-    image = CubicBslPuzzle(BslPuzzle(image_dims, frozenset(bars)))
+    image = CubicBslPuzzle(BslPuzzle(GridDims(TEMPLATE_W * dims.width, TEMPLATE_H * dims.height), frozenset(bars)))
     manifest = CubicReductionManifest(
         source=puzzle,
         image=image,
         transforms=transforms,
-        blocked={cell: frozenset(v) for cell, v in blocked.items()},
+        blocked=blocked,
         template=tpl,
     )
     return image, manifest
@@ -271,12 +225,15 @@ def project_from_cubic(manifest: CubicReductionManifest, cubic_solution: CellLoo
     bad = verify_bsl(manifest.image.inner, cubic_solution)
     if bad is not None:
         raise ReductionError(f"image solution rejected: {bad}")
-    transitions = set()
-    for axis, c, r in internal_edges(manifest.source.dims):
-        cross = crossing_edge(manifest.template, manifest.transforms, (c, r), "E" if axis == "h" else "S")
-        if cross in cubic_solution.transitions:
-            transitions.add((axis, c, r))
-    projected = CellLoop(frozenset(transitions))
+    tpl, layout = manifest.template, manifest.transforms
+    placed = {t: placed_exits(tpl, t) for t in set(layout.values())}
+    projected = CellLoop(
+        frozenset(
+            edge
+            for edge in internal_edges(manifest.source.dims)
+            if crossing_edge(tpl, layout, edge, placed) in cubic_solution.transitions
+        )
+    )
     bad = verify_bsl(manifest.source, projected)
     if bad is not None:
         raise ReductionError(f"projected solution invalid: {bad}")

@@ -1,4 +1,4 @@
-"""One tile per source cell: fragment placement, crossings and loop lifting.
+"""One tile per source cell: exits, fragment placement, crossings and loop lifting.
 
 Both reductions replace every source cell with a transformed copy of one
 tile and let the loop cross between neighbouring tiles at their facing
@@ -10,15 +10,16 @@ any object with
   (Slitherlink) tile, whose frame is measured in dots: a W x H tile has a
   (W+1) x (H+1) frame.  Tiles abut in frame coordinates, so it is also
   the (dx, dy) offset between neighbouring tile positions;
-* ``placed_exits(t)``: side -> frame position of every exit under the
-  placement transform ``t``;
+* ``exits``: side -> the frame cell on that side of the tile where the
+  loop may leave it;
 * ``bank``: frozenset of two tile-local exit sides -> the edges of a
   tile sub-solution joining those exits.
 
 A layout maps tile positions, which are the source cells, to placement
-transforms.  Lifted edges join nodes of the board's node grid, so every
-lifted solution is a ``CellLoop``: on the cells, or on the dot grid of a
-lattice board.
+transforms.  ``crossing_edge`` takes a source edge between two tile
+positions and returns the image edge the loop crosses it by.  Lifted
+edges join nodes of the board's node grid, so every lifted solution is a
+``CellLoop``: on the cells, or on the dot grid of a lattice board.
 """
 
 from __future__ import annotations
@@ -26,8 +27,34 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import ReductionError
-from .grid import OPPOSITE_SIDE, SIDE_DELTAS, Cell, CellLoop, Edge
+from .grid import OPPOSITE_SIDE, Cell, CellLoop, Edge, edge_cells
 from .transforms import Transform
+
+
+def placed_exits(tile, t: Transform) -> dict[str, Cell]:
+    """Side -> frame cell of every exit of ``tile`` placed by ``t``."""
+    w, h = tile.frame
+    return {t.apply_side(side): t.apply_cell(w, h, cell) for side, cell in tile.exits.items()}
+
+
+def misaligned(tile, t1: Transform, t2: Transform) -> list[str]:
+    """The sides, of "E" and "S", through which a tile placed by ``t1``
+    has an exit that misses the facing exit of a tile placed by ``t2``
+    beyond that side: on another row for "E", another column for "S"."""
+    e1, e2 = placed_exits(tile, t1), placed_exits(tile, t2)
+    return [
+        side
+        for side, k in (("E", 1), ("S", 0))
+        if side in e1 and OPPOSITE_SIDE[side] in e2 and e1[side][k] != e2[OPPOSITE_SIDE[side]][k]
+    ]
+
+
+def boundary_positions(tile, tiles_w: int, tiles_h: int) -> set[Edge]:
+    """Every edge of the board's node grid that straddles a tile boundary."""
+    fw, fh = tile.frame
+    w, h = fw * tiles_w, fh * tiles_h
+    out = {("h", c, r) for c in range(fw - 1, w - 1, fw) for r in range(h)}
+    return out | {("v", c, r) for c in range(w) for r in range(fh - 1, h - 1, fh)}
 
 
 def place_fragment(tile, frag: Iterable[Edge], t: Transform, tile_pos: Cell) -> set[Edge]:
@@ -44,33 +71,30 @@ def place_fragment(tile, frag: Iterable[Edge], t: Transform, tile_pos: Cell) -> 
 def crossing_edge(
     tile,
     layout: dict[Cell, Transform],
-    tile_pos: Cell,
-    side: str,
+    edge: Edge,
     placed: Optional[dict[Transform, dict[str, Cell]]] = None,
 ) -> Optional[Edge]:
-    """Image edge through which the loop crosses from ``tile_pos`` toward ``side``.
+    """Image edge through which the loop crosses the source edge ``edge``.
 
-    None when there is no neighbour there or either tile lacks an exit on
-    the shared boundary.  ``placed`` maps every transform of ``layout`` to
-    its ``tile.placed_exits``; a caller crossing many boundaries passes it
-    so each is computed once.
+    None when a cell of ``edge`` has no tile or either tile lacks an exit
+    on the shared boundary.  ``placed`` maps every transform of ``layout``
+    to its ``placed_exits``; a caller crossing many edges passes it so
+    each is computed once.
     """
-    dc, dr = SIDE_DELTAS[side]
-    nbr = (tile_pos[0] + dc, tile_pos[1] + dr)
-    if nbr not in layout:
+    a, b = edge_cells(edge)
+    if a not in layout or b not in layout:
         return None
-    exits = tile.placed_exits if placed is None else placed.__getitem__
-    mine = exits(layout[tile_pos])
-    theirs = exits(layout[nbr])
+    side = "E" if edge[0] == "h" else "S"
+    if placed is None:
+        mine, theirs = placed_exits(tile, layout[a]), placed_exits(tile, layout[b])
+    else:
+        mine, theirs = placed[layout[a]], placed[layout[b]]
     if side not in mine or OPPOSITE_SIDE[side] not in theirs:
         return None
-    # The edge leaves the west (north) tile through its east (south) exit.
-    if side in ("E", "S"):
-        (i, j), (x, y) = tile_pos, mine[side]
-    else:
-        (i, j), (x, y) = nbr, theirs[OPPOSITE_SIDE[side]]
+    # The edge leaves the lesser tile through its east (south) exit.
+    x, y = mine[side]
     fw, fh = tile.frame
-    return ("h" if side in ("E", "W") else "v", fw * i + x, fh * j + y)
+    return (edge[0], fw * a[0] + x, fh * a[1] + y)
 
 
 def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> set[Edge]:
@@ -94,9 +118,9 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> set[Edge]:
             frag = oriented[(t, pair)] = place_fragment(tile, tile.bank[pair], t, (0, 0))
         ox, oy = fw * cell[0], fh * cell[1]
         edges.update((axis, c + ox, r + oy) for axis, c, r in frag)
-    placed = {t: tile.placed_exits(t) for t in set(layout.values())}
+    placed = {t: placed_exits(tile, t) for t in set(layout.values())}
     for axis, c, r in loop.transitions:
-        cross = crossing_edge(tile, layout, (c, r), "E" if axis == "h" else "S", placed)
+        cross = crossing_edge(tile, layout, (axis, c, r), placed)
         if cross is None:
             raise ReductionError(f"source transition ({axis},{c},{r}) has no facing exits")
         edges.add(cross)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import OPPOSITE_SIDE, SIDES, Cell, Edge, edge_between, edge_cells, is_internal
+from .grid import OPPOSITE_SIDE, SIDES, Cell, Edge, edge_between, edge_cells
 
 _NAMES = {
     (0, False): "r0",
@@ -61,12 +61,8 @@ class Transform:
         return SIDES[(SIDES.index(side) + self.rot) % 4]
 
     def apply_edge(self, w: int, h: int, edge: Edge) -> Edge:
-        if is_internal(edge):
-            a, b = edge_cells(edge)
-            return edge_between(self.apply_cell(w, h, a), self.apply_cell(w, h, b))
-        side, c, r = edge
-        nc, nr = self.apply_cell(w, h, (c, r))
-        return (self.apply_side(side), nc, nr)
+        a, b = edge_cells(edge)
+        return edge_between(self.apply_cell(w, h, a), self.apply_cell(w, h, b))
 
     def then(self, other: "Transform") -> "Transform":
         """Composition: self first, then other."""

@@ -9,7 +9,7 @@ from loopforge import formats
 from loopforge.bsl import BslPuzzle
 from loopforge.genres import GENRES
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
-from loopforge.grid import GridDims
+from loopforge.grid import GridDims, edge_between, edge_sort_key
 from loopforge.metacell import lift_to_cubic, reduce_to_cubic
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -31,6 +31,28 @@ def fixture_puzzle(name: str):
 
 def fixture_solution(name: str):
     return formats.solution_from_json(load_fixture(f"{name}_solution"))
+
+
+def neighbors(dims: GridDims, cell, bars=frozenset()) -> list:
+    """(neighbour, edge) for each in-grid neighbour of ``cell`` across no
+    bar of ``bars``, in the canonical N, W, E, S order of the edges."""
+    c, r = cell
+    out = []
+    for nbr in ((c, r - 1), (c - 1, r), (c + 1, r), (c, r + 1)):
+        if dims.contains(nbr) and edge_between(cell, nbr) not in bars:
+            out.append((nbr, edge_between(cell, nbr)))
+    return out
+
+
+def boundary_edges(dims: GridDims) -> list:
+    """Every boundary edge ``(side, c, r)`` of the grid, in canonical order."""
+    edges = [
+        (side, c, r)
+        for c, r in dims.cells()
+        for side, nbr in (("N", (c, r - 1)), ("E", (c + 1, r)), ("S", (c, r + 1)), ("W", (c - 1, r)))
+        if not dims.contains(nbr)
+    ]
+    return sorted(edges, key=edge_sort_key)
 
 
 def ring(c0, r0, c1, r1) -> frozenset:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution, lifted_opening_pairs
+from conftest import fixture_puzzle, fixture_solution, lifted_opening_pairs, neighbors
 from loopforge.bsl import (
     BslPuzzle,
     CubicBslPuzzle,
@@ -22,7 +22,7 @@ from loopforge.bsl import (
 )
 from loopforge.catalog import certify_gadget, load_gadget
 from loopforge.genres import GENRES
-from loopforge.grid import CellLoop, GridDims, checkerboard_color, internal_edges, neighbors
+from loopforge.grid import CellLoop, GridDims, checkerboard_color, internal_edges
 from loopforge.metacell import build_metacell_bank, lift_to_cubic, load_metacell, reduce_to_cubic
 from loopforge.orientation import build_bar_graph, orient
 from loopforge.reduction import lift_to_genre, reduce_to_genre
@@ -142,7 +142,7 @@ def test_criterion_5_orientation_property():
     violations = 0
     for p in instances:
         assignment = orient(build_bar_graph(p))
-        two_exit = [c for c in p.dims.cells() if len(p.inner.accessible_neighbors(c)) == 2]
+        two_exit = [c for c in p.dims.cells() if len(neighbors(p.dims, c, p.bars)) == 2]
         if set(assignment) != set(two_exit):
             violations += 1
             continue

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution
+from conftest import fixture_puzzle, fixture_solution, neighbors
 from loopforge.bsl import (
     BslPuzzle,
     CubicBslPuzzle,
@@ -76,7 +76,7 @@ def _hamiltonian_cycles(puzzle):
     path, on_path, cycles = [], {start}, set()
 
     def extend(cell):
-        for nbr, edge in puzzle.accessible_neighbors(cell):
+        for nbr, edge in neighbors(puzzle.dims, cell, puzzle.bars):
             if nbr == start and len(on_path) == n:
                 cycles.add(frozenset(path + [edge]))
             elif nbr not in on_path:

@@ -1,11 +1,11 @@
 import copy
+import shutil
 import time
 
 import pytest
 
-from loopforge import catalog
-
 from loopforge.catalog import (
+    DEFAULT_CATALOG,
     RING_2X2,
     catalog_listing,
     certify_gadget,
@@ -14,7 +14,9 @@ from loopforge.catalog import (
     validate_descriptor,
 )
 from loopforge.errors import FormatError, SearchTimeout
+from loopforge.genres import GENRES
 from loopforge.genres.base import SolveResult
+from loopforge.tiling import placed_exits
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +59,39 @@ def test_unknown_genre_rejected():
         load_gadget("tapa")
 
 
+def _copied_catalog(tmp_path, name, old, new):
+    """The packaged catalog copied to ``tmp_path`` with one text replaced in ``name``."""
+    directory = tmp_path / "gadgets"
+    shutil.copytree(DEFAULT_CATALOG, directory)
+    text = (directory / name).read_text(encoding="utf-8")
+    assert old in text
+    (directory / name).write_text(text.replace(old, new, 1), encoding="utf-8")
+    return directory
+
+
+@pytest.mark.parametrize(
+    "genre,name,old,new,match",
+    [
+        ("simple-loop", "simple_loop.txt", "exits: W 2, E 2, S 2", "exits: W 2, E 2, S 2, S 3", "exit side S is given twice"),
+        ("yajilin", "yajilin.txt", "exits: W 2, E 2, S 2", "exits: W 2, W 2, E 2", "exit side W is given twice"),
+        ("simple-loop", "simple_loop.txt", "exits: W 2, E 2, S 2", "exits: W 9, E 2, S 2", "exit W 9 lies outside"),
+        ("masyu", "masyu.txt", "exits: W 4, E 4, S 4", "exits: W 4, E 4, S -1", "exit S -1 lies outside"),
+        # A Slitherlink frame is measured in dots: 11 on a 10x10 tile.
+        ("slitherlink", "slitherlink.txt", "exits: W 5, E 5, S 5", "exits: W 5, E 11, S 5", "exit E 11 lies outside"),
+    ],
+    ids=["repeated-last", "repeated-first", "offset-past-end", "negative-offset", "lattice-offset"],
+)
+def test_repeated_or_out_of_range_exit_rejected(tmp_path, genre, name, old, new, match):
+    directory = _copied_catalog(tmp_path, name, old, new)
+    with pytest.raises(FormatError, match=match):
+        load_gadget(genre, directory)
+
+
 def test_exit_alignment_all_placements(descriptors):
     for desc in descriptors.values():
         for t1 in desc.allowed_transforms():
             for t2 in desc.allowed_transforms():
-                e1, e2 = desc.placed_exits(t1), desc.placed_exits(t2)
+                e1, e2 = placed_exits(desc, t1), placed_exits(desc, t2)
                 if "E" in e1 and "W" in e2:
                     assert e1["E"][1] == e2["W"][1]
                 if "S" in e1 and "N" in e2:
@@ -70,16 +100,18 @@ def test_exit_alignment_all_placements(descriptors):
 
 def test_crossing_edges_on_ring(descriptors):
     desc = descriptors["simple-loop"]
-    e = crossing_edge(desc, RING_2X2, (0, 0), "E")
+    e = crossing_edge(desc, RING_2X2, ("h", 0, 0))
     assert e == ("h", 4, 2)
-    e = crossing_edge(desc, RING_2X2, (0, 0), "S")
+    e = crossing_edge(desc, RING_2X2, ("v", 0, 0))
     assert e == ("v", 2, 4)
     # the facing wall case: no crossing between tiles whose sides are walled
     layout = {
         (0, 0): desc.transform_for_free_side("E"),
         (1, 0): desc.transform_for_free_side("W"),
     }
-    assert crossing_edge(desc, layout, (0, 0), "E") is None
+    assert crossing_edge(desc, layout, ("h", 0, 0)) is None
+    # no tile beyond the layout
+    assert crossing_edge(desc, layout, ("v", 0, 0)) is None
 
 
 @pytest.mark.parametrize("genre,expected", [("simple-loop", "yes"), ("yajilin", "yes")])
@@ -154,15 +186,15 @@ def test_tiny_budget_is_budget_limited_never_no(descriptors, genre):
 
 def test_enumeration_gets_only_the_budget_left(monkeypatch, descriptors):
     calls = []  # (budget given, seconds the call took to return)
-    original = catalog._solve_board
+    original = GENRES["yajilin"].solve
 
-    def wrapper(desc, board, budget, seeds_in, enumerate_all=False):
+    def wrapper(board, budget_ms, seeds_in, enumerate_all=False):
         start = time.monotonic()
-        result = original(desc, board, budget, seeds_in, enumerate_all)
-        calls.append((budget, time.monotonic() - start))
+        result = original(board, budget_ms=budget_ms, seeds_in=seeds_in, enumerate_all=enumerate_all)
+        calls.append((budget_ms, time.monotonic() - start))
         return result
 
-    monkeypatch.setattr(catalog, "_solve_board", wrapper)
+    monkeypatch.setattr(GENRES["yajilin"], "solve", wrapper)
     budget_ms = 1.0
     certify_gadget(descriptors["yajilin"], budget_ms=budget_ms)
     assert calls
@@ -174,12 +206,12 @@ def test_enumeration_gets_only_the_budget_left(monkeypatch, descriptors):
 
 @pytest.mark.parametrize("genre", ["slitherlink", "masyu", "yajilin", "simple-loop"])
 def test_witness_timeouts_are_partial_never_no(monkeypatch, descriptors, genre):
-    def timing_out(desc, board, budget, seeds_in, enumerate_all=False):
+    def timing_out(board, budget_ms, seeds_in, enumerate_all=False):
         if enumerate_all:
             raise SearchTimeout("budget spent")
         return SolveResult("timeout")
 
-    monkeypatch.setattr(catalog, "_solve_board", timing_out)
+    monkeypatch.setattr(GENRES[genre], "solve", timing_out)
     cert = certify_gadget(descriptors[genre], budget_ms=60000)
     assert cert.conditions["e"].status == "budget-limited"
     assert cert.overall == "partial"
@@ -188,7 +220,7 @@ def test_witness_timeouts_are_partial_never_no(monkeypatch, descriptors, genre):
 @pytest.mark.parametrize("genre", ["slitherlink", "masyu", "yajilin", "simple-loop"])
 def test_spent_budget_starts_no_search(monkeypatch, descriptors, genre):
     calls = []
-    monkeypatch.setattr(catalog, "_solve_board", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(GENRES[genre], "solve", lambda *args, **kwargs: calls.append(args))
     cert = certify_gadget(descriptors[genre], budget_ms=0)
     assert calls == []
     assert cert.overall == "partial"

@@ -2,19 +2,16 @@ import random
 
 import pytest
 
-from conftest import ring
-from loopforge.errors import BoundsError
+from conftest import boundary_edges, ring
 from loopforge.grid import (
     CellLoop,
     GridDims,
-    boundary_edges,
     checkerboard_color,
     edge_between,
     edge_cells,
     edge_sort_key,
     internal_edges,
     loop_ids,
-    neighbors,
     validate_loop,
 )
 from loopforge.genres.slitherlink import SlitherlinkPuzzle
@@ -29,15 +26,6 @@ def test_dims_validation():
     with pytest.raises(ValueError):
         GridDims(3, -1)
     assert GridDims(1, 1).cell_count == 1
-
-
-def test_neighbors_corner_and_interior():
-    d = GridDims(4, 4)
-    assert [n for n, _ in neighbors(d, (0, 0))] == [(1, 0), (0, 1)]
-    assert len(neighbors(d, (1, 1))) == 4
-    assert [n for n, _ in neighbors(GridDims(1, 3), (0, 1))] == [(0, 0), (0, 2)]
-    with pytest.raises(BoundsError):
-        neighbors(d, (4, 0))
 
 
 def test_checkerboard():

@@ -28,7 +28,7 @@ def test_template_invariants(template):
     assert template.dims.cell_count == 35
     blacks = [c for c in template.dims.cells() if checkerboard_color(c) == "black"]
     assert len(blacks) == 18
-    for side, cell in template.exits:
+    for side, cell in template.exits.items():
         assert checkerboard_color(cell) == "black"
     assert check_cubic(BslPuzzle(template.dims, template.bars)) == []
 

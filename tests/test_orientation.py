@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from conftest import neighbors
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle, degenerate_cells
 from loopforge.errors import ReductionError
-from loopforge.grid import GridDims, neighbors
+from loopforge.grid import GridDims
 from loopforge.orientation import build_bar_graph, orient
 
 DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
@@ -48,7 +49,7 @@ def components(adjacency: dict) -> list:
 
 
 def two_exit_cells(puzzle: BslPuzzle) -> list:
-    return [c for c in puzzle.dims.cells() if len(puzzle.accessible_neighbors(c)) == 2]
+    return [c for c in puzzle.dims.cells() if len(neighbors(puzzle.dims, c, puzzle.bars)) == 2]
 
 
 def random_cubic(rng, w, h):
@@ -166,5 +167,5 @@ def test_assignment_only_along_barred_directions():
         for cell, d in a.items():
             dc, dr = DELTAS[d]
             nbr = (cell[0] + dc, cell[1] + dr)
-            accessible = {n for n, _ in p.inner.accessible_neighbors(cell)}
+            accessible = {n for n, _ in neighbors(p.dims, cell, p.bars)}
             assert nbr not in accessible

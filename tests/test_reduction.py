@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution
+from conftest import fixture_puzzle, fixture_solution, neighbors
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle, solve_bsl_dp
 from loopforge.errors import ReductionError
 from loopforge.genres import GENRES
@@ -78,7 +78,7 @@ def test_two_exit_cells_get_free_edges_recorded():
     cubic = fixture_puzzle("cubic_example")
     _, manifest = reduce_to_genre(cubic, "simple-loop")
     for cell, placement in manifest.placements.items():
-        accessible = len(cubic.inner.accessible_neighbors(cell))
+        accessible = len(neighbors(cubic.dims, cell, cubic.bars))
         if accessible == 2:
             assert placement.free_edge is not None
         else:
