@@ -195,7 +195,7 @@ def reduce_to_cubic(
     for edge in internal_edges(dims):
         if edge not in puzzle.bars:
             bars.discard(crossing_edge(tpl, transforms, edge, placed))
-    blocked = {cell: frozenset(set(SIDES) - sides) for cell, sides in open_sides(puzzle).items()}
+    blocked = {cell: frozenset(SIDES) - sides for cell, sides in open_sides(puzzle).items()}
 
     image = CubicBslPuzzle(BslPuzzle(GridDims(TEMPLATE_W * dims.width, TEMPLATE_H * dims.height), frozenset(bars)))
     manifest = CubicReductionManifest(
