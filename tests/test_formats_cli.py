@@ -269,7 +269,6 @@ def _catalog_with(tmp_path, monkeypatch, genre, old, new):
         ("simple-loop", "exits: W 2, E 2, S 2\n", ""),
         ("simple-loop", "tile: 5 5\n", "tile: 9 x\n"),
         ("simple-loop", "exits: W 2,", "exits: W two,"),
-        ("simple-loop", "exits: W 2, E 2, S 2\n", "exits: W 2, E 2, S 2, S 3\n"),
         ("slitherlink", "[tile]\n.333", "[tile]\n4333"),
         ("slitherlink", "[tile]\n.333", "[tile]\nx333"),
         ("masyu", "[tile]\nB", "[tile]\nQ"),
@@ -280,7 +279,6 @@ def _catalog_with(tmp_path, monkeypatch, genre, old, new):
         "no-exits-line",
         "bad-tile-size",
         "bad-exit-offset",
-        "repeated-exit",
         "slitherlink-4",
         "slitherlink-x",
         "masyu-Q",
