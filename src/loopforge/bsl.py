@@ -10,14 +10,15 @@ solver built on the shared search engine, and the broken-profile DP in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from . import dp
 from .errors import CapabilityError
 from .genres.base import SolveResult, build_cell_graph, run_search
 from .grid import (
-    SIDE_DELTAS,
+    SIDES,
     Cell,
     CellLoop,
     Edge,
@@ -25,7 +26,6 @@ from .grid import (
     Violation,
     edge_in_bounds,
     edge_sort_key,
-    side_edge,
     validate_loop,
 )
 from .search import EXACT2, LoopSearch
@@ -35,10 +35,17 @@ DEFAULT_PROFILE_CAP = 14
 
 @dataclass(frozen=True, slots=True)
 class BslPuzzle:
-    """Grid plus barred internal edges."""
+    """Grid plus barred internal edges.
+
+    ``open_sides`` fills ``sides_cache`` on its first call; it takes no
+    part in comparison or hashing.
+    """
 
     dims: GridDims
     bars: frozenset[Edge]
+    sides_cache: Optional[dict[Cell, frozenset[str]]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         for edge in self.bars:
@@ -79,18 +86,36 @@ def check_cubic(puzzle: BslPuzzle) -> list[Cell]:
     return [cell for cell, sides in open_sides(puzzle).items() if len(sides) > 3]
 
 
-def open_sides(puzzle: BslPuzzle) -> dict[Cell, set[str]]:
+# Every subset of SIDES as a frozenset, indexed by its bit mask (bit k for SIDES[k]).
+_SIDE_SETS = tuple(frozenset(side for k, side in enumerate(SIDES) if mask >> k & 1) for mask in range(16))
+_N, _E, _S, _W = (1 << k for k in range(4))
+
+
+def open_sides(puzzle: BslPuzzle) -> Mapping[Cell, frozenset[str]]:
     """Each cell's sides that lead to a neighbour on the grid across no bar,
-    with the cells in row-major order."""
-    w, h, bars = puzzle.dims.width, puzzle.dims.height, puzzle.bars
-    return {
-        (c, r): {
-            side
-            for side, (dc, dr) in SIDE_DELTAS.items()
-            if 0 <= c + dc < w and 0 <= r + dr < h and side_edge((c, r), side) not in bars
-        }
-        for c, r in puzzle.dims.cells()
-    }
+    with the cells in row-major order.
+
+    Computed once per puzzle and kept on it: cubicity, degeneracy, the
+    cubic stage's ``blocked``, the bar graph and the genre placements all
+    read this one read-only map.
+    """
+    if puzzle.sides_cache is None:
+        w, h = puzzle.dims.width, puzzle.dims.height
+        masks = {}
+        for r in range(h):
+            row = (_N if r else 0) | (_S if r < h - 1 else 0)
+            for c in range(w):
+                masks[(c, r)] = row | (_W if c else 0) | (_E if c < w - 1 else 0)
+        for axis, c, r in puzzle.bars:
+            if axis == "h":
+                masks[(c, r)] &= ~_E
+                masks[(c + 1, r)] &= ~_W
+            else:
+                masks[(c, r)] &= ~_S
+                masks[(c, r + 1)] &= ~_N
+        sides = {cell: _SIDE_SETS[mask] for cell, mask in masks.items()}
+        object.__setattr__(puzzle, "sides_cache", sides)
+    return MappingProxyType(puzzle.sides_cache)
 
 
 def degenerate_cells(puzzle: BslPuzzle) -> list[Cell]:

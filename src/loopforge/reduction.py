@@ -23,6 +23,8 @@ from .orientation import build_bar_graph, orient
 from .tiling import lift_loop
 from .transforms import Transform
 
+ALL_SIDES = frozenset(SIDES)
+
 
 @dataclass
 class TilePlacement:
@@ -66,17 +68,21 @@ def reduce_to_genre(
     else:
         tiles_w, tiles_h = puzzle.dims.width, puzzle.dims.height
         directions = orient(build_bar_graph(puzzle))
+        toward: dict[str, Transform] = {}  # walled side -> its transform, looked up once each
         for cell, open_dirs in open_sides(puzzle.inner).items():
             free_edge = None
             if len(open_dirs) == 3:
-                exits = frozenset(open_dirs)
+                exits = open_dirs
             elif len(open_dirs) == 2:
                 free_edge = directions[cell]
-                exits = frozenset(open_dirs | {free_edge})
+                exits = open_dirs | {free_edge}
             else:
                 raise ReductionError(f"cell {cell} has {len(open_dirs)} exits after the degenerate check")
-            walled = next(iter(set(SIDES) - exits))
-            placements[cell] = TilePlacement(desc.transform_for_free_side(walled), exits, free_edge)
+            walled = next(iter(ALL_SIDES - exits))
+            t = toward.get(walled)
+            if t is None:
+                t = toward[walled] = desc.transform_for_free_side(walled)
+            placements[cell] = TilePlacement(t, exits, free_edge)
 
     layout = {cell: p.transform for cell, p in placements.items()}
     board = assemble_board(desc, layout, tiles_w, tiles_h)
