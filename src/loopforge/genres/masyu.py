@@ -27,6 +27,14 @@ class MasyuPuzzle:
     pearls: tuple[tuple[Cell, str], ...]  # (cell, "white" | "black")
 
     def __post_init__(self) -> None:
+        # Whole-collection tests first; the loop below names the first bad pearl.
+        cells, colours = zip(*self.pearls) if self.pearls else ((), ())
+        if (
+            self.dims.contains_all(cells)
+            and colours.count("white") + colours.count("black") == len(colours)
+            and len(set(cells)) == len(cells)
+        ):
+            return
         seen = set()
         for cell, colour in self.pearls:
             self.dims.require(cell)

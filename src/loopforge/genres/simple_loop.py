@@ -16,6 +16,8 @@ class SimpleLoopPuzzle:
     shaded: frozenset[Cell]
 
     def __post_init__(self) -> None:
+        if self.dims.contains_all(self.shaded):
+            return
         for cell in self.shaded:
             self.dims.require(cell)
 

@@ -16,12 +16,20 @@ from ..search import OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
 
 
+CLUE_RANGE = frozenset(range(4))
+DIGITS = {str(d): d for d in range(10)}
+
+
 @dataclass(frozen=True, slots=True)
 class SlitherlinkPuzzle:
     dims: GridDims  # cells; the dot lattice is (width+1) x (height+1)
     clues: tuple[tuple[Cell, int], ...]
 
     def __post_init__(self) -> None:
+        # Whole-collection tests first; the loop below names the first bad clue.
+        cells, counts = zip(*self.clues) if self.clues else ((), ())
+        if self.dims.contains_all(cells) and set(counts) <= CLUE_RANGE and len(set(cells)) == len(cells):
+            return
         seen = set()
         for cell, count in self.clues:
             self.dims.require(cell)
@@ -35,7 +43,7 @@ class SlitherlinkPuzzle:
 def from_art(dims: GridDims, art: dict[Cell, str]) -> SlitherlinkPuzzle:
     """Tile art as a puzzle: each digit is the clue of its cell."""
     check_art(art, "0123456789")
-    return SlitherlinkPuzzle(dims, tuple(sorted((cell, int(ch)) for cell, ch in art.items())))
+    return SlitherlinkPuzzle(dims, tuple(sorted((cell, DIGITS[ch]) for cell, ch in art.items())))
 
 
 def cell_border_edges(cell: Cell) -> list[Edge]:

@@ -21,6 +21,15 @@ class YajilinPuzzle:
     clues: tuple[tuple[Cell, int, str], ...] = ()  # (grey cell, count, direction)
 
     def __post_init__(self) -> None:
+        # Whole-collection tests first; the loops below name the first bad entry.
+        cells, counts, directions = zip(*self.clues) if self.clues else ((), (), ())
+        if (
+            self.dims.contains_all(self.grey)
+            and self.grey.issuperset(cells)
+            and min(counts, default=0) >= 0
+            and SIDE_DELTAS.keys() >= set(directions)
+        ):
+            return
         for cell in self.grey:
             self.dims.require(cell)
         for cell, count, direction in self.clues:

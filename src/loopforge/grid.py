@@ -17,7 +17,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Collection, Iterable, Iterator, Optional, Union
 
 from .errors import BoundsError
 
@@ -59,6 +59,13 @@ class GridDims:
     def require(self, cell: Cell) -> None:
         if not self.contains(cell):
             raise BoundsError(f"cell {cell} outside {self.width}x{self.height} grid")
+
+    def contains_all(self, cells: Collection[Cell]) -> bool:
+        """Whether every cell lies on the grid, by the least and greatest column and row."""
+        if not cells:
+            return True
+        cols, rows = zip(*cells)
+        return 0 <= min(cols) and max(cols) < self.width and 0 <= min(rows) and max(rows) < self.height
 
     def cells(self) -> Iterator[Cell]:
         """All cells in row-major order."""
