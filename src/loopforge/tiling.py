@@ -103,21 +103,25 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> set[Edge]:
     Each tile gets the bank fragment for the local exit pair the loop uses
     at its cell, and each source transition adds its crossing edge.
     """
-    # Transformed fragments at the origin, one per (transform, pair): at
-    # most 8 x 6, however many tiles share them.
-    oriented: dict[tuple[Transform, frozenset], set[Edge]] = {}
+    # Transformed fragments at the origin, keyed by the transform's
+    # (rot, mirror) and whether the loop leaves the cell through each of
+    # N, E, S and W: at most 8 x 6, however many tiles share them.
+    oriented: dict[tuple[int, bool, bool, bool, bool, bool], set[Edge]] = {}
     fw, fh = tile.frame
+    trans = loop.transitions
     edges: set[Edge] = set()
     for cell, t in layout.items():
-        inv = t.inverse()
-        pair = frozenset(inv.apply_side(side) for side in loop.sides(cell))
-        frag = oriented.get((t, pair))
+        c, r = cell
+        key = (t.rot, t.mirror, ("v", c, r - 1) in trans, ("h", c, r) in trans, ("v", c, r) in trans, ("h", c - 1, r) in trans)
+        frag = oriented.get(key)
         if frag is None:
+            inv = t.inverse()
+            pair = frozenset(inv.apply_side(side) for side in loop.sides(cell))
             if pair not in tile.bank:
                 raise ReductionError(f"no bank fragment for local exit pair {sorted(pair)} at cell {cell}")
-            frag = oriented[(t, pair)] = place_fragment(tile, tile.bank[pair], t, (0, 0))
-        ox, oy = fw * cell[0], fh * cell[1]
-        edges.update((axis, c + ox, r + oy) for axis, c, r in frag)
+            frag = oriented[key] = place_fragment(tile, tile.bank[pair], t, (0, 0))
+        ox, oy = fw * c, fh * r
+        edges.update((axis, x + ox, y + oy) for axis, x, y in frag)
     placed = {t: placed_exits(tile, t) for t in set(layout.values())}
     for axis, c, r in loop.transitions:
         cross = crossing_edge(tile, layout, (axis, c, r), placed)
