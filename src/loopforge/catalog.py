@@ -31,13 +31,13 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import FormatError, ReductionError, SearchTimeout, malformed
 from .genres import GENRES
 from .grid import SIDES, Cell, CellLoop, Edge, GridDims, edge_cells, edge_sort_key, internal_edges
 from .tileart import parse_fragment_grid, strip_comments
-from .tiling import boundary_positions, crossing_edge, lift_loop, misaligned, place_fragment
+from .tiling import boundary_positions, crossing_edge, lift_loop, misaligned, place_fragment, placed_exits
 from .transforms import ALL_TRANSFORMS, ROTATIONS, Transform
 
 DEFAULT_CATALOG = Path(__file__).parent / "data" / "gadgets"
@@ -251,19 +251,34 @@ def _fragment_ends(frag: frozenset[Edge]) -> set[Cell]:
 # board assembly (shared with the reduction engine)
 
 def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_w: int, tiles_h: int):
-    """The genre puzzle whose art is every placed tile's art, moved through its transform."""
+    """The genre puzzle whose art is every placed tile's art, moved through its transform.
+
+    The art is laid out in (col, row) order, the order each genre's
+    ``from_art`` sorts it into, so that sort has nothing to move.
+    """
     fw, fh = desc.frame
     tw, th = desc.tile.width, desc.tile.height
-    # The art moved through each transform at the origin: at most 8,
-    # however many tiles share them.
-    oriented: dict[Transform, list[tuple[int, int, str]]] = {}
+    # The art moved through each transform at the origin, as one list of
+    # (row, character) per column, sorted by row: at most 8, however many
+    # tiles share them.
+    oriented: dict[Transform, list[list[tuple[int, str]]]] = {}
+    for t in set(layout.values()):
+        columns = oriented[t] = [[] for _ in range(max(tw, th))]
+        for cell, ch in desc.art.items():
+            c, r = t.apply_cell(tw, th, cell)
+            columns[c].append((r, ch))
+        for column in columns:
+            column.sort()
+    # Each column of tiles, left to right, as its tiles' row offsets and
+    # oriented art from the top down.
+    stacks: dict[int, list[tuple[int, list[list[tuple[int, str]]]]]] = {}
+    for i, j in sorted(layout):
+        stacks.setdefault(i, []).append((fh * j, oriented[layout[(i, j)]]))
     art = {}
-    for (i, j), t in layout.items():
-        moved = oriented.get(t)
-        if moved is None:
-            moved = oriented[t] = [(*t.apply_cell(tw, th, cell), ch) for cell, ch in desc.art.items()]
-        ox, oy = fw * i, fh * j
-        art.update(((c + ox, r + oy), ch) for c, r, ch in moved)
+    for i, stack in stacks.items():
+        for x in range(max(tw, th)):
+            c = fw * i + x
+            art.update(((c, r + oy), ch) for oy, columns in stack for r, ch in columns[x])
     return GENRES[desc.genre].from_art(desc.board_dims(tiles_w, tiles_h), art)
 
 
@@ -349,23 +364,33 @@ def _ring_crossings(desc: GadgetDescriptor, layout: dict[Cell, Transform], ring:
     return out
 
 
-def _audit_solution(desc, layout, tiles_w, tiles_h, edges: frozenset[Edge]) -> Optional[str]:
-    """Check one board solution against (a), (c) and (d)."""
-    allowed = {crossing_edge(desc, layout, edge) for edge in internal_edges(GridDims(tiles_w, tiles_h))}
-    straddling = edges & boundary_positions(desc, tiles_w, tiles_h)
-    bad = straddling - allowed
-    if bad:
-        return f"boundary crossed away from a facing exit at {min(bad, key=edge_sort_key)}"
-    for pos in layout:
-        if not tile_visited(desc, edges, pos):
-            return f"tile {pos} not visited"
-    # Forced lines must appear inside every visited tile's placement.
-    for pos, t in layout.items():
-        placed = place_fragment(desc, desc.forced, t, pos)
-        if not placed <= edges:
-            missing = min(placed - edges, key=edge_sort_key)
-            return f"forced line missing at {missing} in tile {pos}"
-    return None
+def _auditor(desc, layout, tiles_w, tiles_h) -> Callable[[frozenset[Edge]], Optional[str]]:
+    """The check of one board solution against (a), (c) and (d).
+
+    The allowed crossings, the boundary positions and the placed forced
+    lines depend only on the layout, so they are built once here, not for
+    every solution audited.
+    """
+    placed = {t: placed_exits(desc, t) for t in set(layout.values())}
+    allowed = {crossing_edge(desc, layout, edge, placed) for edge in internal_edges(GridDims(tiles_w, tiles_h))}
+    boundary = boundary_positions(desc, tiles_w, tiles_h)
+    forced = {pos: place_fragment(desc, desc.forced, t, pos) for pos, t in layout.items()}
+
+    def audit(edges: frozenset[Edge]) -> Optional[str]:
+        bad = (edges & boundary) - allowed
+        if bad:
+            return f"boundary crossed away from a facing exit at {min(bad, key=edge_sort_key)}"
+        for pos in layout:
+            if not tile_visited(desc, edges, pos):
+                return f"tile {pos} not visited"
+        # Forced lines must appear inside every visited tile's placement.
+        for pos, lines in forced.items():
+            if not lines <= edges:
+                missing = min(lines - edges, key=edge_sort_key)
+                return f"forced line missing at {missing} in tile {pos}"
+        return None
+
+    return audit
 
 
 def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> GadgetCertificate:
@@ -434,7 +459,7 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
             e_details.append(f"{sorted(pair)}: no board solution extends the sub-solution")
             continue
         edges = result.solution.transitions
-        problem = _audit_solution(desc, layout, tiles_w, tiles_h, edges)
+        problem = _auditor(desc, layout, tiles_w, tiles_h)(edges)
         if problem:
             e_status = "fail"
             e_details.append(f"{sorted(pair)}: witness violates boundary rules: {problem}")
@@ -445,15 +470,14 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
 
     # (a), (c), (d): exhaustive enumeration at 2x2 for small tiles.
     if desc.tile.cell_count <= EXHAUSTIVE_TILE_CELLS:
-        layout = RING_2X2
-        board = assemble_board(desc, layout, 2, 2)
+        board = assemble_board(desc, RING_2X2, 2, 2)
+        audit = _auditor(desc, RING_2X2, 2, 2)
         count = 0
         problem = None
         try:
             for sol in search(board, budget_ms, (), enumerate_all=True):
                 count += 1
-                edges = sol.transitions
-                problem = _audit_solution(desc, layout, 2, 2, edges)
+                problem = audit(sol.transitions)
                 if problem:
                     break
             if problem:
