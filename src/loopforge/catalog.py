@@ -278,7 +278,9 @@ def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_
     for i, stack in stacks.items():
         for x in range(max(tw, th)):
             c = fw * i + x
-            art.update(((c, r + oy), ch) for oy, columns in stack for r, ch in columns[x])
+            for oy, columns in stack:
+                for r, ch in columns[x]:
+                    art[(c, r + oy)] = ch
     return GENRES[desc.genre].from_art(desc.board_dims(tiles_w, tiles_h), art)
 
 
