@@ -27,7 +27,11 @@ end, which scales to much larger boards but gives up the lexicographic
 guarantee; reruns still produce the identical solution.  The end it
 extends next (``_last_end``) is not restored on rollback, so it depends
 on the dead branches explored before: any change to pruning can reorder
-a frontier enumeration, though never change the set of solutions.
+a frontier enumeration, though never change the set of solutions.  This
+is kept on purpose.  Restoring ``_last_end`` from each stack entry was
+measured on the genre-solve benchmark (seed 1, passes 0-2, 200 ms
+budget): Masyu images of sat sources went from 9 of 45 decided to 0 of
+45, and no other genre's count changed.
 
 A planar graph may come with ``faces``: the two face ids of every edge,
 plus the face pairs of grid edges absent from the graph, which are
