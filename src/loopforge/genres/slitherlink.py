@@ -16,7 +16,6 @@ from ..search import OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
 
 
-CLUE_RANGE = frozenset(range(4))
 DIGITS = {str(d): d for d in range(10)}
 
 
@@ -28,7 +27,12 @@ class SlitherlinkPuzzle:
     def __post_init__(self) -> None:
         # Whole-collection tests first; the loop below names the first bad clue.
         cells, counts = zip(*self.clues) if self.clues else ((), ())
-        if self.dims.contains_all(cells) and set(counts) <= CLUE_RANGE and len(set(cells)) == len(cells):
+        if (
+            self.dims.contains_all(cells)
+            and 0 <= min(counts, default=0)
+            and max(counts, default=0) <= 3
+            and len(set(cells)) == len(cells)
+        ):
             return
         seen = set()
         for cell, count in self.clues:
