@@ -11,8 +11,7 @@ solver built on the shared search engine, and the broken-profile DP in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 from . import dp
 from .errors import CapabilityError
@@ -37,13 +36,14 @@ DEFAULT_PROFILE_CAP = 14
 class BslPuzzle:
     """Grid plus barred internal edges.
 
-    ``open_sides`` fills ``sides_cache`` on its first call; it takes no
-    part in comparison or hashing.
+    ``open_sides`` fills ``sides_cache``, one mask byte per cell in
+    row-major order, on its first call; it takes no part in comparison or
+    hashing.
     """
 
     dims: GridDims
     bars: frozenset[Edge]
-    sides_cache: Optional[dict[Cell, frozenset[str]]] = field(
+    sides_cache: Optional[bytes] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -91,31 +91,35 @@ _SIDE_SETS = tuple(frozenset(side for k, side in enumerate(SIDES) if mask >> k &
 _N, _E, _S, _W = (1 << k for k in range(4))
 
 
-def open_sides(puzzle: BslPuzzle) -> Mapping[Cell, frozenset[str]]:
+def open_sides(puzzle: BslPuzzle) -> dict[Cell, frozenset[str]]:
     """Each cell's sides that lead to a neighbour on the grid across no bar,
     with the cells in row-major order.
 
-    Computed once per puzzle and kept on it: cubicity, degeneracy, the
-    cubic stage's ``blocked``, the bar graph and the genre placements all
-    read this one read-only map.
+    The sides are worked out once per puzzle and kept on it as one mask
+    byte per cell, so cubicity, degeneracy, the cubic stage's ``blocked``,
+    the bar graph and the genre placements all read that one pass.  Each
+    call returns a new dict over those bytes: a dict kept on every puzzle
+    would hold two objects per cell for as long as the puzzle lives.
     """
-    if puzzle.sides_cache is None:
+    masks = puzzle.sides_cache
+    if masks is None:
         w, h = puzzle.dims.width, puzzle.dims.height
-        masks = {}
+        grid = bytearray(w * h)
         for r in range(h):
             row = (_N if r else 0) | (_S if r < h - 1 else 0)
             for c in range(w):
-                masks[(c, r)] = row | (_W if c else 0) | (_E if c < w - 1 else 0)
+                grid[r * w + c] = row | (_W if c else 0) | (_E if c < w - 1 else 0)
         for axis, c, r in puzzle.bars:
+            i = r * w + c
             if axis == "h":
-                masks[(c, r)] &= ~_E
-                masks[(c + 1, r)] &= ~_W
+                grid[i] &= ~_E
+                grid[i + 1] &= ~_W
             else:
-                masks[(c, r)] &= ~_S
-                masks[(c, r + 1)] &= ~_N
-        sides = {cell: _SIDE_SETS[mask] for cell, mask in masks.items()}
-        object.__setattr__(puzzle, "sides_cache", sides)
-    return MappingProxyType(puzzle.sides_cache)
+                grid[i] &= ~_S
+                grid[i + w] &= ~_N
+        masks = bytes(grid)
+        object.__setattr__(puzzle, "sides_cache", masks)
+    return dict(zip(puzzle.dims.cells(), map(_SIDE_SETS.__getitem__, masks)))
 
 
 def degenerate_cells(puzzle: BslPuzzle) -> list[Cell]:
