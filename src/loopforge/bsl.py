@@ -34,18 +34,12 @@ DEFAULT_PROFILE_CAP = 14
 
 @dataclass(frozen=True, slots=True)
 class BslPuzzle:
-    """Grid plus barred internal edges.
-
-    ``open_sides`` fills ``sides_cache``, one mask byte per cell in
-    row-major order, on its first call; it takes no part in comparison or
-    hashing.
-    """
+    """Grid plus barred internal edges."""
 
     dims: GridDims
     bars: frozenset[Edge]
-    sides_cache: Optional[bytes] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    # Filled by ``open_sides``: one mask byte per cell, row-major.
+    sides_cache: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for edge in self.bars:
