@@ -258,12 +258,13 @@ def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_
     """
     fw, fh = desc.frame
     tw, th = desc.tile.width, desc.tile.height
+    span = max(tw, th)  # the columns a transform can move art into
     # The art moved through each transform at the origin, as one list of
     # (row, character) per column, sorted by row: at most 8, however many
     # tiles share them.
     oriented: dict[Transform, list[list[tuple[int, str]]]] = {}
     for t in set(layout.values()):
-        columns = oriented[t] = [[] for _ in range(max(tw, th))]
+        columns = oriented[t] = [[] for _ in range(span)]
         for cell, ch in desc.art.items():
             c, r = t.apply_cell(tw, th, cell)
             columns[c].append((r, ch))
@@ -276,7 +277,7 @@ def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_
         stacks.setdefault(i, []).append((fh * j, oriented[layout[(i, j)]]))
     art = {}
     for i, stack in stacks.items():
-        for x in range(max(tw, th)):
+        for x in range(span):
             c = fw * i + x
             for oy, columns in stack:
                 for r, ch in columns[x]:

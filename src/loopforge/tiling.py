@@ -112,7 +112,9 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> set[Edge]:
     edges: set[Edge] = set()
     for cell, t in layout.items():
         c, r = cell
-        key = (t.rot, t.mirror, ("v", c, r - 1) in trans, ("h", c, r) in trans, ("v", c, r) in trans, ("h", c - 1, r) in trans)
+        n, e = ("v", c, r - 1) in trans, ("h", c, r) in trans
+        s, w = ("v", c, r) in trans, ("h", c - 1, r) in trans
+        key = (t.rot, t.mirror, n, e, s, w)
         frag = oriented.get(key)
         if frag is None:
             inv = t.inverse()

@@ -33,7 +33,11 @@ CASES = [
         "bad pearl colour 'grey'",
     ),
     (lambda: MasyuPuzzle(DIMS, (((0, 0), "white"), ((0, 0), "red"))), ValueError, "bad pearl colour 'red'"),
-    (lambda: MasyuPuzzle(DIMS, (((1, 0), "white"), ((1, 0), "white"), ((2, 9), "red"))), ValueError, "duplicate pearl at (1, 0)"),
+    (
+        lambda: MasyuPuzzle(DIMS, (((1, 0), "white"), ((1, 0), "white"), ((2, 9), "red"))),
+        ValueError,
+        "duplicate pearl at (1, 0)",
+    ),
     # Slitherlink: bounds, then range, then duplicate, for each clue in turn.
     (lambda: SlitherlinkPuzzle(DIMS, (((2, 1), 3), ((2, 1), 0))), ValueError, "duplicate clue at (2, 1)"),
     (lambda: SlitherlinkPuzzle(DIMS, (((0, 2), 1),)), BoundsError, "cell (0, 2) outside 3x2 grid"),
@@ -45,7 +49,11 @@ CASES = [
         ValueError,
         "duplicate clue at (0, 0)",
     ),
-    (lambda: SlitherlinkPuzzle(DIMS, (((0, 0), 2), ((0, 1), 9), ((9, 9), 0))), ValueError, "clue 9 at (0, 1) out of range"),
+    (
+        lambda: SlitherlinkPuzzle(DIMS, (((0, 0), 2), ((0, 1), 9), ((9, 9), 0))),
+        ValueError,
+        "clue 9 at (0, 1) out of range",
+    ),
     # Yajilin: every grey cell's bounds, then each clue's cell, count and direction.
     (lambda: _yajilin({(0, 0), (3, 0)}), BoundsError, "cell (3, 0) outside 3x2 grid"),
     (lambda: _yajilin({(0, 0)}, (((1, 1), 1, "N"),)), ValueError, "clue at (1, 1) is not on a grey cell"),
