@@ -442,15 +442,16 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
             # Large tiles: seed the whole ring tour lifted through the bank,
             # so the solver only has to validate the board.
             try:
-                seeds = lift_loop(desc, layout, ring)
+                seeds = lift_loop(desc, layout, ring).scan()
             except ReductionError as exc:
                 e_status = "fail"
                 e_details.append(f"{sorted(pair)}: {exc}")
                 continue
         else:
-            seeds = place_fragment(desc, desc.bank[pair], layout[pos], pos) | _ring_crossings(desc, layout, ring)
+            local = place_fragment(desc, desc.bank[pair], layout[pos], pos)
+            seeds = sorted(local | _ring_crossings(desc, layout, ring), key=edge_sort_key)
         try:
-            result = search(board, witness_budget, sorted(seeds, key=edge_sort_key))
+            result = search(board, witness_budget, seeds)
         except SearchTimeout:
             result = None
         if result is None or result.status == "timeout":

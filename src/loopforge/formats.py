@@ -43,10 +43,8 @@ def puzzle_genre(puzzle: Puzzle) -> str:
 
 
 def _edges_json(edges) -> list[dict]:
-    return [
-        {"axis": axis, "col": c, "row": r}
-        for axis, c, r in sorted(edges, key=edge_sort_key)
-    ]
+    """Edges in canonical order, which they must already be in."""
+    return [{"axis": axis, "col": c, "row": r} for axis, c, r in edges]
 
 
 def _edges_from_json(items) -> frozenset[Edge]:
@@ -67,7 +65,7 @@ def puzzle_to_json(puzzle: Puzzle) -> dict:
             "genre": genre,
             "width": inner.dims.width,
             "height": inner.dims.height,
-            "bars": _edges_json(inner.bars),
+            "bars": _edges_json(sorted(inner.bars, key=edge_sort_key)),
         }
     base = {"genre": genre, "width": puzzle.dims.width, "height": puzzle.dims.height}
     if genre == "slitherlink":
@@ -129,7 +127,8 @@ def puzzle_from_json(doc: dict) -> Puzzle:
 def solution_to_json(genre: str, sol: CellLoop) -> dict:
     # A Slitherlink loop runs on the dot grid, and its key says so.
     key = "lattice_edges" if genre == "slitherlink" else "edges"
-    return {"genre": genre, key: _edges_json(sol.transitions)}
+    # A flat loop lists its edges by a row scan, already in canonical order.
+    return {"genre": genre, key: _edges_json(sol.scan())}
 
 
 def solution_from_json(doc: dict) -> CellLoop:

@@ -13,8 +13,8 @@ from ..grid import (
     Cell,
     CellLoop,
     GridDims,
+    LoopIds,
     Violation,
-    loop_ids,
     side_edge,
 )
 from ..search import EXACT2, OPT, OUT, LoopSearch
@@ -59,13 +59,17 @@ def from_art(dims: GridDims, art: dict[Cell, str]) -> MasyuPuzzle:
 
 def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
     w = puzzle.dims.width
-    loop = loop_ids(w, puzzle.dims.height, sol.transitions)
+    loop = sol.ids(w, puzzle.dims.height)
     if isinstance(loop, Violation):
         return loop
     # A pearl at id p reads the sides it leaves through (north south[p - w],
     # south south[p], east east[p], west east[p - 1]) and the same side of
     # the neighbour beyond, which is set when the loop runs straight on
     # through that neighbour.  Look-ups off the grid read the zero padding.
+    # All pearls are checked at once first; only when one fails does the
+    # loop below name the first.
+    if _pearls_hold(puzzle, loop):
+        return None
     east, south, visited = loop.east, loop.south, loop.visited
     for (c, r), colour in puzzle.pearls:
         p = r * w + c
@@ -90,6 +94,31 @@ def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
             if not (vertical and horizontal):
                 return Violation("pearl", "loop must run straight beside a black pearl", cell=(c, r))
     return None
+
+
+def _pearls_hold(puzzle: MasyuPuzzle, loop: LoopIds) -> bool:
+    """Whether every pearl's rule holds, read from the loop as integers of
+    one 0/1 byte per id, little-endian, so that shifting by 8k bits reads
+    the byte k ids away: the look-ups of ``verify``, all ids at once.  A
+    shift off either end reads 0, as the zero padding does."""
+    w, n = loop.width, len(loop.visited)
+    white, black = bytearray(n), bytearray(n)
+    for (c, r), colour in puzzle.pearls:
+        (white if colour == "white" else black)[r * w + c] = 1
+    e, s = int.from_bytes(loop.east, "little"), int.from_bytes(loop.south, "little")
+    east_in, west_in, south_in, north_in = e, e << 8, s, s << (8 * w)
+    # The same side of the neighbour beyond.
+    east2, west2, south2, north2 = e >> 8, e << 16, s >> (8 * w), s << (16 * w)
+    ones = int.from_bytes(b"\1" * n, "little")
+    off_loop = int.from_bytes(loop.visited, "little") ^ ones
+    through_ns, through_ew = north_in & south_in, east_in & west_in
+    straight = through_ns | through_ew
+    white_bad = off_loop | (straight ^ ones) | (through_ns & north2 & south2) | (through_ew & east2 & west2)
+    # A visited pearl that does not run straight uses one side of each axis.
+    vertical = (north_in & north2) | (south_in & south2)
+    horizontal = (east_in & east2) | (west_in & west2)
+    black_bad = off_loop | straight | (vertical ^ ones) | (horizontal ^ ones)
+    return not (white_bad & int.from_bytes(white, "little") or black_bad & int.from_bytes(black, "little"))
 
 
 class _MasyuSearch(LoopSearch):

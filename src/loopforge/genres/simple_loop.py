@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..grid import Cell, CellLoop, GridDims, Violation, loop_ids
+from ..grid import Cell, CellLoop, GridDims, Violation
 from ..search import EXACT2, OPT, LoopSearch
 from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
 
@@ -31,7 +31,7 @@ def from_art(dims: GridDims, art: dict[Cell, str]) -> SimpleLoopPuzzle:
 def verify(puzzle: SimpleLoopPuzzle, sol: CellLoop) -> Optional[Violation]:
     """The loop must visit exactly the unshaded cells."""
     w, h = puzzle.dims.width, puzzle.dims.height
-    loop = loop_ids(w, h, sol.transitions)
+    loop = sol.ids(w, h)
     if isinstance(loop, Violation):
         return loop
     unshaded = bytearray(b"\1" * (w * h))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..grid import Cell, CellLoop, Edge, GridDims, Violation, loop_ids
+from ..grid import Cell, CellLoop, Edge, GridDims, Violation
 from ..search import OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
 
@@ -60,12 +60,24 @@ LATTICE_LOOP_WORDS = ("a loop must be drawn", "edge outside the lattice", "dot h
 
 def verify(puzzle: SlitherlinkPuzzle, sol: CellLoop) -> Optional[Violation]:
     dw = puzzle.dims.width + 1
-    loop = loop_ids(dw, puzzle.dims.height + 1, sol.transitions, LATTICE_LOOP_WORDS)
+    loop = sol.ids(dw, puzzle.dims.height + 1, LATTICE_LOOP_WORDS)
     if isinstance(loop, Violation):
         return loop
     # The four sides of cell (c, r) are the "h" edges of dots (c, r) and
-    # (c, r+1) and the "v" edges of dots (c, r) and (c+1, r).
+    # (c, r+1) and the "v" edges of dots (c, r) and (c+1, r).  All clues
+    # are compared at once first, as little-endian integers of one byte
+    # per dot: byte d of ``got`` is cell d's count, at most 4, so the sum
+    # has no carry.  Only when a clue fails does the loop below name the
+    # first one.
     east, south = loop.east, loop.south
+    e, s = int.from_bytes(east, "little"), int.from_bytes(south, "little")
+    got = e + (e >> (8 * dw)) + s + (s >> 8)
+    want, mask = bytearray(len(east)), bytearray(len(east))
+    for (c, r), count in puzzle.clues:
+        want[r * dw + c] = count
+        mask[r * dw + c] = 7
+    if got & int.from_bytes(mask, "little") == int.from_bytes(want, "little"):
+        return None
     for (c, r), count in puzzle.clues:
         d = r * dw + c
         got = east[d] + east[d + dw] + south[d] + south[d + 1]

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, least_cell, loop_ids
+from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, least_cell
 from ..search import EXACT2, OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, grid_faces, run_search
 
@@ -57,7 +57,7 @@ def from_art(dims: GridDims, art: dict[Cell, str]) -> YajilinPuzzle:
 
 def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:
     w, h = puzzle.dims.width, puzzle.dims.height
-    loop = loop_ids(w, h, sol.transitions)
+    loop = sol.ids(w, h)
     if isinstance(loop, Violation):
         return loop
     # Cell masks as little-endian integers, one 0/1 byte per flat id.

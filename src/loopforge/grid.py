@@ -12,11 +12,20 @@ downward.  Edges come in two kinds:
 Every module that needs a deterministic ordering of edges sorts them with
 :func:`edge_sort_key`, which realises the canonical (kind, row, col, axis)
 order.
+
+A loop (:class:`CellLoop`) is its set of internal edges, held either as
+those edge tuples or flat: as the ``east``/``south`` byte arrays of
+:class:`LoopIds` on its node grid, with no tuple per edge.  The lift
+writes flat loops; JSON input, tests and the solvers build loops from
+edges, and :func:`loop_ids` is the one conversion from edges to bytes.
+On the flat form canonical order is scan order, so a flat loop lists its
+edges by a row scan, with nothing to sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Collection, Iterable, Iterator, Optional, Union
 
 from .errors import BoundsError
@@ -146,22 +155,6 @@ def checkerboard_color(cell: Cell) -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class CellLoop:
-    """A single closed tour over cell centres, stored as its edge set."""
-
-    transitions: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        if not {edge[0] for edge in self.transitions} <= {"h", "v"}:
-            edge = min(edge for edge in self.transitions if not is_internal(edge))
-            raise ValueError(f"loop transition {edge} is not an internal edge")
-
-    def sides(self, cell: Cell) -> list[str]:
-        """Sides through which the loop leaves a cell, in ``SIDES`` order."""
-        return [side for side in SIDES if side_edge(cell, side) in self.transitions]
-
-
-@dataclass(frozen=True, slots=True)
 class Violation:
     """First failed property of a structural or rule check."""
 
@@ -232,8 +225,19 @@ class LoopIds:
 # Wording of the empty, bounds and degree violations, for loops on cells.
 CELL_LOOP_WORDS = ("loop has no transitions", "transition outside grid", "cell has degree {}, expected 2")
 
-# Maps a degree byte to 1 when it is neither 0 nor 2.
+# Maps a degree byte to 1 when it is neither 0 nor 2, and to half of 0 or 2.
 _BAD_DEGREE = bytes(0 if d in (0, 2) else 1 for d in range(256))
+_HALF = bytes(d // 2 if d in (0, 2) else 0 for d in range(256))
+
+# The loop walk's sides, in bit order: east, west, south, north.  A sides
+# byte holds 4 << k for each side k used, so a byte ORed with the side k
+# a walk came in through is a key of the tables below: the side it
+# leaves by, and the side of the next id it comes in through.
+_DEGREE = bytes(bin(b >> 2).count("1") for b in range(256))
+_OUT_SIDE = tuple(
+    next((k for k in range(4) if key >> (k + 2) & 1 and k != key & 3), 0) for key in range(64)
+)
+_IN_SIDE = bytes(k ^ 1 for k in _OUT_SIDE)
 
 
 def loop_ids(
@@ -245,7 +249,8 @@ def loop_ids(
     empty, bounds, degree, components.  A bounds violation names the
     smallest offending edge, a degree violation the smallest offending
     cell.  ``words`` phrases the first three for grids whose nodes are not
-    cells.
+    cells.  This is the one conversion of an edge set to byte arrays; a
+    flat loop is checked in place by :func:`flat_ids`.
     """
     empty, outside, bad_degree = words
     if not edges:
@@ -263,40 +268,68 @@ def loop_ids(
             dims = GridDims(width, height)
             off = [edge for edge in edges if not edge_in_bounds(dims, edge)]
             return Violation("bounds", outside, edge=min(off, key=edge_sort_key))
+    return _one_loop(width, east, south, len(edges), bad_degree)
 
-    # The degree of id i is east[i] + east[i - 1] + south[i] + south[i - width].
+
+def flat_ids(
+    width: int, height: int, east: bytearray, south: bytearray, words: tuple[str, str, str] = CELL_LOOP_WORDS
+) -> Union[LoopIds, Violation]:
+    """The checks of :func:`loop_ids`, in the same order and with the same
+    violations, on a loop held as 0/1 byte arrays laid out as in
+    :class:`LoopIds`.  The arrays are read in place, not copied.
+
+    The bounds check is that no ``east`` byte is set in the last column
+    or the spare byte, and no ``south`` byte in the last row or the spare
+    row; a violation names the smallest such edge.
+    """
+    empty, outside, bad_degree = words
+    n = width * height
+    count = east.count(1) + south.count(1)
+    if count + east.count(0) + south.count(0) != len(east) + len(south):
+        raise ValueError("a flat loop holds only 0 and 1 bytes")
+    if not count:
+        return Violation("empty", empty)
+    if east[n] or any(east[width - 1 : n : width]) or any(south[n - width :]):
+        off = [edge for edge in _scan(width, east, south) if not edge_in_bounds(GridDims(width, height), edge)]
+        return Violation("bounds", outside, edge=min(off, key=edge_sort_key))
+    return _one_loop(width, east, south, count, bad_degree)
+
+
+def _one_loop(width: int, east: bytearray, south: bytearray, count: int, bad_degree: str) -> Union[LoopIds, Violation]:
+    """The degree and component checks of ``count`` in-bounds edges."""
+    n = len(east) - 1
+    # Byte i of ``sides`` holds 4 << k for each side k the loop leaves id i
+    # by, k = 0 to 3 for east[i], east[i - 1], south[i], south[i - width].
     # As little-endian integers the shifted terms line up byte by byte, and
-    # no byte exceeds 4, so one sum adds all four without a carry.  The
+    # no byte exceeds 60, so one sum adds all four without a carry.  The
     # last column and last row hold no edges, so the sum fits in n bytes.
     e = int.from_bytes(east, "little")
     s = int.from_bytes(south, "little")
-    degree = e + (e << 8) + s + (s << (8 * width))
-    degrees = degree.to_bytes(n, "little")
-    # The degrees sum to 2 * len(edges), so they are all 0 or 2 exactly
-    # when len(edges) of them are 2.
-    if degrees.count(2) != len(edges):
+    sides = ((e + (e << 9) + (s << 2) + (s << (8 * width + 3))) << 2).to_bytes(n, "little")
+    degrees = sides.translate(_DEGREE)
+    # The degrees sum to 2 * count, so they are all 0 or 2 exactly when
+    # count of them are 2.
+    if degrees.count(2) != count:
         cell = least_cell(width, degrees.translate(_BAD_DEGREE))
         return Violation("degree", bad_degree.format(degrees[cell[1] * width + cell[0]]), cell=cell)
-    # Every byte is 0 or 2, so halving the sum halves each byte.
-    loop = LoopIds(width, east, south, (degree >> 1).to_bytes(n, "little"))
+    loop = LoopIds(width, east, south, degrees.translate(_HALF))
 
     # Every id has degree 2, so the walk leaves each one by the side it
     # did not come in through and closes after one lap of its component.
-    start = prev = cur = degrees.index(2)
-    steps = 0
-    while True:
-        if east[cur] and cur + 1 != prev:
-            prev, cur = cur, cur + 1
-        elif east[cur - 1] and cur - 1 != prev:
-            prev, cur = cur, cur - 1
-        elif south[cur] and cur + width != prev:
-            prev, cur = cur, cur + width
-        else:
-            prev, cur = cur, cur - width
-        steps += 1
+    # The least id on the loop has no edge west or north, so the walk
+    # starts east.  A step reads the sides byte with the side it came in
+    # through and looks up how far to move and the side it enters by next.
+    deltas = (1, -1, width, -width)
+    move = [deltas[k] for k in _OUT_SIDE]
+    start = degrees.index(2)
+    cur, came = start + 1, 1
+    for steps in range(2, count + 2):
+        key = sides[cur] | came
+        cur += move[key]
+        came = _IN_SIDE[key]
         if cur == start:
             break
-    if steps != len(edges):
+    if steps != count:
         return Violation("components", "loop has more than one component", cell=least_cell(width, loop.visited))
     return loop
 
@@ -308,7 +341,7 @@ def validate_loop(dims: GridDims, loop: CellLoop, must_visit: Optional[Iterable[
     found.  ``must_visit`` of None skips the coverage comparison; its
     cells must lie on the grid.
     """
-    ids = loop_ids(dims.width, dims.height, loop.transitions)
+    ids = loop.ids(dims.width, dims.height)
     if isinstance(ids, Violation):
         return ids
     if must_visit is None:
@@ -317,3 +350,117 @@ def validate_loop(dims: GridDims, loop: CellLoop, must_visit: Optional[Iterable[
     for c, r in must_visit:
         required[r * dims.width + c] = 1
     return ids.cover(required)
+
+
+_AXES = ("h", "v")
+
+
+def _scan(width: int, east: bytearray, south: bytearray) -> list[Edge]:
+    """The edges of LoopIds-style arrays in canonical order: row by row,
+    and within a row by column, "h" before "v".  Set spare bytes read as
+    the edges past the grid that they stand for."""
+    # One row of both arrays interleaved: byte 2c is east[c], byte 2c + 1 south[c].
+    rows = len(south) // width
+    both = bytearray(2 * len(south))
+    both[0 : 2 * len(east) : 2] = east
+    both[1::2] = south
+    step = 2 * width
+    columns = range(step)
+    out: list[Edge] = []
+    for r in range(rows):
+        out += [(_AXES[k & 1], k >> 1, r) for k in compress(columns, both[r * step : (r + 1) * step])]
+    return out
+
+
+class CellLoop:
+    """A single closed tour over cell centres: a set of internal edges.
+
+    ``transitions`` is the edge set, and equality and hashing are those of
+    the edge set, whichever form the loop is held in:
+
+    * built from edges, ``CellLoop(edges)``: JSON input, tests and the
+      solvers;
+    * flat, ``CellLoop.flat(width, height, east, south)``: the lift.  It
+      holds only 0/1 byte arrays laid out as in :class:`LoopIds` on a
+      width x height node grid (``size``).  ``transitions`` and ``scan``
+      read the arrays afresh on every call and keep nothing, so a byte
+      changed in place shows in the next read and the next check.
+
+    ``ids`` gives the checked loop on a node grid; for a flat loop on its
+    own grid it reads the arrays in place.
+    """
+
+    __slots__ = ("_edges", "size", "east", "south")
+
+    def __init__(self, transitions: frozenset[Edge]) -> None:
+        if not {edge[0] for edge in transitions} <= {"h", "v"}:
+            edge = min(edge for edge in transitions if not is_internal(edge))
+            raise ValueError(f"loop transition {edge} is not an internal edge")
+        self._edges: Optional[frozenset[Edge]] = transitions
+        self.size: Optional[tuple[int, int]] = None
+        self.east: Optional[bytearray] = None
+        self.south: Optional[bytearray] = None
+
+    @classmethod
+    def flat(cls, width: int, height: int, east: bytearray, south: bytearray) -> "CellLoop":
+        """A loop held as the arrays of a width x height node grid, not copied."""
+        n = width * height
+        if len(east) != n + 1 or len(south) != n + width:
+            raise ValueError(f"flat loop arrays must hold {n + 1} and {n + width} bytes for a {width}x{height} grid")
+        loop = cls.__new__(cls)
+        loop._edges = None
+        loop.size = (width, height)
+        loop.east, loop.south = east, south
+        return loop
+
+    @property
+    def transitions(self) -> frozenset[Edge]:
+        if self._edges is not None:
+            return self._edges
+        return frozenset(self.scan())
+
+    def scan(self) -> list[Edge]:
+        """The edges in canonical order (``edge_sort_key``)."""
+        if self._edges is not None:
+            return sorted(self._edges, key=edge_sort_key)
+        return _scan(self.size[0], self.east, self.south)
+
+    def ids(self, width: int, height: int, words: tuple[str, str, str] = CELL_LOOP_WORDS) -> Union[LoopIds, Violation]:
+        """The loop on the flat ids of a width x height grid, or its first
+        violation, as :func:`loop_ids` gives them.  Every check runs on
+        every call."""
+        if self.size == (width, height):
+            return flat_ids(width, height, self.east, self.south, words)
+        return loop_ids(width, height, self.transitions, words)
+
+    def __contains__(self, edge: Edge) -> bool:
+        if self._edges is not None:
+            return edge in self._edges
+        axis, c, r = edge
+        width = self.size[0]
+        data = self.east if axis == "h" else self.south if axis == "v" else b""
+        i = r * width + c
+        return 0 <= c < width and 0 <= i < len(data) and data[i] == 1
+
+    def intersection(self, edges: frozenset[Edge]) -> frozenset[Edge]:
+        """The edges of ``edges`` on the loop."""
+        if self._edges is not None:
+            return self._edges & edges
+        return frozenset(edge for edge in edges if edge in self)
+
+    def sides(self, cell: Cell) -> list[str]:
+        """Sides through which the loop leaves a cell, in ``SIDES`` order."""
+        return [side for side in SIDES if side_edge(cell, side) in self]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CellLoop):
+            return NotImplemented
+        if self.size is not None and self.size == other.size:
+            return self.east == other.east and self.south == other.south
+        return self.transitions == other.transitions
+
+    def __hash__(self) -> int:
+        return hash(self.transitions)
+
+    def __repr__(self) -> str:
+        return f"CellLoop(transitions={self.transitions!r})"

@@ -213,7 +213,7 @@ def lift_to_cubic(manifest: CubicReductionManifest, bsl_solution: CellLoop) -> C
     bad = verify_bsl(manifest.source, bsl_solution)
     if bad is not None:
         raise ReductionError(f"source solution rejected: {bad}")
-    lifted = CellLoop(frozenset(lift_loop(manifest.template, manifest.transforms, bsl_solution)))
+    lifted = lift_loop(manifest.template, manifest.transforms, bsl_solution)
     bad = verify_bsl(manifest.image.inner, lifted)
     if bad is not None:
         raise ReductionError(f"lifted solution invalid: {bad}")
@@ -231,7 +231,7 @@ def project_from_cubic(manifest: CubicReductionManifest, cubic_solution: CellLoo
         frozenset(
             edge
             for edge in internal_edges(manifest.source.dims)
-            if crossing_edge(tpl, layout, edge, placed) in cubic_solution.transitions
+            if crossing_edge(tpl, layout, edge, placed) in cubic_solution
         )
     )
     bad = verify_bsl(manifest.source, projected)

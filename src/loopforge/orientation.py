@@ -16,18 +16,12 @@ from __future__ import annotations
 
 from .bsl import CubicBslPuzzle, open_sides
 from .errors import ReductionError
-from .grid import OPPOSITE_SIDE, SIDE_DELTAS, SIDES, Cell, edge_sort_key
+from .grid import OPPOSITE_SIDE, SIDE_DELTAS, SIDES, Cell
 
 # Graph vertices: ("cell", col, row) or ("ext", side, col, row).
 Vertex = tuple
 # Each vertex's neighbours, with the side it leaves by toward each.
 Adjacency = dict[Vertex, list[tuple[Vertex, str]]]
-
-
-def _vertex_key(v: Vertex):
-    if v[0] == "cell":
-        return (0, v[2], v[1])
-    return (1, edge_sort_key((v[1], v[2], v[3])))
 
 
 def build_bar_graph(puzzle: CubicBslPuzzle) -> Adjacency:
@@ -41,17 +35,23 @@ def build_bar_graph(puzzle: CubicBslPuzzle) -> Adjacency:
                 f"bar-graph vertex {cell} has degree {4 - len(sides)}; "
                 "the puzzle has a cell with fewer than two exits"
             )
+        # Neighbours in canonical vertex order, with no sort: cells by
+        # (row, col), which is N, W, E, S, then exterior vertices, which
+        # differ only in their side, in SIDES order.
         nbrs = adjacency[cell] = []
-        for side in SIDES:
+        exterior = []
+        for side in ("N", "W", "E", "S"):
             if side in sides:
                 continue
             dc, dr = SIDE_DELTAS[side]
             if dims.contains((c + dc, r + dr)):
                 nbrs.append((("cell", c + dc, r + dr), side))
             else:
+                exterior.append(side)
+        for side in SIDES:
+            if side in exterior:
                 nbrs.append((("ext", side, c, r), side))
                 adjacency[("ext", side, c, r)] = [(cell, OPPOSITE_SIDE[side])]
-        nbrs.sort(key=lambda item: _vertex_key(item[0]))
     return adjacency
 
 
@@ -80,7 +80,14 @@ def orient(adjacency: Adjacency) -> dict[Cell, str]:
 
     # Path endpoints (degree 1) first, so each path is walked away from
     # its canonical-least endpoint; whatever is left after that is a cycle.
-    for v in sorted(adjacency, key=lambda v: (len(adjacency[v]) != 1, _vertex_key(v))):
+    # Canonical order puts cells, by (row, col), before exterior vertices,
+    # by (row, col, side) as ``edge_sort_key`` ranks them; the keys are
+    # distinct, so the sort never compares two vertices.
+    keyed = sorted(
+        ((len(nbrs) != 1, 0, v[2], v[1]) if v[0] == "cell" else (len(nbrs) != 1, 1, v[3], v[2], SIDES.index(v[1])), v)
+        for v, nbrs in adjacency.items()
+    )
+    for _, v in keyed:
         if v in visited or not adjacency[v]:
             continue
         visited.add(v)

@@ -96,7 +96,7 @@ def lift_to_genre(manifest: GenreReductionManifest, cubic_solution: CellLoop):
     bad = verify_bsl(manifest.source.inner, cubic_solution)
     if bad is not None:
         raise ReductionError(f"source solution rejected: {bad}")
-    sol = CellLoop(frozenset(lift_loop(manifest.descriptor, manifest.layout, cubic_solution)))
+    sol = lift_loop(manifest.descriptor, manifest.layout, cubic_solution)
     bad = GENRES[manifest.genre].verify(manifest.board, sol)
     if bad is not None:
         raise ReductionError(f"lifted solution invalid: {bad}")

@@ -19,7 +19,9 @@ A layout maps tile positions, which are the source cells, to placement
 transforms.  ``crossing_edge`` takes a source edge between two tile
 positions and returns the image edge the loop crosses it by.  Lifted
 edges join nodes of the board's node grid, so every lifted solution is a
-``CellLoop``: on the cells, or on the dot grid of a lattice board.
+``CellLoop``: on the cells, or on the dot grid of a lattice board.  The
+lift writes it flat, as the ``east``/``south`` byte arrays of that grid,
+and makes no tuple per image edge.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import ReductionError
-from .grid import OPPOSITE_SIDE, Cell, CellLoop, Edge, edge_cells
+from .grid import OPPOSITE_SIDE, SIDES, Cell, CellLoop, Edge, edge_cells
 from .transforms import Transform
 
 
@@ -97,37 +99,64 @@ def crossing_edge(
     return (edge[0], fw * a[0] + x, fh * a[1] + y)
 
 
-def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> set[Edge]:
-    """Image edges of a source loop.
+def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
+    """The image of a source loop, flat on the node grid its tiles span.
 
     Each tile gets the bank fragment for the local exit pair the loop uses
-    at its cell, and each source transition adds its crossing edge.
+    at its cell, and each source transition adds its crossing edge.  Both
+    go straight into the image's byte arrays.  A tile with no fragment
+    for its pair raises first, in layout order; then a transition without
+    facing exits, the first in the loop's own order.
     """
-    # Transformed fragments at the origin, keyed by the transform's
-    # (rot, mirror) and whether the loop leaves the cell through each of
-    # N, E, S and W: at most 8 x 6, however many tiles share them.
-    oriented: dict[tuple[int, bool, bool, bool, bool, bool], set[Edge]] = {}
     fw, fh = tile.frame
-    trans = loop.transitions
-    edges: set[Edge] = set()
+    cols, rows = zip(*layout)
+    if min(cols) < 0 or min(rows) < 0:
+        raise ReductionError("tile positions must not be negative")
+    width, height = fw * (max(cols) + 1), fh * (max(rows) + 1)
+    n = width * height
+    east, south = bytearray(n + 1), bytearray(n + width)
+    placed = {t: placed_exits(tile, t) for t in set(layout.values())}
+    # The sides the loop leaves each cell by, bit k for SIDES[k].
+    used: dict[Cell, int] = {}
+    uncrossed = None
+    for edge in loop.transitions:
+        axis, c, r = edge
+        a, b = edge_cells(edge)
+        if axis == "h":
+            side, data, bits = "E", east, (2, 8)
+        else:
+            side, data, bits = "S", south, (4, 1)
+        used[a] = used.get(a, 0) | bits[0]
+        used[b] = used.get(b, 0) | bits[1]
+        if a in layout and b in layout:
+            mine, theirs = placed[layout[a]], placed[layout[b]]
+            if side in mine and OPPOSITE_SIDE[side] in theirs:
+                # The edge leaves the lesser tile through its east (south) exit.
+                x, y = mine[side]
+                data[(fh * r + y) * width + fw * c + x] = 1
+                continue
+        if uncrossed is None:
+            uncrossed = edge
+    # Each fragment moved through its transform, as index offsets from its
+    # tile's top-left node, cached under the transform and the sides the
+    # loop uses at the cell: at most 8 x 6, however many tiles share them.
+    oriented: dict[tuple[Transform, int], tuple[list[int], list[int]]] = {}
     for cell, t in layout.items():
-        c, r = cell
-        n, e = ("v", c, r - 1) in trans, ("h", c, r) in trans
-        s, w = ("v", c, r) in trans, ("h", c - 1, r) in trans
-        key = (t.rot, t.mirror, n, e, s, w)
+        key = (t, used.get(cell, 0))
         frag = oriented.get(key)
         if frag is None:
             inv = t.inverse()
-            pair = frozenset(inv.apply_side(side) for side in loop.sides(cell))
+            pair = frozenset(inv.apply_side(side) for k, side in enumerate(SIDES) if key[1] >> k & 1)
             if pair not in tile.bank:
                 raise ReductionError(f"no bank fragment for local exit pair {sorted(pair)} at cell {cell}")
-            frag = oriented[key] = place_fragment(tile, tile.bank[pair], t, (0, 0))
-        ox, oy = fw * c, fh * r
-        edges.update((axis, x + ox, y + oy) for axis, x, y in frag)
-    placed = {t: placed_exits(tile, t) for t in set(layout.values())}
-    for axis, c, r in loop.transitions:
-        cross = crossing_edge(tile, layout, (axis, c, r), placed)
-        if cross is None:
-            raise ReductionError(f"source transition ({axis},{c},{r}) has no facing exits")
-        edges.add(cross)
-    return edges
+            frag = oriented[key] = ([], [])
+            for axis, x, y in place_fragment(tile, tile.bank[pair], t, (0, 0)):
+                frag[axis == "v"].append(y * width + x)
+        base = fh * cell[1] * width + fw * cell[0]
+        for i in frag[0]:
+            east[base + i] = 1
+        for i in frag[1]:
+            south[base + i] = 1
+    if uncrossed is not None:
+        raise ReductionError("source transition ({},{},{}) has no facing exits".format(*uncrossed))
+    return CellLoop.flat(width, height, east, south)

@@ -10,7 +10,7 @@ composition of both reflections (a 180-degree rotation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grid import OPPOSITE_SIDE, SIDES, Cell, Edge, edge_between, edge_cells
 
@@ -28,14 +28,19 @@ _BY_NAME = {name: key for key, name in _NAMES.items()}
 _BY_NAME["fxy"] = (2, False)
 
 
-@dataclass(frozen=True, slots=True)
-class Transform:
+class Transform(NamedTuple):
+    """A placement: ``mirror`` then ``rot`` quarter turns clockwise.
+
+    A tuple, so layouts keyed or grouped by transform hash and compare
+    it at C level.
+    """
+
     rot: int
     mirror: bool
 
     @property
     def name(self) -> str:
-        return _NAMES[(self.rot, self.mirror)]
+        return _NAMES[self]
 
     @staticmethod
     def named(name: str) -> "Transform":

@@ -9,7 +9,7 @@ from loopforge import formats
 from loopforge.bsl import BslPuzzle
 from loopforge.genres import GENRES
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
-from loopforge.grid import GridDims, edge_between, edge_sort_key
+from loopforge.grid import CellLoop, GridDims, edge_between, edge_sort_key
 from loopforge.metacell import lift_to_cubic, reduce_to_cubic
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -77,3 +77,19 @@ def lifted_opening_pairs(template) -> set:
         for cell, t in manifest.transforms.items():
             pairs.add(frozenset(t.inverse().apply_side(side) for side in loop.sides(cell)))
     return pairs
+
+
+def flat_loop(width: int, height: int, edges):
+    """``edges`` held flat on a width x height node grid, or None when the
+    byte arrays have no byte for one of them."""
+    n = width * height
+    east, south = bytearray(n + 1), bytearray(n + width)
+    for axis, c, r in edges:
+        data = east if axis == "h" else south if axis == "v" else b""
+        i = r * width + c
+        if not (0 <= c < width and 0 <= i < len(data)):
+            return None
+        data[i] = 1
+    loop = CellLoop.flat(width, height, east, south)
+    assert loop.transitions == edges
+    return loop

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import boundary_edges, ring
+from conftest import boundary_edges, flat_loop, ring
 from loopforge.grid import (
     CellLoop,
     GridDims,
+    Violation,
     checkerboard_color,
     edge_between,
     edge_cells,
@@ -208,3 +209,40 @@ def test_validate_loop_violation_codes():
     assert _violation(d, left, must_visit=[(0, 0), (1, 0)]) == (
         "forbidden", "cell visited but not allowed", (0, 1), None)
     assert _violation(d, left, must_visit=[(0, 0), (1, 0), (0, 1), (1, 1)]) is None
+
+
+def test_flat_loop_is_its_edge_set():
+    edges = ring(1, 0, 2, 1)
+    flat = flat_loop(3, 2, edges)
+    assert flat.size == (3, 2) and flat.east == bytes([0, 1, 0, 0, 1, 0, 0])
+    assert flat.transitions == edges and flat.scan() == sorted(edges, key=edge_sort_key)
+    assert flat == CellLoop(edges) and hash(flat) == hash(CellLoop(edges))
+    # The same edges held for a wider grid are the same loop.
+    assert flat == flat_loop(4, 3, edges) and flat != flat_loop(3, 2, ring(0, 0, 1, 1))
+    assert ("h", 1, 0) in flat and ("h", 0, 0) not in flat and ("v", 5, 0) not in flat
+    assert flat.sides((1, 0)) == ["E", "S"] and flat.sides((2, 1)) == ["N", "W"]
+    assert flat.intersection(frozenset({("h", 1, 1), ("h", 0, 1)})) == {("h", 1, 1)}
+    with pytest.raises(ValueError, match="must hold 7 and 9 bytes"):
+        CellLoop.flat(3, 2, bytearray(6), bytearray(9))
+    flat.south[4] = 2
+    with pytest.raises(ValueError, match="only 0 and 1 bytes"):
+        validate_loop(GridDims(3, 2), flat)
+
+
+def test_flat_loop_off_the_grid_gives_the_bounds_violation():
+    dims = GridDims(4, 3)
+    left = ring(0, 0, 1, 1)
+    outside = Violation("bounds", "transition outside grid", edge=None)
+    # The last column of east, the last row of south, the spare east byte
+    # and the spare south row hold no edge of the grid.
+    for off in ({("h", 3, 1)}, {("v", 2, 2)}, {("h", 0, 3)}, {("v", 3, 3)}, {("v", 1, 3), ("h", 3, 0), ("v", 0, 2)}):
+        edges = left | off
+        flat = flat_loop(4, 3, edges)
+        assert flat.transitions == edges
+        want = Violation(outside.code, outside.message, edge=min(off, key=edge_sort_key))
+        assert validate_loop(dims, flat) == want == validate_loop(dims, CellLoop(edges))
+        assert flat.ids(4, 3) == loop_ids(4, 3, edges)
+        # Off the grid as well with no other edge: bounds, not empty.
+        assert validate_loop(dims, flat_loop(4, 3, off)) == want
+    assert validate_loop(dims, flat_loop(4, 3, set())) == Violation("empty", "loop has no transitions")
+    assert validate_loop(dims, flat_loop(4, 3, left)) is None

@@ -8,6 +8,11 @@ return the same ``Violation`` (code, message, cell and edge) on seeded
 random boards: rings, pairs of rings, toggled edges and edges off the
 grid, with pearls, clues and grey cells placed mostly in rows and
 columns 0, 1 and last, where the padded look-ups wrap.
+
+Every loop is checked in each form it can be held in (``_forms``): built
+from edges, flat on the verifier's own node grid (read in place, bounds
+by bytes), and flat on a grid one node wider and taller (converted back
+to edges).  The reference always reads the edge set.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from conftest import ring
+from conftest import flat_loop, ring
 from loopforge.genres import masyu, simple_loop, slitherlink, yajilin
 from loopforge.grid import (
     CELL_LOOP_WORDS,
@@ -244,6 +249,13 @@ def _check(codes, got, want):
     codes[want.code if want is not None else None] += 1
 
 
+def _forms(width, height, edges):
+    """The loop of ``edges`` as each form of ``CellLoop`` can hold it, for a
+    verifier on a width x height node grid."""
+    forms = [CellLoop(edges), flat_loop(width, height, edges), flat_loop(width + 1, height + 1, edges)]
+    return [loop for loop in forms if loop is not None]
+
+
 def test_loop_ids_and_validate_loop_match_the_reference():
     rng = random.Random(2024)
     codes = Counter()
@@ -261,8 +273,31 @@ def test_loop_ids_and_validate_loop_match_the_reference():
         must = rng.choice((None, list(dims.cells()), list(_on_loop(dims, edges)), _cells(rng, dims, 4)))
         if must is not None and rng.random() < 0.5:
             must = must + _cells(rng, dims, 2)
-        _check(codes, validate_loop(dims, CellLoop(edges), must), ref_validate_loop(dims, CellLoop(edges), must))
+        for sol in _forms(dims.width, dims.height, edges):
+            _check(codes, validate_loop(dims, sol, must), ref_validate_loop(dims, CellLoop(edges), must))
     assert set(codes) >= {"empty", "bounds", "degree", "components", "unvisited", "forbidden", None}
+
+
+def test_flat_loops_match_the_reference():
+    """``flat_ids`` on the loop's own grid, violations and arrays alike."""
+    rng = random.Random(2029)
+    codes = Counter()
+    for _ in range(BOARDS):
+        dims = _dims(rng)
+        w, h = dims.width, dims.height
+        edges = _edges(rng, w, h)
+        flat = flat_loop(w, h, edges)
+        if flat is None:
+            continue
+        want = ref_loop_ids(w, h, edges)
+        got = flat.ids(w, h)
+        if isinstance(want, Violation):
+            _check(codes, got, want)
+            continue
+        codes[None] += 1
+        assert got.east is flat.east and got.south is flat.south
+        assert bytes(got.visited) == bytes(i in want.visited for i in range(w * h))
+    assert set(codes) >= {"empty", "bounds", "degree", "components", None}
 
 
 def test_masyu_verify_matches_the_reference():
@@ -270,7 +305,8 @@ def test_masyu_verify_matches_the_reference():
     codes = Counter()
     for _ in range(BOARDS):
         dims = _dims(rng)
-        sol = CellLoop(_grid_edges(rng, dims))
+        edges = _grid_edges(rng, dims)
+        sol = CellLoop(edges)
         pearls = []
         for cell in _cells(rng, dims, rng.randint(0, 4)):
             colour = rng.choice(("white", "black"))
@@ -282,7 +318,8 @@ def test_masyu_verify_matches_the_reference():
                 colour = fits[0] if fits else colour
             pearls.append((cell, colour))
         puzzle = masyu.MasyuPuzzle(dims, tuple(pearls))
-        _check(codes, masyu.verify(puzzle, sol), ref_masyu(puzzle, sol))
+        for form in _forms(dims.width, dims.height, edges):
+            _check(codes, masyu.verify(puzzle, form), ref_masyu(puzzle, sol))
     assert set(codes) >= {"empty", "bounds", "degree", "components", "pearl", None}
 
 
@@ -291,14 +328,16 @@ def test_slitherlink_verify_matches_the_reference():
     codes = Counter()
     for _ in range(BOARDS):
         dims = _dims(rng)
-        sol = CellLoop(_edges(rng, dims.width + 1, dims.height + 1))
+        edges = _edges(rng, dims.width + 1, dims.height + 1)
+        sol = CellLoop(edges)
         clues = []
         for c, r in _cells(rng, dims, rng.randint(0, 4)):
             sides = {("h", c, r), ("h", c, r + 1), ("v", c, r), ("v", c + 1, r)}
             count = len(sides & sol.transitions) if rng.random() < 0.7 else rng.randint(0, 3)
             clues.append(((c, r), min(count, 3)))
         puzzle = slitherlink.SlitherlinkPuzzle(dims, tuple(clues))
-        _check(codes, slitherlink.verify(puzzle, sol), ref_slitherlink(puzzle, sol))
+        for form in _forms(dims.width + 1, dims.height + 1, edges):
+            _check(codes, slitherlink.verify(puzzle, form), ref_slitherlink(puzzle, sol))
     assert set(codes) >= {"empty", "bounds", "degree", "components", "clue", None}
 
 
@@ -328,7 +367,8 @@ def test_yajilin_verify_matches_the_reference():
                 count = sum(x not in grey and x not in _on_loop(dims, edges) for x in bare.ray(cell, direction))
                 clues.append((cell, count + (rng.random() < 0.2), direction))
         puzzle = yajilin.YajilinPuzzle(dims, frozenset(grey), tuple(clues))
-        _check(codes, yajilin.verify(puzzle, sol), ref_yajilin(puzzle, sol))
+        for form in _forms(dims.width, dims.height, edges):
+            _check(codes, yajilin.verify(puzzle, form), ref_yajilin(puzzle, sol))
     assert set(codes) >= {"empty", "bounds", "degree", "components", "grey", "shading", "clue", None}
 
 
@@ -341,5 +381,6 @@ def test_simple_loop_verify_matches_the_reference():
         shaded = set(dims.cells()) - _on_loop(dims, edges) if rng.random() < 0.7 else set()
         shaded ^= set(_cells(rng, dims, rng.randint(0, 2)))
         puzzle = simple_loop.SimpleLoopPuzzle(dims, frozenset(shaded))
-        _check(codes, simple_loop.verify(puzzle, CellLoop(edges)), ref_simple_loop(puzzle, CellLoop(edges)))
+        for form in _forms(dims.width, dims.height, edges):
+            _check(codes, simple_loop.verify(puzzle, form), ref_simple_loop(puzzle, CellLoop(edges)))
     assert set(codes) >= {"empty", "bounds", "degree", "components", "unvisited", "forbidden", None}

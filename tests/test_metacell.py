@@ -157,11 +157,11 @@ def test_checkerboard_exactly_once():
         crossings = 0
         for rr in range(7 * r, 7 * r + 7):
             for edge in (("h", 5 * c - 1, rr), ("h", 5 * c + 4, rr)):
-                if edge in lifted.transitions:
+                if edge in lifted:
                     crossings += 1
         for cc in range(5 * c, 5 * c + 5):
             for edge in (("v", cc, 7 * r - 1), ("v", cc, 7 * r + 6)):
-                if edge in lifted.transitions:
+                if edge in lifted:
                     crossings += 1
         assert crossings == 2
 

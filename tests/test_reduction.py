@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import fixture_puzzle, fixture_solution, neighbors
-from loopforge.bsl import BslPuzzle, CubicBslPuzzle, solve_bsl_dp
+from loopforge.bsl import BslPuzzle, CubicBslPuzzle, solve_bsl_dp, verify_bsl
 from loopforge.errors import ReductionError
 from loopforge.genres import GENRES
 from loopforge.grid import CellLoop, GridDims, edge_cells, internal_edges
@@ -42,6 +42,29 @@ def test_end_to_end_fixture_lift(genre):
     board, manifest = reduce_to_genre(cubic, genre)
     lifted = lift_to_genre(manifest, cubic_sol)
     assert GENRES[genre].verify(board, lifted) is None
+
+
+@pytest.mark.parametrize("genre", ALL_GENRES)
+def test_lifted_loop_is_checked_afresh_on_every_verify(genre):
+    # A lifted loop is flat, and a byte changed in place between two
+    # verify calls shows in the second: nothing about it is kept.
+    source = fixture_puzzle("bsl_example")
+    cubic, cman = reduce_to_cubic(source)
+    cubic_sol = lift_to_cubic(cman, fixture_solution("bsl_example"))
+    board, manifest = reduce_to_genre(cubic, genre)
+    lifted = lift_to_genre(manifest, cubic_sol)
+    for loop, verify in ((cubic_sol, lambda sol: verify_bsl(cubic.inner, sol)),
+                         (lifted, lambda sol: GENRES[genre].verify(board, sol))):
+        assert loop.size is not None and verify(loop) is None
+        count = len(loop.transitions)
+        # Drop one edge: its west end, the lesser, is left with degree 1.
+        i = loop.east.index(1)
+        loop.east[i] = 0
+        bad = verify(loop)
+        assert (bad.code, bad.cell) == ("degree", (i % loop.size[0], i // loop.size[0]))
+        assert len(loop.transitions) == count - 1
+        loop.east[i] = 1
+        assert verify(loop) is None
 
 
 def test_lifted_yajilin_never_shades():

@@ -3,15 +3,17 @@
 ``ref_assemble_board`` moves every placed tile's art into one dict in
 tile order and leaves the genre's ``from_art`` to sort it;
 ``ref_lift_loop`` finds each tile's bank fragment by the ``frozenset``
-of tile-local sides the loop uses there.  That is how both were first
-written.  ``catalog.assemble_board`` and ``tiling.lift_loop`` must give
-the same boards, the same edge sets and the same errors for all four
-genres (and, for lifting, the metacell), on:
+of tile-local sides the loop uses there, and collects the image's edges
+as tuples in a set.  That is how both were first written.
+``catalog.assemble_board`` and ``tiling.lift_loop`` must give the same
+boards, the same edge sets (the flat lift's, read off its byte arrays)
+and the same errors for all four genres (and, for lifting, the
+metacell), on:
 
 * a uniform layout of every allowed transform;
 * seeded random layouts, with and without holes;
 * seeded ring loops under random layouts whose walled sides the ring
-  never uses;
+  never uses, each ring also held flat, as a lifted cubic loop is;
 * the degenerate two-tile layout;
 * seeded cubic sources up to 6x6 with a planted loop, through
   ``reduce_to_genre``, and for the smaller ones through both stages.
@@ -23,7 +25,7 @@ import random
 
 import pytest
 
-from conftest import ring
+from conftest import flat_loop, ring
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle
 from loopforge.catalog import assemble_board, default_gadget
 from loopforge.errors import ReductionError
@@ -143,6 +145,15 @@ def ring_layout(rng, desc, loop: CellLoop, cells):
     return layout
 
 
+def flat_lift(tile, layout, loop):
+    """``lift_loop``'s image as an edge set, checked to be flat on the node
+    grid the layout's tiles span."""
+    lifted = lift_loop(tile, layout, loop)
+    fw, fh = tile.frame
+    assert lifted.size == (fw * (max(c for c, _ in layout) + 1), fh * (max(r for _, r in layout) + 1))
+    return lifted.transitions
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -204,7 +215,10 @@ def test_ring_lifts(genre):
             layout = {cell: manifest.transforms[cell] for cell in cells}
         else:
             layout = ring_layout(rng, tile, loop, cells)
-        assert lift_loop(tile, layout, loop) == ref_lift_loop(tile, layout, loop)
+        want = ref_lift_loop(tile, layout, loop)
+        assert flat_lift(tile, layout, loop) == want
+        # The source held flat, as a lifted cubic solution is, lifts the same.
+        assert flat_lift(tile, layout, flat_loop(7, 6, loop.transitions)) == want
 
 
 @pytest.mark.parametrize("genre", GENRE_NAMES)
@@ -212,6 +226,7 @@ def test_lift_errors(genre):
     desc = default_gadget(genre)
     rng = random.Random(f"errors-{genre}")
     loop = CellLoop(ring(0, 0, 3, 2))
+    flat = flat_loop(4, 3, loop.transitions)
     cells = sorted({cell for edge in loop.transitions for cell in edge_cells(edge)})
     for _ in range(10):
         layout = ring_layout(rng, desc, loop, cells)
@@ -222,12 +237,14 @@ def test_lift_errors(genre):
         bad[cell] = rng.choice([t for t in desc.allowed_transforms() if t.apply_side(desc.free_side) == walled])
         want = outcome(ref_lift_loop, desc, bad, loop)
         assert want[0] == "error" and "no bank fragment" in want[1]
-        assert outcome(lift_loop, desc, bad, loop) == want
+        assert outcome(flat_lift, desc, bad, loop) == want
+        assert outcome(flat_lift, desc, bad, flat) == want
         # ... and a loop cell with no tile leaves its transitions uncrossed.
         del layout[cell]
         want = outcome(ref_lift_loop, desc, layout, loop)
         assert want[0] == "error" and "no facing exits" in want[1]
-        assert outcome(lift_loop, desc, layout, loop) == want
+        assert outcome(flat_lift, desc, layout, loop) == want
+        assert outcome(flat_lift, desc, layout, flat) == outcome(ref_lift_loop, desc, layout, flat)
 
 
 # ----------------------------------------------------------------------
@@ -241,14 +258,14 @@ def test_planted_sources(genre):
         w, h = source.dims.width, source.dims.height
         board, manifest = reduce_to_genre(source, genre)
         assert board == ref_assemble_board(desc, manifest.layout, w, h)
-        assert lift_loop(desc, manifest.layout, loop) == ref_lift_loop(desc, manifest.layout, loop)
+        assert flat_lift(desc, manifest.layout, loop) == ref_lift_loop(desc, manifest.layout, loop)
         if w * h > 8:
             continue
         # Both stages: the source's cubic image, its lifted loop, and that image's genre board.
         image, cman = reduce_to_cubic(source.inner)
-        assert lift_loop(cman.template, cman.transforms, loop) == ref_lift_loop(cman.template, cman.transforms, loop)
+        assert flat_lift(cman.template, cman.transforms, loop) == ref_lift_loop(cman.template, cman.transforms, loop)
         lifted = lift_to_cubic(cman, loop)
         board, manifest = reduce_to_genre(image, genre)
         iw, ih = image.dims.width, image.dims.height
         assert board == ref_assemble_board(desc, manifest.layout, iw, ih)
-        assert lift_loop(desc, manifest.layout, lifted) == ref_lift_loop(desc, manifest.layout, lifted)
+        assert flat_lift(desc, manifest.layout, lifted) == ref_lift_loop(desc, manifest.layout, lifted)
