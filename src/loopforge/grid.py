@@ -249,10 +249,10 @@ def loop_ids(
     empty, bounds, degree, components.  A bounds violation names the
     smallest offending edge, a degree violation the smallest offending
     cell.  ``words`` phrases the first three for grids whose nodes are not
-    cells.  This is the one conversion of an edge set to byte arrays; a
-    flat loop is checked in place by :func:`flat_ids`.
+    cells.  This is the one conversion of an edge set to byte arrays: it
+    fills them, then checks them with :func:`flat_ids`.
     """
-    empty, outside, bad_degree = words
+    empty, outside, _ = words
     if not edges:
         return Violation("empty", empty)
     n = width * height
@@ -268,14 +268,14 @@ def loop_ids(
             dims = GridDims(width, height)
             off = [edge for edge in edges if not edge_in_bounds(dims, edge)]
             return Violation("bounds", outside, edge=min(off, key=edge_sort_key))
-    return _one_loop(width, east, south, len(edges), bad_degree)
+    return flat_ids(width, height, east, south, words)
 
 
 def flat_ids(
     width: int, height: int, east: bytearray, south: bytearray, words: tuple[str, str, str] = CELL_LOOP_WORDS
 ) -> Union[LoopIds, Violation]:
-    """The checks of :func:`loop_ids`, in the same order and with the same
-    violations, on a loop held as 0/1 byte arrays laid out as in
+    """:func:`loop_ids`'s check, with the same violations in the same
+    order, of a loop held as 0/1 byte arrays laid out as in
     :class:`LoopIds`.  The arrays are read in place, not copied.
 
     The bounds check is that no ``east`` byte is set in the last column
@@ -292,12 +292,7 @@ def flat_ids(
     if east[n] or any(east[width - 1 : n : width]) or any(south[n - width :]):
         off = [edge for edge in _scan(width, east, south) if not edge_in_bounds(GridDims(width, height), edge)]
         return Violation("bounds", outside, edge=min(off, key=edge_sort_key))
-    return _one_loop(width, east, south, count, bad_degree)
 
-
-def _one_loop(width: int, east: bytearray, south: bytearray, count: int, bad_degree: str) -> Union[LoopIds, Violation]:
-    """The degree and component checks of ``count`` in-bounds edges."""
-    n = len(east) - 1
     # Byte i of ``sides`` holds 4 << k for each side k the loop leaves id i
     # by, k = 0 to 3 for east[i], east[i - 1], south[i], south[i - width].
     # As little-endian integers the shifted terms line up byte by byte, and

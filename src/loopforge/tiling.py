@@ -116,27 +116,21 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
     n = width * height
     east, south = bytearray(n + 1), bytearray(n + width)
     placed = {t: placed_exits(tile, t) for t in set(layout.values())}
-    # The sides the loop leaves each cell by, bit k for SIDES[k].
+    # The sides the loop leaves each cell by, bit k for SIDES[k]: E and W
+    # for an "h" edge, S and N for a "v" edge.
     used: dict[Cell, int] = {}
     uncrossed = None
     for edge in loop.transitions:
-        axis, c, r = edge
         a, b = edge_cells(edge)
-        if axis == "h":
-            side, data, bits = "E", east, (2, 8)
-        else:
-            side, data, bits = "S", south, (4, 1)
-        used[a] = used.get(a, 0) | bits[0]
-        used[b] = used.get(b, 0) | bits[1]
-        if a in layout and b in layout:
-            mine, theirs = placed[layout[a]], placed[layout[b]]
-            if side in mine and OPPOSITE_SIDE[side] in theirs:
-                # The edge leaves the lesser tile through its east (south) exit.
-                x, y = mine[side]
-                data[(fh * r + y) * width + fw * c + x] = 1
-                continue
-        if uncrossed is None:
-            uncrossed = edge
+        vertical = edge[0] == "v"
+        used[a] = used.get(a, 0) | (4 if vertical else 2)
+        used[b] = used.get(b, 0) | (1 if vertical else 8)
+        cross = crossing_edge(tile, layout, edge, placed)
+        if cross is None:
+            uncrossed = uncrossed or edge
+            continue
+        _, x, y = cross
+        (south if vertical else east)[y * width + x] = 1
     # Each fragment moved through its transform, as index offsets from its
     # tile's top-left node, cached under the transform and the sides the
     # loop uses at the cell: at most 8 x 6, however many tiles share them.
