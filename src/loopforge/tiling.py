@@ -136,14 +136,14 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
     # loop uses at the cell: at most 8 x 6, however many tiles share them.
     oriented: dict[tuple[Transform, int], tuple[list[int], list[int]]] = {}
     for cell, t in layout.items():
-        key = (t, used.get(cell, 0))
-        frag = oriented.get(key)
+        mask = used.get(cell, 0)
+        frag = oriented.get((t, mask))
         if frag is None:
             inv = t.inverse()
-            pair = frozenset(inv.apply_side(side) for k, side in enumerate(SIDES) if key[1] >> k & 1)
+            pair = frozenset(inv.apply_side(side) for k, side in enumerate(SIDES) if mask >> k & 1)
             if pair not in tile.bank:
                 raise ReductionError(f"no bank fragment for local exit pair {sorted(pair)} at cell {cell}")
-            frag = oriented[key] = ([], [])
+            frag = oriented[(t, mask)] = ([], [])
             for axis, x, y in place_fragment(tile, tile.bank[pair], t, (0, 0)):
                 frag[axis == "v"].append(y * width + x)
         base = fh * cell[1] * width + fw * cell[0]
