@@ -69,7 +69,7 @@ class CubicBslPuzzle:
 
 def verify_bsl(puzzle: BslPuzzle, sol: CellLoop) -> Optional[Violation]:
     """Valid iff the loop covers every cell exactly once and avoids all bars."""
-    crossing = sol.intersection(puzzle.bars)
+    crossing = [bar for bar in puzzle.bars if bar in sol]
     if crossing:
         return Violation("bar", "loop crosses a bar", edge=min(crossing, key=edge_sort_key))
     return validate_loop(puzzle.dims, sol, must_visit=puzzle.dims.cells())

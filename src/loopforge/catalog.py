@@ -27,6 +27,7 @@ false pass, and (c) and (d), audited over the (e) witnesses only, take
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ from .tiling import boundary_positions, crossing_edge, lift_loop, misaligned, pl
 from .transforms import ALL_TRANSFORMS, ROTATIONS, Transform
 
 DEFAULT_CATALOG = Path(__file__).parent / "data" / "gadgets"
-MANDATORY_GENRES = ("slitherlink", "masyu", "yajilin", "simple-loop")
+MANDATORY_GENRES = tuple(GENRES)
 HEADER_KEYS = ("genre", "tile", "transforms", "exits", "free")
 
 # Tiles small enough to enumerate every board solution at 2x2 scale.
@@ -61,21 +62,18 @@ class GadgetDescriptor:
 
     # ------------------------------------------------------------------
     @property
-    def is_lattice(self) -> bool:
-        return self.genre == "slitherlink"
-
-    @property
     def frame(self) -> tuple[int, int]:
-        """Node grid of the tile's edges and exits: cells, or dots for lattice tiles."""
-        if self.is_lattice:
-            return (self.tile.width + 1, self.tile.height + 1)
-        return (self.tile.width, self.tile.height)
+        """Node grid of the tile's edges and exits: the tile grown by its
+        genre's ``FRAME_OFFSET``, so cells, or dots for the dot lattice."""
+        k = GENRES[self.genre].FRAME_OFFSET
+        return (self.tile.width + k, self.tile.height + k)
 
     def board_dims(self, tiles_w: int, tiles_h: int) -> GridDims:
+        """The board of tiles_w x tiles_h tiles; frames abut, so a dot
+        lattice's last row and column of dots hold no cells."""
         fw, fh = self.frame
-        if self.is_lattice:
-            return GridDims(fw * tiles_w - 1, fh * tiles_h - 1)
-        return GridDims(fw * tiles_w, fh * tiles_h)
+        k = GENRES[self.genre].FRAME_OFFSET
+        return GridDims(fw * tiles_w - k, fh * tiles_h - k)
 
     def allowed_transforms(self) -> tuple[Transform, ...]:
         return ALL_TRANSFORMS if "reflect" in self.transforms else ROTATIONS
@@ -209,11 +207,7 @@ def validate_descriptor(desc: GadgetDescriptor) -> Optional[str]:
         return "a tile needs exactly 3 exits on distinct sides"
     if desc.free_side in desc.exits or desc.free_side not in SIDES:
         return "the walled side must be the one side without an exit"
-    expected_pairs = set()
-    sides = sorted(desc.exits)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            expected_pairs.add(frozenset((sides[i], sides[j])))
+    expected_pairs = {frozenset(pair) for pair in itertools.combinations(desc.exits, 2)}
     if set(desc.bank) != expected_pairs:
         return f"solution bank must cover exactly the pairs {sorted(map(sorted, expected_pairs))}"
     for pair, frag in desc.bank.items():

@@ -33,6 +33,14 @@ EXIT_NO_GADGET = 66
 EXIT_INTERNAL = 70
 
 
+class _Refused(Exception):
+    """A command refuses its input: the exit code, and the line for stderr."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
 def _emit(doc: dict) -> None:
     sys.stdout.write(formats.dumps_canonical(doc))
 
@@ -41,57 +49,52 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
+def _parsed(read, arg):
+    """``read(arg)``, with a malformed input refused as a parse error."""
+    try:
+        return read(arg)
+    except FormatError as exc:
+        raise _Refused(EXIT_PARSE, f"parse error: {exc}") from exc
+
+
 def _load_puzzle(path: str):
-    return formats.puzzle_from_json(formats.load_json(path))
+    return _parsed(formats.puzzle_from_json, _parsed(formats.load_json, path))
+
+
+def _load_gadget(genre: str):
+    try:
+        return catalog_mod.load_gadget(genre)
+    except FormatError as exc:
+        raise _Refused(EXIT_NO_GADGET, f"gadget unavailable: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
-    try:
-        puzzle = _load_puzzle(args.file)
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    puzzle = _load_puzzle(args.file)
     genre = formats.puzzle_genre(puzzle)
-    if genre in ("bsl", "cubic-bsl"):
-        inner = puzzle.inner if genre == "cubic-bsl" else puzzle
-        if args.oracle == "dp":
-            solvable = solve_bsl_dp(inner)
-            _emit({"genre": genre, "oracle": "dp", "solvable": solvable})
-            return EXIT_SAT if solvable else EXIT_UNSAT
-        result = solve_bsl_backtrack(inner, budget_ms=args.budget)
-        if result.status == "sat":
-            _emit(formats.solution_to_json(genre, result.solution))
-        return {"sat": EXIT_SAT, "unsat": EXIT_UNSAT, "timeout": EXIT_TIMEOUT}[result.status]
     if args.oracle == "dp":
-        print("the dp oracle only decides bsl and cubic-bsl puzzles", file=sys.stderr)
-        return EXIT_PARSE
-    result = GENRES[genre].solve(puzzle, budget_ms=args.budget)
+        if genre not in formats.SOURCE_KINDS:
+            raise _Refused(EXIT_PARSE, "the dp oracle only decides bsl and cubic-bsl puzzles")
+        solvable = solve_bsl_dp(puzzle)
+        _emit({"genre": genre, "oracle": "dp", "solvable": solvable})
+        return EXIT_SAT if solvable else EXIT_UNSAT
+    if genre in formats.SOURCE_KINDS:
+        result = solve_bsl_backtrack(puzzle, budget_ms=args.budget)
+    else:
+        result = GENRES[genre].solve(puzzle, budget_ms=args.budget)
     if result.status == "sat":
         _emit(formats.solution_to_json(genre, result.solution))
     return {"sat": EXIT_SAT, "unsat": EXIT_UNSAT, "timeout": EXIT_TIMEOUT}[result.status]
 
 
 def cmd_verify(args) -> int:
-    try:
-        puzzle = _load_puzzle(args.puzzle)
-        sol_doc = formats.load_json(args.solution)
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    genre = formats.puzzle_genre(puzzle)
-    try:
-        formats.ensure_solution_matches(genre, sol_doc)
-    except formats.GenreMismatchError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MISMATCH
-    try:
-        sol = formats.solution_from_json(sol_doc)
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if genre in ("bsl", "cubic-bsl"):
-        inner = puzzle.inner if genre == "cubic-bsl" else puzzle
-        violation = verify_bsl(inner, sol)
+    puzzle = _load_puzzle(args.puzzle)
+    sol_doc = _parsed(formats.load_json, args.solution)
+    genre, sol_genre = formats.puzzle_genre(puzzle), sol_doc.get("genre")
+    if sol_genre != genre:
+        raise _Refused(EXIT_MISMATCH, f"solution genre {sol_genre!r} does not match puzzle genre {genre!r}")
+    sol = _parsed(formats.solution_from_json, sol_doc)
+    if genre in formats.SOURCE_KINDS:
+        violation = verify_bsl(puzzle, sol)
     else:
         violation = GENRES[genre].verify(puzzle, sol)
     if violation is None:
@@ -110,34 +113,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        puzzle = _load_puzzle(args.file)
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    puzzle = _load_puzzle(args.file)
     genre = formats.puzzle_genre(puzzle)
     target = args.to
     manifests = []
 
     if genre == "bsl":
-        cubic, cman = reduce_to_cubic(puzzle)
+        current, cman = reduce_to_cubic(puzzle)
         manifests.append(formats.manifest_to_json(cman))
-        current = cubic
     elif genre == "cubic-bsl":
         current = puzzle
     else:
-        print("reduce expects a bsl or cubic-bsl input", file=sys.stderr)
-        return EXIT_PARSE
+        raise _Refused(EXIT_PARSE, "reduce expects a bsl or cubic-bsl input")
 
     if target == "cubic":
         out_puzzle = current
     else:
-        try:
-            desc = catalog_mod.load_gadget(target)
-        except FormatError as exc:
-            print(f"gadget unavailable: {exc}", file=sys.stderr)
-            return EXIT_NO_GADGET
-        out_puzzle, gman = reduce_to_genre(current, target, desc)
+        out_puzzle, gman = reduce_to_genre(current, target, _load_gadget(target))
         manifests.append(formats.manifest_to_json(gman))
 
     out_doc = formats.puzzle_to_json(out_puzzle)
@@ -153,23 +145,13 @@ def cmd_reduce(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     started = time.monotonic()
-    try:
-        puzzle = _load_puzzle(args.file)
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    puzzle = _load_puzzle(args.file)
     if formats.puzzle_genre(puzzle) != "bsl":
-        print("roundtrip expects a bsl input", file=sys.stderr)
-        return EXIT_PARSE
+        raise _Refused(EXIT_PARSE, "roundtrip expects a bsl input")
     genre = args.genre
-    if genre not in catalog_mod.MANDATORY_GENRES:
-        print(f"no gadget for genre {genre!r}", file=sys.stderr)
-        return EXIT_NO_GADGET
-    try:
-        desc = catalog_mod.load_gadget(genre)
-    except FormatError as exc:
-        print(f"gadget unavailable: {exc}", file=sys.stderr)
-        return EXIT_NO_GADGET
+    if genre not in GENRES:
+        raise _Refused(EXIT_NO_GADGET, f"no gadget for genre {genre!r}")
+    desc = _load_gadget(genre)
 
     stages: dict[str, str] = {}
     verdict = "ok"
@@ -225,12 +207,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        desc = catalog_mod.load_gadget(args.genre)
-    except FormatError as exc:
-        print(f"gadget unavailable: {exc}", file=sys.stderr)
-        return EXIT_NO_GADGET
-    cert = catalog_mod.certify_gadget(desc, budget_ms=args.budget)
+    cert = catalog_mod.certify_gadget(_load_gadget(args.genre), budget_ms=args.budget)
     _emit(cert.to_json())
     return EXIT_SAT if cert.overall in ("yes", "partial") else EXIT_UNSAT
 
@@ -258,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="compile a puzzle to another genre")
     p.add_argument("file")
-    p.add_argument("--to", required=True, choices=("cubic",) + catalog_mod.MANDATORY_GENRES)
+    p.add_argument("--to", required=True, choices=("cubic", *GENRES))
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_reduce)
@@ -287,6 +264,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _Refused as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except LoopforgeError as exc:
         # Not a verdict on the puzzle, so never reported as unsat.
         print(f"internal error: {exc}", file=sys.stderr)

@@ -16,10 +16,6 @@ class FormatError(LoopforgeError):
     """A puzzle, solution, template or descriptor file is malformed."""
 
 
-class GenreMismatchError(LoopforgeError):
-    """A solution was checked against a puzzle of a different genre."""
-
-
 class CapabilityError(LoopforgeError):
     """The requested computation exceeds a configured capability limit."""
 
@@ -30,6 +26,14 @@ class SearchTimeout(LoopforgeError):
 
 class ReductionError(LoopforgeError):
     """A reduction or lifting step received inconsistent inputs."""
+
+
+def json_int(value: object) -> int:
+    """``value`` when it is a JSON integer; a FormatError for a float, a
+    string, a bool or anything else, which ``int()`` would coerce."""
+    if type(value) is not int:
+        raise FormatError(f"expected an integer, got {value!r}")
+    return value
 
 
 @contextmanager

@@ -1,45 +1,43 @@
 """JSON interchange for puzzles, solutions, manifests and run reports.
 
 One shared envelope for every puzzle kind: ``{"genre": ..., "width": ...,
-"height": ..., ...genre fields}``.  Solutions are sorted edge lists.
-Serialisation is canonical: sorted keys, sorted edges, no whitespace
-variation, so identical inputs give byte-identical output.
+"height": ..., ...genre fields}``.  This module writes and reads the
+envelope; the fields are the genre module's own (``to_json`` and
+``from_json`` in ``genres.GENRES``), except for the two source kinds,
+``bsl`` and ``cubic-bsl``, whose ``bars`` are read here.  A puzzle's
+genre id is found by its type among the ``GENRES`` modules' ``PUZZLE``
+types.  Solutions are sorted edge lists, under ``lattice_edges`` for a
+genre whose loop runs on the dots (a nonzero ``FRAME_OFFSET``) and
+``edges`` otherwise.  Every coordinate and count read must be a JSON
+integer.  Serialisation is canonical: sorted keys, sorted edges, no
+whitespace variation, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from .bsl import BslPuzzle, CubicBslPuzzle
-from .errors import FormatError, GenreMismatchError, malformed
-from .genres.masyu import MasyuPuzzle
-from .genres.simple_loop import SimpleLoopPuzzle
-from .genres.slitherlink import SlitherlinkPuzzle
-from .genres.yajilin import YajilinPuzzle
+from .errors import FormatError, json_int, malformed
+from .genres import GENRES
 from .grid import CellLoop, Edge, GridDims, edge_sort_key
 from .metacell import CubicReductionManifest
 from .reduction import GenreReductionManifest
 
-Puzzle = Union[
-    BslPuzzle, CubicBslPuzzle, SlitherlinkPuzzle, MasyuPuzzle, YajilinPuzzle, SimpleLoopPuzzle
-]
+SOURCE_KINDS = ("bsl", "cubic-bsl")
 
 
-PUZZLE_GENRES = {
-    BslPuzzle: "bsl",
-    CubicBslPuzzle: "cubic-bsl",
-    SlitherlinkPuzzle: "slitherlink",
-    MasyuPuzzle: "masyu",
-    YajilinPuzzle: "yajilin",
-    SimpleLoopPuzzle: "simple-loop",
-}
-
-
-def puzzle_genre(puzzle: Puzzle) -> str:
-    if type(puzzle) not in PUZZLE_GENRES:
-        raise FormatError(f"unknown puzzle object {type(puzzle).__name__}")
-    return PUZZLE_GENRES[type(puzzle)]
+def puzzle_genre(puzzle) -> str:
+    """A source kind, or the ``GENRES`` id whose module's ``PUZZLE`` is the puzzle's type."""
+    kind = type(puzzle)
+    if kind is BslPuzzle:
+        return "bsl"
+    if kind is CubicBslPuzzle:
+        return "cubic-bsl"
+    for genre, module in GENRES.items():
+        if module.PUZZLE is kind:
+            return genre
+    raise FormatError(f"unknown puzzle object {kind.__name__}")
 
 
 def _edges_json(edges) -> list[dict]:
@@ -53,98 +51,47 @@ def _edges_from_json(items) -> frozenset[Edge]:
         axis = item["axis"]
         if axis not in ("h", "v"):
             raise FormatError(f"bad edge axis {axis!r}")
-        out.add((axis, int(item["col"]), int(item["row"])))
+        out.add((axis, json_int(item["col"]), json_int(item["row"])))
     return frozenset(out)
 
 
-def puzzle_to_json(puzzle: Puzzle) -> dict:
+def puzzle_to_json(puzzle) -> dict:
     genre = puzzle_genre(puzzle)
-    if genre in ("bsl", "cubic-bsl"):
-        inner = puzzle.inner if genre == "cubic-bsl" else puzzle
-        return {
-            "genre": genre,
-            "width": inner.dims.width,
-            "height": inner.dims.height,
-            "bars": _edges_json(sorted(inner.bars, key=edge_sort_key)),
-        }
-    base = {"genre": genre, "width": puzzle.dims.width, "height": puzzle.dims.height}
-    if genre == "slitherlink":
-        base["clues"] = [
-            {"col": c, "row": r, "count": n} for (c, r), n in sorted(puzzle.clues)
-        ]
-    elif genre == "masyu":
-        base["pearls"] = [
-            {"col": c, "row": r, "color": colour} for (c, r), colour in sorted(puzzle.pearls)
-        ]
-    elif genre == "yajilin":
-        clue_at = {cell: (n, d) for cell, n, d in puzzle.clues}
-        base["grey"] = [
-            {
-                "col": c,
-                "row": r,
-                "count": clue_at.get((c, r), (None, None))[0],
-                "dir": clue_at.get((c, r), (None, None))[1],
-            }
-            for (c, r) in sorted(puzzle.grey)
-        ]
-    elif genre == "simple-loop":
-        base["shaded"] = [{"col": c, "row": r} for (c, r) in sorted(puzzle.shaded)]
-    return base
+    doc = {"genre": genre, "width": puzzle.dims.width, "height": puzzle.dims.height}
+    if genre in SOURCE_KINDS:
+        doc["bars"] = _edges_json(sorted(puzzle.bars, key=edge_sort_key))
+    else:
+        doc.update(GENRES[genre].to_json(puzzle))
+    return doc
 
 
-def puzzle_from_json(doc: dict) -> Puzzle:
+def puzzle_from_json(doc: dict):
     with malformed("puzzle document"):
         genre = doc["genre"]
-        dims = GridDims(int(doc["width"]), int(doc["height"]))
-        if genre == "bsl" or genre == "cubic-bsl":
+        dims = GridDims(json_int(doc["width"]), json_int(doc["height"]))
+        if genre in SOURCE_KINDS:
             puzzle = BslPuzzle(dims, _edges_from_json(doc.get("bars", [])))
             return CubicBslPuzzle(puzzle) if genre == "cubic-bsl" else puzzle
-        if genre == "slitherlink":
-            clues = tuple(
-                ((int(i["col"]), int(i["row"])), int(i["count"])) for i in doc.get("clues", [])
-            )
-            return SlitherlinkPuzzle(dims, tuple(sorted(clues)))
-        if genre == "masyu":
-            pearls = tuple(
-                ((int(i["col"]), int(i["row"])), i["color"]) for i in doc.get("pearls", [])
-            )
-            return MasyuPuzzle(dims, tuple(sorted(pearls)))
-        if genre == "yajilin":
-            grey = set()
-            clues = []
-            for i in doc.get("grey", []):
-                cell = (int(i["col"]), int(i["row"]))
-                grey.add(cell)
-                if i.get("count") is not None:
-                    clues.append((cell, int(i["count"]), i.get("dir")))
-            return YajilinPuzzle(dims, frozenset(grey), tuple(sorted(clues)))
-        if genre == "simple-loop":
-            shaded = frozenset((int(i["col"]), int(i["row"])) for i in doc.get("shaded", []))
-            return SimpleLoopPuzzle(dims, shaded)
-        raise FormatError(f"unknown genre {genre!r}")
+        if genre not in GENRES:
+            raise FormatError(f"unknown genre {genre!r}")
+        return GENRES[genre].from_json(dims, doc)
+
+
+def _solution_key(genre) -> str:
+    return "lattice_edges" if genre in GENRES and GENRES[genre].FRAME_OFFSET else "edges"
 
 
 def solution_to_json(genre: str, sol: CellLoop) -> dict:
-    # A Slitherlink loop runs on the dot grid, and its key says so.
-    key = "lattice_edges" if genre == "slitherlink" else "edges"
     # A flat loop lists its edges by a row scan, already in canonical order.
-    return {"genre": genre, key: _edges_json(sol.scan())}
+    return {"genre": genre, _solution_key(genre): _edges_json(sol.scan())}
 
 
 def solution_from_json(doc: dict) -> CellLoop:
-    key = "lattice_edges" if doc.get("genre") == "slitherlink" else "edges"
-    if key not in doc:
-        raise FormatError(f"solution document needs a {key} list")
     with malformed("solution document"):
+        key = _solution_key(doc.get("genre"))
+        if key not in doc:
+            raise FormatError(f"solution document needs a {key} list")
         return CellLoop(_edges_from_json(doc[key]))
-
-
-def ensure_solution_matches(puzzle_genre_id: str, doc: dict) -> None:
-    sol_genre = doc.get("genre")
-    if sol_genre != puzzle_genre_id:
-        raise GenreMismatchError(
-            f"solution genre {sol_genre!r} does not match puzzle genre {puzzle_genre_id!r}"
-        )
 
 
 def manifest_to_json(manifest) -> dict:

@@ -1,9 +1,22 @@
 """Genre puzzle types, rule verifiers and exact solvers.
 
-Each genre module exposes a puzzle dataclass, a ``from_art`` function
-that reads a tile's characters as that puzzle, a ``verify`` function
-returning None or a Violation, and a ``solve`` function returning a
-sat/unsat/timeout result.  The registry maps genre ids to the modules.
+``GENRES`` maps each genre id to its module, and is the only place the
+rest of the package learns the genres from.  Each module exports:
+
+* ``PUZZLE``, its puzzle type, which ``formats`` finds a puzzle's id by;
+* ``from_art(dims, art)``, a tile's characters read as that puzzle;
+* ``to_json(puzzle)``, the genre's own JSON fields, and
+  ``from_json(dims, doc)``, the puzzle built from them (``formats``
+  writes and reads the genre, width and height around them);
+* ``FRAME_OFFSET``: 1 when the loop runs on the dot lattice, so a W x H
+  tile spans a (W+1) x (H+1) frame and a solution's edges are
+  ``lattice_edges``; 0 when it runs on the cells;
+* ``verify(puzzle, loop)``, None or the first Violation;
+* ``solve(puzzle, budget_ms, seeds_in, enumerate_all)``, a sat, unsat or
+  timeout result, or a generator of every solution.
+
+A new genre is one such module, one descriptor file in the catalog and
+one entry here.
 """
 
 from . import masyu, simple_loop, slitherlink, yajilin

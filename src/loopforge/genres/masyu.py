@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import json_int
 from ..grid import (
     OPPOSITE_SIDE,
     SIDES,
@@ -44,9 +45,6 @@ class MasyuPuzzle:
                 raise ValueError(f"duplicate pearl at {cell}")
             seen.add(cell)
 
-    def pearl_map(self) -> dict[Cell, str]:
-        return dict(self.pearls)
-
 
 PEARL_COLOURS = {"B": "black", "W": "white"}
 
@@ -55,6 +53,19 @@ def from_art(dims: GridDims, art: dict[Cell, str]) -> MasyuPuzzle:
     """Tile art as a puzzle: ``B`` is a black pearl, ``W`` a white one."""
     check_art(art, "BW")
     return MasyuPuzzle(dims, tuple(sorted((cell, PEARL_COLOURS[ch]) for cell, ch in art.items())))
+
+
+PUZZLE = MasyuPuzzle
+FRAME_OFFSET = 0
+
+
+def to_json(puzzle: MasyuPuzzle) -> dict:
+    return {"pearls": [{"col": c, "row": r, "color": colour} for (c, r), colour in sorted(puzzle.pearls)]}
+
+
+def from_json(dims: GridDims, doc: dict) -> MasyuPuzzle:
+    pearls = tuple(((json_int(i["col"]), json_int(i["row"])), i["color"]) for i in doc.get("pearls", []))
+    return MasyuPuzzle(dims, tuple(sorted(pearls)))
 
 
 def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
@@ -124,9 +135,8 @@ def _pearls_hold(puzzle: MasyuPuzzle, loop: LoopIds) -> bool:
 class _MasyuSearch(LoopSearch):
     def __init__(self, puzzle: MasyuPuzzle, edges, pairs, index, **kw):
         n = puzzle.dims.cell_count
-        pearls = puzzle.pearl_map()
         req = [OPT] * n
-        for cell in pearls:
+        for cell, _ in puzzle.pearls:
             req[index[cell]] = EXACT2
         super().__init__(n, pairs, req, **kw)
         # For every cell: side -> edge id, to express the local pearl rules.

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import json_int
 from ..grid import Cell, CellLoop, GridDims, Violation
 from ..search import EXACT2, OPT, LoopSearch
 from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
@@ -26,6 +27,19 @@ def from_art(dims: GridDims, art: dict[Cell, str]) -> SimpleLoopPuzzle:
     """Tile art as a puzzle: ``#`` is a shaded cell."""
     check_art(art, "#")
     return SimpleLoopPuzzle(dims, frozenset(art))
+
+
+PUZZLE = SimpleLoopPuzzle
+FRAME_OFFSET = 0
+
+
+def to_json(puzzle: SimpleLoopPuzzle) -> dict:
+    return {"shaded": [{"col": c, "row": r} for (c, r) in sorted(puzzle.shaded)]}
+
+
+def from_json(dims: GridDims, doc: dict) -> SimpleLoopPuzzle:
+    shaded = frozenset((json_int(i["col"]), json_int(i["row"])) for i in doc.get("shaded", []))
+    return SimpleLoopPuzzle(dims, shaded)
 
 
 def verify(puzzle: SimpleLoopPuzzle, sol: CellLoop) -> Optional[Violation]:

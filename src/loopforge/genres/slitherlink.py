@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import json_int
 from ..grid import Cell, CellLoop, Edge, GridDims, Violation
 from ..search import OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
@@ -48,6 +49,23 @@ def from_art(dims: GridDims, art: dict[Cell, str]) -> SlitherlinkPuzzle:
     """Tile art as a puzzle: each digit is the clue of its cell."""
     check_art(art, "0123456789")
     return SlitherlinkPuzzle(dims, tuple(sorted((cell, DIGITS[ch]) for cell, ch in art.items())))
+
+
+PUZZLE = SlitherlinkPuzzle
+# The loop runs on the dots: a tile of W x H cells spans a (W+1) x (H+1)
+# frame, and a solution's edges are "lattice_edges".
+FRAME_OFFSET = 1
+
+
+def to_json(puzzle: SlitherlinkPuzzle) -> dict:
+    return {"clues": [{"col": c, "row": r, "count": n} for (c, r), n in sorted(puzzle.clues)]}
+
+
+def from_json(dims: GridDims, doc: dict) -> SlitherlinkPuzzle:
+    clues = tuple(
+        ((json_int(i["col"]), json_int(i["row"])), json_int(i["count"])) for i in doc.get("clues", [])
+    )
+    return SlitherlinkPuzzle(dims, tuple(sorted(clues)))
 
 
 def cell_border_edges(cell: Cell) -> list[Edge]:

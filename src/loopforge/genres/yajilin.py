@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import json_int
 from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, least_cell
 from ..search import EXACT2, OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, grid_faces, run_search
@@ -53,6 +54,28 @@ def from_art(dims: GridDims, art: dict[Cell, str]) -> YajilinPuzzle:
     """Tile art as a puzzle: ``#`` is a grey cell."""
     check_art(art, "#")
     return YajilinPuzzle(dims, frozenset(art))
+
+
+PUZZLE = YajilinPuzzle
+FRAME_OFFSET = 0
+
+
+def to_json(puzzle: YajilinPuzzle) -> dict:
+    """Every grey cell, with its clue's count and direction or two nulls."""
+    clue_at = {cell: {"count": n, "dir": d} for cell, n, d in puzzle.clues}
+    blank = {"count": None, "dir": None}
+    return {"grey": [{"col": c, "row": r, **clue_at.get((c, r), blank)} for (c, r) in sorted(puzzle.grey)]}
+
+
+def from_json(dims: GridDims, doc: dict) -> YajilinPuzzle:
+    grey = set()
+    clues = []
+    for i in doc.get("grey", []):
+        cell = (json_int(i["col"]), json_int(i["row"]))
+        grey.add(cell)
+        if i.get("count") is not None:
+            clues.append((cell, json_int(i["count"]), i.get("dir")))
+    return YajilinPuzzle(dims, frozenset(grey), tuple(sorted(clues)))
 
 
 def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:

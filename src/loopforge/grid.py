@@ -90,10 +90,6 @@ def edge_sort_key(edge: Edge) -> tuple[int, int, int, int]:
     return (kind, r, c, _AXIS_RANK[axis])
 
 
-def is_internal(edge: Edge) -> bool:
-    return edge[0] in ("h", "v")
-
-
 def edge_cells(edge: Edge) -> tuple[Cell, Cell]:
     """Both endpoints of an internal edge (lesser cell first)."""
     axis, c, r = edge
@@ -389,7 +385,7 @@ class CellLoop:
 
     def __init__(self, transitions: frozenset[Edge]) -> None:
         if not {edge[0] for edge in transitions} <= {"h", "v"}:
-            edge = min(edge for edge in transitions if not is_internal(edge))
+            edge = min(edge for edge in transitions if edge[0] not in ("h", "v"))
             raise ValueError(f"loop transition {edge} is not an internal edge")
         self._edges: Optional[frozenset[Edge]] = transitions
         self.size: Optional[tuple[int, int]] = None
@@ -436,12 +432,6 @@ class CellLoop:
         data = self.east if axis == "h" else self.south if axis == "v" else b""
         i = r * width + c
         return 0 <= c < width and 0 <= i < len(data) and data[i] == 1
-
-    def intersection(self, edges: frozenset[Edge]) -> frozenset[Edge]:
-        """The edges of ``edges`` on the loop."""
-        if self._edges is not None:
-            return self._edges & edges
-        return frozenset(edge for edge in edges if edge in self)
 
     def sides(self, cell: Cell) -> list[str]:
         """Sides through which the loop leaves a cell, in ``SIDES`` order."""

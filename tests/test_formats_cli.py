@@ -300,3 +300,54 @@ def test_cli_reduce_and_roundtrip_with_out_of_range_clue_are_missing_gadget(tmp_
     assert not out.exists()
     assert main(["roundtrip", fx("bsl_example"), "--genre", "slitherlink"]) == 66
     assert "gadget unavailable" in capsys.readouterr().err
+
+
+# Every coordinate, count and size must be a JSON integer: a float, a
+# numeric string or a bool was once truncated by int() and accepted.
+def _with(name: str, key: str, field: str, value):
+    doc = load_fixture(name)
+    doc[key][0][field] = value
+    return doc
+
+
+NON_INTEGER_PUZZLES = {
+    "masyu-pearl-col-float": _with("masyu_example", "pearls", "col", 1.7),
+    "masyu-pearl-row-bool": _with("masyu_example", "pearls", "row", True),
+    "slitherlink-clue-col-string": _with("slitherlink_example", "clues", "col", "1"),
+    "slitherlink-clue-count-float": _with("slitherlink_example", "clues", "count", 2.5),
+    "yajilin-grey-row-float": _with("yajilin_example", "grey", "row", 0.0),
+    "yajilin-clue-count-string": _with("yajilin_example", "grey", "count", "1"),
+    "simple-loop-shaded-col-bool": _with("simple_loop_example", "shaded", "col", False),
+    "bsl-bar-col-float": _with("bsl_example", "bars", "col", 0.2),
+    "cubic-bsl-bar-row-string": _with("cubic_example", "bars", "row", "1"),
+    "width-string": {**load_fixture("bsl_example"), "width": "2"},
+    "height-float": {**load_fixture("masyu_example"), "height": 2.9},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_PUZZLES))
+def test_non_integer_puzzle_fields_are_parse_errors(case, tmp_path, capsys):
+    doc = NON_INTEGER_PUZZLES[case]
+    with pytest.raises(formats.FormatError, match="expected an integer"):
+        formats.puzzle_from_json(doc)
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", str(p)]) == 64
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,field,value", [
+    ("simple_loop_example", "col", 0.5),
+    ("bsl_example", "row", True),
+    ("slitherlink_example", "row", "0"),
+])
+def test_non_integer_solution_edges_are_parse_errors(name, field, value, tmp_path, capsys):
+    doc = load_fixture(f"{name}_solution")
+    key = "lattice_edges" if "lattice_edges" in doc else "edges"
+    doc[key][0][field] = value
+    with pytest.raises(formats.FormatError, match="expected an integer"):
+        formats.solution_from_json(doc)
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", fx(name), str(p)]) == 64
+    assert "parse error" in capsys.readouterr().err

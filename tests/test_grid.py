@@ -221,7 +221,7 @@ def test_flat_loop_is_its_edge_set():
     assert flat == flat_loop(4, 3, edges) and flat != flat_loop(3, 2, ring(0, 0, 1, 1))
     assert ("h", 1, 0) in flat and ("h", 0, 0) not in flat and ("v", 5, 0) not in flat
     assert flat.sides((1, 0)) == ["E", "S"] and flat.sides((2, 1)) == ["N", "W"]
-    assert flat.intersection(frozenset({("h", 1, 1), ("h", 0, 1)})) == {("h", 1, 1)}
+    assert ("h", 1, 1) in flat and ("h", 0, 1) not in flat
     with pytest.raises(ValueError, match="must hold 7 and 9 bytes"):
         CellLoop.flat(3, 2, bytearray(6), bytearray(9))
     flat.south[4] = 2
