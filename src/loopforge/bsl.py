@@ -68,10 +68,14 @@ class CubicBslPuzzle:
 
 
 def verify_bsl(puzzle: BslPuzzle, sol: CellLoop) -> Optional[Violation]:
-    """Valid iff the loop covers every cell exactly once and avoids all bars."""
-    crossing = [bar for bar in puzzle.bars if bar in sol]
-    if crossing:
-        return Violation("bar", "loop crosses a bar", edge=min(crossing, key=edge_sort_key))
+    """Valid iff the loop covers every cell exactly once and avoids all bars.
+    The least crossed bar (``edge_sort_key``) is reported first."""
+    if sol.size == (puzzle.dims.width, puzzle.dims.height) and isinstance(puzzle, BslPuzzle):
+        bar = _crossed_bar(puzzle, sol.east, sol.south)
+    else:
+        bar = min(puzzle.bars & sol.transitions, key=edge_sort_key, default=None)
+    if bar:
+        return Violation("bar", "loop crosses a bar", edge=bar)
     return validate_loop(puzzle.dims, sol, must_visit=puzzle.dims.cells())
 
 
@@ -91,9 +95,10 @@ def open_sides(puzzle: BslPuzzle) -> dict[Cell, frozenset[str]]:
 
     The sides are worked out once per puzzle and kept on it as one mask
     byte per cell, so cubicity, degeneracy, the cubic stage's ``blocked``,
-    the bar graph and the genre placements all read that one pass.  Each
-    call returns a new dict over those bytes: a dict kept on every puzzle
-    would hold two objects per cell for as long as the puzzle lives.
+    the bar graph, the genre placements and ``verify_bsl`` all read that
+    one pass.  Each call returns a new dict over those bytes: a dict kept
+    on every puzzle would hold two objects per cell for as long as the
+    puzzle lives.
     """
     masks = puzzle.sides_cache
     if masks is None:
@@ -114,6 +119,26 @@ def open_sides(puzzle: BslPuzzle) -> dict[Cell, frozenset[str]]:
         masks = bytes(grid)
         object.__setattr__(puzzle, "sides_cache", masks)
     return dict(zip(puzzle.dims.cells(), map(_SIDE_SETS.__getitem__, masks)))
+
+
+# Map a sides mask to 1 when its east side, or its south side, is shut.
+_SHUT = tuple(bytes(not m & side for m in range(256)) for side in (_E, _S))
+
+
+def _crossed_bar(puzzle: BslPuzzle, east: bytearray, south: bytearray) -> Optional[Edge]:
+    """The least bar a flat loop crosses, by its side masks: a side shut off the
+    last column or row is a bar.  Byte i of ``hit`` is 2 for an "h" bar
+    crossed at id i and 1 for a "v" bar, so its first nonzero byte names it."""
+    w, n = puzzle.dims.width, puzzle.dims.cell_count
+    if puzzle.sides_cache is None:
+        open_sides(puzzle)
+    east_bars, south_bars = (bytearray(puzzle.sides_cache.translate(table)) for table in _SHUT)
+    east_bars[w - 1 :: w], south_bars[n - w :] = bytes(puzzle.dims.height), bytes(w)
+    hit = (int.from_bytes(east[:n], "little") & int.from_bytes(east_bars, "little")) << 1
+    hit |= int.from_bytes(south[:n], "little") & int.from_bytes(south_bars, "little")
+    data = hit.to_bytes(n, "little")
+    i = n - len(data.lstrip(b"\0"))
+    return ("h" if data[i] & 2 else "v", i % w, i // w) if i < n else None
 
 
 def degenerate_cells(puzzle: BslPuzzle) -> list[Cell]:

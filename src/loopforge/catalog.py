@@ -166,7 +166,7 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
                 desc.bank[frozenset((a, b))] = parse_fragment_grid(body, fw, fh)
             else:
                 raise FormatError(f"unknown descriptor section [{name}]")
-        GENRES[genre].from_art(desc.tile, desc.art)
+        GENRES[genre].from_art(desc.tile, b"".join(_oriented_rows(desc, Transform(0, False))))
         problem = validate_descriptor(desc)
     if problem:
         raise FormatError(f"descriptor for {genre} rejected: {problem}")
@@ -244,39 +244,34 @@ def _fragment_ends(frag: frozenset[Edge]) -> set[Cell]:
 # ----------------------------------------------------------------------
 # board assembly (shared with the reduction engine)
 
+def _oriented_rows(desc: GadgetDescriptor, t: Transform) -> list[bytes]:
+    """The tile's art moved through ``t``, one byte string per row, 0 for "."."""
+    tw, th = desc.tile.width, desc.tile.height
+    w, h = (th, tw) if t.rot % 2 else (tw, th)
+    grid = bytearray(w * h)
+    for cell, ch in desc.art.items():
+        c, r = t.apply_cell(tw, th, cell)
+        grid[r * w + c] = ord(ch)
+    return [bytes(grid[r * w : (r + 1) * w]) for r in range(h)]
+
+
 def assemble_board(desc: GadgetDescriptor, layout: dict[Cell, Transform], tiles_w: int, tiles_h: int):
     """The genre puzzle whose art is every placed tile's art, moved through its transform.
 
-    The art is laid out in (col, row) order, the order each genre's
-    ``from_art`` sorts it into, so that sort has nothing to move.
+    The art is moved through each transform once, as one byte string per
+    tile row.  Each board row joins those rows of its tiles (blank where no
+    tile is) across the frame seams, and the seam rows are blank, so the
+    genre's ``from_art`` reads one byte grid and nothing is kept per cell.
     """
-    fw, fh = desc.frame
-    tw, th = desc.tile.width, desc.tile.height
-    span = max(tw, th)  # the columns a transform can move art into
-    # The art moved through each transform at the origin, as one list of
-    # (row, character) per column, sorted by row: at most 8, however many
-    # tiles share them.
-    oriented: dict[Transform, list[list[tuple[int, str]]]] = {}
-    for t in set(layout.values()):
-        columns = oriented[t] = [[] for _ in range(span)]
-        for cell, ch in desc.art.items():
-            c, r = t.apply_cell(tw, th, cell)
-            columns[c].append((r, ch))
-        for column in columns:
-            column.sort()
-    # Each column of tiles, left to right, as its tiles' row offsets and
-    # oriented art from the top down.
-    stacks: dict[int, list[tuple[int, list[list[tuple[int, str]]]]]] = {}
-    for i, j in sorted(layout):
-        stacks.setdefault(i, []).append((fh * j, oriented[layout[(i, j)]]))
-    art = {}
-    for i, stack in stacks.items():
-        for x in range(span):
-            c = fw * i + x
-            for oy, columns in stack:
-                for r, ch in columns[x]:
-                    art[(c, r + oy)] = ch
-    return GENRES[desc.genre].from_art(desc.board_dims(tiles_w, tiles_h), art)
+    k = GENRES[desc.genre].FRAME_OFFSET
+    dims = desc.board_dims(tiles_w, tiles_h)
+    oriented = {t: _oriented_rows(desc, t) for t in set(layout.values())}
+    blank = [bytes(desc.tile.width)] * desc.tile.height
+    blocks = []
+    for j in range(tiles_h):
+        tiles = [oriented.get(layout.get((i, j)), blank) for i in range(tiles_w)]
+        blocks.append(b"".join([bytes(k).join([rows[y] for rows in tiles]) for y in range(len(blank))]))
+    return GENRES[desc.genre].from_art(dims, bytes(k * dims.width).join(blocks))
 
 
 def tile_visited(desc: GadgetDescriptor, sol_edges: frozenset[Edge], tile_pos: Cell) -> bool:

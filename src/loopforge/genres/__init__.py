@@ -3,8 +3,10 @@
 ``GENRES`` maps each genre id to its module, and is the only place the
 rest of the package learns the genres from.  Each module exports:
 
-* ``PUZZLE``, its puzzle type, which ``formats`` finds a puzzle's id by;
-* ``from_art(dims, art)``, a tile's characters read as that puzzle;
+* ``PUZZLE``, its puzzle type (a ``base.ArtBoard``: one row-major byte
+  grid of art, with entry views read off it), which ``formats`` finds a
+  puzzle's id by;
+* ``from_art(dims, cells)``, a byte grid of tile art read as that puzzle;
 * ``to_json(puzzle)``, the genre's own JSON fields, and
   ``from_json(dims, doc)``, the puzzle built from them (``formats``
   writes and reads the genre, width and height around them);

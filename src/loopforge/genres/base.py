@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, fields
+from itertools import chain, compress, repeat
+from typing import Callable, Iterator, Optional
 
 from ..errors import SearchTimeout
-from ..grid import Cell, Edge, GridDims, Violation, edge_cells, internal_edges
+from ..grid import Cell, Edge, GridDims, Violation, edge_cells, internal_edges, least_cell
 from ..search import IN, LoopSearch
 
 # The genre solvers run the cut check at every CUT_CHECK_EVERY-th
@@ -58,12 +59,68 @@ def grid_faces(dims: GridDims, edges: list[Edge]) -> tuple[list[tuple[int, int]]
     return [sides(e) for e in edges], [sides(e) for e in internal_edges(dims) if e not in present]
 
 
-def check_art(art: dict[Cell, str], alphabet: str) -> None:
-    """Raise a ValueError naming a character of tile art outside ``alphabet``, and its cell."""
-    allowed = set(alphabet)
-    if not allowed.issuperset(art.values()):
-        cell, ch = next((cell, ch) for cell, ch in art.items() if ch not in allowed)
-        raise ValueError(f"bad tile character {ch!r} at {cell}")
+@dataclass(frozen=True, slots=True, init=False)
+class ArtBoard:
+    """A genre board as one row-major byte grid ``cells`` on ``dims``: 0 for
+    an empty cell, otherwise its art character.  A genre's type is built
+    from entries, ``Puzzle(dims, entries)``, or from the grid,
+    ``Puzzle.grid(dims, cells)``, as ``from_art`` does; equality and
+    hashing are the fields'.  Entry views are read off the grid, in
+    canonical (col, row) order, on every access."""
+
+    dims: GridDims
+    cells: bytes
+
+    def __init__(self, dims: GridDims, cells: bytes, *more) -> None:
+        if len(cells) != dims.cell_count:
+            raise ValueError(f"a {dims.width}x{dims.height} board needs {dims.cell_count} cells, got {len(cells)}")
+        for field, value in zip(fields(self), (dims, bytes(cells), *more)):
+            object.__setattr__(self, field.name, value)
+
+    @classmethod
+    def grid(cls, dims: GridDims, cells: bytes, *more):
+        board = object.__new__(cls)
+        ArtBoard.__init__(board, dims, cells, *more)
+        return board
+
+    def scan(self) -> Iterator[tuple[int, int, int]]:
+        """(col, row, art byte) of every nonempty cell, by a column scan."""
+        w, rows = self.dims.width, list(range(self.dims.height))
+        columns = [self.cells[c::w] for c in range(w)]
+        found = [list(compress(rows, column)) for column in columns]
+        cols = chain.from_iterable(repeat(c, len(at)) for c, at in enumerate(found))
+        return zip(cols, chain.from_iterable(found), b"".join(columns).translate(None, b"\0"))
+
+
+def art_mask(cells: bytes, chars: bytes) -> bytes:
+    """One byte per cell: 1 where the cell holds a byte of ``chars``, else 0."""
+    return cells.translate(bytes(b in chars for b in range(256)))
+
+
+def entry_grid(dims: GridDims, entries, values: tuple, art: bytes, bad_value: str, noun: str) -> bytearray:
+    """The grid of (cell, value) entries, ``values[k]`` written as ``art[k]``.
+    The first bad entry is named: a cell off the grid, a value not in
+    ``values`` (``bad_value`` formats the text) or a cell given twice."""
+    w, h = dims.width, dims.height
+    grid = bytearray(w * h)
+    for cell, value in entries:
+        c, r = cell
+        if not (0 <= c < w and 0 <= r < h):
+            dims.require(cell)
+        if value not in values:
+            raise ValueError(bad_value.format(cell=cell, value=value))
+        if grid[r * w + c]:
+            raise ValueError(f"duplicate {noun} at {cell}")
+        grid[r * w + c] = art[values.index(value)]
+    return grid
+
+
+def check_art(dims: GridDims, cells: bytes, alphabet: bytes) -> None:
+    """Raise a ValueError naming the first byte of tile art outside
+    ``alphabet`` in (col, row) order, and its cell."""
+    if cells.translate(None, b"\0" + alphabet):
+        c, r = least_cell(dims.width, cells.translate(bytes(b != 0 and b not in alphabet for b in range(256))))
+        raise ValueError(f"bad tile character {chr(cells[r * dims.width + c])!r} at {(c, r)}")
 
 
 def run_search(

@@ -19,40 +19,30 @@ from ..grid import (
     side_edge,
 )
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
 
 
-@dataclass(frozen=True, slots=True)
-class MasyuPuzzle:
-    dims: GridDims
-    pearls: tuple[tuple[Cell, str], ...]  # (cell, "white" | "black")
+@dataclass(frozen=True, slots=True, init=False)
+class MasyuPuzzle(ArtBoard):
+    """Pearls as the art bytes ``B`` (black) and ``W`` (white)."""
 
-    def __post_init__(self) -> None:
-        # Whole-collection tests first; the loop below names the first bad pearl.
-        cells, colours = zip(*self.pearls) if self.pearls else ((), ())
-        if (
-            self.dims.contains_all(cells)
-            and colours.count("white") + colours.count("black") == len(colours)
-            and len(set(cells)) == len(cells)
-        ):
-            return
-        seen = set()
-        for cell, colour in self.pearls:
-            self.dims.require(cell)
-            if colour not in ("white", "black"):
-                raise ValueError(f"bad pearl colour {colour!r}")
-            if cell in seen:
-                raise ValueError(f"duplicate pearl at {cell}")
-            seen.add(cell)
+    def __init__(self, dims: GridDims, pearls: tuple[tuple[Cell, str], ...]) -> None:
+        ArtBoard.__init__(self, dims, entry_grid(dims, pearls, COLOURS, b"BW", "bad pearl colour {value!r}", "pearl"))
+
+    @property
+    def pearls(self) -> tuple[tuple[Cell, str], ...]:
+        """(cell, "white" | "black") in canonical order."""
+        return tuple(((c, r), COLOUR[ch]) for c, r, ch in self.scan())
 
 
-PEARL_COLOURS = {"B": "black", "W": "white"}
+COLOURS = ("black", "white")  # as the art bytes B and W
+COLOUR = dict(zip(b"BW", COLOURS))
 
 
-def from_art(dims: GridDims, art: dict[Cell, str]) -> MasyuPuzzle:
+def from_art(dims: GridDims, cells: bytes) -> MasyuPuzzle:
     """Tile art as a puzzle: ``B`` is a black pearl, ``W`` a white one."""
-    check_art(art, "BW")
-    return MasyuPuzzle(dims, tuple(sorted((cell, PEARL_COLOURS[ch]) for cell, ch in art.items())))
+    check_art(dims, cells, b"BW")
+    return MasyuPuzzle.grid(dims, cells)
 
 
 PUZZLE = MasyuPuzzle
@@ -60,7 +50,7 @@ FRAME_OFFSET = 0
 
 
 def to_json(puzzle: MasyuPuzzle) -> dict:
-    return {"pearls": [{"col": c, "row": r, "color": colour} for (c, r), colour in sorted(puzzle.pearls)]}
+    return {"pearls": [{"col": c, "row": r, "color": COLOUR[ch]} for c, r, ch in puzzle.scan()]}
 
 
 def from_json(dims: GridDims, doc: dict) -> MasyuPuzzle:
@@ -79,7 +69,7 @@ def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
     # through that neighbour.  Look-ups off the grid read the zero padding.
     # All pearls are checked at once first; only when one fails does the
     # loop below name the first.
-    if _pearls_hold(puzzle, loop):
+    if _pearls_hold(puzzle.cells, loop):
         return None
     east, south, visited = loop.east, loop.south, loop.visited
     for (c, r), colour in puzzle.pearls:
@@ -107,15 +97,12 @@ def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
     return None
 
 
-def _pearls_hold(puzzle: MasyuPuzzle, loop: LoopIds) -> bool:
+def _pearls_hold(cells: bytes, loop: LoopIds) -> bool:
     """Whether every pearl's rule holds, read from the loop as integers of
     one 0/1 byte per id, little-endian, so that shifting by 8k bits reads
     the byte k ids away: the look-ups of ``verify``, all ids at once.  A
     shift off either end reads 0, as the zero padding does."""
     w, n = loop.width, len(loop.visited)
-    white, black = bytearray(n), bytearray(n)
-    for (c, r), colour in puzzle.pearls:
-        (white if colour == "white" else black)[r * w + c] = 1
     e, s = int.from_bytes(loop.east, "little"), int.from_bytes(loop.south, "little")
     east_in, west_in, south_in, north_in = e, e << 8, s, s << (8 * w)
     # The same side of the neighbour beyond.
@@ -129,16 +116,14 @@ def _pearls_hold(puzzle: MasyuPuzzle, loop: LoopIds) -> bool:
     vertical = (north_in & north2) | (south_in & south2)
     horizontal = (east_in & east2) | (west_in & west2)
     black_bad = off_loop | straight | (vertical ^ ones) | (horizontal ^ ones)
+    white, black = art_mask(cells, b"W"), art_mask(cells, b"B")
     return not (white_bad & int.from_bytes(white, "little") or black_bad & int.from_bytes(black, "little"))
 
 
 class _MasyuSearch(LoopSearch):
     def __init__(self, puzzle: MasyuPuzzle, edges, pairs, index, **kw):
         n = puzzle.dims.cell_count
-        req = [OPT] * n
-        for cell, _ in puzzle.pearls:
-            req[index[cell]] = EXACT2
-        super().__init__(n, pairs, req, **kw)
+        super().__init__(n, pairs, [EXACT2 if ch else OPT for ch in puzzle.cells], **kw)
         # For every cell: side -> edge id, to express the local pearl rules.
         self.side_edge: list[dict[str, int]] = [dict() for _ in range(n)]
         eidx = {e: i for i, e in enumerate(edges)}
@@ -151,8 +136,7 @@ class _MasyuSearch(LoopSearch):
         # edges appear in its straight-continuation rules).
         self.pearl_at: dict[int, str] = {index[c]: colour for c, colour in puzzle.pearls}
         self.watch: dict[int, list[int]] = {}
-        for cell, colour in puzzle.pearls:
-            p = index[cell]
+        for p in self.pearl_at:
             for node in self._rule_nodes(p):
                 self.watch.setdefault(node, []).append(p)
 

@@ -8,25 +8,26 @@ from typing import Optional
 from ..errors import json_int
 from ..grid import Cell, CellLoop, GridDims, Violation
 from ..search import EXACT2, OPT, LoopSearch
-from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
 
 
-@dataclass(frozen=True, slots=True)
-class SimpleLoopPuzzle:
-    dims: GridDims
-    shaded: frozenset[Cell]
+@dataclass(frozen=True, slots=True, init=False)
+class SimpleLoopPuzzle(ArtBoard):
+    """Shaded cells as the art byte ``#``."""
 
-    def __post_init__(self) -> None:
-        if self.dims.contains_all(self.shaded):
-            return
-        for cell in self.shaded:
-            self.dims.require(cell)
+    def __init__(self, dims: GridDims, shaded: frozenset[Cell]) -> None:
+        grid = entry_grid(dims, ((cell, "#") for cell in shaded), ("#",), b"#", "", "shaded cell")
+        ArtBoard.__init__(self, dims, grid)
+
+    @property
+    def shaded(self) -> frozenset[Cell]:
+        return frozenset((c, r) for c, r, _ in self.scan())
 
 
-def from_art(dims: GridDims, art: dict[Cell, str]) -> SimpleLoopPuzzle:
+def from_art(dims: GridDims, cells: bytes) -> SimpleLoopPuzzle:
     """Tile art as a puzzle: ``#`` is a shaded cell."""
-    check_art(art, "#")
-    return SimpleLoopPuzzle(dims, frozenset(art))
+    check_art(dims, cells, b"#")
+    return SimpleLoopPuzzle.grid(dims, cells)
 
 
 PUZZLE = SimpleLoopPuzzle
@@ -34,7 +35,7 @@ FRAME_OFFSET = 0
 
 
 def to_json(puzzle: SimpleLoopPuzzle) -> dict:
-    return {"shaded": [{"col": c, "row": r} for (c, r) in sorted(puzzle.shaded)]}
+    return {"shaded": [{"col": c, "row": r} for c, r, _ in puzzle.scan()]}
 
 
 def from_json(dims: GridDims, doc: dict) -> SimpleLoopPuzzle:
@@ -44,14 +45,10 @@ def from_json(dims: GridDims, doc: dict) -> SimpleLoopPuzzle:
 
 def verify(puzzle: SimpleLoopPuzzle, sol: CellLoop) -> Optional[Violation]:
     """The loop must visit exactly the unshaded cells."""
-    w, h = puzzle.dims.width, puzzle.dims.height
-    loop = sol.ids(w, h)
+    loop = sol.ids(puzzle.dims.width, puzzle.dims.height)
     if isinstance(loop, Violation):
         return loop
-    unshaded = bytearray(b"\1" * (w * h))
-    for c, r in puzzle.shaded:
-        unshaded[r * w + c] = 0
-    return loop.cover(unshaded)
+    return loop.cover(art_mask(puzzle.cells, b"\0"))
 
 
 def solve(
@@ -61,11 +58,10 @@ def solve(
     enumerate_all: bool = False,
 ):
     """Exact solver; with ``enumerate_all`` returns a solution generator."""
-    edges, pairs, index = build_cell_graph(puzzle.dims, closed=puzzle.shaded)
+    edges, pairs, _ = build_cell_graph(puzzle.dims, closed=puzzle.shaded)
     n = puzzle.dims.cell_count
-    req = [EXACT2] * n
-    for cell in puzzle.shaded:
-        req[index[cell]] = OPT  # no incident edges, never required
+    # A shaded cell has no incident edges and is never required.
+    req = [EXACT2 if b == 0 else OPT for b in puzzle.cells]
     search = LoopSearch(
         n, pairs, req, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )

@@ -14,41 +14,35 @@ from typing import Optional
 from ..errors import json_int
 from ..grid import Cell, CellLoop, Edge, GridDims, Violation
 from ..search import OPT, OUT, LoopSearch
-from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
 
 
-DIGITS = {str(d): d for d in range(10)}
+@dataclass(frozen=True, slots=True, init=False)
+class SlitherlinkPuzzle(ArtBoard):
+    """Clues as the art digits ``0`` to ``3``; the dot lattice is
+    (width+1) x (height+1)."""
+
+    def __init__(self, dims: GridDims, clues: tuple[tuple[Cell, int], ...]) -> None:
+        grid = entry_grid(dims, clues, (0, 1, 2, 3), b"0123", "clue {value} at {cell} out of range", "clue")
+        ArtBoard.__init__(self, dims, grid)
+
+    @property
+    def clues(self) -> tuple[tuple[Cell, int], ...]:
+        return tuple(((c, r), ch - ZERO) for c, r, ch in self.scan())
 
 
-@dataclass(frozen=True, slots=True)
-class SlitherlinkPuzzle:
-    dims: GridDims  # cells; the dot lattice is (width+1) x (height+1)
-    clues: tuple[tuple[Cell, int], ...]
-
-    def __post_init__(self) -> None:
-        # Whole-collection tests first; the loop below names the first bad clue.
-        cells, counts = zip(*self.clues) if self.clues else ((), ())
-        if (
-            self.dims.contains_all(cells)
-            and 0 <= min(counts, default=0)
-            and max(counts, default=0) <= 3
-            and len(set(cells)) == len(cells)
-        ):
-            return
-        seen = set()
-        for cell, count in self.clues:
-            self.dims.require(cell)
-            if not 0 <= count <= 3:
-                raise ValueError(f"clue {count} at {cell} out of range")
-            if cell in seen:
-                raise ValueError(f"duplicate clue at {cell}")
-            seen.add(cell)
+ZERO = ord("0")
+# Maps an art byte to its clue's count.
+COUNT = bytes(b - ZERO if ZERO <= b <= ZERO + 3 else 0 for b in range(256))
 
 
-def from_art(dims: GridDims, art: dict[Cell, str]) -> SlitherlinkPuzzle:
+def from_art(dims: GridDims, cells: bytes) -> SlitherlinkPuzzle:
     """Tile art as a puzzle: each digit is the clue of its cell."""
-    check_art(art, "0123456789")
-    return SlitherlinkPuzzle(dims, tuple(sorted((cell, DIGITS[ch]) for cell, ch in art.items())))
+    check_art(dims, cells, b"0123456789")
+    puzzle = SlitherlinkPuzzle.grid(dims, cells)
+    if cells.translate(None, b"\x000123"):
+        SlitherlinkPuzzle(dims, puzzle.clues)  # names the first digit above 3
+    return puzzle
 
 
 PUZZLE = SlitherlinkPuzzle
@@ -58,7 +52,7 @@ FRAME_OFFSET = 1
 
 
 def to_json(puzzle: SlitherlinkPuzzle) -> dict:
-    return {"clues": [{"col": c, "row": r, "count": n} for (c, r), n in sorted(puzzle.clues)]}
+    return {"clues": [{"col": c, "row": r, "count": ch - ZERO} for c, r, ch in puzzle.scan()]}
 
 
 def from_json(dims: GridDims, doc: dict) -> SlitherlinkPuzzle:
@@ -85,16 +79,15 @@ def verify(puzzle: SlitherlinkPuzzle, sol: CellLoop) -> Optional[Violation]:
     # (c, r+1) and the "v" edges of dots (c, r) and (c+1, r).  All clues
     # are compared at once first, as little-endian integers of one byte
     # per dot: byte d of ``got`` is cell d's count, at most 4, so the sum
-    # has no carry.  Only when a clue fails does the loop below name the
-    # first one.
+    # has no carry.  The clues are laid out on dot ids by copying the
+    # grid's rows with a zero byte, the row's last dot, after each.  Only
+    # when a clue fails does the loop below name the first one.
     east, south = loop.east, loop.south
     e, s = int.from_bytes(east, "little"), int.from_bytes(south, "little")
     got = e + (e >> (8 * dw)) + s + (s >> 8)
-    want, mask = bytearray(len(east)), bytearray(len(east))
-    for (c, r), count in puzzle.clues:
-        want[r * dw + c] = count
-        mask[r * dw + c] = 7
-    if got & int.from_bytes(mask, "little") == int.from_bytes(want, "little"):
+    w, cells = puzzle.dims.width, puzzle.cells
+    dots = b"\0".join([cells[i : i + w] for i in range(0, len(cells), w)])
+    if got & 7 * int.from_bytes(art_mask(dots, b"0123"), "little") == int.from_bytes(dots.translate(COUNT), "little"):
         return None
     for (c, r), count in puzzle.clues:
         d = r * dw + c
@@ -109,16 +102,11 @@ class _SlitherlinkSearch(LoopSearch):
         super().__init__(n_dots, pairs, [OPT] * n_dots, **kw)
         eidx = {e: i for i, e in enumerate(edges)}
         # Clue counters: (target, edge ids); edge -> clue ids.
-        self.cells: list[tuple[int, list[int]]] = []
-        self.cell_in: list[int] = []
-        self.cell_unk: list[int] = []
+        self.cells = [(count, [eidx[e] for e in cell_border_edges(cell)]) for cell, count in puzzle.clues]
+        self.cell_in = [0] * len(self.cells)
+        self.cell_unk = [len(ids) for _, ids in self.cells]
         self.edge_cells: dict[int, list[int]] = {}
-        for cell, count in puzzle.clues:
-            ids = [eidx[e] for e in cell_border_edges(cell)]
-            ci = len(self.cells)
-            self.cells.append((count, ids))
-            self.cell_in.append(0)
-            self.cell_unk.append(len(ids))
+        for ci, (_, ids) in enumerate(self.cells):
             for ei in ids:
                 self.edge_cells.setdefault(ei, []).append(ci)
 

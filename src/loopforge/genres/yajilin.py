@@ -5,39 +5,35 @@ clue counts the shaded cells along its arrow."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from ..errors import json_int
 from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, least_cell
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import CUT_CHECK_EVERY, build_cell_graph, check_art, grid_faces, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, grid_faces, run_search
 
 UNDET, VISITED, SHADED = 0, 1, 2
 
 
-@dataclass(frozen=True, slots=True)
-class YajilinPuzzle:
-    dims: GridDims
-    grey: frozenset[Cell]
-    clues: tuple[tuple[Cell, int, str], ...] = ()  # (grey cell, count, direction)
+@dataclass(frozen=True, slots=True, init=False)
+class YajilinPuzzle(ArtBoard):
+    """Grey cells as the art byte ``#``; arrow clues are not art."""
 
-    def __post_init__(self) -> None:
-        # Whole-collection tests first; the loops below name the first bad entry.
-        cells, counts, directions = zip(*self.clues) if self.clues else ((), (), ())
-        if (
-            self.dims.contains_all(self.grey)
-            and self.grey.issuperset(cells)
-            and min(counts, default=0) >= 0
-            and SIDE_DELTAS.keys() >= set(directions)
-        ):
-            return
-        for cell in self.grey:
-            self.dims.require(cell)
-        for cell, count, direction in self.clues:
-            if cell not in self.grey:
+    clues: tuple[tuple[Cell, int, str], ...]  # (grey cell, count, direction)
+
+    def __init__(self, dims: GridDims, grey: frozenset[Cell], clues: tuple[tuple[Cell, int, str], ...] = ()) -> None:
+        grid = entry_grid(dims, ((cell, "#") for cell in grey), ("#",), b"#", "", "grey cell")
+        for cell, count, direction in clues:
+            if cell not in grey:
                 raise ValueError(f"clue at {cell} is not on a grey cell")
             if count < 0 or direction not in SIDE_DELTAS:
                 raise ValueError(f"bad clue {count}{direction} at {cell}")
+        ArtBoard.__init__(self, dims, grid, clues)
+
+    @property
+    def grey(self) -> frozenset[Cell]:
+        return frozenset((c, r) for c, r, _ in self.scan())
 
     def ray(self, cell: Cell, direction: str) -> list[Cell]:
         dc, dr = SIDE_DELTAS[direction]
@@ -50,10 +46,10 @@ class YajilinPuzzle:
             out.append((c, r))
 
 
-def from_art(dims: GridDims, art: dict[Cell, str]) -> YajilinPuzzle:
+def from_art(dims: GridDims, cells: bytes) -> YajilinPuzzle:
     """Tile art as a puzzle: ``#`` is a grey cell."""
-    check_art(art, "#")
-    return YajilinPuzzle(dims, frozenset(art))
+    check_art(dims, cells, b"#")
+    return YajilinPuzzle.grid(dims, cells, ())
 
 
 PUZZLE = YajilinPuzzle
@@ -64,7 +60,7 @@ def to_json(puzzle: YajilinPuzzle) -> dict:
     """Every grey cell, with its clue's count and direction or two nulls."""
     clue_at = {cell: {"count": n, "dir": d} for cell, n, d in puzzle.clues}
     blank = {"count": None, "dir": None}
-    return {"grey": [{"col": c, "row": r, **clue_at.get((c, r), blank)} for (c, r) in sorted(puzzle.grey)]}
+    return {"grey": [{"col": c, "row": r, **clue_at.get((c, r), blank)} for c, r, _ in puzzle.scan()]}
 
 
 def from_json(dims: GridDims, doc: dict) -> YajilinPuzzle:
@@ -85,10 +81,7 @@ def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:
         return loop
     # Cell masks as little-endian integers, one 0/1 byte per flat id.
     n = w * h
-    grey_mask = bytearray(n)
-    for c, r in puzzle.grey:
-        grey_mask[r * w + c] = 1
-    grey = int.from_bytes(grey_mask, "little")
+    grey = int.from_bytes(art_mask(puzzle.cells, b"#"), "little")
     visited = int.from_bytes(loop.visited, "little")
     hit = visited & grey
     if hit:
@@ -112,15 +105,10 @@ def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:
 class _YajilinSearch(LoopSearch):
     def __init__(self, puzzle: YajilinPuzzle, edges, pairs, index, **kw):
         n = puzzle.dims.cell_count
-        req = [OPT] * n
-        super().__init__(n, pairs, req, **kw)
-        self.puzzle = puzzle
-        self.index = index
-        self.cells = list(puzzle.dims.cells())
-        self.grey_idx = {index[c] for c in puzzle.grey}
-        self.status = [UNDET] * n
-        for gi in self.grey_idx:
-            self.status[gi] = SHADED  # never visited; not subject to shading rules
+        super().__init__(n, pairs, [OPT] * n, **kw)
+        self.grey_idx = set(compress(range(n), puzzle.cells))
+        # Grey cells are never visited and not subject to shading rules.
+        self.status = [SHADED if ch else UNDET for ch in puzzle.cells]
         self.nbrs = [[] for _ in range(n)]
         for cell in puzzle.dims.cells():
             i = index[cell]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution, neighbors
+from conftest import fixture_puzzle, fixture_solution, flat_loop, neighbors, ring
 from loopforge.bsl import (
     BslPuzzle,
     CubicBslPuzzle,
@@ -36,6 +36,27 @@ def test_verify_square_and_bar_crossing():
     barred = BslPuzzle(GridDims(2, 2), frozenset({("h", 0, 0)}))
     v = verify_bsl(barred, square)
     assert v is not None and v.code == "bar"
+
+
+def test_bar_crossings_built_flat_and_from_edges():
+    """A flat loop's bars are read from the side masks in bulk; the
+    verdict, down to the least crossed bar, is the edge-built loop's."""
+    rng = random.Random(18)
+    crossed = 0
+    for _ in range(300):
+        w, h = rng.randint(2, 7), rng.randint(2, 7)
+        dims = GridDims(w, h)
+        puzzle = BslPuzzle(dims, frozenset(e for e in internal_edges(dims) if rng.random() < 0.2))
+        c0, r0 = rng.randrange(w - 1), rng.randrange(h - 1)
+        edges = set(ring(c0, r0, rng.randint(c0 + 1, w - 1), rng.randint(r0 + 1, h - 1)))
+        if rng.random() < 0.3:
+            edges ^= {rng.choice(internal_edges(dims))}
+        if rng.random() < 0.2:
+            edges.add(rng.choice([("h", w - 1, rng.randrange(h)), ("v", rng.randrange(w), h - 1)]))
+        want = verify_bsl(puzzle, CellLoop(frozenset(edges)))
+        assert verify_bsl(puzzle, flat_loop(w, h, frozenset(edges))) == want
+        crossed += want is not None and want.code == "bar"
+    assert crossed > 100
 
 
 def test_check_cubic():

@@ -51,9 +51,9 @@ def _simple(puzzle):
     return simple_loop.SimpleLoopPuzzle(puzzle.dims, puzzle.walls)
 
 
-def from_art(dims, art):
-    check_art(art, "X")
-    return ToyLoopPuzzle(dims, frozenset(art))
+def from_art(dims, cells):
+    check_art(dims, cells, b"X")
+    return ToyLoopPuzzle(dims, frozenset((i % dims.width, i // dims.width) for i, ch in enumerate(cells) if ch))
 
 
 def to_json(puzzle):

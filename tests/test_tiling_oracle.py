@@ -1,14 +1,16 @@
 """Board assembly and loop lifting against straightforward references.
 
-``ref_assemble_board`` moves every placed tile's art into one dict in
-tile order and leaves the genre's ``from_art`` to sort it;
-``ref_lift_loop`` finds each tile's bank fragment by the ``frozenset``
-of tile-local sides the loop uses there, and collects the image's edges
-as tuples in a set.  That is how both were first written.
-``catalog.assemble_board`` and ``tiling.lift_loop`` must give the same
-boards, the same edge sets (the flat lift's, read off its byte arrays)
-and the same errors for all four genres (and, for lifting, the
-metacell), on:
+``ref_assemble_board`` moves every placed tile's art into one dict of
+cells in tile order, checks its characters with ``ref_check_art`` and
+builds the puzzle from its sorted entries, with JSON and entry views
+read off the sorted dict; ``ref_lift_loop`` finds each tile's bank
+fragment by the ``frozenset`` of tile-local sides the loop uses there,
+and collects the image's edges as tuples in a set.  That is how both
+were first written.  ``catalog.assemble_board``, which builds a byte
+grid, and ``tiling.lift_loop`` must give the same boards (equal, with
+the same ``to_json`` and entry views), the same edge sets (the flat
+lift's, read off its byte arrays) and the same errors for all four
+genres (and, for lifting, the metacell), on:
 
 * a uniform layout of every allowed transform;
 * seeded random layouts, with and without holes;
@@ -16,12 +18,14 @@ metacell), on:
   never uses, each ring also held flat, as a lifted cubic loop is;
 * the degenerate two-tile layout;
 * seeded cubic sources up to 6x6 with a planted loop, through
-  ``reduce_to_genre``, and for the smaller ones through both stages.
+  ``reduce_to_genre``, and for the smaller ones through both stages;
+* seeded tiles with one bad art character, assembled and read alone.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +34,10 @@ from loopforge.bsl import BslPuzzle, CubicBslPuzzle
 from loopforge.catalog import assemble_board, default_gadget
 from loopforge.errors import ReductionError
 from loopforge.genres import GENRES
+from loopforge.genres.masyu import MasyuPuzzle
+from loopforge.genres.simple_loop import SimpleLoopPuzzle
+from loopforge.genres.slitherlink import SlitherlinkPuzzle
+from loopforge.genres.yajilin import YajilinPuzzle
 from loopforge.grid import CellLoop, Edge, GridDims, edge_cells, internal_edges
 from loopforge.metacell import default_metacell, lift_to_cubic, reduce_to_cubic
 from loopforge.reduction import reduce_to_genre
@@ -42,6 +50,43 @@ GENRE_NAMES = ("slitherlink", "masyu", "yajilin", "simple-loop")
 # References.
 
 
+def ref_check_art(art, alphabet):
+    allowed = set(alphabet)
+    if not allowed.issuperset(art.values()):
+        cell, ch = next((cell, ch) for cell, ch in art.items() if ch not in allowed)
+        raise ValueError(f"bad tile character {ch!r} at {cell}")
+
+
+PEARLS = {"B": "black", "W": "white"}
+# genre -> (art alphabet, puzzle from the sorted art, entry views, JSON field)
+REF_GENRES = {
+    "masyu": (
+        "BW",
+        lambda dims, art: MasyuPuzzle(dims, tuple((cell, PEARLS[ch]) for cell, ch in art.items())),
+        lambda art: {"pearls": tuple((cell, PEARLS[ch]) for cell, ch in art.items())},
+        lambda art: {"pearls": [{"col": c, "row": r, "color": PEARLS[ch]} for (c, r), ch in art.items()]},
+    ),
+    "slitherlink": (
+        "0123456789",
+        lambda dims, art: SlitherlinkPuzzle(dims, tuple((cell, int(ch)) for cell, ch in art.items())),
+        lambda art: {"clues": tuple((cell, int(ch)) for cell, ch in art.items())},
+        lambda art: {"clues": [{"col": c, "row": r, "count": int(ch)} for (c, r), ch in art.items()]},
+    ),
+    "yajilin": (
+        "#",
+        lambda dims, art: YajilinPuzzle(dims, frozenset(art)),
+        lambda art: {"grey": frozenset(art), "clues": ()},
+        lambda art: {"grey": [{"col": c, "row": r, "count": None, "dir": None} for c, r in art]},
+    ),
+    "simple-loop": (
+        "#",
+        lambda dims, art: SimpleLoopPuzzle(dims, frozenset(art)),
+        lambda art: {"shaded": frozenset(art)},
+        lambda art: {"shaded": [{"col": c, "row": r} for c, r in art]},
+    ),
+}
+
+
 def ref_assemble_board(desc, layout, tiles_w, tiles_h):
     fw, fh = desc.frame
     tw, th = desc.tile.width, desc.tile.height
@@ -50,7 +95,27 @@ def ref_assemble_board(desc, layout, tiles_w, tiles_h):
         for cell, ch in desc.art.items():
             c, r = t.apply_cell(tw, th, cell)
             art[(c + fw * i, r + fh * j)] = ch
-    return GENRES[desc.genre].from_art(desc.board_dims(tiles_w, tiles_h), art)
+    return ref_from_art(desc.genre, desc.board_dims(tiles_w, tiles_h), art)
+
+
+def ref_from_art(genre, dims, art):
+    """The puzzle, and its entry views and JSON fields, all from the art
+    dict in (col, row) order, the order the assembled art once had."""
+    alphabet, build, views, to_json = REF_GENRES[genre]
+    art = dict(sorted(art.items()))
+    ref_check_art(art, alphabet)
+    return build(dims, art), views(art), to_json(art)
+
+
+def assert_same_board(board, ref):
+    puzzle, views, doc = ref
+    assert board == puzzle
+    assert {name: getattr(board, name) for name in views} == views
+    assert GENRES[puzzle_genre(board)].to_json(board) == doc
+
+
+def puzzle_genre(board):
+    return next(genre for genre, module in GENRES.items() if type(board) is module.PUZZLE)
 
 
 def ref_lift_loop(tile, layout, loop):
@@ -170,7 +235,7 @@ def test_uniform_layouts_of_every_transform(genre):
     desc = default_gadget(genre)
     for t in desc.allowed_transforms():
         layout = {(i, j): t for j in range(2) for i in range(3)}
-        assert assemble_board(desc, layout, 3, 2) == ref_assemble_board(desc, layout, 3, 2), t.name
+        assert_same_board(assemble_board(desc, layout, 3, 2), ref_assemble_board(desc, layout, 3, 2))
 
 
 @pytest.mark.parametrize("genre", GENRE_NAMES)
@@ -183,7 +248,7 @@ def test_random_layouts(genre):
         items = list(layout.items())
         rng.shuffle(items)
         layout = dict(items)
-        assert assemble_board(desc, layout, w, h) == ref_assemble_board(desc, layout, w, h)
+        assert_same_board(assemble_board(desc, layout, w, h), ref_assemble_board(desc, layout, w, h))
 
 
 @pytest.mark.parametrize("genre", GENRE_NAMES)
@@ -191,7 +256,42 @@ def test_degenerate_two_tile_layout(genre):
     source = CubicBslPuzzle(BslPuzzle(GridDims(2, 2), frozenset({("h", 0, 0), ("v", 0, 0)})))
     board, manifest = reduce_to_genre(source, genre)
     assert manifest.degenerate
-    assert board == ref_assemble_board(manifest.descriptor, manifest.layout, 2, 1)
+    assert_same_board(board, ref_assemble_board(manifest.descriptor, manifest.layout, 2, 1))
+
+
+def raised(build):
+    try:
+        build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("genre", GENRE_NAMES)
+def test_bad_art_characters(genre):
+    """A character outside the genre's alphabet, or a Slitherlink digit
+    above 3, raises the reference's error, read alone and on boards."""
+    desc = default_gadget(genre)
+    tw, th = desc.tile.width, desc.tile.height
+    rng = random.Random(f"art-{genre}")
+    for ch in "?#B7\x7f":
+        if ch in REF_GENRES[genre][0] and ch != "7":
+            continue
+        for _ in range(3):
+            cell = (rng.randrange(tw), rng.randrange(th))
+            bad = replace(desc, art={**desc.art, cell: ch})
+            grid = bytearray(tw * th)
+            for (c, r), x in bad.art.items():
+                grid[r * tw + c] = ord(x)
+            want = raised(lambda: ref_from_art(genre, bad.tile, bad.art))
+            if ch in REF_GENRES[genre][0]:
+                assert want == (ValueError, f"clue 7 at {cell} out of range")
+            else:
+                assert want == (ValueError, f"bad tile character {ch!r} at {cell}")
+            assert raised(lambda: GENRES[genre].from_art(bad.tile, bytes(grid))) == want
+            layout = random_layout(rng, desc, 3, 2)
+            want = raised(lambda: ref_assemble_board(bad, layout, 3, 2))
+            assert want is not None and raised(lambda: assemble_board(bad, layout, 3, 2)) == want
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +357,7 @@ def test_planted_sources(genre):
     for source, loop in sources():
         w, h = source.dims.width, source.dims.height
         board, manifest = reduce_to_genre(source, genre)
-        assert board == ref_assemble_board(desc, manifest.layout, w, h)
+        assert_same_board(board, ref_assemble_board(desc, manifest.layout, w, h))
         assert flat_lift(desc, manifest.layout, loop) == ref_lift_loop(desc, manifest.layout, loop)
         if w * h > 8:
             continue
@@ -267,5 +367,5 @@ def test_planted_sources(genre):
         lifted = lift_to_cubic(cman, loop)
         board, manifest = reduce_to_genre(image, genre)
         iw, ih = image.dims.width, image.dims.height
-        assert board == ref_assemble_board(desc, manifest.layout, iw, ih)
+        assert_same_board(board, ref_assemble_board(desc, manifest.layout, iw, ih))
         assert flat_lift(desc, manifest.layout, lifted) == ref_lift_loop(desc, manifest.layout, lifted)
