@@ -157,7 +157,7 @@ def solve_bsl_backtrack(puzzle: BslPuzzle, budget_ms: Optional[float] = None) ->
         budget_ms=budget_ms,
         connectivity_every=32,
     )
-    return run_search(search, edges, CellLoop, lambda loop: verify_bsl(puzzle, loop))
+    return run_search(search, edges, lambda loop: verify_bsl(puzzle, loop))
 
 
 def solve_bsl_dp(puzzle: BslPuzzle) -> bool:

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 from .errors import FormatError, ReductionError, SearchTimeout, malformed
 from .genres import GENRES
 from .grid import SIDES, Cell, CellLoop, Edge, GridDims, edge_cells, edge_sort_key, internal_edges
-from .tileart import parse_fragment_grid, strip_comments
+from .tileart import parse_exits, parse_fragment_grid, read_tile_file
 from .tiling import boundary_positions, crossing_edge, lift_loop, misaligned, place_fragment, placed_exits
 from .transforms import ALL_TRANSFORMS, ROTATIONS, Transform
 
@@ -93,45 +93,12 @@ def catalog_dir() -> Path:
     return Path(override) if override else DEFAULT_CATALOG
 
 
-def _parse_header(lines: list[str]) -> tuple[dict[str, str], int]:
-    headers: dict[str, str] = {}
-    for i, line in enumerate(lines):
-        if line.startswith("["):
-            return headers, i
-        if ":" not in line:
-            raise FormatError(f"bad header line {line!r}")
-        key, _, value = line.partition(":")
-        key = key.strip()
-        if key not in HEADER_KEYS:
-            raise FormatError(f"unknown descriptor header {key!r}")
-        headers[key] = value.strip()
-    return headers, len(lines)
-
-
-def _sections(lines: list[str]) -> list[tuple[str, list[str]]]:
-    out: list[tuple[str, list[str]]] = []
-    name = None
-    body: list[str] = []
-    for line in lines:
-        if line.startswith("["):
-            if name is not None:
-                out.append((name, body))
-            name = line.strip("[]")
-            body = []
-        elif name is not None:
-            body.append(line)
-    if name is not None:
-        out.append((name, body))
-    return out
-
-
 def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescriptor:
     """Load a genre tile descriptor and run every static invariant check."""
     path = (directory or catalog_dir()) / f"{genre.replace('-', '_')}.txt"
     if not path.exists():
         raise FormatError(f"no descriptor for genre {genre!r} at {path}")
-    lines = strip_comments(path.read_text(encoding="utf-8"))
-    headers, body_start = _parse_header(lines)
+    headers, sections = read_tile_file(path.read_text(encoding="utf-8"), HEADER_KEYS)
 
     if headers.get("genre") != genre:
         raise FormatError(f"descriptor genre {headers.get('genre')!r} does not match {genre!r}")
@@ -151,10 +118,8 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
         )
 
         fw, fh = desc.frame
-        for part in headers["exits"].split(","):
-            side, off = part.split()
-            desc.exits[side] = _exit_cell(desc, side, int(off))
-        for name, body in _sections(lines[body_start:]):
+        desc.exits = parse_exits(headers["exits"], (fw, fh))
+        for name, body in sections.items():
             if name == "tile":
                 if len(body) != th or any(len(row) != tw for row in body):
                     raise FormatError(f"tile art must be {tw}x{th}")
@@ -186,19 +151,6 @@ def default_gadget(genre: str) -> GadgetDescriptor:
 @functools.cache
 def _load_gadget_once(genre: str, directory: Path) -> GadgetDescriptor:
     return load_gadget(genre, directory)
-
-
-def _exit_cell(desc: GadgetDescriptor, side: str, offset: int) -> Cell:
-    """The frame cell of an exit given by its side and its row (W, E) or
-    column (N, S); a side given twice or an offset off the frame raises."""
-    if side in desc.exits:
-        raise FormatError(f"exit side {side} is given twice")
-    if side not in SIDES:
-        raise FormatError(f"unknown exit side {side!r}")
-    w, h = desc.frame
-    if not 0 <= offset < (h if side in ("W", "E") else w):
-        raise FormatError(f"exit {side} {offset} lies outside the {w}x{h} frame")
-    return {"W": (0, offset), "E": (w - 1, offset), "N": (offset, 0), "S": (offset, h - 1)}[side]
 
 
 def validate_descriptor(desc: GadgetDescriptor) -> Optional[str]:

@@ -7,7 +7,7 @@ from itertools import chain, compress, repeat
 from typing import Callable, Iterator, Optional
 
 from ..errors import SearchTimeout
-from ..grid import Cell, Edge, GridDims, Violation, edge_cells, internal_edges, least_cell
+from ..grid import Cell, CellLoop, Edge, GridDims, Violation, edge_cells, internal_edges, least_cell
 from ..search import IN, LoopSearch
 
 # The genre solvers run the cut check at every CUT_CHECK_EVERY-th
@@ -126,8 +126,7 @@ def check_art(dims: GridDims, cells: bytes, alphabet: bytes) -> None:
 def run_search(
     search: LoopSearch,
     edges: list[Edge],
-    make_solution: Callable[[frozenset[Edge]], object],
-    verify: Callable[[object], Optional[Violation]],
+    verify: Callable[[CellLoop], Optional[Violation]],
     seeds_in=(),
     enumerate_all: bool = False,
 ):
@@ -142,7 +141,7 @@ def run_search(
     """
 
     def solution(ids: frozenset[int]):
-        return make_solution(frozenset(edges[i] for i in ids))
+        return CellLoop(frozenset(edges[i] for i in ids))
 
     search.accept = lambda ids: verify(solution(ids)) is None
     eidx = {e: i for i, e in enumerate(edges)}

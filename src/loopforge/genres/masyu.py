@@ -16,6 +16,7 @@ from ..grid import (
     GridDims,
     LoopIds,
     Violation,
+    least_cell,
     side_edge,
 )
 from ..search import EXACT2, OPT, OUT, LoopSearch
@@ -63,61 +64,48 @@ def verify(puzzle: MasyuPuzzle, sol: CellLoop) -> Optional[Violation]:
     loop = sol.ids(w, puzzle.dims.height)
     if isinstance(loop, Violation):
         return loop
-    # A pearl at id p reads the sides it leaves through (north south[p - w],
-    # south south[p], east east[p], west east[p - 1]) and the same side of
-    # the neighbour beyond, which is set when the loop runs straight on
-    # through that neighbour.  Look-ups off the grid read the zero padding.
-    # All pearls are checked at once first; only when one fails does the
-    # loop below name the first.
-    if _pearls_hold(puzzle.cells, loop):
+    rules = _pearl_faults(puzzle.cells, loop)
+    failing = 0
+    for _, mask in rules:
+        failing |= mask
+    if not failing:
         return None
-    east, south, visited = loop.east, loop.south, loop.visited
-    for (c, r), colour in puzzle.pearls:
-        p = r * w + c
-        if not visited[p]:
-            return Violation("pearl", "pearl not on the loop", cell=(c, r))
-        north_in, south_in, east_in, west_in = south[p - w], south[p], east[p], east[p - 1]
-        if colour == "white":
-            if north_in and south_in:
-                turns = not (south[p - 2 * w] and south[p + w])
-            elif east_in and west_in:
-                turns = not (east[p + 1] and east[p - 2])
-            else:
-                return Violation("pearl", "loop must run straight through a white pearl", cell=(c, r))
-            if not turns:
-                return Violation("pearl", "neither side of a white pearl turns", cell=(c, r))
-        else:
-            if (north_in and south_in) or (east_in and west_in):
-                return Violation("pearl", "loop must turn on a black pearl", cell=(c, r))
-            # A visited pearl that does not run straight uses one side of each axis.
-            vertical = south[p - 2 * w] if north_in else south[p + w]
-            horizontal = east[p + 1] if east_in else east[p - 2]
-            if not (vertical and horizontal):
-                return Violation("pearl", "loop must run straight beside a black pearl", cell=(c, r))
-    return None
+    # The least failing pearl, and the first of its rules that fails.
+    c, r = least_cell(w, failing.to_bytes(len(puzzle.cells), "little"))
+    shift = 8 * (r * w + c)
+    return next(Violation("pearl", text, cell=(c, r)) for text, mask in rules if mask >> shift & 1)
 
 
-def _pearls_hold(cells: bytes, loop: LoopIds) -> bool:
-    """Whether every pearl's rule holds, read from the loop as integers of
-    one 0/1 byte per id, little-endian, so that shifting by 8k bits reads
-    the byte k ids away: the look-ups of ``verify``, all ids at once.  A
-    shift off either end reads 0, as the zero padding does."""
-    w, n = loop.width, len(loop.visited)
+def _pearl_faults(cells: bytes, loop: LoopIds) -> list[tuple[str, int]]:
+    """Each pearl rule's message and the pearls that break it, in the order
+    a pearl's rules are checked.  The loop is read as integers of one 0/1
+    byte per id, little-endian, so that shifting by 8k bits reads the byte
+    k ids away.  A pearl reads the sides it leaves through and the same
+    side of the neighbour beyond, which is set when the loop runs straight
+    on through that neighbour.  A shift off either end reads 0."""
+    w = loop.width
     e, s = int.from_bytes(loop.east, "little"), int.from_bytes(loop.south, "little")
     east_in, west_in, south_in, north_in = e, e << 8, s, s << (8 * w)
     # The same side of the neighbour beyond.
     east2, west2, south2, north2 = e >> 8, e << 16, s >> (8 * w), s << (16 * w)
-    ones = int.from_bytes(b"\1" * n, "little")
-    off_loop = int.from_bytes(loop.visited, "little") ^ ones
+    white = int.from_bytes(art_mask(cells, b"W"), "little")
+    black = int.from_bytes(art_mask(cells, b"B"), "little")
     through_ns, through_ew = north_in & south_in, east_in & west_in
     straight = through_ns | through_ew
-    white_bad = off_loop | (straight ^ ones) | (through_ns & north2 & south2) | (through_ew & east2 & west2)
+    # A pearl the loop runs straight through and straight on beyond on both sides.
+    no_turn = (through_ns & north2 & south2) | (through_ew & east2 & west2)
     # A visited pearl that does not run straight uses one side of each axis.
     vertical = (north_in & north2) | (south_in & south2)
     horizontal = (east_in & east2) | (west_in & west2)
-    black_bad = off_loop | straight | (vertical ^ ones) | (horizontal ^ ones)
-    white, black = art_mask(cells, b"W"), art_mask(cells, b"B")
-    return not (white_bad & int.from_bytes(white, "little") or black_bad & int.from_bytes(black, "little"))
+    pearls = white | black
+    # ``mask ^ (mask & x)`` is the ids of ``mask`` not in ``x``.
+    return [
+        ("pearl not on the loop", pearls ^ (pearls & int.from_bytes(loop.visited, "little"))),
+        ("loop must run straight through a white pearl", white ^ (white & straight)),
+        ("neither side of a white pearl turns", white & no_turn),
+        ("loop must turn on a black pearl", black & straight),
+        ("loop must run straight beside a black pearl", black ^ (black & vertical & horizontal)),
+    ]
 
 
 class _MasyuSearch(LoopSearch):
@@ -240,4 +228,4 @@ def solve(
     search = _MasyuSearch(
         puzzle, edges, pairs, index, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )
-    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

@@ -65,4 +65,4 @@ def solve(
     search = LoopSearch(
         n, pairs, req, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )
-    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

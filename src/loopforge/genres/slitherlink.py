@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import json_int
-from ..grid import Cell, CellLoop, Edge, GridDims, Violation
+from ..grid import Cell, CellLoop, Edge, GridDims, Violation, least_cell
 from ..search import OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
 
@@ -77,24 +77,22 @@ def verify(puzzle: SlitherlinkPuzzle, sol: CellLoop) -> Optional[Violation]:
         return loop
     # The four sides of cell (c, r) are the "h" edges of dots (c, r) and
     # (c, r+1) and the "v" edges of dots (c, r) and (c+1, r).  All clues
-    # are compared at once first, as little-endian integers of one byte
-    # per dot: byte d of ``got`` is cell d's count, at most 4, so the sum
-    # has no carry.  The clues are laid out on dot ids by copying the
-    # grid's rows with a zero byte, the row's last dot, after each.  Only
-    # when a clue fails does the loop below name the first one.
-    east, south = loop.east, loop.south
-    e, s = int.from_bytes(east, "little"), int.from_bytes(south, "little")
+    # are compared at once, as little-endian integers of one byte per
+    # dot: byte d of ``got`` is cell d's count, at most 4, so the sum has
+    # no carry.  The clues are laid out on dot ids by copying the grid's
+    # rows with a zero byte, the row's last dot, after each.  A byte of
+    # ``wrong`` is nonzero where a clue fails; the least one is named.
+    e, s = int.from_bytes(loop.east, "little"), int.from_bytes(loop.south, "little")
     got = e + (e >> (8 * dw)) + s + (s >> 8)
     w, cells = puzzle.dims.width, puzzle.cells
     dots = b"\0".join([cells[i : i + w] for i in range(0, len(cells), w)])
-    if got & 7 * int.from_bytes(art_mask(dots, b"0123"), "little") == int.from_bytes(dots.translate(COUNT), "little"):
+    clued = 7 * int.from_bytes(art_mask(dots, b"0123"), "little")
+    wrong = (got & clued) ^ int.from_bytes(dots.translate(COUNT), "little")
+    if not wrong:
         return None
-    for (c, r), count in puzzle.clues:
-        d = r * dw + c
-        got = east[d] + east[d + dw] + south[d] + south[d + 1]
-        if got != count:
-            return Violation("clue", f"cell has {got} edges, expected {count}", cell=(c, r))
-    return None
+    c, r = least_cell(dw, wrong.to_bytes(len(dots), "little"))
+    d = r * dw + c
+    return Violation("clue", f"cell has {got >> 8 * d & 255} edges, expected {COUNT[dots[d]]}", cell=(c, r))
 
 
 class _SlitherlinkSearch(LoopSearch):
@@ -147,4 +145,4 @@ def solve(
     search = _SlitherlinkSearch(
         puzzle, edges, pairs, len(dots), budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )
-    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

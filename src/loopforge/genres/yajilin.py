@@ -209,4 +209,4 @@ def solve(
         branch_frontier=True,
         faces=grid_faces(puzzle.dims, edges),
     )
-    return run_search(search, edges, CellLoop, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

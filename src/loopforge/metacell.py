@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .bsl import BslPuzzle, CubicBslPuzzle, check_cubic, open_sides, verify_bsl
-from .errors import FormatError, ReductionError
+from .errors import FormatError, ReductionError, malformed
 from .genres.base import build_cell_graph
 from .grid import (
     SIDES,
@@ -32,7 +32,7 @@ from .grid import (
     internal_edges,
 )
 from .search import EXACT2, LoopSearch
-from .tileart import parse_bar_grid, strip_comments
+from .tileart import parse_exits, parse_fragment_grid, read_tile_file
 from .tiling import boundary_positions, crossing_edge, lift_loop, misaligned, place_fragment, placed_exits
 from .transforms import Transform
 
@@ -69,7 +69,13 @@ def load_metacell(path: Optional[Path] = None) -> MetacellTemplate:
     covering tour.
     """
     text = (path or _DATA_PATH).read_text(encoding="utf-8")
-    bars, exits = parse_bar_grid(strip_comments(text), TEMPLATE_W, TEMPLATE_H)
+    with malformed("metacell template"):
+        headers, sections = read_tile_file(text, ("exits",))
+        exits = parse_exits(headers["exits"], (TEMPLATE_W, TEMPLATE_H))
+        for name in sections:
+            if name != "bars":
+                raise FormatError(f"unknown descriptor section [{name}]")
+        bars = parse_fragment_grid(sections["bars"], TEMPLATE_W, TEMPLATE_H)
     if sorted(exits) != sorted(SIDES):
         raise FormatError(f"template must have one exit per side, found {sorted(exits)}")
     template = MetacellTemplate(

@@ -1,13 +1,13 @@
-"""Parsers and renderers for the interleaved ASCII tile formats.
+"""The one reader of tile files: the gadget descriptors and the block template.
 
-A bar grid interleaves cells and edges: cells sit at (odd col, odd row)
-positions of a (2W+1) x (2H+1) grid, horizontal edges between cells at
-(even col, odd row) and vertical edges at (odd col, even row); it marks
-bars with ``#``.  Its border ring carries the boundary-edge marks (``#``
-for a permanent bar, an exit letter for a blockable opening).  A fragment
-grid drops that ring: the nodes of a W x H grid sit at (even, even)
-positions of a (2W-1) x (2H-1) grid, and ``-`` and ``|`` mark loop
-transitions.  Its nodes are cells, or the dots of a lattice tile.
+A tile file is ``;`` comment lines, ``key: value`` header lines, then
+``[name]`` sections.  The ``exits`` header names each exit by its side
+and its column (N, S) or row (W, E) on the tile's frame.  Every section
+but a gadget's ``[tile]`` art is a fragment grid: the nodes of a W x H
+grid sit at (even, even) positions of a (2W-1) x (2H-1) grid, and ``-``
+and ``|`` mark the edges it holds, which are loop transitions, or bars
+in the block template.  Its nodes are cells, or the dots of a lattice
+tile.
 """
 
 from __future__ import annotations
@@ -21,60 +21,52 @@ def strip_comments(text: str) -> list[str]:
     return [line.rstrip("\n") for line in text.splitlines() if line and not line.startswith(";")]
 
 
-def parse_bar_grid(lines: list[str], width: int, height: int) -> tuple[frozenset[Edge], dict[str, Cell]]:
-    """Read internal bars and border exit marks from a bar grid.
-
-    Returns (bars, exits) where exits maps a side letter to the border
-    cell that owns the opening on that side.
-    """
-    rows, cols = 2 * height + 1, 2 * width + 1
-    if len(lines) != rows:
-        raise FormatError(f"expected {rows} art rows, found {len(lines)}")
-    for i, line in enumerate(lines):
-        if len(line) != cols:
-            raise FormatError(f"art row {i} has {len(line)} characters, expected {cols}")
-
-    bars: set[Edge] = set()
-    exits: dict[str, Cell] = {}
-
-    def border(ch: str, side: str, cell: Cell) -> None:
-        if ch == "#":
-            return
-        if ch in SIDES:
-            if ch != side:
-                raise FormatError(f"exit letter {ch} on the {side} border at {cell}")
-            if side in exits:
-                raise FormatError(f"duplicate {side} exit")
-            exits[side] = cell
+def read_tile_file(text: str, header_keys: tuple[str, ...]) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """The header fields and the sections, name -> lines, of a tile file,
+    in file order.  A header key outside ``header_keys`` or a section
+    given twice raises."""
+    headers: dict[str, str] = {}
+    sections: dict[str, list[str]] = {}
+    body = None
+    for line in strip_comments(text):
+        if line.startswith("["):
+            name = line.strip("[]")
+            if name in sections:
+                raise FormatError(f"section [{name}] is given twice")
+            body = sections[name] = []
+        elif body is not None:
+            body.append(line)
+        elif ":" not in line:
+            raise FormatError(f"bad header line {line!r}")
         else:
-            raise FormatError(f"unexpected border character {ch!r} at {cell} side {side}")
+            key, _, value = line.partition(":")
+            key = key.strip()
+            if key not in header_keys:
+                raise FormatError(f"unknown descriptor header {key!r}")
+            headers[key] = value.strip()
+    return headers, sections
 
-    for c in range(width):
-        border(lines[0][2 * c + 1], "N", (c, 0))
-        border(lines[2 * height][2 * c + 1], "S", (c, height - 1))
-    for r in range(height):
-        border(lines[2 * r + 1][0], "W", (0, r))
-        border(lines[2 * r + 1][2 * width], "E", (width - 1, r))
 
-    for r in range(height):
-        for c in range(width - 1):
-            ch = lines[2 * r + 1][2 * c + 2]
-            if ch == "#":
-                bars.add(("h", c, r))
-            elif ch != ".":
-                raise FormatError(f"bad horizontal edge character {ch!r} at ({c},{r})")
-    for r in range(height - 1):
-        for c in range(width):
-            ch = lines[2 * r + 2][2 * c + 1]
-            if ch == "#":
-                bars.add(("v", c, r))
-            elif ch != ".":
-                raise FormatError(f"bad vertical edge character {ch!r} at ({c},{r})")
-    return frozenset(bars), exits
+def parse_exits(spec: str, frame: tuple[int, int]) -> dict[str, Cell]:
+    """Side -> frame cell of each exit of an ``exits`` header such as
+    ``W 4, E 4``; a side given twice or an offset off the frame raises."""
+    w, h = frame
+    exits: dict[str, Cell] = {}
+    for part in spec.split(","):
+        side, off = part.split()
+        offset = int(off)
+        if side in exits:
+            raise FormatError(f"exit side {side} is given twice")
+        if side not in SIDES:
+            raise FormatError(f"unknown exit side {side!r}")
+        if not 0 <= offset < (h if side in ("W", "E") else w):
+            raise FormatError(f"exit {side} {offset} lies outside the {w}x{h} frame")
+        exits[side] = {"W": (0, offset), "E": (w - 1, offset), "N": (offset, 0), "S": (offset, h - 1)}[side]
+    return exits
 
 
 def parse_fragment_grid(lines: list[str], width: int, height: int) -> frozenset[Edge]:
-    """Read loop transitions on a width x height node grid.
+    """Read the edges of a fragment grid on a width x height node grid.
 
     Nodes (cells, or the dots of a lattice tile) sit at even/even
     positions, ``-`` joins two nodes of a row and ``|`` two of a column.

@@ -87,6 +87,13 @@ def test_repeated_or_out_of_range_exit_rejected(tmp_path, genre, name, old, new,
         load_gadget(genre, directory)
 
 
+def test_repeated_section_rejected(tmp_path):
+    # A second [forced] would otherwise replace the first without a word.
+    directory = _copied_catalog(tmp_path, "masyu.txt", "[forced]\n", "[forced]\n[forced]\n")
+    with pytest.raises(FormatError, match=r"section \[forced\] is given twice"):
+        load_gadget("masyu", directory)
+
+
 def test_exit_alignment_all_placements(descriptors):
     for desc in descriptors.values():
         for t1 in desc.allowed_transforms():

@@ -303,6 +303,7 @@ def test_flat_loops_match_the_reference():
 def test_masyu_verify_matches_the_reference():
     rng = random.Random(2025)
     codes = Counter()
+    messages = Counter()
     for _ in range(BOARDS):
         dims = _dims(rng)
         edges = _grid_edges(rng, dims)
@@ -318,9 +319,19 @@ def test_masyu_verify_matches_the_reference():
                 colour = fits[0] if fits else colour
             pearls.append((cell, colour))
         puzzle = masyu.MasyuPuzzle(dims, tuple(pearls))
+        want = ref_masyu(puzzle, sol)
         for form in _forms(dims.width, dims.height, edges):
-            _check(codes, masyu.verify(puzzle, form), ref_masyu(puzzle, sol))
+            _check(codes, masyu.verify(puzzle, form), want)
+        if want is not None and want.code == "pearl":
+            messages[want.message] += 1
     assert set(codes) >= {"empty", "bounds", "degree", "components", "pearl", None}
+    assert set(messages) == {
+        "pearl not on the loop",
+        "loop must run straight through a white pearl",
+        "neither side of a white pearl turns",
+        "loop must turn on a black pearl",
+        "loop must run straight beside a black pearl",
+    }
 
 
 def test_slitherlink_verify_matches_the_reference():

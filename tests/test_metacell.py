@@ -166,43 +166,62 @@ def test_checkerboard_exactly_once():
         assert crossings == 2
 
 
-def test_loader_rejects_malformed_template(tmp_path):
+def _broken_template(tmp_path, old, new):
+    """The packaged template with its first ``old`` replaced by ``new``."""
     good = _DATA_PATH.read_text()
-    # Unbar one interior edge: a cell gains a fourth accessible neighbour.
-    lines = [l for l in good.splitlines() if not l.startswith(";")]
-    assert lines[2] == "+.+#+#+#+.+"
-    broken = good.replace("+.+#+#+#+.+", "+.+.+#+#+.+", 1)
+    assert old in good
     bad = tmp_path / "metacell.txt"
-    bad.write_text(broken)
-    with pytest.raises(Exception) as exc:
+    bad.write_text(good.replace(old, new, 1))
+    return bad
+
+
+def test_loader_rejects_malformed_template(tmp_path):
+    # Unbar one interior edge: a cell gains a fourth accessible neighbour.
+    bad = _broken_template(tmp_path, "\n[bars]\n.........\n..|.|.|..\n", "\n[bars]\n.........\n....|.|..\n")
+    with pytest.raises(FormatError, match="metacell template rejected: a cell has four accessible neighbours"):
         load_metacell(bad)
-    assert "rejected" in str(exc.value)
 
 
 def test_loader_rejects_template_without_a_tour(tmp_path):
     # Bar the west side of cell (1, 0): its only open side left is east,
     # so no tour visits it, yet every cubicity and opening check passes.
-    good = _DATA_PATH.read_text()
-    lines = [l for l in good.splitlines() if not l.startswith(";")]
-    assert lines[1] == "#.........#"
-    bad = tmp_path / "metacell.txt"
-    bad.write_text(good.replace("#.........#", "#.#.......#", 1))
+    bad = _broken_template(tmp_path, "\n[bars]\n.........\n", "\n[bars]\n.-.......\n")
     with pytest.raises(FormatError, match="no covering tour"):
         load_metacell(bad)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("W 4\n", "W 4, N 2\n", "exit side N is given twice"),
+        ("E 2", "E 7", "exit E 7 lies outside the 5x7 frame"),
+        ("exits:", "genre: masyu\nexits:", "unknown descriptor header 'genre'"),
+        ("\n[bars]\n", "\n[forced]\n", r"unknown descriptor section \[forced\]"),
+        ("\n[bars]\n", "\n[bars]\n[bars]\n", r"section \[bars\] is given twice"),
+    ],
+    ids=["side-twice", "exit-off-frame", "unknown-header", "unknown-section", "section-twice"],
+)
+def test_loader_rejects_bad_header_or_section(tmp_path, old, new, message):
+    with pytest.raises(FormatError, match=message):
+        load_metacell(_broken_template(tmp_path, old, new))
+
+
 def test_loader_rejects_missing_exit(tmp_path):
-    broken = _DATA_PATH.read_text().replace("+N+#+#+#+#+", "+#+#+#+#+#+", 1)
-    bad = tmp_path / "metacell.txt"
-    bad.write_text(broken)
-    with pytest.raises(Exception) as exc:
+    bad = _broken_template(tmp_path, "exits: N 0, E 2,", "exits: E 2,")
+    with pytest.raises(FormatError, match=r"template must have one exit per side, found \['E', 'S', 'W'\]"):
         load_metacell(bad)
-    assert "exit" in str(exc.value)
+
+
+def test_loader_rejects_missing_bars_section(tmp_path):
+    bad = tmp_path / "metacell.txt"
+    bad.write_text(_DATA_PATH.read_text().split("\n[bars]\n")[0])
+    with pytest.raises(FormatError, match="missing 'bars'"):
+        load_metacell(bad)
 
 
 def test_loader_rejects_wrong_shape(tmp_path):
-    lines = [l for l in _DATA_PATH.read_text().splitlines() if l and not l.startswith(";")]
+    lines = _DATA_PATH.read_text().splitlines()
     bad = tmp_path / "metacell.txt"
     bad.write_text("\n".join(lines[:-2]))
-    with pytest.raises(Exception):
+    with pytest.raises(FormatError, match="expected 13 fragment rows, found 11"):
         load_metacell(bad)
