@@ -76,7 +76,7 @@ def verify_bsl(puzzle: BslPuzzle, sol: CellLoop) -> Optional[Violation]:
         bar = min(puzzle.bars & sol.transitions, key=edge_sort_key, default=None)
     if bar:
         return Violation("bar", "loop crosses a bar", edge=bar)
-    return validate_loop(puzzle.dims, sol, must_visit=puzzle.dims.cells())
+    return validate_loop(puzzle.dims, sol, must_visit=b"\1" * puzzle.dims.cell_count)
 
 
 def check_cubic(puzzle: BslPuzzle) -> list[Cell]:

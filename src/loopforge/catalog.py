@@ -17,11 +17,13 @@ conditions a working tile must satisfy:
 (e) every exit pair extends to a full board solution;
 (f) transforms point the exits in any three of the four directions.
 
-(b) and (f) are static; (e) is witnessed by seeded solver runs; (a), (c)
-and (d) are exhausted where the tile is small enough to enumerate every
-board solution.  Otherwise (a) is recorded as budget-limited, never as a
-false pass, and (c) and (d), audited over the (e) witnesses only, take
-(e)'s status.  No search starts once the budget is spent.
+(b) and (f) are static.  (e) is witnessed by a solver run on a tile ring,
+seeded with the ring's tour lifted through the bank: the same lift the
+reduction places, for every tile size.  (a), (c) and (d) are exhausted
+where the tile is small enough to enumerate every board solution.
+Otherwise (a) is recorded as budget-limited, never as a false pass, and
+(c) and (d), audited over the (e) witnesses only, take (e)'s status.
+No search starts once the budget is spent.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from typing import Callable, Optional
 
 from .errors import FormatError, ReductionError, SearchTimeout, malformed
 from .genres import GENRES
-from .grid import SIDES, Cell, CellLoop, Edge, GridDims, edge_cells, edge_sort_key, internal_edges
+from .grid import SIDES, Cell, CellLoop, Edge, GridDims, edge_cells, edge_sort_key
 from .tileart import parse_exits, parse_fragment_grid, read_tile_file
-from .tiling import boundary_positions, crossing_edge, lift_loop, misaligned, place_fragment, placed_exits
+from .tiling import boundary_positions, crossings, lift_loop, misaligned, place_fragment
 from .transforms import ALL_TRANSFORMS, ROTATIONS, Transform
 
 DEFAULT_CATALOG = Path(__file__).parent / "data" / "gadgets"
@@ -119,12 +121,12 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
 
         fw, fh = desc.frame
         desc.exits = parse_exits(headers["exits"], (fw, fh))
+        rows = sections.pop("tile")
+        if len(rows) != th or any(len(row) != tw for row in rows):
+            raise FormatError(f"tile art must be {tw}x{th}")
+        desc.art = {(c, r): ch for r, row in enumerate(rows) for c, ch in enumerate(row) if ch != "."}
         for name, body in sections.items():
-            if name == "tile":
-                if len(body) != th or any(len(row) != tw for row in body):
-                    raise FormatError(f"tile art must be {tw}x{th}")
-                desc.art = {(c, r): ch for r, row in enumerate(body) for c, ch in enumerate(row) if ch != "."}
-            elif name == "forced":
+            if name == "forced":
                 desc.forced = parse_fragment_grid(body, fw, fh)
             elif name.startswith("solution "):
                 a, _, b = name.split()[1].partition("-")
@@ -297,17 +299,6 @@ def _ring_required_pairs(layout: dict[Cell, Transform], ring: CellLoop) -> dict[
     return {pos: frozenset(t.inverse().apply_side(s) for s in ring.sides(pos)) for pos, t in layout.items()}
 
 
-def _ring_crossings(desc: GadgetDescriptor, layout: dict[Cell, Transform], ring: CellLoop) -> set[Edge]:
-    """Board edges through which the ring tour crosses between tiles."""
-    out: set[Edge] = set()
-    for edge in ring.transitions:
-        e = crossing_edge(desc, layout, edge)
-        if e is None:
-            raise FormatError(f"ring edge {edge} has no facing exits")
-        out.add(e)
-    return out
-
-
 def _auditor(desc, layout, tiles_w, tiles_h) -> Callable[[frozenset[Edge]], Optional[str]]:
     """The check of one board solution against (a), (c) and (d).
 
@@ -315,8 +306,7 @@ def _auditor(desc, layout, tiles_w, tiles_h) -> Callable[[frozenset[Edge]], Opti
     lines depend only on the layout, so they are built once here, not for
     every solution audited.
     """
-    placed = {t: placed_exits(desc, t) for t in set(layout.values())}
-    allowed = {crossing_edge(desc, layout, edge, placed) for edge in internal_edges(GridDims(tiles_w, tiles_h))}
+    allowed = set(crossings(desc, layout).values())
     boundary = boundary_positions(desc, tiles_w, tiles_h)
     forced = {pos: place_fragment(desc, desc.forced, t, pos) for pos, t in layout.items()}
 
@@ -372,25 +362,21 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
     witness_solutions = []
     e_status, e_details = "pass", []
     for pair in sorted(desc.bank, key=sorted):
-        ctx = _witness_context(desc, pair)
+        ctx = _witness_context(pair)
         if ctx is None:
             e_status, detail = "fail", f"no ring context realises pair {sorted(pair)}"
             e_details.append(detail)
             continue
-        layout, ring, tiles_w, tiles_h, pos = ctx
+        layout, ring, tiles_w, tiles_h = ctx
         board = assemble_board(desc, layout, tiles_w, tiles_h)
-        if desc.tile.cell_count > EXHAUSTIVE_TILE_CELLS:
-            # Large tiles: seed the whole ring tour lifted through the bank,
-            # so the solver only has to validate the board.
-            try:
-                seeds = lift_loop(desc, layout, ring).scan()
-            except ReductionError as exc:
-                e_status = "fail"
-                e_details.append(f"{sorted(pair)}: {exc}")
-                continue
-        else:
-            local = place_fragment(desc, desc.bank[pair], layout[pos], pos)
-            seeds = sorted(local | _ring_crossings(desc, layout, ring), key=edge_sort_key)
+        # Seed the whole ring tour lifted through the bank, so the solver
+        # only has to validate the board.
+        try:
+            seeds = lift_loop(desc, layout, ring).scan()
+        except ReductionError as exc:
+            e_status = "fail"
+            e_details.append(f"{sorted(pair)}: {exc}")
+            continue
         try:
             result = search(board, witness_budget, seeds)
         except SearchTimeout:
@@ -451,15 +437,14 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
     return GadgetCertificate(desc.genre, conditions, (time.monotonic() - start) * 1000.0)
 
 
-def _witness_context(desc: GadgetDescriptor, pair: frozenset):
-    """Smallest ring layout with a tile whose local pair matches."""
+def _witness_context(pair: frozenset):
+    """Smallest ring layout with a tile whose local pair matches.
+
+    Both rings place tiles by rotations only, which every descriptor allows.
+    """
     for layout, ring, tiles_w, tiles_h in ((RING_2X2, RING_2X2_TOUR, 2, 2), (RING_2X3, RING_2X3_TOUR, 3, 2)):
-        if not all(t in desc.allowed_transforms() for t in layout.values()):
-            continue
-        required = _ring_required_pairs(layout, ring)
-        for pos in sorted(required):
-            if required[pos] == pair:
-                return layout, ring, tiles_w, tiles_h, pos
+        if pair in _ring_required_pairs(layout, ring).values():
+            return layout, ring, tiles_w, tiles_h
     return None
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import BoundsError
 
@@ -126,7 +126,8 @@ def edge_in_bounds(dims: GridDims, edge: Edge) -> bool:
 
 
 def internal_edges(dims: GridDims) -> list[Edge]:
-    """All internal edges in canonical order."""
+    """All internal edges in canonical order: row by row, and within a row
+    by column, "h" before "v"."""
     edges: list[Edge] = []
     for r in range(dims.height):
         for c in range(dims.width):
@@ -134,7 +135,6 @@ def internal_edges(dims: GridDims) -> list[Edge]:
                 edges.append(("h", c, r))
             if r + 1 < dims.height:
                 edges.append(("v", c, r))
-    edges.sort(key=edge_sort_key)
     return edges
 
 
@@ -318,22 +318,18 @@ def flat_ids(
     return loop
 
 
-def validate_loop(dims: GridDims, loop: CellLoop, must_visit: Optional[Iterable[Cell]] = None) -> Optional[Violation]:
+def validate_loop(dims: GridDims, loop: CellLoop, must_visit: Optional[bytes] = None) -> Optional[Violation]:
     """Check degree-2-everywhere-visited, single cycle, and optional exact cover.
 
     Returns None when the loop is valid, otherwise the first violation
-    found.  ``must_visit`` of None skips the coverage comparison; its
-    cells must lie on the grid.
+    found.  ``must_visit`` is a 0/1 byte mask, one byte per cell in flat
+    id order (``r * width + c``), of the cells the loop must visit and no
+    others; None skips the coverage comparison.
     """
     ids = loop.ids(dims.width, dims.height)
     if isinstance(ids, Violation):
         return ids
-    if must_visit is None:
-        return None
-    required = bytearray(dims.cell_count)
-    for c, r in must_visit:
-        required[r * dims.width + c] = 1
-    return ids.cover(required)
+    return None if must_visit is None else ids.cover(must_visit)
 
 
 _AXES = ("h", "v")

@@ -21,19 +21,10 @@ from typing import Iterator, Optional
 from .bsl import BslPuzzle, CubicBslPuzzle, check_cubic, open_sides, verify_bsl
 from .errors import FormatError, ReductionError, malformed
 from .genres.base import build_cell_graph
-from .grid import (
-    SIDES,
-    Cell,
-    CellLoop,
-    Edge,
-    GridDims,
-    checkerboard_color,
-    edge_between,
-    internal_edges,
-)
+from .grid import SIDES, Cell, CellLoop, Edge, GridDims, checkerboard_color, edge_between
 from .search import EXACT2, LoopSearch
 from .tileart import parse_exits, parse_fragment_grid, read_tile_file
-from .tiling import boundary_positions, crossing_edge, lift_loop, misaligned, place_fragment, placed_exits
+from .tiling import boundary_positions, crossings, lift_loop, misaligned, place_fragment
 from .transforms import Transform
 
 TEMPLATE_W, TEMPLATE_H = 5, 7
@@ -197,10 +188,7 @@ def reduce_to_cubic(
     bars = boundary_positions(tpl, dims.width, dims.height)
     for cell, t in transforms.items():
         bars |= place_fragment(tpl, tpl.bars, t, cell)
-    placed = {t: placed_exits(tpl, t) for t in set(transforms.values())}
-    for edge in internal_edges(dims):
-        if edge not in puzzle.bars:
-            bars.discard(crossing_edge(tpl, transforms, edge, placed))
+    bars -= {image for edge, image in crossings(tpl, transforms).items() if edge not in puzzle.bars}
     blocked = {cell: frozenset(SIDES) - sides for cell, sides in open_sides(puzzle).items()}
 
     image = CubicBslPuzzle(BslPuzzle(GridDims(TEMPLATE_W * dims.width, TEMPLATE_H * dims.height), frozenset(bars)))
@@ -231,15 +219,8 @@ def project_from_cubic(manifest: CubicReductionManifest, cubic_solution: CellLoo
     bad = verify_bsl(manifest.image.inner, cubic_solution)
     if bad is not None:
         raise ReductionError(f"image solution rejected: {bad}")
-    tpl, layout = manifest.template, manifest.transforms
-    placed = {t: placed_exits(tpl, t) for t in set(layout.values())}
-    projected = CellLoop(
-        frozenset(
-            edge
-            for edge in internal_edges(manifest.source.dims)
-            if crossing_edge(tpl, layout, edge, placed) in cubic_solution
-        )
-    )
+    cross = crossings(manifest.template, manifest.transforms)
+    projected = CellLoop(frozenset(edge for edge, image in cross.items() if image in cubic_solution))
     bad = verify_bsl(manifest.source, projected)
     if bad is not None:
         raise ReductionError(f"projected solution invalid: {bad}")

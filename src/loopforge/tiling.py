@@ -16,17 +16,20 @@ any object with
   tile sub-solution joining those exits.
 
 A layout maps tile positions, which are the source cells, to placement
-transforms.  ``crossing_edge`` takes a source edge between two tile
-positions and returns the image edge the loop crosses it by.  Lifted
-edges join nodes of the board's node grid, so every lifted solution is a
-``CellLoop``: on the cells, or on the dot grid of a lattice board.  The
-lift writes it flat, as the ``east``/``south`` byte arrays of that grid,
-and makes no tuple per image edge.
+transforms.  ``crossings`` is the one crossing rule of both stages: built
+once per layout, it maps each source edge between facing exits to the
+image edge the loop crosses it by.  Lifting, the cubic stage's reopened
+bars and projection, and certification's allowed crossings all read it.
+
+Lifted edges join nodes of the board's node grid, so every lifted
+solution is a ``CellLoop``: on the cells, or on the dot grid of a lattice
+board.  The lift writes it flat, as the ``east``/``south`` byte arrays of
+that grid, and makes no tuple per image edge.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import ReductionError
 from .grid import OPPOSITE_SIDE, SIDES, Cell, CellLoop, Edge, edge_cells
@@ -70,33 +73,23 @@ def place_fragment(tile, frag: Iterable[Edge], t: Transform, tile_pos: Cell) -> 
     return placed
 
 
-def crossing_edge(
-    tile,
-    layout: dict[Cell, Transform],
-    edge: Edge,
-    placed: Optional[dict[Transform, dict[str, Cell]]] = None,
-) -> Optional[Edge]:
-    """Image edge through which the loop crosses the source edge ``edge``.
+def crossings(tile, layout: dict[Cell, Transform]) -> dict[Edge, Edge]:
+    """Source edge -> the image edge through which the loop crosses it.
 
-    None when a cell of ``edge`` has no tile or either tile lacks an exit
-    on the shared boundary.  ``placed`` maps every transform of ``layout``
-    to its ``placed_exits``; a caller crossing many edges passes it so
-    each is computed once.
+    There is one entry for each edge between two tiles of ``layout`` whose
+    exits face each other across it; the loop leaves the lesser tile
+    through its east (south) exit.  Each transform's exits are placed once.
     """
-    a, b = edge_cells(edge)
-    if a not in layout or b not in layout:
-        return None
-    side = "E" if edge[0] == "h" else "S"
-    if placed is None:
-        mine, theirs = placed_exits(tile, layout[a]), placed_exits(tile, layout[b])
-    else:
-        mine, theirs = placed[layout[a]], placed[layout[b]]
-    if side not in mine or OPPOSITE_SIDE[side] not in theirs:
-        return None
-    # The edge leaves the lesser tile through its east (south) exit.
-    x, y = mine[side]
     fw, fh = tile.frame
-    return (edge[0], fw * a[0] + x, fh * a[1] + y)
+    placed = {t: placed_exits(tile, t) for t in set(layout.values())}
+    out: dict[Edge, Edge] = {}
+    for (c, r), t in layout.items():
+        mine = placed[t]
+        for axis, side, beyond in (("h", "E", (c + 1, r)), ("v", "S", (c, r + 1))):
+            if side in mine and beyond in layout and OPPOSITE_SIDE[side] in placed[layout[beyond]]:
+                x, y = mine[side]
+                out[(axis, c, r)] = (axis, fw * c + x, fh * r + y)
+    return out
 
 
 def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
@@ -115,7 +108,7 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
     width, height = fw * (max(cols) + 1), fh * (max(rows) + 1)
     n = width * height
     east, south = bytearray(n + 1), bytearray(n + width)
-    placed = {t: placed_exits(tile, t) for t in set(layout.values())}
+    cross = crossings(tile, layout)
     # The sides the loop leaves each cell by, bit k for SIDES[k]: E and W
     # for an "h" edge, S and N for a "v" edge.
     used: dict[Cell, int] = {}
@@ -125,11 +118,11 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
         vertical = edge[0] == "v"
         used[a] = used.get(a, 0) | (4 if vertical else 2)
         used[b] = used.get(b, 0) | (1 if vertical else 8)
-        cross = crossing_edge(tile, layout, edge, placed)
-        if cross is None:
+        image = cross.get(edge)
+        if image is None:
             uncrossed = uncrossed or edge
             continue
-        _, x, y = cross
+        _, x, y = image
         (south if vertical else east)[y * width + x] = 1
     # Each fragment moved through its transform, as index offsets from its
     # tile's top-left node, cached under the transform and the sides the

@@ -55,6 +55,14 @@ def boundary_edges(dims: GridDims) -> list:
     return sorted(edges, key=edge_sort_key)
 
 
+def cell_mask(dims: GridDims, cells) -> bytes:
+    """The 0/1 byte mask of ``cells``, one byte per cell in flat id order."""
+    mask = bytearray(dims.cell_count)
+    for c, r in cells:
+        mask[r * dims.width + c] = 1
+    return bytes(mask)
+
+
 def ring(c0, r0, c1, r1) -> frozenset:
     """Edges of the rectangle ring through cells (c0, r0)..(c1, r1)."""
     edges = {("h", c, r) for c in range(c0, c1) for r in (r0, r1)}

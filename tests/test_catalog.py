@@ -9,14 +9,14 @@ from loopforge.catalog import (
     RING_2X2,
     catalog_listing,
     certify_gadget,
-    crossing_edge,
     load_gadget,
     validate_descriptor,
 )
+from loopforge.cli import main
 from loopforge.errors import FormatError, SearchTimeout
 from loopforge.genres import GENRES
 from loopforge.genres.base import SolveResult
-from loopforge.tiling import placed_exits
+from loopforge.tiling import crossings, placed_exits
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,16 @@ def test_repeated_or_out_of_range_exit_rejected(tmp_path, genre, name, old, new,
         load_gadget(genre, directory)
 
 
+def test_missing_tile_section_rejected(tmp_path, monkeypatch):
+    # Without [tile] the descriptor would load with no art at all.
+    art = "[tile]\n#####\n#....\n.....\n....#\n##..#\n"
+    directory = _copied_catalog(tmp_path, "simple_loop.txt", art, "")
+    with pytest.raises(FormatError, match="^bad descriptor for simple-loop: missing 'tile'$"):
+        load_gadget("simple-loop", directory)
+    monkeypatch.setenv("LOOPFORGE_CATALOG", str(directory))
+    assert main(["certify", "--genre", "simple-loop"]) == 66
+
+
 def test_repeated_section_rejected(tmp_path):
     # A second [forced] would otherwise replace the first without a word.
     directory = _copied_catalog(tmp_path, "masyu.txt", "[forced]\n", "[forced]\n[forced]\n")
@@ -107,18 +117,17 @@ def test_exit_alignment_all_placements(descriptors):
 
 def test_crossing_edges_on_ring(descriptors):
     desc = descriptors["simple-loop"]
-    e = crossing_edge(desc, RING_2X2, ("h", 0, 0))
-    assert e == ("h", 4, 2)
-    e = crossing_edge(desc, RING_2X2, ("v", 0, 0))
-    assert e == ("v", 2, 4)
+    cross = crossings(desc, RING_2X2)
+    assert cross[("h", 0, 0)] == ("h", 4, 2)
+    assert cross[("v", 0, 0)] == ("v", 2, 4)
     # the facing wall case: no crossing between tiles whose sides are walled
     layout = {
         (0, 0): desc.transform_for_free_side("E"),
         (1, 0): desc.transform_for_free_side("W"),
     }
-    assert crossing_edge(desc, layout, ("h", 0, 0)) is None
+    assert ("h", 0, 0) not in crossings(desc, layout)
     # no tile beyond the layout
-    assert crossing_edge(desc, layout, ("v", 0, 0)) is None
+    assert ("v", 0, 0) not in crossings(desc, layout)
 
 
 @pytest.mark.parametrize("genre,expected", [("simple-loop", "yes"), ("yajilin", "yes")])
@@ -165,9 +174,9 @@ def test_listing_format(descriptors):
         assert certified.startswith("certified=")
 
 
-@pytest.mark.parametrize("genre", ["masyu", "slitherlink"])
+@pytest.mark.parametrize("genre", ["slitherlink", "masyu", "yajilin", "simple-loop"])
 def test_missing_bank_pair_fails_without_raising(descriptors, genre):
-    # The large-tile witness seeds are the ring tour lifted through the
+    # Every tile's witness seeds are the ring tour lifted through the
     # bank; a ring tile whose pair is missing fails that pair's (e).
     desc = descriptors[genre]
     for missing in sorted(desc.bank, key=sorted):

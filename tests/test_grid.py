@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import boundary_edges, flat_loop, ring
+from conftest import boundary_edges, cell_mask, flat_loop, ring
 from loopforge.grid import (
     CellLoop,
     GridDims,
@@ -71,8 +71,15 @@ def test_cell_loop_names_its_least_non_internal_edge():
         CellLoop(frozenset({("h", 0, 0), ("N", 0, 0), ("W", 0, 1), ("v", 0, 0)}))
 
 
+@pytest.mark.parametrize("w,h", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 4), (4, 3), (6, 6)])
+def test_internal_edges_are_built_in_canonical_order(w, h):
+    edges = internal_edges(GridDims(w, h))
+    assert edges == sorted(edges, key=edge_sort_key)
+    assert len(edges) == len(set(edges)) == (w - 1) * h + w * (h - 1)
+
+
 def test_validate_loop_accepts_square():
-    assert validate_loop(GridDims(2, 2), SQUARE_2X2, must_visit=GridDims(2, 2).cells()) is None
+    assert validate_loop(GridDims(2, 2), SQUARE_2X2, must_visit=cell_mask(GridDims(2, 2), GridDims(2, 2).cells())) is None
 
 
 def test_validate_loop_rejects_open_path():
@@ -89,7 +96,7 @@ def test_validate_loop_rejects_two_components():
              ("h", 2, 0), ("h", 2, 1), ("v", 2, 0), ("v", 3, 0)}
         )
     )
-    v = validate_loop(d, two, must_visit=d.cells())
+    v = validate_loop(d, two, must_visit=cell_mask(d, d.cells()))
     assert v is not None and v.code == "components"
 
 
@@ -175,7 +182,8 @@ def test_lattice_loop_matches_walk_oracle(w, h):
 
 
 def _violation(dims, edges, must_visit=None):
-    v = validate_loop(dims, CellLoop(frozenset(edges)), must_visit=must_visit)
+    mask = None if must_visit is None else cell_mask(dims, must_visit)
+    v = validate_loop(dims, CellLoop(frozenset(edges)), must_visit=mask)
     return v and (v.code, v.message, v.cell, v.edge)
 
 

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from conftest import flat_loop, ring
+from conftest import cell_mask, flat_loop, ring
 from loopforge.genres import masyu, simple_loop, slitherlink, yajilin
 from loopforge.grid import (
     CELL_LOOP_WORDS,
@@ -273,8 +273,9 @@ def test_loop_ids_and_validate_loop_match_the_reference():
         must = rng.choice((None, list(dims.cells()), list(_on_loop(dims, edges)), _cells(rng, dims, 4)))
         if must is not None and rng.random() < 0.5:
             must = must + _cells(rng, dims, 2)
+        mask = None if must is None else cell_mask(dims, must)
         for sol in _forms(dims.width, dims.height, edges):
-            _check(codes, validate_loop(dims, sol, must), ref_validate_loop(dims, CellLoop(edges), must))
+            _check(codes, validate_loop(dims, sol, mask), ref_validate_loop(dims, CellLoop(edges), must))
     assert set(codes) >= {"empty", "bounds", "degree", "components", "unvisited", "forbidden", None}
 
 

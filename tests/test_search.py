@@ -38,7 +38,6 @@ from loopforge.catalog import (
     RING_2X2_TOUR,
     RING_2X3,
     RING_2X3_TOUR,
-    _ring_crossings,
     _ring_required_pairs,
     assemble_board,
     load_gadget,
@@ -49,6 +48,7 @@ from loopforge.genres import GENRES
 from loopforge.genres.base import build_cell_graph
 from loopforge.grid import GridDims, edge_sort_key, internal_edges
 from loopforge.search import EXACT2, IN, OPT, OUT, UNKNOWN, LoopSearch
+from loopforge.tiling import crossings
 from test_bsl import SMALL_BOARDS
 
 
@@ -150,7 +150,8 @@ def _ring_board(genre: str, tiles_w: int):
     desc = load_gadget(genre)
     layout, ring = (RING_2X2, RING_2X2_TOUR) if tiles_w == 2 else (RING_2X3, RING_2X3_TOUR)
     board = assemble_board(desc, layout, tiles_w, 2)
-    seeds = set(_ring_crossings(desc, layout, ring))
+    cross = crossings(desc, layout)
+    seeds = {cross[edge] for edge in ring.transitions}
     for pos, pair in _ring_required_pairs(layout, ring).items():
         if pos != (0, 0):
             seeds |= place_fragment(desc, desc.bank[pair], layout[pos], pos)

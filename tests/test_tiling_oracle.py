@@ -20,6 +20,11 @@ genres (and, for lifting, the metacell), on:
 * seeded cubic sources up to 6x6 with a planted loop, through
   ``reduce_to_genre``, and for the smaller ones through both stages;
 * seeded tiles with one bad art character, assembled and read alone.
+
+``ref_crossing_edge`` works out the image edge of one source edge at a
+time, as the lift once did; ``tiling.crossings``, built once per layout,
+must map exactly the same edges to the same image edges on every layout
+above, and on the metacell's parity placements.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ from loopforge.genres.masyu import MasyuPuzzle
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
 from loopforge.genres.slitherlink import SlitherlinkPuzzle
 from loopforge.genres.yajilin import YajilinPuzzle
-from loopforge.grid import CellLoop, Edge, GridDims, edge_cells, internal_edges
+from loopforge.grid import OPPOSITE_SIDE, CellLoop, Edge, GridDims, edge_cells, internal_edges
 from loopforge.metacell import default_metacell, lift_to_cubic, reduce_to_cubic
 from loopforge.reduction import reduce_to_genre
-from loopforge.tiling import crossing_edge, lift_loop, place_fragment
+from loopforge.tiling import crossings, lift_loop, place_fragment
 
 GENRE_NAMES = ("slitherlink", "masyu", "yajilin", "simple-loop")
 
@@ -118,6 +123,27 @@ def puzzle_genre(board):
     return next(genre for genre, module in GENRES.items() if type(board) is module.PUZZLE)
 
 
+def ref_crossing_edge(tile, layout, edge):
+    """Image edge through which the loop crosses the source edge ``edge``,
+    worked out for that edge alone; None when a cell of ``edge`` has no
+    tile or either tile lacks an exit on the shared boundary."""
+    a, b = edge_cells(edge)
+    if a not in layout or b not in layout:
+        return None
+    side = "E" if edge[0] == "h" else "S"
+    fw, fh = tile.frame
+
+    def exits(t):
+        return {t.apply_side(s): t.apply_cell(fw, fh, cell) for s, cell in tile.exits.items()}
+
+    mine, theirs = exits(layout[a]), exits(layout[b])
+    if side not in mine or OPPOSITE_SIDE[side] not in theirs:
+        return None
+    # The edge leaves the lesser tile through its east (south) exit.
+    x, y = mine[side]
+    return (edge[0], fw * a[0] + x, fh * a[1] + y)
+
+
 def ref_lift_loop(tile, layout, loop):
     fw, fh = tile.frame
     edges: set[Edge] = set()
@@ -128,7 +154,7 @@ def ref_lift_loop(tile, layout, loop):
         for axis, c, r in place_fragment(tile, tile.bank[pair], t, (0, 0)):
             edges.add((axis, c + fw * cell[0], r + fh * cell[1]))
     for axis, c, r in loop.transitions:
-        cross = crossing_edge(tile, layout, (axis, c, r))
+        cross = ref_crossing_edge(tile, layout, (axis, c, r))
         if cross is None:
             raise ReductionError(f"source transition ({axis},{c},{r}) has no facing exits")
         edges.add(cross)
@@ -292,6 +318,59 @@ def test_bad_art_characters(genre):
             layout = random_layout(rng, desc, 3, 2)
             want = raised(lambda: ref_assemble_board(bad, layout, 3, 2))
             assert want is not None and raised(lambda: assemble_board(bad, layout, 3, 2)) == want
+
+
+# ----------------------------------------------------------------------
+# Crossings.
+
+
+def layouts(genre):
+    """(tile, layout) for each kind of layout this file builds."""
+    rng = random.Random(f"crossings-{genre}")
+    if genre == "metacell":
+        tile = default_metacell()
+        # The parity placements, on a barless source and on every planted one.
+        yield tile, reduce_to_cubic(BslPuzzle(GridDims(6, 6), frozenset()))[1].transforms
+        for source, _ in sources():
+            yield tile, reduce_to_cubic(source.inner)[1].transforms
+        return
+    desc = default_gadget(genre)
+    for t in desc.allowed_transforms():
+        yield desc, {(i, j): t for j in range(2) for i in range(3)}
+    for k in range(30):
+        w, h = rng.randint(1, 6), rng.randint(1, 6)
+        yield desc, random_layout(rng, desc, w, h, holes=0.3 if k % 3 == 0 else 0.0)
+    for _ in range(10):
+        c0, r0 = rng.randint(0, 3), rng.randint(0, 3)
+        loop = CellLoop(ring(c0, r0, rng.randint(c0 + 1, 5), rng.randint(r0 + 1, 5)))
+        cells = sorted({cell for edge in loop.transitions for cell in edge_cells(edge)})
+        yield desc, ring_layout(rng, desc, loop, cells)
+    degenerate = CubicBslPuzzle(BslPuzzle(GridDims(2, 2), frozenset({("h", 0, 0), ("v", 0, 0)})))
+    yield desc, reduce_to_genre(degenerate, genre)[1].layout
+    for source, _ in sources():
+        yield desc, reduce_to_genre(source, genre)[1].layout
+        if source.dims.width * source.dims.height <= 8:
+            yield desc, reduce_to_genre(reduce_to_cubic(source.inner)[0], genre)[1].layout
+
+
+@pytest.mark.parametrize("genre", GENRE_NAMES + ("metacell",))
+def test_crossings_match_the_reference(genre):
+    """``crossings`` maps exactly the edges the reference crosses, to the
+    same image edges, over every edge of a grid one tile wider and taller
+    than the layout, so edges to a missing tile or off it count too."""
+    count = 0
+    for tile, layout in layouts(genre):
+        if not layout:
+            continue
+        cols, rows = zip(*layout)
+        want = {}
+        for edge in internal_edges(GridDims(max(cols) + 2, max(rows) + 2)):
+            image = ref_crossing_edge(tile, layout, edge)
+            if image is not None:
+                want[edge] = image
+        assert crossings(tile, layout) == want
+        count += len(want)
+    assert count > 0
 
 
 # ----------------------------------------------------------------------
