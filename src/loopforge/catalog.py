@@ -104,6 +104,10 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
 
     if headers.get("genre") != genre:
         raise FormatError(f"descriptor genre {headers.get('genre')!r} does not match {genre!r}")
+    # The tile's size is a header and its art a section: name which is missing.
+    missing = [f"header {key!r}" for key in HEADER_KEYS if key not in headers]
+    if missing or "tile" not in sections:
+        raise FormatError(f"bad descriptor for {genre}: missing {(missing or ['section [tile]'])[0]}")
     with malformed(f"descriptor for {genre}"):
         tw, th = (int(x) for x in headers["tile"].split())
         transforms = frozenset(headers["transforms"].split())

@@ -11,15 +11,21 @@ genre whose loop runs on the dots (a nonzero ``FRAME_OFFSET``) and
 ``edges`` otherwise.  Every coordinate and count read must be a JSON
 integer.  Serialisation is canonical: sorted keys, sorted edges, no
 whitespace variation, so identical inputs give byte-identical output.
+A field is a plain JSON value or a ``Canonical``, text already in that
+form: the entry and edge lists are written as text by a scan of the
+board or loop, one entry at a time, with no dict per entry, and
+``dumps_canonical`` splices that text in where the field stands.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .bsl import BslPuzzle, CubicBslPuzzle
 from .errors import FormatError, json_int, malformed
 from .genres import GENRES
+from .genres.base import Canonical, json_list
 from .grid import CellLoop, Edge, GridDims, edge_sort_key
 from .metacell import CubicReductionManifest
 from .reduction import GenreReductionManifest
@@ -29,20 +35,15 @@ SOURCE_KINDS = ("bsl", "cubic-bsl")
 
 def puzzle_genre(puzzle) -> str:
     """A source kind, or the ``GENRES`` id whose module's ``PUZZLE`` is the puzzle's type."""
-    kind = type(puzzle)
-    if kind is BslPuzzle:
-        return "bsl"
-    if kind is CubicBslPuzzle:
-        return "cubic-bsl"
-    for genre, module in GENRES.items():
-        if module.PUZZLE is kind:
-            return genre
-    raise FormatError(f"unknown puzzle object {kind.__name__}")
+    kinds = {BslPuzzle: "bsl", CubicBslPuzzle: "cubic-bsl", **{m.PUZZLE: genre for genre, m in GENRES.items()}}
+    if type(puzzle) not in kinds:
+        raise FormatError(f"unknown puzzle object {type(puzzle).__name__}")
+    return kinds[type(puzzle)]
 
 
-def _edges_json(edges) -> list[dict]:
+def _edges_json(edges) -> Canonical:
     """Edges in canonical order, which they must already be in."""
-    return [{"axis": axis, "col": c, "row": r} for axis, c, r in edges]
+    return json_list('{"axis":"%s","col":%d,"row":%d}' % edge for edge in edges)
 
 
 def _edges_from_json(items) -> frozenset[Edge]:
@@ -131,7 +132,19 @@ def manifest_to_json(manifest) -> dict:
 
 
 def dumps_canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """``doc`` as canonical JSON and a newline.  Each ``Canonical`` in it
+    is first written as the JSON string ``"\\u0000"``, which its text then
+    replaces; a document holding that string itself raises ValueError."""
+    texts = []
+
+    def splice(value):
+        if not isinstance(value, Canonical):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        texts.append(value.text)
+        return "\0"
+
+    parts = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=splice).split('"\\u0000"')
+    return "".join(chain.from_iterable(zip(parts, [*texts, "\n"], strict=True)))
 
 
 def load_json(path) -> dict:

@@ -7,9 +7,10 @@ rest of the package learns the genres from.  Each module exports:
   grid of art, with entry views read off it), which ``formats`` finds a
   puzzle's id by;
 * ``from_art(dims, cells)``, a byte grid of tile art read as that puzzle;
-* ``to_json(puzzle)``, the genre's own JSON fields, and
-  ``from_json(dims, doc)``, the puzzle built from them (``formats``
-  writes and reads the genre, width and height around them);
+* ``to_json(puzzle)``, the genre's own JSON fields, each a plain JSON
+  value or a ``base.Canonical`` of canonical text that ``formats``
+  splices in, and ``from_json(dims, doc)``, the puzzle built from them
+  (``formats`` writes and reads the genre, width and height around them);
 * ``FRAME_OFFSET``: 1 when the loop runs on the dot lattice, so a W x H
   tile spans a (W+1) x (H+1) frame and a solution's edges are
   ``lattice_edges``; 0 when it runs on the cells;

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import chain, compress, repeat
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import SearchTimeout
 from ..grid import Cell, CellLoop, Edge, GridDims, Violation, edge_cells, internal_edges, least_cell
@@ -90,6 +90,21 @@ class ArtBoard:
         found = [list(compress(rows, column)) for column in columns]
         cols = chain.from_iterable(repeat(c, len(at)) for c, at in enumerate(found))
         return zip(cols, chain.from_iterable(found), b"".join(columns).translate(None, b"\0"))
+
+
+@dataclass(frozen=True, slots=True)
+class Canonical:
+    """Canonical JSON text of one value, which ``formats.dumps_canonical``
+    splices into a document as it stands.  It is no ``str``, so a plain
+    ``json.dumps`` refuses it rather than quote it."""
+
+    text: str
+
+
+def json_list(entries: Iterable[str]) -> Canonical:
+    """Entries, each already canonical JSON text, as one JSON list.  Given
+    a generator, no list of the entries outlives the join."""
+    return Canonical("[%s]" % ",".join(entries))
 
 
 def art_mask(cells: bytes, chars: bytes) -> bytes:

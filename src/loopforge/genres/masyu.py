@@ -8,19 +8,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import json_int
-from ..grid import (
-    OPPOSITE_SIDE,
-    SIDES,
-    Cell,
-    CellLoop,
-    GridDims,
-    LoopIds,
-    Violation,
-    least_cell,
-    side_edge,
-)
+from ..grid import OPPOSITE_SIDE, SIDES, Cell, CellLoop, GridDims, LoopIds, Violation, least_cell, side_edge
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, json_list, run_search
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -51,7 +41,8 @@ FRAME_OFFSET = 0
 
 
 def to_json(puzzle: MasyuPuzzle) -> dict:
-    return {"pearls": [{"col": c, "row": r, "color": COLOUR[ch]} for c, r, ch in puzzle.scan()]}
+    entry = '{"col":%d,"color":"%s","row":%d}'
+    return {"pearls": json_list(entry % (c, COLOUR[ch], r) for c, r, ch in puzzle.scan())}
 
 
 def from_json(dims: GridDims, doc: dict) -> MasyuPuzzle:

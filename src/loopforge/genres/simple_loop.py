@@ -8,7 +8,7 @@ from typing import Optional
 from ..errors import json_int
 from ..grid import Cell, CellLoop, GridDims, Violation
 from ..search import EXACT2, OPT, LoopSearch
-from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, json_list, run_search
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -35,7 +35,7 @@ FRAME_OFFSET = 0
 
 
 def to_json(puzzle: SimpleLoopPuzzle) -> dict:
-    return {"shaded": [{"col": c, "row": r} for c, r, _ in puzzle.scan()]}
+    return {"shaded": json_list('{"col":%d,"row":%d}' % (c, r) for c, r, _ in puzzle.scan())}
 
 
 def from_json(dims: GridDims, doc: dict) -> SimpleLoopPuzzle:

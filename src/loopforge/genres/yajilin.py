@@ -11,7 +11,8 @@ from typing import Optional
 from ..errors import json_int
 from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, least_cell
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, grid_faces, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, grid_faces, json_list
+from .base import run_search
 
 UNDET, VISITED, SHADED = 0, 1, 2
 
@@ -58,9 +59,9 @@ FRAME_OFFSET = 0
 
 def to_json(puzzle: YajilinPuzzle) -> dict:
     """Every grey cell, with its clue's count and direction or two nulls."""
-    clue_at = {cell: {"count": n, "dir": d} for cell, n, d in puzzle.clues}
-    blank = {"count": None, "dir": None}
-    return {"grey": [{"col": c, "row": r, **clue_at.get((c, r), blank)} for c, r, _ in puzzle.scan()]}
+    clue_at = {cell: '"count":%d,"dir":"%s"' % (n, d) for cell, n, d in puzzle.clues}
+    entry, blank = '{"col":%d,%s,"row":%d}', '"count":null,"dir":null'
+    return {"grey": json_list(entry % (c, clue_at.get((c, r), blank), r) for c, r, _ in puzzle.scan())}
 
 
 def from_json(dims: GridDims, doc: dict) -> YajilinPuzzle:

@@ -192,14 +192,7 @@ def reduce_to_cubic(
     blocked = {cell: frozenset(SIDES) - sides for cell, sides in open_sides(puzzle).items()}
 
     image = CubicBslPuzzle(BslPuzzle(GridDims(TEMPLATE_W * dims.width, TEMPLATE_H * dims.height), frozenset(bars)))
-    manifest = CubicReductionManifest(
-        source=puzzle,
-        image=image,
-        transforms=transforms,
-        blocked=blocked,
-        template=tpl,
-    )
-    return image, manifest
+    return image, CubicReductionManifest(puzzle, image, transforms, blocked, tpl)
 
 
 def lift_to_cubic(manifest: CubicReductionManifest, bsl_solution: CellLoop) -> CellLoop:

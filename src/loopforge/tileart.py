@@ -75,20 +75,15 @@ def parse_fragment_grid(lines: list[str], width: int, height: int) -> frozenset[
     if len(lines) != rows:
         raise FormatError(f"expected {rows} fragment rows, found {len(lines)}")
     edges: set[Edge] = set()
-    for r in range(height):
-        line = lines[2 * r].ljust(2 * width - 1)
-        for c in range(width - 1):
-            ch = line[2 * c + 1]
-            if ch == "-":
-                edges.add(("h", c, r))
-            elif ch not in " .":
-                raise FormatError(f"bad fragment character {ch!r}")
-    for r in range(height - 1):
-        line = lines[2 * r + 1].ljust(2 * width - 1)
-        for c in range(width):
-            ch = line[2 * c]
-            if ch == "|":
-                edges.add(("v", c, r))
-            elif ch not in " .":
-                raise FormatError(f"bad fragment character {ch!r}")
+    # Each axis: its mark, and where its edges sit: node rows (odd columns)
+    # for "h", the rows between (even columns) for "v".
+    for axis, mark, dr, dc in (("h", "-", 0, 1), ("v", "|", 1, 0)):
+        for r in range(height - dr):
+            line = lines[2 * r + dr].ljust(2 * width - 1)
+            for c in range(width - dc):
+                ch = line[2 * c + dc]
+                if ch == mark:
+                    edges.add((axis, c, r))
+                elif ch not in " .":
+                    raise FormatError(f"bad fragment character {ch!r}")
     return frozenset(edges)

@@ -91,7 +91,16 @@ def test_missing_tile_section_rejected(tmp_path, monkeypatch):
     # Without [tile] the descriptor would load with no art at all.
     art = "[tile]\n#####\n#....\n.....\n....#\n##..#\n"
     directory = _copied_catalog(tmp_path, "simple_loop.txt", art, "")
-    with pytest.raises(FormatError, match="^bad descriptor for simple-loop: missing 'tile'$"):
+    with pytest.raises(FormatError, match=r"^bad descriptor for simple-loop: missing section \[tile\]$"):
+        load_gadget("simple-loop", directory)
+    monkeypatch.setenv("LOOPFORGE_CATALOG", str(directory))
+    assert main(["certify", "--genre", "simple-loop"]) == 66
+
+
+def test_missing_tile_header_rejected(tmp_path, monkeypatch):
+    # The header gives the tile's size, so its art cannot be read without it.
+    directory = _copied_catalog(tmp_path, "simple_loop.txt", "tile: 5 5\n", "")
+    with pytest.raises(FormatError, match="^bad descriptor for simple-loop: missing header 'tile'$"):
         load_gadget("simple-loop", directory)
     monkeypatch.setenv("LOOPFORGE_CATALOG", str(directory))
     assert main(["certify", "--genre", "simple-loop"]) == 66

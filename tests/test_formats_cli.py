@@ -6,6 +6,9 @@ from conftest import FIXTURES, load_fixture
 from loopforge import formats
 from loopforge.catalog import DEFAULT_CATALOG
 from loopforge.cli import main
+from loopforge.genres import GENRES
+from loopforge.metacell import lift_to_cubic, reduce_to_cubic
+from loopforge.reduction import lift_to_genre, reduce_to_genre
 
 ALL_FIXTURES = [
     "bsl_example",
@@ -27,14 +30,69 @@ def test_puzzle_round_trip_byte_identical(name):
     )
     assert once == twice
     assert json.loads(once) == doc
+    # The fixtures are canonical text, Yajilin's arrow clues included.
+    assert once == (FIXTURES / f"{name}.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_solution_round_trip(name):
     doc = load_fixture(f"{name}_solution")
     sol = formats.solution_from_json(doc)
-    out = formats.solution_to_json(doc["genre"], sol)
-    assert out == doc
+    out = formats.dumps_canonical(formats.solution_to_json(doc["genre"], sol))
+    assert json.loads(out) == doc
+    assert out == (FIXTURES / f"{name}_solution.json").read_text(encoding="utf-8")
+
+
+def _reduced_images():
+    """(genre, image, lifted solution) for the cubic stage and each genre
+    stage of the BSL fixture."""
+    cubic, cman = reduce_to_cubic(formats.puzzle_from_json(load_fixture("bsl_example")))
+    lifted = lift_to_cubic(cman, formats.solution_from_json(load_fixture("bsl_example_solution")))
+    yield "cubic-bsl", cubic, lifted
+    for genre in GENRES:
+        board, gman = reduce_to_genre(cubic, genre)
+        yield genre, board, lift_to_genre(gman, lifted)
+
+
+def test_reduced_images_round_trip_through_the_parsers():
+    keys = set()
+    for genre, image, solution in _reduced_images():
+        text = formats.dumps_canonical(formats.puzzle_to_json(image))
+        parsed = formats.puzzle_from_json(json.loads(text))
+        assert parsed == image
+        assert formats.dumps_canonical(formats.puzzle_to_json(parsed)) == text
+
+        text = formats.dumps_canonical(formats.solution_to_json(genre, solution))
+        doc = json.loads(text)
+        keys |= set(doc) - {"genre"}
+        parsed = formats.solution_from_json(doc)
+        assert parsed == solution
+        assert formats.dumps_canonical(formats.solution_to_json(genre, parsed)) == text
+    assert keys == {"edges", "lattice_edges"}
+
+
+def test_nested_puzzle_text_is_the_puzzle_document():
+    # A manifest's source is written with the same bytes as the source alone.
+    cubic, cman = reduce_to_cubic(formats.puzzle_from_json(load_fixture("bsl_example")))
+    _, gman = reduce_to_genre(cubic, "masyu")
+    for manifest, source in ((cman, cman.source), (gman, cubic)):
+        text = formats.dumps_canonical(formats.manifest_to_json(manifest))
+        assert '"source":' + formats.dumps_canonical(formats.puzzle_to_json(source)).rstrip("\n") in text
+
+
+def test_plain_json_dumps_refuses_written_text():
+    # Entry and edge lists are canonical text, not strings: json.dumps
+    # must refuse them rather than write them quoted.
+    for genre, image, solution in _reduced_images():
+        with pytest.raises(TypeError):
+            json.dumps(formats.puzzle_to_json(image))
+        with pytest.raises(TypeError):
+            json.dumps(formats.solution_to_json(genre, solution))
+    with pytest.raises(TypeError):
+        formats.dumps_canonical({"edges": {("h", 0, 0)}})
+    # The string that stands in for spliced text is refused, not mistaken for it.
+    with pytest.raises(ValueError):
+        formats.dumps_canonical({"genre": "\0"})
 
 
 def test_cubic_file_must_pass_cubicity(tmp_path):

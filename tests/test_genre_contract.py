@@ -119,7 +119,7 @@ def test_toy_genre_reduces_and_round_trips(toy, tmp_path, capsys):
     # The same board as Simple Loop's, walls for shaded cells.
     cubic, _ = reduce_to_cubic(formats.puzzle_from_json(load_fixture("bsl_example")))
     simple, _ = reduce_to_genre(cubic, "simple-loop", catalog.load_gadget("simple-loop", catalog.DEFAULT_CATALOG))
-    assert board == _toy_doc(formats.puzzle_to_json(simple))
+    assert board == _toy_doc(json.loads(formats.dumps_canonical(formats.puzzle_to_json(simple))))
 
     puzzle = formats.puzzle_from_json(board)
     assert type(puzzle) is toy.PUZZLE and formats.puzzle_genre(puzzle) == "toy-loop"

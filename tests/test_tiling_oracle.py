@@ -8,9 +8,10 @@ fragment by the ``frozenset`` of tile-local sides the loop uses there,
 and collects the image's edges as tuples in a set.  That is how both
 were first written.  ``catalog.assemble_board``, which builds a byte
 grid, and ``tiling.lift_loop`` must give the same boards (equal, with
-the same ``to_json`` and entry views), the same edge sets (the flat
-lift's, read off its byte arrays) and the same errors for all four
-genres (and, for lifting, the metacell), on:
+the same entry views and the same JSON, read back from the text of
+``to_json``'s fields), the same edge sets (the flat lift's, read off
+its byte arrays) and the same errors for all four genres (and, for
+lifting, the metacell), on:
 
 * a uniform layout of every allowed transform;
 * seeded random layouts, with and without holes;
@@ -29,6 +30,7 @@ above, and on the metacell's parity placements.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
@@ -38,6 +40,7 @@ from conftest import flat_loop, ring
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle
 from loopforge.catalog import assemble_board, default_gadget
 from loopforge.errors import ReductionError
+from loopforge.formats import dumps_canonical
 from loopforge.genres import GENRES
 from loopforge.genres.masyu import MasyuPuzzle
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
@@ -116,7 +119,8 @@ def assert_same_board(board, ref):
     puzzle, views, doc = ref
     assert board == puzzle
     assert {name: getattr(board, name) for name in views} == views
-    assert GENRES[puzzle_genre(board)].to_json(board) == doc
+    fields = GENRES[puzzle_genre(board)].to_json(board)
+    assert json.loads(dumps_canonical(fields)) == doc
 
 
 def puzzle_genre(board):
