@@ -12,21 +12,21 @@ genre whose loop runs on the dots (a nonzero ``FRAME_OFFSET``) and
 integer.  Serialisation is canonical: sorted keys, sorted edges, no
 whitespace variation, so identical inputs give byte-identical output.
 A field is a plain JSON value or a ``Canonical``, text already in that
-form: the entry and edge lists are written as text by a scan of the
-board or loop, one entry at a time, with no dict per entry, and
-``dumps_canonical`` splices that text in where the field stands.
+form: entry lists by ``ArtBoard.entry_list``, one join per column, and
+edge lists from a loop's byte rows, one join per row, with no string per
+entry; ``dumps_canonical`` splices that text in where the field stands.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress
 
 from .bsl import BslPuzzle, CubicBslPuzzle
 from .errors import FormatError, json_int, malformed
 from .genres import GENRES
-from .genres.base import Canonical, json_list
-from .grid import CellLoop, Edge, GridDims, edge_sort_key
+from .genres.base import Canonical
+from .grid import CellLoop, Edge, GridDims, edge_rows
 from .metacell import CubicReductionManifest
 from .reduction import GenreReductionManifest
 
@@ -41,9 +41,30 @@ def puzzle_genre(puzzle) -> str:
     return kinds[type(puzzle)]
 
 
-def _edges_json(edges) -> Canonical:
-    """Edges in canonical order, which they must already be in."""
-    return json_list('{"axis":"%s","col":%d,"row":%d}' % edge for edge in edges)
+def _edges_json(loop: CellLoop) -> Canonical:
+    """A loop's edges as a JSON list, read off its arrays (a loop built from
+    edges is laid on a box holding them and (0, 0)).  A row is one join: its
+    bytes pick a ``{"axis":A,"col":C`` head per column and axis, and its
+    ``,"row":R}`` tail ends each."""
+    col0 = row0 = 0
+    if loop.size:
+        width, east, south = loop.size[0], loop.east, loop.south
+    else:
+        _, cols, rows = zip(("h", 0, 0), *loop.transitions)
+        col0, row0 = min(cols), min(rows)
+        width = max(cols) - col0 + 1
+        n = width * (max(rows) - row0 + 1)
+        east, south = bytearray(n + 1), bytearray(n + width)
+        for axis, c, r in loop.transitions:
+            (east if axis == "h" else south)[(r - row0) * width + c - col0] = 1
+    heads = ['{"axis":"%s","col":%d' % (axis, col0 + c) for c in range(width) for axis in "hv"]
+    parts = []
+    for r, row in edge_rows(width, east, south):
+        tail = ',"row":%d}' % (row0 + r)
+        text = (tail + ",").join(compress(heads, row))
+        if text:
+            parts += (",", text, tail)
+    return Canonical("".join(["[", *parts[1:], "]"]))
 
 
 def _edges_from_json(items) -> frozenset[Edge]:
@@ -60,7 +81,7 @@ def puzzle_to_json(puzzle) -> dict:
     genre = puzzle_genre(puzzle)
     doc = {"genre": genre, "width": puzzle.dims.width, "height": puzzle.dims.height}
     if genre in SOURCE_KINDS:
-        doc["bars"] = _edges_json(sorted(puzzle.bars, key=edge_sort_key))
+        doc["bars"] = _edges_json(CellLoop(puzzle.bars))  # the bar set, held as edges
     else:
         doc.update(GENRES[genre].to_json(puzzle))
     return doc
@@ -83,8 +104,7 @@ def _solution_key(genre) -> str:
 
 
 def solution_to_json(genre: str, sol: CellLoop) -> dict:
-    # A flat loop lists its edges by a row scan, already in canonical order.
-    return {"genre": genre, _solution_key(genre): _edges_json(sol.scan())}
+    return {"genre": genre, _solution_key(genre): _edges_json(sol)}
 
 
 def solution_from_json(doc: dict) -> CellLoop:

@@ -8,9 +8,9 @@ rest of the package learns the genres from.  Each module exports:
   puzzle's id by;
 * ``from_art(dims, cells)``, a byte grid of tile art read as that puzzle;
 * ``to_json(puzzle)``, the genre's own JSON fields, each a plain JSON
-  value or a ``base.Canonical`` of canonical text that ``formats``
-  splices in, and ``from_json(dims, doc)``, the puzzle built from them
-  (``formats`` writes and reads the genre, width and height around them);
+  value or a ``base.Canonical`` that ``formats`` splices in, as an entry
+  list by ``ArtBoard.entry_list``; ``from_json(dims, doc)``, the puzzle
+  built from them (``formats`` does the genre, width and height);
 * ``FRAME_OFFSET``: 1 when the loop runs on the dot lattice, so a W x H
   tile spans a (W+1) x (H+1) frame and a solution's edges are
   ``lattice_edges``; 0 when it runs on the cells;

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import chain, compress, repeat
-from typing import Callable, Iterable, Iterator, Optional
+from operator import getitem
+from typing import Callable, Iterator, Optional
 
 from ..errors import SearchTimeout
 from ..grid import Cell, CellLoop, Edge, GridDims, Violation, edge_cells, internal_edges, least_cell
@@ -91,6 +92,29 @@ class ArtBoard:
         cols = chain.from_iterable(repeat(c, len(at)) for c, at in enumerate(found))
         return zip(cols, chain.from_iterable(found), b"".join(columns).translate(None, b"\0"))
 
+    def entry_list(self, middles: dict[int, str], own: Optional[dict[Cell, str]] = None) -> Canonical:
+        """The nonempty cells as a JSON list in (col, row) order, each
+        ``{"col":C,``, then ``middles[b]`` (art byte b) or ``own[cell]``,
+        then ``"row":R}``.  That tail is built once per art byte and row and
+        per cell of ``own``; a column is one join of the tails it picks."""
+        w, rows = self.dims.width, range(self.dims.height)
+        table = {b: ['%s"row":%d}' % (middle, r) for r in rows] for b, middle in middles.items()}
+        codes = self.cells
+        if own:
+            codes = list(codes)
+            for code, ((c, r), middle) in enumerate(own.items(), 256):
+                codes[r * w + c] = code
+                table[code] = {r: '%s"row":%d}' % (middle, r)}
+        parts = []
+        for c in range(w):
+            column = codes[c::w]
+            head = '{"col":%d,' % c
+            picked = map(getitem, map(table.__getitem__, compress(column, column)), compress(rows, column))
+            text = ("," + head).join(picked)
+            if text:
+                parts += (",", head, text)
+        return Canonical("".join(["[", *parts[1:], "]"]))
+
 
 @dataclass(frozen=True, slots=True)
 class Canonical:
@@ -99,12 +123,6 @@ class Canonical:
     ``json.dumps`` refuses it rather than quote it."""
 
     text: str
-
-
-def json_list(entries: Iterable[str]) -> Canonical:
-    """Entries, each already canonical JSON text, as one JSON list.  Given
-    a generator, no list of the entries outlives the join."""
-    return Canonical("[%s]" % ",".join(entries))
 
 
 def art_mask(cells: bytes, chars: bytes) -> bytes:

@@ -10,7 +10,7 @@ from typing import Optional
 from ..errors import json_int
 from ..grid import OPPOSITE_SIDE, SIDES, Cell, CellLoop, GridDims, LoopIds, Violation, least_cell, side_edge
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, json_list, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -41,8 +41,7 @@ FRAME_OFFSET = 0
 
 
 def to_json(puzzle: MasyuPuzzle) -> dict:
-    entry = '{"col":%d,"color":"%s","row":%d}'
-    return {"pearls": json_list(entry % (c, COLOUR[ch], r) for c, r, ch in puzzle.scan())}
+    return {"pearls": puzzle.entry_list({ch: '"color":"%s",' % colour for ch, colour in COLOUR.items()})}
 
 
 def from_json(dims: GridDims, doc: dict) -> MasyuPuzzle:

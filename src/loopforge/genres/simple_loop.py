@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..errors import json_int
 from ..grid import Cell, CellLoop, GridDims, Violation
 from ..search import EXACT2, OPT, LoopSearch
-from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, json_list, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class SimpleLoopPuzzle(ArtBoard):
     """Shaded cells as the art byte ``#``."""
 
-    def __init__(self, dims: GridDims, shaded: frozenset[Cell]) -> None:
+    def __init__(self, dims: GridDims, shaded: Iterable[Cell]) -> None:
         grid = entry_grid(dims, ((cell, "#") for cell in shaded), ("#",), b"#", "", "shaded cell")
         ArtBoard.__init__(self, dims, grid)
 
@@ -35,12 +35,11 @@ FRAME_OFFSET = 0
 
 
 def to_json(puzzle: SimpleLoopPuzzle) -> dict:
-    return {"shaded": json_list('{"col":%d,"row":%d}' % (c, r) for c, r, _ in puzzle.scan())}
+    return {"shaded": puzzle.entry_list({ord("#"): ""})}
 
 
 def from_json(dims: GridDims, doc: dict) -> SimpleLoopPuzzle:
-    shaded = frozenset((json_int(i["col"]), json_int(i["row"])) for i in doc.get("shaded", []))
-    return SimpleLoopPuzzle(dims, shaded)
+    return SimpleLoopPuzzle(dims, [(json_int(i["col"]), json_int(i["row"])) for i in doc.get("shaded", [])])
 
 
 def verify(puzzle: SimpleLoopPuzzle, sol: CellLoop) -> Optional[Violation]:

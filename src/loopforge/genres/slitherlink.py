@@ -14,7 +14,7 @@ from typing import Optional
 from ..errors import json_int
 from ..grid import Cell, CellLoop, Edge, GridDims, Violation, least_cell
 from ..search import OPT, OUT, LoopSearch
-from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, json_list, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -52,8 +52,7 @@ FRAME_OFFSET = 1
 
 
 def to_json(puzzle: SlitherlinkPuzzle) -> dict:
-    # An art digit is its clue's count, so the count is written as that byte.
-    return {"clues": json_list('{"col":%d,"count":%c,"row":%d}' % (c, ch, r) for c, r, ch in puzzle.scan())}
+    return {"clues": puzzle.entry_list({ZERO + k: '"count":%d,' % k for k in range(4)})}
 
 
 def from_json(dims: GridDims, doc: dict) -> SlitherlinkPuzzle:

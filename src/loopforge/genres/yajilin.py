@@ -6,13 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..errors import json_int
 from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, least_cell
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, grid_faces, json_list
-from .base import run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, grid_faces, run_search
 
 UNDET, VISITED, SHADED = 0, 1, 2
 
@@ -23,10 +22,11 @@ class YajilinPuzzle(ArtBoard):
 
     clues: tuple[tuple[Cell, int, str], ...]  # (grey cell, count, direction)
 
-    def __init__(self, dims: GridDims, grey: frozenset[Cell], clues: tuple[tuple[Cell, int, str], ...] = ()) -> None:
+    def __init__(self, dims: GridDims, grey: Iterable[Cell], clues: tuple[tuple[Cell, int, str], ...] = ()) -> None:
         grid = entry_grid(dims, ((cell, "#") for cell in grey), ("#",), b"#", "", "grey cell")
+        entry_grid(dims, ((cell, "#") for cell, _, _ in clues), ("#",), b"#", "", "clue")  # a second clue on a cell
         for cell, count, direction in clues:
-            if cell not in grey:
+            if not grid[cell[1] * dims.width + cell[0]]:
                 raise ValueError(f"clue at {cell} is not on a grey cell")
             if count < 0 or direction not in SIDE_DELTAS:
                 raise ValueError(f"bad clue {count}{direction} at {cell}")
@@ -59,20 +59,21 @@ FRAME_OFFSET = 0
 
 def to_json(puzzle: YajilinPuzzle) -> dict:
     """Every grey cell, with its clue's count and direction or two nulls."""
-    clue_at = {cell: '"count":%d,"dir":"%s"' % (n, d) for cell, n, d in puzzle.clues}
-    entry, blank = '{"col":%d,%s,"row":%d}', '"count":null,"dir":null'
-    return {"grey": json_list(entry % (c, clue_at.get((c, r), blank), r) for c, r, _ in puzzle.scan())}
+    clue_at = {cell: '"count":%d,"dir":"%s",' % (n, d) for cell, n, d in puzzle.clues}
+    return {"grey": puzzle.entry_list({ord("#"): '"count":null,"dir":null,'}, clue_at)}
 
 
 def from_json(dims: GridDims, doc: dict) -> YajilinPuzzle:
-    grey = set()
+    grey = []
     clues = []
     for i in doc.get("grey", []):
         cell = (json_int(i["col"]), json_int(i["row"]))
-        grey.add(cell)
+        grey.append(cell)
         if i.get("count") is not None:
             clues.append((cell, json_int(i["count"]), i.get("dir")))
-    return YajilinPuzzle(dims, frozenset(grey), tuple(sorted(clues)))
+        elif i.get("dir") is not None:
+            raise ValueError(f"clue direction {i['dir']!r} without a count at {cell}")
+    return YajilinPuzzle(dims, grey, tuple(sorted(clues)))
 
 
 def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:

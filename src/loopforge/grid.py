@@ -17,9 +17,9 @@ A loop (:class:`CellLoop`) is its set of internal edges, held either as
 those edge tuples or flat: as the ``east``/``south`` byte arrays of
 :class:`LoopIds` on its node grid, with no tuple per edge.  The lift
 writes flat loops; JSON input, tests and the solvers build loops from
-edges, and :func:`loop_ids` is the one conversion from edges to bytes.
-On the flat form canonical order is scan order, so a flat loop lists its
-edges by a row scan, with nothing to sort.
+edges, and :func:`loop_ids` is the one checked conversion from edges to
+bytes.  On the flat form canonical order is scan order, so a flat loop
+lists its edges by a row scan, with nothing to sort.
 """
 
 from __future__ import annotations
@@ -279,8 +279,8 @@ def flat_ids(
     if not count:
         return Violation("empty", empty)
     if east[n] or any(east[width - 1 : n : width]) or any(south[n - width :]):
-        off = [edge for edge in _scan(width, east, south) if not edge_in_bounds(GridDims(width, height), edge)]
-        return Violation("bounds", outside, edge=min(off, key=edge_sort_key))
+        dims, edges = GridDims(width, height), CellLoop.flat(width, height, east, south).scan()
+        return Violation("bounds", outside, edge=next(e for e in edges if not edge_in_bounds(dims, e)))
 
     # Byte i of ``sides`` holds 4 << k for each side k the loop leaves id i
     # by, k = 0 to 3 for east[i], east[i - 1], south[i], south[i - width].
@@ -332,24 +332,15 @@ def validate_loop(dims: GridDims, loop: CellLoop, must_visit: Optional[bytes] = 
     return None if must_visit is None else ids.cover(must_visit)
 
 
-_AXES = ("h", "v")
-
-
-def _scan(width: int, east: bytearray, south: bytearray) -> list[Edge]:
-    """The edges of LoopIds-style arrays in canonical order: row by row,
-    and within a row by column, "h" before "v".  Set spare bytes read as
-    the edges past the grid that they stand for."""
-    # One row of both arrays interleaved: byte 2c is east[c], byte 2c + 1 south[c].
-    rows = len(south) // width
+def edge_rows(width: int, east: bytearray, south: bytearray) -> Iterator[tuple[int, bytearray]]:
+    """(r, row r of LoopIds-style arrays, spare bytes too, interleaved): byte
+    2c is east[c] and 2c + 1 south[c], so its set bytes are its edges in order."""
     both = bytearray(2 * len(south))
     both[0 : 2 * len(east) : 2] = east
     both[1::2] = south
     step = 2 * width
-    columns = range(step)
-    out: list[Edge] = []
-    for r in range(rows):
-        out += [(_AXES[k & 1], k >> 1, r) for k in compress(columns, both[r * step : (r + 1) * step])]
-    return out
+    for r in range(len(south) // width):
+        yield r, both[r * step : (r + 1) * step]
 
 
 class CellLoop:
@@ -400,10 +391,13 @@ class CellLoop:
         return frozenset(self.scan())
 
     def scan(self) -> list[Edge]:
-        """The edges in canonical order (``edge_sort_key``)."""
+        """The edges in canonical order (``edge_sort_key``), a flat loop's set spare bytes too."""
         if self._edges is not None:
             return sorted(self._edges, key=edge_sort_key)
-        return _scan(self.size[0], self.east, self.south)
+        columns, out = range(2 * self.size[0]), []
+        for r, row in edge_rows(self.size[0], self.east, self.south):
+            out += [("hv"[k & 1], k >> 1, r) for k in compress(columns, row)]
+        return out
 
     def ids(self, width: int, height: int, words: tuple[str, str, str] = CELL_LOOP_WORDS) -> Union[LoopIds, Violation]:
         """The loop on the flat ids of a width x height grid, or its first

@@ -127,6 +127,14 @@ def test_cli_solve_parse_error(tmp_path):
     assert main(["solve", str(p)]) == 64
 
 
+def test_cli_solve_refuses_a_second_yajilin_clue(tmp_path, capsys):
+    p = tmp_path / "two_clues.json"
+    grey = '{"col":1,"row":1,"count":0,"dir":"N"},{"col":1,"row":1,"count":1,"dir":"S"}'
+    p.write_text('{"genre":"yajilin","width":3,"height":3,"grey":[%s]}' % grey)
+    assert main(["solve", str(p)]) == 64
+    assert "duplicate grey cell at (1, 1)" in capsys.readouterr().err
+
+
 def test_cli_solve_dp_oracle(capsys):
     assert main(["solve", fx("bsl_example"), "--oracle", "dp"]) == 0
     assert json.loads(capsys.readouterr().out)["solvable"] is True

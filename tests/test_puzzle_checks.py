@@ -65,9 +65,12 @@ CASES = [
         "bad clue 2up at (2, 1)",
     ),
     (lambda: _yajilin({(0, 0), (0, 5)}, (((1, 1), 1, "N"),)), BoundsError, "cell (0, 5) outside 3x2 grid"),
-    # Simple Loop: the bounds of every shaded cell.
+    (lambda: YajilinPuzzle(DIMS, [(1, 1), (0, 0), (1, 1)]), ValueError, "duplicate grey cell at (1, 1)"),
+    (lambda: _yajilin({(1, 1)}, (((1, 1), 0, "N"), ((1, 1), 1, "S"))), ValueError, "duplicate clue at (1, 1)"),
+    # Simple Loop: the bounds of every shaded cell, and each given once.
     (lambda: SimpleLoopPuzzle(DIMS, frozenset({(1, 1), (1, 2)})), BoundsError, "cell (1, 2) outside 3x2 grid"),
     (lambda: SimpleLoopPuzzle(DIMS, frozenset({(-1, 0)})), BoundsError, "cell (-1, 0) outside 3x2 grid"),
+    (lambda: SimpleLoopPuzzle(DIMS, [(2, 1), (0, 0), (2, 1)]), ValueError, "duplicate shaded cell at (2, 1)"),
 ]
 
 
@@ -103,6 +106,18 @@ def test_valid_entries_pass():
          "bad puzzle document: bad clue 1Q at (0, 0)"),
         ({"genre": "simple-loop", "width": 3, "height": 2, "shaded": [{"col": 0, "row": 2}]},
          "bad puzzle document: cell (0, 2) outside 3x2 grid"),
+        # A cell given twice, once with a clue, is not merged into one.
+        ({"genre": "simple-loop", "width": 3, "height": 2, "shaded": [{"col": 1, "row": 1}, {"col": 1, "row": 1}]},
+         "bad puzzle document: duplicate shaded cell at (1, 1)"),
+        ({"genre": "yajilin", "width": 3, "height": 2, "grey": [{"col": 1, "row": 1, "count": None, "dir": None},
+                                                                {"col": 1, "row": 1, "count": 0, "dir": "N"}]},
+         "bad puzzle document: duplicate grey cell at (1, 1)"),
+        ({"genre": "yajilin", "width": 3, "height": 2, "grey": [{"col": 1, "row": 1, "count": 0, "dir": "N"},
+                                                                {"col": 1, "row": 1, "count": 1, "dir": "S"}]},
+         "bad puzzle document: duplicate grey cell at (1, 1)"),
+        # A direction with a null count is not dropped.
+        ({"genre": "yajilin", "width": 3, "height": 2, "grey": [{"col": 2, "row": 0, "count": None, "dir": "W"}]},
+         "bad puzzle document: clue direction 'W' without a count at (2, 0)"),
     ],
 )
 def test_document_errors_name_the_entry(doc, message):
