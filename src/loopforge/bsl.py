@@ -84,11 +84,11 @@ def open_sides(puzzle: BslPuzzle) -> dict[Cell, frozenset[str]]:
     with the cells in row-major order.
 
     The sides are worked out once per puzzle and kept on it as one mask
-    byte per cell, so cubicity, degeneracy, the cubic stage's ``blocked``,
-    the bar graph, the genre placements and ``verify_bsl`` all read that
-    one pass.  Each call returns a new dict over those bytes: a dict kept
-    on every puzzle would hold two objects per cell for as long as the
-    puzzle lives.
+    byte per cell, so cubicity, degeneracy, the cubic stage's ``blocked``
+    and the genre placements read that one pass, and ``orient`` and
+    ``verify_bsl`` read the bytes themselves.  Each call returns a new dict
+    over those bytes: a dict kept on every puzzle would hold two objects
+    per cell for as long as the puzzle lives.
     """
     masks = puzzle.sides_cache
     if masks is None:

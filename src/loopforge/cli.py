@@ -42,7 +42,12 @@ class _Refused(Exception):
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(formats.dumps_canonical(doc))
+    sys.stdout.write(formats.dumps_canonical(doc))  # reports and solutions: small
+
+
+def _write(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as f:  # boards and manifests grow with the source
+        formats.write_canonical(doc, f)
 
 
 def _digest(path: str) -> str:
@@ -133,10 +138,10 @@ def cmd_reduce(args) -> int:
         manifests.append(formats.manifest_to_json(gman))
 
     out_doc = formats.puzzle_to_json(out_puzzle)
-    Path(args.output).write_text(formats.dumps_canonical(out_doc), encoding="utf-8")
+    _write(args.output, out_doc)
     if args.manifest:
         mdoc = manifests[0] if len(manifests) == 1 else {"kind": "chain", "stages": manifests}
-        Path(args.manifest).write_text(formats.dumps_canonical(mdoc), encoding="utf-8")
+        _write(args.manifest, mdoc)
     print(
         f"{puzzle.dims.width}x{puzzle.dims.height} -> {out_puzzle.dims.width}x{out_puzzle.dims.height}"
     )

@@ -14,7 +14,8 @@ whitespace variation, so identical inputs give byte-identical output.
 A field is a plain JSON value or a ``Canonical``, text already in that
 form: entry lists by ``ArtBoard.entry_list``, one join per column, and
 edge lists from a loop's byte rows, one join per row, with no string per
-entry; ``dumps_canonical`` splices that text in where the field stands.
+entry.  ``write_canonical`` writes the envelope's pieces and each such
+text straight to a stream, and ``dumps_canonical`` joins the same pieces.
 """
 
 from __future__ import annotations
@@ -151,8 +152,12 @@ def manifest_to_json(manifest) -> dict:
     raise FormatError(f"unknown manifest object {type(manifest).__name__}")
 
 
-def dumps_canonical(doc: dict) -> str:
-    """``doc`` as canonical JSON and a newline.  Each ``Canonical`` in it
+WRITE_CHUNK = 1 << 20  # the most characters one write passes to a stream
+
+
+def _canonical_pieces(doc: dict) -> list[str]:
+    """``doc``'s canonical JSON and a newline as texts in order: the JSON
+    between fields and each ``Canonical``'s own text.  Each ``Canonical``
     is first written as the JSON string ``"\\u0000"``, which its text then
     replaces; a document holding that string itself raises ValueError."""
     texts = []
@@ -164,7 +169,19 @@ def dumps_canonical(doc: dict) -> str:
         return "\0"
 
     parts = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=splice).split('"\\u0000"')
-    return "".join(chain.from_iterable(zip(parts, [*texts, "\n"], strict=True)))
+    return list(chain.from_iterable(zip(parts, [*texts, "\n"], strict=True)))
+
+
+def write_canonical(doc: dict, stream) -> None:
+    """Write ``dumps_canonical(doc)`` to a text stream, no large text copied or encoded whole."""
+    for piece in _canonical_pieces(doc):
+        for start in range(0, len(piece), WRITE_CHUNK):
+            stream.write(piece[start : start + WRITE_CHUNK])
+
+
+def dumps_canonical(doc: dict) -> str:
+    """``doc`` as canonical JSON and a newline."""
+    return "".join(_canonical_pieces(doc))
 
 
 def load_json(path) -> dict:

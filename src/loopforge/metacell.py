@@ -186,8 +186,9 @@ def reduce_to_cubic(
     # Wall every block boundary, then reopen the crossing of each
     # unbarred source edge.
     bars = boundary_positions(tpl, dims.width, dims.height)
-    for cell, t in transforms.items():
-        bars |= place_fragment(tpl, tpl.bars, t, cell)
+    placed = {t: place_fragment(tpl, tpl.bars, t, (0, 0)) for t in _PLACEMENTS.values()}
+    for (c, r), t in transforms.items():
+        bars.update([(axis, x + TEMPLATE_W * c, y + TEMPLATE_H * r) for axis, x, y in placed[t]])
     bars -= {image for edge, image in crossings(tpl, transforms).items() if edge not in puzzle.bars}
     blocked = {cell: frozenset(SIDES) - sides for cell, sides in open_sides(puzzle).items()}
 

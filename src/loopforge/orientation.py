@@ -1,95 +1,89 @@
 """Free-edge orientation for two-exit cells.
 
-Build a graph whose vertices are the cells plus one vertex outside each
+The bar graph's vertices are the cells plus one vertex outside each
 exterior edge position, with one graph edge per bar (grid-boundary sides
-count as bars to their exterior vertex).  Each vertex's adjacency entries
-pair a neighbour with the side the vertex leaves by toward it.  Cells
-with two exits then have degree 2, cells with three exits and exterior
-vertices have degree 1, so the graph is a disjoint union of paths and
-cycles.  Walking every component in a consistent direction gives each
-degree-2 cell an outgoing side; pointing the unused third opening of its
-tile that way guarantees no two unused openings face each other across a
-bar.
+count as bars to their exterior vertex).  It is read off the puzzle's
+side masks (``sides_cache``): a cell's closed sides are its graph edges,
+and no vertex or adjacency is built.  Cells with two exits then have
+degree 2, cells with three exits and exterior vertices have degree 1, so
+the graph is a disjoint union of paths and cycles.  Walking every
+component in a consistent direction gives each degree-2 cell an outgoing
+side; pointing the unused third opening of its tile that way guarantees
+no two unused openings face each other across a bar.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .bsl import CubicBslPuzzle, open_sides
 from .errors import ReductionError
-from .grid import OPPOSITE_SIDE, SIDE_DELTAS, SIDES, Cell
+from .grid import SIDES, Cell
 
-# Graph vertices: ("cell", col, row) or ("ext", side, col, row).
-Vertex = tuple
-# Each vertex's neighbours, with the side it leaves by toward each.
-Adjacency = dict[Vertex, list[tuple[Vertex, str]]]
-
-
-def build_bar_graph(puzzle: CubicBslPuzzle) -> Adjacency:
-    """Adjacency over cells and exterior vertices, one graph edge per bar."""
-    dims = puzzle.dims
-    adjacency: Adjacency = {}
-    for (c, r), sides in open_sides(puzzle.inner).items():
-        cell = ("cell", c, r)
-        if len(sides) < 2:
-            raise ReductionError(
-                f"bar-graph vertex {cell} has degree {4 - len(sides)}; "
-                "the puzzle has a cell with fewer than two exits"
-            )
-        # Neighbours in canonical vertex order, with no sort: cells by
-        # (row, col), which is N, W, E, S, then exterior vertices, which
-        # differ only in their side, in SIDES order.
-        nbrs = adjacency[cell] = []
-        exterior = []
-        for side in ("N", "W", "E", "S"):
-            if side in sides:
-                continue
-            dc, dr = SIDE_DELTAS[side]
-            if dims.contains((c + dc, r + dr)):
-                nbrs.append((("cell", c + dc, r + dr), side))
-            else:
-                exterior.append(side)
-        for side in SIDES:
-            if side in exterior:
-                nbrs.append((("ext", side, c, r), side))
-                adjacency[("ext", side, c, r)] = [(cell, OPPOSITE_SIDE[side])]
-    return adjacency
+# Per sides mask (bit k open for SIDES[k]): the closed sides, 1 for one
+# closed side (degree 1), and 1 for fewer than two exits.
+_CLOSED = bytes(~m & 15 for m in range(256))
+_DEGREE_1 = bytes(bin(~m & 15).count("1") == 1 for m in range(256))
+_FEW_EXITS = bytes(bin(m & 15).count("1") < 2 for m in range(256))
+_SIDE = {1 << k: side for k, side in enumerate(SIDES)}
+_BACK = {1: 4, 2: 8, 4: 1, 8: 2}
 
 
-def orient(adjacency: Adjacency) -> dict[Cell, str]:
-    """Assign every degree-2 cell an outgoing side, one walk per component."""
+def orient(puzzle: CubicBslPuzzle) -> dict[Cell, str]:
+    """Assign every degree-2 cell an outgoing side, one walk per component.
+
+    Each path is walked away from its canonical-least endpoint: degree-1
+    cells in row-major order first, then exterior vertices by (row, col,
+    side).  Whatever is left is a cycle, walked from its least cell.
+    """
+    grid = puzzle.inner
+    w, n = grid.dims.width, grid.dims.cell_count
+    if grid.sides_cache is None:
+        open_sides(grid)
+    masks = grid.sides_cache
+    few = masks.translate(_FEW_EXITS).find(1)
+    if few >= 0:
+        raise ReductionError(
+            f"bar-graph vertex {('cell', few % w, few // w)} has degree {4 - bin(masks[few]).count('1')}; "
+            "the puzzle has a cell with fewer than two exits"
+        )
+    closed = masks.translate(_CLOSED)
+    step = {1: -w, 2: 1, 4: w, 8: -1}
+    seen = bytearray(n)
     directions: dict[Cell, str] = {}
-    visited: set[Vertex] = set()
 
-    def walk(start: Vertex, first: tuple[Vertex, str]) -> None:
-        prev, (cur, side) = start, first
-        _record(start, side)
-        while cur not in visited:
-            visited.add(cur)
-            nxts = [item for item in adjacency[cur] if item[0] != prev]
-            if not nxts:
-                break
-            # Degree <= 2, so at most one way forward.
-            nxt, side = nxts[0]
-            _record(cur, side)
-            prev, cur = cur, nxt
+    def walk(i: int, out: int) -> None:
+        # Leave id i by side ``out`` and follow the component until it
+        # leaves the grid, meets a seen id or ends at a degree-1 cell.
+        seen[i] = 1
+        while True:
+            j = i + step[out]
+            if (out == 2 and j % w == 0) or (out == 8 and i % w == 0) or not 0 <= j < n or seen[j]:
+                return
+            seen[j] = 1
+            out = closed[j] & ~_BACK[out]
+            if not out:
+                return
+            directions[(j % w, j // w)] = _SIDE[out]
+            i = j
 
-    def _record(v: Vertex, side: str) -> None:
-        # Only two-exit cells (bar-graph degree 2) need a free edge.
-        if v[0] == "cell" and len(adjacency[v]) == 2:
-            directions[(v[1], v[2])] = side
-
-    # Path endpoints (degree 1) first, so each path is walked away from
-    # its canonical-least endpoint; whatever is left after that is a cycle.
-    # Canonical order puts cells, by (row, col), before exterior vertices,
-    # by (row, col, side) as ``edge_sort_key`` ranks them; the keys are
-    # distinct, so the sort never compares two vertices.
-    keyed = sorted(
-        ((len(nbrs) != 1, 0, v[2], v[1]) if v[0] == "cell" else (len(nbrs) != 1, 1, v[3], v[2], SIDES.index(v[1])), v)
-        for v, nbrs in adjacency.items()
-    )
-    for _, v in keyed:
-        if v in visited or not adjacency[v]:
-            continue
-        visited.add(v)
-        walk(v, adjacency[v][0])
+    for i in compress(range(n), masks.translate(_DEGREE_1)):
+        if not seen[i]:
+            walk(i, closed[i])
+    # An exterior vertex enters its border cell through a boundary side;
+    # of one cell's, the first in SIDES order is the lowest bit.
+    h = n // w
+    for r in range(h):
+        for c in range(w) if r in (0, h - 1) else (0, w - 1):
+            if not seen[r * w + c]:
+                outside = (r == 0) | (c == w - 1) << 1 | (r == h - 1) << 2 | (c == 0) << 3
+                out = closed[r * w + c] & ~(outside & -outside)
+                directions[(c, r)] = _SIDE[out]
+                walk(r * w + c, out)
+    # A cycle's least cell has its cycle neighbours east and south, and
+    # east comes first in the canonical neighbour order N, W, E, S.
+    for i in compress(range(n), closed):
+        if not seen[i]:
+            directions[(i % w, i // w)] = "E"
+            walk(i, 2)
     return directions

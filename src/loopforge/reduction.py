@@ -19,14 +19,12 @@ from .catalog import GadgetDescriptor, assemble_board, default_gadget
 from .errors import ReductionError
 from .genres import GENRES
 from .grid import SIDES, Cell, CellLoop
-from .orientation import build_bar_graph, orient
+from .orientation import orient
 from .tiling import lift_loop
 from .transforms import Transform
 
-ALL_SIDES = frozenset(SIDES)
 
-
-@dataclass
+@dataclass(frozen=True)
 class TilePlacement:
     transform: Transform
     exits: frozenset[str]  # board directions carrying exits
@@ -67,22 +65,20 @@ def reduce_to_genre(
         placements[(1, 0)] = TilePlacement(desc.transform_for_free_side("W"), frozenset(), None)
     else:
         tiles_w, tiles_h = puzzle.dims.width, puzzle.dims.height
-        directions = orient(build_bar_graph(puzzle))
-        toward: dict[str, Transform] = {}  # walled side -> its transform, looked up once each
+        directions = orient(puzzle)
+        # One placement per open sides and free edge, shared by every cell with them.
+        shared: dict[tuple[frozenset[str], Optional[str]], TilePlacement] = {}
         for cell, open_dirs in open_sides(puzzle.inner).items():
-            free_edge = None
-            if len(open_dirs) == 3:
-                exits = open_dirs
-            elif len(open_dirs) == 2:
-                free_edge = directions[cell]
-                exits = open_dirs | {free_edge}
-            else:
-                raise ReductionError(f"cell {cell} has {len(open_dirs)} exits after the degenerate check")
-            walled = next(iter(ALL_SIDES - exits))
-            t = toward.get(walled)
-            if t is None:
-                t = toward[walled] = desc.transform_for_free_side(walled)
-            placements[cell] = TilePlacement(t, exits, free_edge)
+            free_edge = directions.get(cell)
+            p = shared.get((open_dirs, free_edge))
+            if p is None:
+                if len(open_dirs) not in (2, 3):
+                    raise ReductionError(f"cell {cell} has {len(open_dirs)} exits after the degenerate check")
+                exits = open_dirs | {free_edge} if free_edge else open_dirs
+                walled = next(side for side in SIDES if side not in exits)
+                t = desc.transform_for_free_side(walled)
+                p = shared[(open_dirs, free_edge)] = TilePlacement(t, exits, free_edge)
+            placements[cell] = p
 
     layout = {cell: p.transform for cell, p in placements.items()}
     board = assemble_board(desc, layout, tiles_w, tiles_h)

@@ -24,11 +24,15 @@ bars and projection, and certification's allowed crossings all read it.
 Lifted edges join nodes of the board's node grid, so every lifted
 solution is a ``CellLoop``: on the cells, or on the dot grid of a lattice
 board.  The lift writes it flat, as the ``east``/``south`` byte arrays of
-that grid, and makes no tuple per image edge.
+that grid, a row at a time: each fragment is oriented once per value
+into rows of bytes (``fragment_rows``), and each image row is one join
+of its tiles' rows.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import chain
 from typing import Iterable
 
 from .errors import ReductionError
@@ -92,27 +96,40 @@ def crossings(tile, layout: dict[Cell, Transform]) -> dict[Edge, Edge]:
     return out
 
 
+@functools.lru_cache(maxsize=512)
+def fragment_rows(frame: tuple[int, int], frag: frozenset[Edge], t: Transform) -> tuple[tuple[bytes, ...], ...]:
+    """Tile-local edges moved through ``t``: the fh east rows and the fh
+    south rows, of fw bytes each, of the fw x fh frame.  Kept by value, not
+    by tile, so a descriptor copied with another bank finds its own."""
+    fw, fh = frame
+    grids = bytearray(fw * fh), bytearray(fw * fh)
+    for edge in frag:
+        axis, x, y = t.apply_edge(fw, fh, edge)
+        if not (0 <= x < fw and 0 <= y < fh):
+            raise ReductionError(f"fragment edge {edge} leaves the {fw}x{fh} frame under {t.name}")
+        grids[axis == "v"][y * fw + x] = 1
+    return tuple(tuple(bytes(grid[y * fw : (y + 1) * fw]) for y in range(fh)) for grid in grids)
+
+
 def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
     """The image of a source loop, flat on the node grid its tiles span.
 
     Each tile gets the bank fragment for the local exit pair the loop uses
-    at its cell, and each source transition adds its crossing edge.  Both
-    go straight into the image's byte arrays.  A tile with no fragment
-    for its pair raises first, in layout order; then a transition without
-    facing exits, the first in the loop's own order.
+    at its cell (blank rows where no tile is), and each source transition
+    adds its crossing edge.  A tile with no fragment for its pair raises
+    first, in layout order; then a transition without facing exits, the
+    first in the loop's own order.
     """
     fw, fh = tile.frame
     cols, rows = zip(*layout)
     if min(cols) < 0 or min(rows) < 0:
         raise ReductionError("tile positions must not be negative")
-    width, height = fw * (max(cols) + 1), fh * (max(rows) + 1)
-    n = width * height
-    east, south = bytearray(n + 1), bytearray(n + width)
+    tiles_w, tiles_h = max(cols) + 1, max(rows) + 1
     cross = crossings(tile, layout)
     # The sides the loop leaves each cell by, bit k for SIDES[k]: E and W
     # for an "h" edge, S and N for a "v" edge.
     used: dict[Cell, int] = {}
-    uncrossed = None
+    crossed, uncrossed = [], None
     for edge in loop.transitions:
         a, b = edge_cells(edge)
         vertical = edge[0] == "v"
@@ -121,29 +138,31 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
         image = cross.get(edge)
         if image is None:
             uncrossed = uncrossed or edge
-            continue
-        _, x, y = image
-        (south if vertical else east)[y * width + x] = 1
-    # Each fragment moved through its transform, as index offsets from its
-    # tile's top-left node, cached under the transform and the sides the
-    # loop uses at the cell: at most 8 x 6, however many tiles share them.
-    oriented: dict[tuple[Transform, int], tuple[list[int], list[int]]] = {}
-    for cell, t in layout.items():
-        mask = used.get(cell, 0)
+        else:
+            crossed.append(image)
+    # Each tile's fragment rows, looked up once per transform and sides used.
+    blank = ((bytes(fw),) * fh,) * 2
+    tiles = [[blank] * tiles_w for _ in range(tiles_h)]
+    oriented: dict[tuple[Transform, int], tuple[tuple[bytes, ...], ...]] = {}
+    for (c, r), t in layout.items():
+        mask = used.get((c, r), 0)
         frag = oriented.get((t, mask))
         if frag is None:
-            inv = t.inverse()
-            pair = frozenset(inv.apply_side(side) for k, side in enumerate(SIDES) if mask >> k & 1)
+            pair = frozenset(t.inverse().apply_side(side) for k, side in enumerate(SIDES) if mask >> k & 1)
             if pair not in tile.bank:
-                raise ReductionError(f"no bank fragment for local exit pair {sorted(pair)} at cell {cell}")
-            frag = oriented[(t, mask)] = ([], [])
-            for axis, x, y in place_fragment(tile, tile.bank[pair], t, (0, 0)):
-                frag[axis == "v"].append(y * width + x)
-        base = fh * cell[1] * width + fw * cell[0]
-        for i in frag[0]:
-            east[base + i] = 1
-        for i in frag[1]:
-            south[base + i] = 1
+                raise ReductionError(f"no bank fragment for local exit pair {sorted(pair)} at cell {(c, r)}")
+            frag = oriented[(t, mask)] = fragment_rows(tile.frame, tile.bank[pair], t)
+        tiles[r][c] = frag
     if uncrossed is not None:
         raise ReductionError("source transition ({},{},{}) has no facing exits".format(*uncrossed))
-    return CellLoop.flat(width, height, east, south)
+    # Image row y of a band is row y of each of its tiles in turn; ``east``
+    # ends in a spare byte and ``south`` in a spare row, as ``LoopIds`` has.
+    width, east, south = fw * tiles_w, bytearray(), bytearray()
+    for band in tiles:
+        east += b"".join(chain.from_iterable(zip(*[frag[0] for frag in band])))
+        south += b"".join(chain.from_iterable(zip(*[frag[1] for frag in band])))
+    east.append(0)
+    south += bytes(width)
+    for axis, x, y in crossed:
+        (south if axis == "v" else east)[y * width + x] = 1
+    return CellLoop.flat(width, fh * tiles_h, east, south)

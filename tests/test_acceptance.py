@@ -24,7 +24,7 @@ from loopforge.catalog import certify_gadget, load_gadget
 from loopforge.genres import GENRES
 from loopforge.grid import CellLoop, GridDims, checkerboard_color, internal_edges
 from loopforge.metacell import build_metacell_bank, lift_to_cubic, load_metacell, reduce_to_cubic
-from loopforge.orientation import build_bar_graph, orient
+from loopforge.orientation import orient
 from loopforge.reduction import lift_to_genre, reduce_to_genre
 
 GENRE_FIXTURES = {
@@ -141,7 +141,7 @@ def test_criterion_5_orientation_property():
             instances.append(p)
     violations = 0
     for p in instances:
-        assignment = orient(build_bar_graph(p))
+        assignment = orient(p)
         two_exit = [c for c in p.dims.cells() if len(neighbors(p.dims, c, p.bars)) == 2]
         if set(assignment) != set(two_exit):
             violations += 1

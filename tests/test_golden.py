@@ -28,7 +28,7 @@ with a cycle and degenerate sources.  One digest per stage covers the
 canonical JSON of every source's ``reduce_to_cubic`` image and manifest,
 of every cubic source's ``reduce_to_genre`` image and manifest for each
 genre, with the lift of the source's least solution where it has one,
-and of ``orient(build_bar_graph(...))`` on every cubic source, as its
+and of ``orient(...)`` on every cubic source, as its
 sorted ``[col, row, side]`` triples or the error it raises.  The
 fixture alone reaches few orientation walks and few tile geometries.
 """
@@ -46,7 +46,7 @@ from loopforge.cli import main
 from loopforge.errors import ReductionError
 from loopforge.grid import SIDES, GridDims, edge_cells, edge_sort_key, internal_edges, side_edge
 from loopforge.metacell import default_metacell, lift_to_cubic, project_from_cubic, reduce_to_cubic
-from loopforge.orientation import build_bar_graph, orient
+from loopforge.orientation import orient
 from loopforge.reduction import lift_to_genre, reduce_to_genre
 
 GOLDEN = {
@@ -271,7 +271,7 @@ def _corpus_digests() -> dict[str, str]:
                 doc["solution"] = formats.solution_to_json(genre, lift_to_genre(gman, solution))
             docs[genre].append(doc)
         try:
-            directions = orient(build_bar_graph(cubic))
+            directions = orient(cubic)
             docs["orient"].append(sorted([c, r, side] for (c, r), side in directions.items()))
         except ReductionError as exc:
             docs["orient"].append({"error": str(exc)})

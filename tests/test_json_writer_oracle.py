@@ -14,6 +14,9 @@ writers were first written.  Both must give the same bytes on:
 * seeded random loops, flat (spare bytes and the last column too) and
   built from edges (negative coordinates too), under both solution keys;
 * seeded random BSL and cubic BSL bar sets, the empty set too.
+
+``formats.write_canonical`` must write the text ``dumps_canonical``
+returns, in pieces no longer than ``WRITE_CHUNK``.
 """
 
 from __future__ import annotations
@@ -199,3 +202,37 @@ def test_bar_text_matches_the_reference():
         assert written(cubic) == ref_puzzle_text("cubic-bsl", cubic)
     empty = BslPuzzle(GridDims(3, 3), frozenset())
     assert written(empty) == ref_puzzle_text("bsl", empty) == '{"bars":[],"genre":"bsl","height":3,"width":3}\n'
+
+
+class _Recorder:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_streamed_text_is_the_joined_text(chunk, monkeypatch):
+    """``write_canonical`` writes what ``dumps_canonical`` returns, in
+    pieces no longer than ``WRITE_CHUNK``: boards and loops of every
+    genre, bar sets, a document with two ``Canonical`` fields and one
+    with none."""
+    monkeypatch.setattr(formats, "WRITE_CHUNK", chunk)
+    rng = random.Random(f"stream-{chunk}")
+    docs = [{"verdict": "ok"}]
+    for genre in ALPHABETS:
+        board = random_board(rng, genre)
+        docs.append(formats.puzzle_to_json(board))
+        w, h = rng.randint(1, 9), rng.randint(1, 9)
+        docs.append(formats.solution_to_json(genre, CellLoop(random_edges(rng, w, h))))
+    dims = random_dims(rng)
+    bars = formats.puzzle_to_json(BslPuzzle(dims, random_edges(rng, dims.width, dims.height)))
+    docs.append({"stages": [bars, docs[2]], "kind": "chain"})
+    for doc in docs:
+        stream = _Recorder()
+        formats.write_canonical(doc, stream)
+        assert "".join(stream.writes) == formats.dumps_canonical(doc)
+        assert max(map(len, stream.writes)) <= chunk

@@ -1,14 +1,96 @@
+"""Free-edge orientation, against the bar graph it walks.
+
+``ref_bar_graph`` builds the bar graph as an adjacency dict over
+``("cell", col, row)`` and ``("ext", side, col, row)`` vertex tuples, and
+``ref_orient`` walks it from a sorted list of start vertices.  That is how
+``orient`` was first written; it now walks flat cell ids over the
+puzzle's side masks, and must give the same assignment, or raise the same
+error, on every puzzle.  The graph-shape tests read the reference graph.
+"""
+
 import random
 
 import pytest
 
 from conftest import neighbors
-from loopforge.bsl import BslPuzzle, CubicBslPuzzle, degenerate_cells
+from loopforge.bsl import BslPuzzle, CubicBslPuzzle, check_cubic, degenerate_cells, open_sides
 from loopforge.errors import ReductionError
-from loopforge.grid import GridDims
-from loopforge.orientation import build_bar_graph, orient
+from loopforge.grid import OPPOSITE_SIDE, SIDE_DELTAS, SIDES, GridDims, internal_edges, side_edge
+from loopforge.orientation import orient
 
 DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
+
+
+# ----------------------------------------------------------------------
+# Reference.
+
+
+def ref_bar_graph(puzzle: CubicBslPuzzle) -> dict:
+    """Adjacency over cells and exterior vertices, one graph edge per bar;
+    each entry pairs a neighbour with the side the vertex leaves by toward it."""
+    dims = puzzle.dims
+    adjacency = {}
+    for (c, r), sides in open_sides(puzzle.inner).items():
+        cell = ("cell", c, r)
+        if len(sides) < 2:
+            raise ReductionError(
+                f"bar-graph vertex {cell} has degree {4 - len(sides)}; "
+                "the puzzle has a cell with fewer than two exits"
+            )
+        # Neighbours in canonical vertex order: cells by (row, col), which
+        # is N, W, E, S, then exterior vertices in SIDES order.
+        nbrs = adjacency[cell] = []
+        exterior = []
+        for side in ("N", "W", "E", "S"):
+            if side in sides:
+                continue
+            dc, dr = SIDE_DELTAS[side]
+            if dims.contains((c + dc, r + dr)):
+                nbrs.append((("cell", c + dc, r + dr), side))
+            else:
+                exterior.append(side)
+        for side in SIDES:
+            if side in exterior:
+                nbrs.append((("ext", side, c, r), side))
+                adjacency[("ext", side, c, r)] = [(cell, OPPOSITE_SIDE[side])]
+    return adjacency
+
+
+def ref_orient(adjacency: dict) -> dict:
+    """Every degree-2 cell's outgoing side, one walk per component: path
+    endpoints first (cells by (row, col), then exterior vertices by (row,
+    col, side)), so each path is walked away from its least endpoint, then
+    each cycle from its least cell."""
+    directions = {}
+    visited = set()
+
+    def record(v, side):
+        if v[0] == "cell" and len(adjacency[v]) == 2:
+            directions[(v[1], v[2])] = side
+
+    def walk(start, first):
+        prev, (cur, side) = start, first
+        record(start, side)
+        while cur not in visited:
+            visited.add(cur)
+            nxts = [item for item in adjacency[cur] if item[0] != prev]
+            if not nxts:
+                break
+            nxt, side = nxts[0]
+            record(cur, side)
+            prev, cur = cur, nxt
+
+    def key(v):
+        if v[0] == "cell":
+            return (len(adjacency[v]) != 1, 0, v[2], v[1])
+        return (len(adjacency[v]) != 1, 1, v[3], v[2], SIDES.index(v[1]))
+
+    for v in sorted(adjacency, key=key):
+        if v in visited or not adjacency[v]:
+            continue
+        visited.add(v)
+        walk(v, adjacency[v][0])
+    return directions
 
 # Reference 5x5 instance with a six-cell bar cycle in the middle.
 FIG_BARS = frozenset(
@@ -78,7 +160,7 @@ def random_cubic(rng, w, h):
 
 def test_reference_instance_graph_shape():
     p = CubicBslPuzzle(BslPuzzle(GridDims(5, 5), FIG_BARS))
-    g = build_bar_graph(p)
+    g = ref_bar_graph(p)
     assert all(len(nbrs) <= 2 for nbrs in g.values())
     comps = components(g)
     kinds = [kind for kind, _ in comps]
@@ -91,7 +173,7 @@ def test_reference_instance_graph_shape():
 
 def test_reference_instance_orientation_properties():
     p = CubicBslPuzzle(BslPuzzle(GridDims(5, 5), FIG_BARS))
-    a = orient(build_bar_graph(p))
+    a = orient(p)
     two = two_exit_cells(p.inner)
     assert set(a) == set(two)
     assert facing_violations(p.inner, a) == []
@@ -107,13 +189,17 @@ def test_reference_instance_orientation_properties():
 
 
 def test_2x2_barless_has_four_paths():
-    g = build_bar_graph(CubicBslPuzzle(BslPuzzle(GridDims(2, 2), frozenset())))
+    g = ref_bar_graph(CubicBslPuzzle(BslPuzzle(GridDims(2, 2), frozenset())))
     assert [kind for kind, _ in components(g)] == ["path"] * 4
 
 
 def test_degenerate_grid_rejected():
-    with pytest.raises(ReductionError):
-        build_bar_graph(CubicBslPuzzle(BslPuzzle(GridDims(1, 2), frozenset())))
+    p = CubicBslPuzzle(BslPuzzle(GridDims(1, 2), frozenset()))
+    with pytest.raises(ReductionError) as ref:
+        ref_bar_graph(p)
+    with pytest.raises(ReductionError) as new:
+        orient(p)
+    assert str(new.value) == str(ref.value)
 
 
 def test_no_degree_two_vertices_gives_empty_assignment():
@@ -123,7 +209,7 @@ def test_no_degree_two_vertices_gives_empty_assignment():
     # cells have 3 exits except corners.  Pure 3-exit boards need bars, so
     # simply check a single-cycle instance instead.
     p = CubicBslPuzzle(BslPuzzle(GridDims(4, 2), frozenset()))
-    a = orient(build_bar_graph(p))
+    a = orient(p)
     assert set(a) == set(two_exit_cells(p.inner))
 
 
@@ -132,10 +218,10 @@ def test_cycle_component_oriented_consistently():
     # larger host: build a 4x4 with a central square of bars.
     bars = frozenset({("h", 1, 1), ("v", 1, 1), ("h", 1, 2), ("v", 2, 1)})
     p = CubicBslPuzzle(BslPuzzle(GridDims(4, 4), bars))
-    g = build_bar_graph(p)
+    g = ref_bar_graph(p)
     cycle = [kind for kind, _ in components(g) if kind == "cycle"]
     assert len(cycle) == 1
-    a = orient(g)
+    a = orient(p)
     assert facing_violations(p.inner, a) == []
 
 
@@ -148,10 +234,10 @@ def test_random_instances_property():
         if p is None or degenerate_cells(p.inner):
             continue
         count += 1
-        a = orient(build_bar_graph(p))
+        a = orient(p)
         assert set(a) == set(two_exit_cells(p.inner))
         assert facing_violations(p.inner, a) == []
-        again = orient(build_bar_graph(p))
+        again = orient(p)
         assert again == a
 
 
@@ -163,9 +249,57 @@ def test_assignment_only_along_barred_directions():
         if p is None or degenerate_cells(p.inner):
             continue
         count += 1
-        a = orient(build_bar_graph(p))
+        a = orient(p)
         for cell, d in a.items():
             dc, dr = DELTAS[d]
             nbr = (cell[0] + dc, cell[1] + dr)
             accessible = {n for n, _ in neighbors(p.dims, cell, p.bars)}
             assert nbr not in accessible
+
+
+def seeded_cubic(rng, w, h):
+    """A cubic puzzle from a random bar share, perhaps with barred 2x2
+    blocks planted inside, made cubic by barring a random open side of
+    each cell with four; cells may be left with fewer than two exits."""
+    dims = GridDims(w, h)
+    share = rng.choice((0.0, 0.03, 0.06, 0.1, 0.2))
+    bars = {edge for edge in internal_edges(dims) if rng.random() < share}
+    if w >= 4 and h >= 4:
+        for _ in range(rng.randint(0, 3)):
+            c, r = rng.randint(1, w - 3), rng.randint(1, h - 3)
+            bars |= {("h", c, r), ("h", c, r + 1), ("v", c, r), ("v", c + 1, r)}
+    while True:
+        puzzle = BslPuzzle(dims, frozenset(bars))
+        crowded = check_cubic(puzzle)
+        if not crowded:
+            return CubicBslPuzzle(puzzle)
+        # Prefer a side whose neighbour keeps two exits or more.
+        cell, exits = rng.choice(crowded), open_sides(puzzle)
+        sides = [s for s in SIDES if len(exits[(cell[0] + DELTAS[s][0], cell[1] + DELTAS[s][1])]) > 2]
+        bars.add(side_edge(cell, rng.choice(sides or SIDES)))
+
+
+def test_orient_matches_the_reference_walk():
+    """On 600 seeded cubic puzzles from 2x2 to 12x12, ``orient`` gives the
+    reference's assignment, or raises its error text on a degenerate one.
+    The puzzles must include bar-graph cycles, paths with both ends
+    outside the grid, and degenerate cells."""
+    rng = random.Random(2024)
+    seen = {"cycle": 0, "border path": 0, "degenerate": 0}
+    for _ in range(600):
+        p = seeded_cubic(rng, rng.randint(2, 12), rng.randint(2, 12))
+        try:
+            graph = ref_bar_graph(p)
+        except ReductionError as exc:
+            seen["degenerate"] += 1
+            with pytest.raises(ReductionError) as raised:
+                orient(p)
+            assert str(raised.value) == str(exc)
+            continue
+        assert orient(p) == ref_orient(graph)
+        kinds = components(graph)
+        seen["cycle"] += any(kind == "cycle" for kind, _ in kinds)
+        seen["border path"] += any(
+            kind == "path" and sum(v[0] == "ext" for v in members) == 2 for kind, members in kinds
+        )
+    assert min(seen.values()) >= 50, seen

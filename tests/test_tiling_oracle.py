@@ -30,6 +30,7 @@ above, and on the metacell's parity placements.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from dataclasses import replace
@@ -46,7 +47,7 @@ from loopforge.genres.masyu import MasyuPuzzle
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
 from loopforge.genres.slitherlink import SlitherlinkPuzzle
 from loopforge.genres.yajilin import YajilinPuzzle
-from loopforge.grid import OPPOSITE_SIDE, CellLoop, Edge, GridDims, edge_cells, internal_edges
+from loopforge.grid import OPPOSITE_SIDE, CellLoop, Edge, GridDims, edge_cells, edge_sort_key, internal_edges
 from loopforge.metacell import default_metacell, lift_to_cubic, reduce_to_cubic
 from loopforge.reduction import reduce_to_genre
 from loopforge.tiling import crossings, lift_loop, place_fragment
@@ -428,6 +429,33 @@ def test_lift_errors(genre):
         assert want[0] == "error" and "no facing exits" in want[1]
         assert outcome(flat_lift, desc, layout, loop) == want
         assert outcome(flat_lift, desc, layout, flat) == outcome(ref_lift_loop, desc, layout, flat)
+
+
+@pytest.mark.parametrize("genre", GENRE_NAMES)
+def test_fragment_cache_follows_the_bank(genre):
+    """Oriented fragments are cached by value, so a descriptor copied with
+    another bank lifts that bank, however warm the cache is for the first."""
+    desc = default_gadget(genre)
+    rng = random.Random(f"stale-{genre}")
+    loop = CellLoop(ring(0, 0, 3, 2))
+    cells = sorted({cell for edge in loop.transitions for cell in edge_cells(edge)})
+    layout = ring_layout(rng, desc, loop, cells)
+    original = flat_lift(desc, layout, loop)
+    assert original == ref_lift_loop(desc, layout, loop)
+    cell = rng.choice(cells)
+    pair = frozenset(layout[cell].inverse().apply_side(side) for side in loop.sides(cell))
+    # A shallow copy shares the bank dict, so it gets a new one without the pair.
+    missing = copy.copy(desc)
+    missing.bank = {k: v for k, v in desc.bank.items() if k != pair}
+    raised = outcome(flat_lift, missing, layout, loop)
+    assert raised[1].startswith(f"no bank fragment for local exit pair {sorted(pair)} at cell ")
+    assert raised == outcome(ref_lift_loop, missing, layout, loop)
+    # Another fragment for the pair: the bank's, less its least edge.
+    other = replace(desc, bank={**desc.bank, pair: frozenset(sorted(desc.bank[pair], key=edge_sort_key)[1:])})
+    lifted = flat_lift(other, layout, loop)
+    assert lifted == ref_lift_loop(other, layout, loop)
+    assert lifted != original
+    assert flat_lift(desc, layout, loop) == original
 
 
 # ----------------------------------------------------------------------
