@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import dp
 from .errors import CapabilityError
-from .genres.base import SolveResult, build_cell_graph, run_search
+from .genres.base import SolveResult, build_cell_graph, grid_faces, run_search
 from .grid import SIDES, Cell, CellLoop, Edge, GridDims, Violation, edge_in_bounds, edge_sort_key, validate_loop
 from .search import EXACT2, LoopSearch
 
@@ -140,7 +140,8 @@ def solve_bsl_backtrack(puzzle: BslPuzzle, budget_ms: Optional[float] = None) ->
     """Exact search; returns the canonically least solution when one exists."""
     edges, pairs, _ = build_cell_graph(puzzle.dims, bars=puzzle.bars)
     n = puzzle.dims.cell_count
-    search = LoopSearch(n, pairs, [EXACT2] * n, budget_ms=budget_ms, connectivity_every=32)
+    faces = grid_faces(puzzle.dims, edges)
+    search = LoopSearch(n, pairs, [EXACT2] * n, budget_ms=budget_ms, connectivity_every=32, faces=faces)
     return run_search(search, edges, lambda loop: verify_bsl(puzzle, loop))
 
 

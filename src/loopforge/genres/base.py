@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import chain, compress, repeat
+from itertools import chain, compress, filterfalse, repeat
 from operator import getitem
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import SearchTimeout
-from ..grid import Cell, CellLoop, Edge, GridDims, Violation, edge_cells, internal_edges, least_cell
+from ..grid import Cell, CellLoop, Edge, GridDims, Violation, internal_edges, least_cell
 from ..search import IN, LoopSearch
 
 # The genre solvers run the cut check at every CUT_CHECK_EVERY-th
@@ -28,14 +28,17 @@ def build_cell_graph(
     dims: GridDims, closed: frozenset[Cell] = frozenset(), bars: frozenset[Edge] = frozenset()
 ) -> tuple[list[Edge], list[tuple[int, int]], dict[Cell, int]]:
     """Canonical edges joining cells outside ``closed`` across no bar, plus a node index."""
+    w = dims.width
     index = {cell: i for i, cell in enumerate(dims.cells())}
-    edges = []
-    pairs = []
-    for edge in internal_edges(dims):
-        a, b = edge_cells(edge)
-        if a not in closed and b not in closed and edge not in bars:
+    shut = {index.get(cell) for cell in closed}
+    edges, pairs = [], []
+    for edge in filterfalse(bars.__contains__, internal_edges(dims)):
+        axis, c, r = edge
+        a = r * w + c
+        b = a + 1 if axis == "h" else a + w
+        if a not in shut and b not in shut:
             edges.append(edge)
-            pairs.append((index[a], index[b]))
+            pairs.append((a, b))
     return edges, pairs, index
 
 
@@ -48,16 +51,19 @@ def grid_faces(dims: GridDims, edges: list[Edge]) -> tuple[list[tuple[int, int]]
     ``("v", c, r)`` squares (c - 1, r) and (c, r).
     """
     w, h = dims.width, dims.height
+    # Square (x, y) is above[(y + 1) * s + x + 1], padded with the outer face
+    # all round; the faces below an edge and left of it are the same table shifted.
+    s = w + 1
+    above = [0] * s
+    for y in range(h - 1):
+        above += (0, *range(1 + y * (w - 1), 1 + (y + 1) * (w - 1)), 0)
+    above += above[:s]
+    below, shift = above[s:], {"h": above, "v": above[s - 1 :]}
 
-    def face(x: int, y: int) -> int:
-        return 1 + x + y * (w - 1) if 0 <= x < w - 1 and 0 <= y < h - 1 else 0
+    def sides(edges: Iterable[Edge]) -> list[tuple[int, int]]:
+        return [(shift[axis][k], below[k]) for axis, c, r in edges for k in (r * s + c + 1,)]
 
-    def sides(edge: Edge) -> tuple[int, int]:
-        axis, c, r = edge
-        return (face(c, r - 1), face(c, r)) if axis == "h" else (face(c - 1, r), face(c, r))
-
-    present = set(edges)
-    return [sides(e) for e in edges], [sides(e) for e in internal_edges(dims) if e not in present]
+    return sides(edges), sides(filterfalse(set(edges).__contains__, internal_edges(dims)))
 
 
 @dataclass(frozen=True, slots=True, init=False)

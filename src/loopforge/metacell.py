@@ -175,6 +175,17 @@ class CubicReductionManifest:
     template: MetacellTemplate
 
 
+@functools.lru_cache(maxsize=16)
+def _walls(frame: GridDims, bars: frozenset[Edge], width: int, height: int) -> frozenset[Edge]:
+    """Every block wall of a width x height source; images of one size share its edge tuples."""
+    tpl = MetacellTemplate(frame, bars, {})
+    walls = boundary_positions(tpl, width, height)
+    for (c, r), t in _PLACEMENTS.items():
+        blocks = [(TEMPLATE_W * i, TEMPLATE_H * j) for i in range(c, width, 2) for j in range(r, height, 2)]
+        walls.update((axis, x + dx, y + dy) for axis, x, y in place_fragment(tpl, bars, t, (0, 0)) for dx, dy in blocks)
+    return frozenset(walls)
+
+
 def reduce_to_cubic(
     puzzle: BslPuzzle,
     template: Optional[MetacellTemplate] = None,
@@ -185,10 +196,7 @@ def reduce_to_cubic(
     transforms = {(c, r): _PLACEMENTS[(c % 2, r % 2)] for c, r in dims.cells()}
     # Wall every block boundary, then reopen the crossing of each
     # unbarred source edge.
-    bars = boundary_positions(tpl, dims.width, dims.height)
-    placed = {t: place_fragment(tpl, tpl.bars, t, (0, 0)) for t in _PLACEMENTS.values()}
-    for (c, r), t in transforms.items():
-        bars.update([(axis, x + TEMPLATE_W * c, y + TEMPLATE_H * r) for axis, x, y in placed[t]])
+    bars = _walls(tpl.dims, tpl.bars, dims.width, dims.height)
     bars -= {image for edge, image in crossings(tpl, transforms).items() if edge not in puzzle.bars}
     blocked = {cell: frozenset(SIDES) - sides for cell, sides in open_sides(puzzle).items()}
 

@@ -39,10 +39,7 @@ class GenreReductionManifest:
     degenerate: bool
     board: object  # the genre puzzle the reduction built
     placements: dict[Cell, TilePlacement]
-
-    @property
-    def layout(self) -> dict[Cell, Transform]:
-        return {cell: p.transform for cell, p in self.placements.items()}
+    layout: dict[Cell, Transform]  # each placement's transform
 
 
 def reduce_to_genre(
@@ -82,7 +79,7 @@ def reduce_to_genre(
 
     layout = {cell: p.transform for cell, p in placements.items()}
     board = assemble_board(desc, layout, tiles_w, tiles_h)
-    return board, GenreReductionManifest(genre, puzzle, desc, degenerate, board, placements)
+    return board, GenreReductionManifest(genre, puzzle, desc, degenerate, board, placements, layout)
 
 
 def lift_to_genre(manifest: GenreReductionManifest, cubic_solution: CellLoop):

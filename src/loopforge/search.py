@@ -40,7 +40,8 @@ inside or outside it and an edge is ``IN`` exactly when its two faces
 differ.  A parity union-find over the faces records each decided edge
 as "different" or "same" sides; a relation that closes an odd cycle is
 a conflict, and a union forces every undecided edge whose two faces it
-puts in one class.  Without ``faces`` none of this runs.
+puts in one class.  BSL backtracking and the Yajilin solver pass
+``genres.base.grid_faces``; without ``faces`` none of this runs.
 
 Pruning (degree conflicts, premature closure, bridge/articulation cuts,
 bipartite parity, face parity) only ever discards branches that cannot
@@ -53,6 +54,9 @@ rollback, so nodes off that component cost nothing.  It runs at every
 ``connectivity_every``-th decision, and only when an edge went ``OUT``
 since the last run: every 4th for the genre solvers
 (``genres.base.CUT_CHECK_EVERY``), every 32nd for BSL backtracking.
+One more runs after the initial propagation, which refutes a barless
+odd board at once; it leaves the decision count and the dirty flag
+alone, so every later check lands where it would without it.
 Instances are one-shot: abandoning a solution generator mid-flight
 leaves the state mid-branch.  The budget clock starts when the instance
 is built, so set-up counts against it; the deadline is checked before
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .errors import SearchTimeout
@@ -129,15 +134,15 @@ class LoopSearch:
         self.edge_faces: Optional[list[tuple[int, int]]] = None
         if faces is not None:
             self.edge_faces, absent = faces
-            n_faces = 1 + max((f for pair in self.edge_faces + absent for f in pair), default=0)
+            n_faces = 1 + max(chain.from_iterable(self.edge_faces + absent), default=0)
             self.face_root = list(range(n_faces))
             self.face_par = [0] * n_faces
             self.face_class = [[f] for f in range(n_faces)]
             # (edge, other face) pairs of each face.
-            self.face_edges: list[list[tuple[int, int]]] = [[] for _ in range(n_faces)]
+            face_edges = self.face_edges = [[] for _ in range(n_faces)]
             for i, (f, g) in enumerate(self.edge_faces):
-                self.face_edges[f].append((i, g))
-                self.face_edges[g].append((i, f))
+                face_edges[f].append((i, g))
+                face_edges[g].append((i, f))
             # An absent grid edge is OUT from the start.
             for f, g in absent:
                 self._join_faces(f, g, 0)
@@ -247,7 +252,10 @@ class LoopSearch:
             return False
         if self.edge_faces is not None:
             f, g = self.edge_faces[ei]
-            if not self._join_faces(f, g, val == IN):
+            if self.face_root[f] == self.face_root[g]:  # no union: check the parity here
+                if self.face_par[f] ^ self.face_par[g] ^ (val == IN):
+                    return False
+            elif not self._join_faces(f, g, val == IN):
                 return False
         return self.on_assigned(ei, val)
 
@@ -325,11 +333,14 @@ class LoopSearch:
 
     def _propagate(self) -> bool:
         queue = self.queue
+        state = self.state
         while queue:
             self._ticks += 1
             if self._ticks % 4096 == 0:
                 self._check_deadline()
             ei, val = queue.popleft()
+            if state[ei] == val:  # queued twice: skipped without a call
+                continue
             if not self._assign(ei, val):
                 queue.clear()
                 return False
@@ -489,7 +500,8 @@ class LoopSearch:
             self.queue.append((ei, val))
         stack: list[tuple[int, int, int]] = []  # (edge, trail mark, lo) owing OUT
         lo = 0
-        ok = self._propagate()
+        # The root cut check, before the first decision.
+        ok = self._propagate() and (self.closed or not self.connectivity_every or self._connected_ok())
         while True:
             if ok:
                 if self.closed:

@@ -3,8 +3,10 @@
 The loop is a Jordan curve on a planar grid graph, so each face lies
 inside or outside it and an edge is ``IN`` exactly when its two faces
 differ.  On seeded small boards every solution is enumerated with face
-ids and without them, and the two sets must be equal.  Hand-built cases
-check the parity union-find itself.
+ids and without them, and the two sets must be equal.  On BSL boards and
+cubic images, searched as BSL backtracking searches them, the two
+enumerations must also come in the same order, so its first solution
+stays the least one.  Hand-built cases check the parity union-find itself.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import random
 
 import pytest
 
+from loopforge.bsl import BslPuzzle, solve_bsl_backtrack
 from loopforge.genres.base import CUT_CHECK_EVERY, build_cell_graph, grid_faces
 from loopforge.genres.masyu import MasyuPuzzle, _MasyuSearch
 from loopforge.genres.slitherlink import SlitherlinkPuzzle, _SlitherlinkSearch
 from loopforge.genres import yajilin
 from loopforge.genres.yajilin import YajilinPuzzle, _YajilinSearch
 from loopforge.grid import GridDims, internal_edges
+from loopforge.metacell import reduce_to_cubic
 from loopforge.search import EXACT2, IN, OPT, OUT, LoopSearch
 
 
@@ -96,6 +100,54 @@ def test_dot_lattices_with_clues(seed):
         lambda **kw: _SlitherlinkSearch(puzzle, edges, pairs, dots.cell_count, **mode, **kw), dots, edges
     )
     assert faced == plain
+
+
+def _bsl_orders(puzzle: BslPuzzle) -> tuple[list, list]:
+    """Every solution of ``puzzle`` in the order BSL backtracking finds them
+    (index order, a cut check every 32 decisions), without and with face ids."""
+    edges, pairs, _ = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+    n = puzzle.dims.cell_count
+
+    def order(**kw) -> list:
+        search = LoopSearch(n, pairs, [EXACT2] * n, connectivity_every=32, **kw)
+        return [frozenset(edges[i] for i in ids) for ids in search.solutions()]
+
+    return order(), order(faces=grid_faces(puzzle.dims, edges))
+
+
+def _barred_board(seed: int) -> BslPuzzle:
+    """A seeded board up to 6x6 with up to 8 % of its edges barred, three in
+    four of them an even width wide so that most can have a loop."""
+    rng = random.Random(seed)
+    dims = GridDims(rng.randint(2, 6) if seed % 4 == 0 else rng.choice((2, 4, 6)), rng.randint(2, 6))
+    edges = internal_edges(dims)
+    return BslPuzzle(dims, frozenset(rng.sample(edges, round(len(edges) * rng.uniform(0, 0.08)))))
+
+
+def _cubic_image(seed: int) -> BslPuzzle:
+    """The cubic image of a seeded 2x2, 2x3 or 3x2 source with up to two bars."""
+    rng = random.Random(seed)
+    dims = GridDims(*rng.choice(((2, 2), (2, 3), (3, 2))))
+    source = BslPuzzle(dims, frozenset(rng.sample(internal_edges(dims), rng.randint(0, 2))))
+    return reduce_to_cubic(source)[0].inner
+
+
+BSL_BOARDS = [_barred_board(seed) for seed in range(40)] + [_cubic_image(seed) for seed in range(8)]
+
+
+@pytest.mark.parametrize("index", range(len(BSL_BOARDS)))
+def test_bsl_boards_keep_their_enumeration_order(index):
+    """Face parity keeps BSL backtracking's enumeration order and first solution."""
+    puzzle = BSL_BOARDS[index]
+    plain, faced = _bsl_orders(puzzle)
+    assert faced == plain
+    result = solve_bsl_backtrack(puzzle)
+    assert (result.solution.transitions if result.solution else None) == (plain[0] if plain else None)
+
+
+def test_bsl_boards_have_both_verdicts_and_long_enumerations():
+    counts = [len(_bsl_orders(puzzle)[0]) for puzzle in BSL_BOARDS]
+    assert counts.count(0) >= 10 and sum(count > 1 for count in counts) >= 10 and max(counts) >= 1000
 
 
 def _square_search() -> tuple[LoopSearch, dict]:

@@ -117,6 +117,14 @@ def test_manifest_transforms_stay_in_allowed_set():
             assert not placement.transform.mirror  # rotation-only genres
 
 
+def test_manifest_layout_is_built_once():
+    """The layout is the placements' transforms, kept as one dict, not rebuilt per read."""
+    for cubic in (fixture_puzzle("cubic_example"), CubicBslPuzzle(BslPuzzle(GridDims(1, 3), frozenset()))):
+        _, manifest = reduce_to_genre(cubic, "masyu")
+        assert manifest.layout is manifest.layout
+        assert manifest.layout == {cell: p.transform for cell, p in manifest.placements.items()}
+
+
 def test_random_sources_end_to_end():
     # Random solvable sources exercise more placement variety than the
     # fixtures: every reflection of the 5x7 block and all four tile
