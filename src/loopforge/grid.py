@@ -19,11 +19,14 @@ those edge tuples or flat: as the ``east``/``south`` byte arrays of
 writes flat loops; JSON input, tests and the solvers build loops from
 edges, and :func:`loop_ids` is the one checked conversion from edges to
 bytes.  On the flat form canonical order is scan order, so a flat loop
-lists its edges by a row scan, with nothing to sort.
+lists its edges by a row scan, with nothing to sort.  Every loop check
+ends in :func:`flat_ids`, which orients the loop in bulk by the even-odd
+rule and then walks it two moves per look-up.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, Optional, Union
@@ -218,15 +221,12 @@ CELL_LOOP_WORDS = ("loop has no transitions", "transition outside grid", "cell h
 _BAD_DEGREE = bytes(0 if d in (0, 2) else 1 for d in range(256))
 _HALF = bytes(d // 2 if d in (0, 2) else 0 for d in range(256))
 
-# The loop walk's sides, in bit order: east, west, south, north.  A sides
-# byte holds 4 << k for each side k used, so a byte ORed with the side k
-# a walk came in through is a key of the tables below: the side it
-# leaves by, and the side of the next id it comes in through.
-_DEGREE = bytes(bin(b >> 2).count("1") for b in range(256))
-_OUT_SIDE = tuple(
-    next((k for k in range(4) if key >> (k + 2) & 1 and k != key & 3), 0) for key in range(64)
-)
-_IN_SIDE = bytes(k ^ 1 for k in _OUT_SIDE)
+
+@functools.lru_cache(maxsize=8)
+def _moves(width: int) -> tuple[int, ...]:
+    """A :func:`flat_ids` code byte (1 east, 2 west, 4 south, 8 north per nibble) -> its two moves."""
+    step = {1: 1, 2: -1, 4: width, 8: -width}
+    return tuple(step.get(code & 15, 0) + step.get(code >> 4, 0) for code in range(256))
 
 
 def loop_ids(
@@ -270,6 +270,12 @@ def flat_ids(
     The bounds check is that no ``east`` byte is set in the last column
     or the spare byte, and no ``south`` byte in the last row or the spare
     row; a violation names the smallest such edge.
+
+    Then the loop is oriented by the even-odd rule, so that every id on
+    it has one way out, and walked two moves per look-up: a code byte
+    holds an id's way out in its low nibble and the next id's in its high
+    nibble.  A grid graph is bipartite, so every cycle is even and the
+    walk lands on its start again after one lap of its component.
     """
     empty, outside, bad_degree = words
     n = width * height
@@ -282,38 +288,48 @@ def flat_ids(
         dims, edges = GridDims(width, height), CellLoop.flat(width, height, east, south).scan()
         return Violation("bounds", outside, edge=next(e for e in edges if not edge_in_bounds(dims, e)))
 
-    # Byte i of ``sides`` holds 4 << k for each side k the loop leaves id i
-    # by, k = 0 to 3 for east[i], east[i - 1], south[i], south[i - width].
-    # As little-endian integers the shifted terms line up byte by byte, and
-    # no byte exceeds 60, so one sum adds all four without a carry.  The
-    # last column and last row hold no edges, so the sum fits in n bytes.
+    # Id i's degree is east[i] + east[i - 1] + south[i] + south[i - width],
+    # with no carry.  The last column and row hold no edges, so it fits in
+    # n bytes.  The degrees sum to 2 * count, so they are all 0 or 2
+    # exactly when count of them are 2.
     e = int.from_bytes(east, "little")
     s = int.from_bytes(south, "little")
-    sides = ((e + (e << 9) + (s << 2) + (s << (8 * width + 3))) << 2).to_bytes(n, "little")
-    degrees = sides.translate(_DEGREE)
-    # The degrees sum to 2 * count, so they are all 0 or 2 exactly when
-    # count of them are 2.
+    degrees = (e + (e << 8) + s + (s << 8 * width)).to_bytes(n, "little")
     if degrees.count(2) != count:
         cell = least_cell(width, degrees.translate(_BAD_DEGREE))
         return Violation("degree", bad_degree.format(degrees[cell[1] * width + cell[0]]), cell=cell)
     loop = LoopIds(width, east, south, degrees.translate(_HALF))
+    del degrees
 
-    # Every id has degree 2, so the walk leaves each one by the side it
-    # did not come in through and closes after one lap of its component.
-    # The least id on the loop has no edge west or north, so the walk
-    # starts east.  A step reads the sides byte with the side it came in
-    # through and looks up how far to move and the side it enters by next.
-    deltas = (1, -1, width, -width)
-    move = [deltas[k] for k in _OUT_SIDE]
-    start = degrees.index(2)
-    cur, came = start + 1, 1
-    for steps in range(2, count + 2):
-        key = sides[cur] | came
-        cur += move[key]
-        came = _IN_SIDE[key]
+    # Face i, below and right of id i, is inside when its column holds an
+    # odd number of "h" edges above it: a prefix XOR down the columns,
+    # doubling its reach each round.  Whole-row shifts never mix columns.
+    full, odd, rows = (1 << 8 * n) - 1, e, 1
+    while rows < height:
+        odd ^= (odd << 8 * width * rows) & full
+        rows *= 2
+    # With the inside on its left, an "h" edge at i leaves i east over an
+    # outside face i, else i + 1 west; a "v" edge leaves i south beside an
+    # inside face i, else i + width north.  ``go_*`` holds 1 at the ids
+    # leaving that way (bit 1, 2, 4 or 8 of ``low``); spent ints are dropped.
+    go_w, go_s = e & odd, s & odd
+    del full, odd
+    go_e, go_n, go_w = e ^ go_w, (s ^ go_s) << 8 * width, go_w << 8
+    del e, s
+    low = go_e + (go_w << 1) + (go_s << 2) + (go_n << 3)
+    ahead = low >> 8 & go_e * 15
+    ahead |= low << 8 & go_w * 15
+    ahead |= low >> 8 * width & go_s * 15
+    ahead |= low << 8 * width & go_n * 15
+    codes = (low | ahead << 4).to_bytes(n, "little")
+
+    move = _moves(width)
+    start = cur = loop.visited.index(1)
+    for steps in range(1, count // 2 + 1):
+        cur += move[codes[cur]]
         if cur == start:
             break
-    if steps != count:
+    if 2 * steps != count:
         return Violation("components", "loop has more than one component", cell=least_cell(width, loop.visited))
     return loop
 

@@ -82,17 +82,21 @@ def crossings(tile, layout: dict[Cell, Transform]) -> dict[Edge, Edge]:
 
     There is one entry for each edge between two tiles of ``layout`` whose
     exits face each other across it; the loop leaves the lesser tile
-    through its east (south) exit.  Each transform's exits are placed once.
+    through its east (south) exit.  Each transform's exits are placed once,
+    as its east and south exit cells (or None) and whether it has a west
+    and a north exit; None, for no tile, has none.
     """
     fw, fh = tile.frame
     placed = {t: placed_exits(tile, t) for t in set(layout.values())}
+    table = {t: (p.get("E"), p.get("S"), "W" in p, "N" in p) for t, p in placed.items()}
+    table[None] = (None, None, False, False)
     out: dict[Edge, Edge] = {}
     for (c, r), t in layout.items():
-        mine = placed[t]
-        for axis, side, beyond in (("h", "E", (c + 1, r)), ("v", "S", (c, r + 1))):
-            if side in mine and beyond in layout and OPPOSITE_SIDE[side] in placed[layout[beyond]]:
-                x, y = mine[side]
-                out[(axis, c, r)] = (axis, fw * c + x, fh * r + y)
+        east, south, _, _ = table[t]
+        if east and table[layout.get((c + 1, r))][2]:
+            out[("h", c, r)] = ("h", fw * c + east[0], fh * r + east[1])
+        if south and table[layout.get((c, r + 1))][3]:
+            out[("v", c, r)] = ("v", fw * c + south[0], fh * r + south[1])
     return out
 
 
@@ -117,8 +121,8 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
     Each tile gets the bank fragment for the local exit pair the loop uses
     at its cell (blank rows where no tile is), and each source transition
     adds its crossing edge.  A tile with no fragment for its pair raises
-    first, in layout order; then a transition without facing exits, the
-    first in the loop's own order.
+    first, in layout order; then the least transition (``edge_sort_key``)
+    without facing exits.
     """
     fw, fh = tile.frame
     cols, rows = zip(*layout)
@@ -130,7 +134,7 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
     # for an "h" edge, S and N for a "v" edge.
     used: dict[Cell, int] = {}
     crossed, uncrossed = [], None
-    for edge in loop.transitions:
+    for edge in loop.scan():
         a, b = edge_cells(edge)
         vertical = edge[0] == "v"
         used[a] = used.get(a, 0) | (4 if vertical else 2)

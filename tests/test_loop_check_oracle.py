@@ -7,7 +7,10 @@ membership with ``in``, the way the check was first written.  Both must
 return the same ``Violation`` (code, message, cell and edge) on seeded
 random boards: rings, pairs of rings, toggled edges and edges off the
 grid, with pearls, clues and grey cells placed mostly in rows and
-columns 0, 1 and last, where the padded look-ups wrap.
+columns 0, 1 and last, where the padded look-ups wrap.  The loop check
+alone is also compared on the boundaries of random face sets, which
+give holes, loops nested in holes and loops side by side, and on
+spirals, whose long arms the even-odd orientation must get right.
 
 Every loop is checked in each form it can be held in (``_forms``): built
 from edges, flat on the verifier's own node grid (read in place, bounds
@@ -30,6 +33,7 @@ from loopforge.grid import (
     CellLoop,
     GridDims,
     Violation,
+    edge_cells,
     edge_sort_key,
     internal_edges,
     loop_ids,
@@ -299,6 +303,83 @@ def test_flat_loops_match_the_reference():
         assert got.east is flat.east and got.south is flat.south
         assert bytes(got.visited) == bytes(i in want.visited for i in range(w * h))
     assert set(codes) >= {"empty", "bounds", "degree", "components", None}
+
+
+def _face_boundary(faces):
+    """The edges with exactly one side in ``faces``, a set of faces (c, r),
+    face (c, r) lying below and right of node (c, r)."""
+    edges = set()
+    for c, r in faces:
+        edges ^= {("h", c, r), ("h", c, r + 1), ("v", c, r), ("v", c + 1, r)}
+    return frozenset(edges)
+
+
+def _even(edges):
+    """Whether every node of ``edges`` has degree 2."""
+    return set(Counter(cell for edge in edges for cell in edge_cells(edge)).values()) <= {2}
+
+
+def _spiral(a, b):
+    """The faces of a corridor one face wide that spirals clockwise into
+    an a x b block of faces from its top-left face, one face between arms."""
+    faces, (c, r), k, turns = {(0, 0)}, (0, 0), 0, 0
+    while turns < 2:
+        dc, dr = ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
+        nxt = (c + dc, r + dr)
+        if 0 <= nxt[0] < a and 0 <= nxt[1] < b and nxt not in faces and (nxt[0] + dc, nxt[1] + dr) not in faces:
+            faces.add(nxt)
+            (c, r), turns = nxt, 0
+        else:
+            k, turns = (k + 1) % 4, turns + 1
+    return faces
+
+
+def _check_loop(codes, width, height, edges):
+    """Every form of the loop against the reference, arrays as well."""
+    dims = GridDims(width, height)
+    want = ref_loop_ids(width, height, edges)
+    got = loop_ids(width, height, edges)
+    if not isinstance(want, Violation):
+        assert bytes(got.visited) == bytes(i in want.visited for i in range(dims.cell_count))
+    for form in _forms(width, height, edges):
+        _check(codes, validate_loop(dims, form), ref_validate_loop(dims, CellLoop(edges)))
+    return want
+
+
+def test_face_set_boundaries_match_the_reference():
+    """Boundaries of random face sets whose nodes all have degree 0 or 2:
+    holes, loops inside holes, and loops side by side."""
+    rng = random.Random(2030)
+    codes = Counter()
+    several = 0
+    for _ in range(3 * BOARDS):
+        w, h = rng.randint(2, 10), rng.randint(2, 10)
+        share = rng.random()
+        faces = {(c, r) for c in range(w - 1) for r in range(h - 1) if rng.random() < share}
+        edges = _face_boundary(faces)
+        if _even(edges):
+            want = _check_loop(codes, w, h, edges)
+            several += isinstance(want, Violation) and want.code == "components"
+    assert set(codes) == {"empty", "components", None}
+    assert codes[None] >= 500 and several >= 500
+
+
+def test_spirals_match_the_reference():
+    """Spiral loops alone, inside a ring of faces and beside a second spiral."""
+    codes = Counter()
+    for a in range(1, 16):
+        for b in range(1, 16):
+            faces = _spiral(a, b)
+            around = {(c, r) for c in range(a + 4) for r in range(b + 4) if c in (0, a + 3) or r in (0, b + 3)}
+            inside = around | {(c + 2, r + 2) for c, r in faces}
+            beside = faces | {(a + 1 + c, r) for c, r in _spiral(b, a)}
+            cases = ((a + 1, b + 1, faces), (a + 5, b + 5, inside), (a + b + 2, max(a, b) + 1, beside))
+            for k, (w, h, shape) in enumerate(cases):
+                edges = _face_boundary(shape)
+                assert _even(edges)
+                want = _check_loop(codes, w, h, edges)
+                assert (want.code if isinstance(want, Violation) else None) == (None if k == 0 else "components")
+    assert codes == {None: 3 * 225, "components": 3 * 2 * 225}
 
 
 def test_masyu_verify_matches_the_reference():

@@ -5,9 +5,10 @@ cells in tile order, checks its characters with ``ref_check_art`` and
 builds the puzzle from its sorted entries, with JSON and entry views
 read off the sorted dict; ``ref_lift_loop`` finds each tile's bank
 fragment by the ``frozenset`` of tile-local sides the loop uses there,
-and collects the image's edges as tuples in a set.  That is how both
-were first written.  ``catalog.assemble_board``, which builds a byte
-grid, and ``tiling.lift_loop`` must give the same boards (equal, with
+collects the image's edges as tuples in a set, and names the least
+transition without facing exits.  That is how both were first written.
+``catalog.assemble_board``, which builds a byte grid, and
+``tiling.lift_loop`` must give the same boards (equal, with
 the same entry views and the same JSON, read back from the text of
 ``to_json``'s fields), the same edge sets (the flat lift's, read off
 its byte arrays) and the same errors for all four genres (and, for
@@ -32,8 +33,12 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -158,7 +163,7 @@ def ref_lift_loop(tile, layout, loop):
             raise ReductionError(f"no bank fragment for local exit pair {sorted(pair)} at cell {cell}")
         for axis, c, r in place_fragment(tile, tile.bank[pair], t, (0, 0)):
             edges.add((axis, c + fw * cell[0], r + fh * cell[1]))
-    for axis, c, r in loop.transitions:
+    for axis, c, r in sorted(loop.transitions, key=edge_sort_key):
         cross = ref_crossing_edge(tile, layout, (axis, c, r))
         if cross is None:
             raise ReductionError(f"source transition ({axis},{c},{r}) has no facing exits")
@@ -429,6 +434,35 @@ def test_lift_errors(genre):
         assert want[0] == "error" and "no facing exits" in want[1]
         assert outcome(flat_lift, desc, layout, loop) == want
         assert outcome(flat_lift, desc, layout, flat) == outcome(ref_lift_loop, desc, layout, flat)
+
+
+# A 2x2 ring lifted with its tile (1, 1) missing: ("v", 1, 0) and
+# ("h", 0, 1) both lack facing exits, and the ring's frozenset of edges
+# iterates in an order that depends on the hash seed.
+MISSING_TILE = """
+from loopforge.catalog import default_gadget
+from loopforge.errors import ReductionError
+from loopforge.grid import CellLoop
+from loopforge.tiling import lift_loop
+desc = default_gadget("simple-loop")
+loop = CellLoop(frozenset({("h", 0, 0), ("h", 0, 1), ("v", 0, 0), ("v", 1, 0)}))
+free = {t: t.apply_side(desc.free_side) for t in desc.allowed_transforms()}
+layout = {cell: next(t for t in free if free[t] not in loop.sides(cell)) for cell in ((0, 0), (1, 0), (0, 1))}
+try:
+    lift_loop(desc, layout, loop)
+except ReductionError as exc:
+    print(exc)
+"""
+
+
+def test_lift_names_the_least_uncrossed_transition_under_any_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", MISSING_TILE], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "source transition (v,1,0) has no facing exits", seed
 
 
 @pytest.mark.parametrize("genre", GENRE_NAMES)
