@@ -11,12 +11,14 @@ solver built on the shared search engine, and the broken-profile DP in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 from . import dp
 from .errors import CapabilityError
 from .genres.base import SolveResult, build_cell_graph, grid_faces, run_search
-from .grid import SIDES, Cell, CellLoop, Edge, GridDims, Violation, edge_in_bounds, edge_sort_key, validate_loop
+from .grid import ALL_SIDES, MASK_SIDES, OPPOSITE_BIT, Cell, CellLoop, E, Edge, GridDims, N, S, Violation, W
+from .grid import edge_in_bounds, edge_sort_key, side_steps, validate_loop
 from .search import EXACT2, LoopSearch
 
 DEFAULT_PROFILE_CAP = 14
@@ -24,17 +26,29 @@ DEFAULT_PROFILE_CAP = 14
 
 @dataclass(frozen=True, slots=True)
 class BslPuzzle:
-    """Grid plus barred internal edges."""
+    """Grid plus barred internal edges.  ``sides`` holds each cell's sides
+    that lead to a neighbour across no bar, one ``grid`` side mask per cell
+    in row-major order, built in the pass that checks the bars."""
 
     dims: GridDims
     bars: frozenset[Edge]
-    # Filled by ``open_sides``: one mask byte per cell, row-major.
-    sides_cache: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
+    sides: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        w, h = self.dims.width, self.dims.height
+        row = bytes([E, *[E | W] * (w - 2), W]) if w > 1 else b"\0"
+        top, middle, bottom = (bytes(m | v for m in row) for v in (S, N | S, N))
+        masks = bytearray(top + middle * (h - 2) + bottom if h > 1 else row)
+        step = side_steps(w)
         for edge in self.bars:
             if not edge_in_bounds(self.dims, edge):
-                raise ValueError(f"bar {edge} is not an internal edge of the grid")
+                off = [bar for bar in self.bars if not edge_in_bounds(self.dims, bar)]
+                raise ValueError(f"bar {min(off, key=edge_sort_key)} is not an internal edge of the grid")
+            axis, c, r = edge
+            i, out = r * w + c, E if axis == "h" else S
+            masks[i] &= ~out
+            masks[i + step[out]] &= ~OPPOSITE_BIT[out]
+        object.__setattr__(self, "sides", bytes(masks))
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,50 +83,29 @@ def verify_bsl(puzzle: BslPuzzle, sol: CellLoop) -> Optional[Violation]:
     return validate_loop(puzzle.dims, sol, must_visit=b"\1" * puzzle.dims.cell_count)
 
 
+# Side mask -> 1 when all four sides are open, and when fewer than two are.
+_FOUR_OPEN = bytes(m == ALL_SIDES for m in range(256))
+_FEW_OPEN = bytes(len(MASK_SIDES[m & ALL_SIDES]) < 2 for m in range(256))
+
+
+def _cells(puzzle: BslPuzzle, table: bytes) -> list[Cell]:
+    """The cells whose side mask ``table`` maps to 1, in row-major order."""
+    w, n = puzzle.dims.width, puzzle.dims.cell_count
+    return [(i % w, i // w) for i in compress(range(n), puzzle.sides.translate(table))]
+
+
 def check_cubic(puzzle: BslPuzzle) -> list[Cell]:
     """Cells with four accessible neighbours (empty list means cubic)."""
-    return [cell for cell, sides in open_sides(puzzle).items() if len(sides) > 3]
+    return _cells(puzzle, _FOUR_OPEN)
 
 
-# Every subset of SIDES as a frozenset, indexed by its bit mask (bit k for SIDES[k]).
-_SIDE_SETS = tuple(frozenset(side for k, side in enumerate(SIDES) if mask >> k & 1) for mask in range(16))
-_N, _E, _S, _W = (1 << k for k in range(4))
+def degenerate_cells(puzzle: BslPuzzle) -> list[Cell]:
+    """Cells with fewer than two accessible neighbours; any one proves unsat."""
+    return _cells(puzzle, _FEW_OPEN)
 
 
-def open_sides(puzzle: BslPuzzle) -> dict[Cell, frozenset[str]]:
-    """Each cell's sides that lead to a neighbour on the grid across no bar,
-    with the cells in row-major order.
-
-    The sides are worked out once per puzzle and kept on it as one mask
-    byte per cell, so cubicity, degeneracy, the cubic stage's ``blocked``
-    and the genre placements read that one pass, and ``orient`` and
-    ``verify_bsl`` read the bytes themselves.  Each call returns a new dict
-    over those bytes: a dict kept on every puzzle would hold two objects
-    per cell for as long as the puzzle lives.
-    """
-    masks = puzzle.sides_cache
-    if masks is None:
-        w, h = puzzle.dims.width, puzzle.dims.height
-        grid = bytearray(w * h)
-        for r in range(h):
-            row = (_N if r else 0) | (_S if r < h - 1 else 0)
-            for c in range(w):
-                grid[r * w + c] = row | (_W if c else 0) | (_E if c < w - 1 else 0)
-        for axis, c, r in puzzle.bars:
-            i = r * w + c
-            if axis == "h":
-                grid[i] &= ~_E
-                grid[i + 1] &= ~_W
-            else:
-                grid[i] &= ~_S
-                grid[i + w] &= ~_N
-        masks = bytes(grid)
-        object.__setattr__(puzzle, "sides_cache", masks)
-    return dict(zip(puzzle.dims.cells(), map(_SIDE_SETS.__getitem__, masks)))
-
-
-# Map a sides mask to 1 when its east side, or its south side, is shut.
-_SHUT = tuple(bytes(not m & side for m in range(256)) for side in (_E, _S))
+# Side mask -> 1 when its east side, or its south side, is shut.
+_SHUT = tuple(bytes(not m & side for m in range(256)) for side in (E, S))
 
 
 def _crossed_bar(puzzle: BslPuzzle, east: bytearray, south: bytearray) -> Optional[Edge]:
@@ -120,20 +113,13 @@ def _crossed_bar(puzzle: BslPuzzle, east: bytearray, south: bytearray) -> Option
     last column or row is a bar.  Byte i of ``hit`` is 2 for an "h" bar
     crossed at id i and 1 for a "v" bar, so its first nonzero byte names it."""
     w, n = puzzle.dims.width, puzzle.dims.cell_count
-    if puzzle.sides_cache is None:
-        open_sides(puzzle)
-    east_bars, south_bars = (bytearray(puzzle.sides_cache.translate(table)) for table in _SHUT)
+    east_bars, south_bars = (bytearray(puzzle.sides.translate(table)) for table in _SHUT)
     east_bars[w - 1 :: w], south_bars[n - w :] = bytes(puzzle.dims.height), bytes(w)
     hit = (int.from_bytes(east[:n], "little") & int.from_bytes(east_bars, "little")) << 1
     hit |= int.from_bytes(south[:n], "little") & int.from_bytes(south_bars, "little")
     data = hit.to_bytes(n, "little")
     i = n - len(data.lstrip(b"\0"))
     return ("h" if data[i] & 2 else "v", i % w, i // w) if i < n else None
-
-
-def degenerate_cells(puzzle: BslPuzzle) -> list[Cell]:
-    """Cells with fewer than two accessible neighbours; any one proves unsat."""
-    return [cell for cell, sides in open_sides(puzzle).items() if len(sides) < 2]
 
 
 def solve_bsl_backtrack(puzzle: BslPuzzle, budget_ms: Optional[float] = None) -> SolveResult:

@@ -173,10 +173,11 @@ def run_search(
 
     Returns a generator of every solution with ``enumerate_all``, and
     otherwise a SolveResult for the first one.  Seeds are edges forced
-    into the loop.  When the search's budget runs out, the first-solution
-    path returns status "timeout", while the generator raises
-    ``SearchTimeout`` from the ``next()`` call that finds the budget
-    spent; solutions it yielded before stay valid.
+    into the loop; no solution holds a seed outside ``edges``, so such a
+    seed gives "unsat" (an empty generator).  When the search's budget
+    runs out, the first-solution path returns status "timeout", while the
+    generator raises ``SearchTimeout`` from the ``next()`` call that finds
+    the budget spent; solutions it yielded before stay valid.
     """
 
     def solution(ids: frozenset[int]):
@@ -184,7 +185,9 @@ def run_search(
 
     search.accept = lambda ids: verify(solution(ids)) is None
     eidx = {e: i for i, e in enumerate(edges)}
-    seeds = [(eidx[e], IN) for e in seeds_in]
+    seeds = [(eidx.get(e), IN) for e in seeds_in]
+    if (None, IN) in seeds:
+        return iter(()) if enumerate_all else SolveResult("unsat")
     if enumerate_all:
         return (solution(ids) for ids in search.solutions(seeds))
     try:

@@ -13,6 +13,11 @@ Every module that needs a deterministic ordering of edges sorts them with
 :func:`edge_sort_key`, which realises the canonical (kind, row, col, axis)
 order.
 
+A cell's sides are held as a side mask, ``N, E, S, W = 1, 2, 4, 8`` in
+``SIDES`` order, defined here only, with each bit's letter, opposite and
+flat-id step (:func:`side_steps`); ``OPPOSITE_SIDE`` and :func:`side_edge`
+are derived from it.
+
 A loop (:class:`CellLoop`) is its set of internal edges, held either as
 those edge tuples or flat: as the ``east``/``south`` byte arrays of
 :class:`LoopIds` on its node grid, with no tuple per edge.  The lift
@@ -36,9 +41,16 @@ from .errors import BoundsError
 Cell = tuple[int, int]
 Edge = tuple[str, int, int]
 
+# The one side table: bit k of a side mask is SIDES[k].
 SIDES = ("N", "E", "S", "W")
+N, E, S, W = 1, 2, 4, 8
+ALL_SIDES = N | E | S | W
+SIDE_BIT = dict(zip(SIDES, (N, E, S, W)))
+BIT_SIDE = {bit: side for side, bit in SIDE_BIT.items()}
+OPPOSITE_BIT = {N: S, E: W, S: N, W: E}
+MASK_SIDES = tuple(frozenset(side for side, bit in SIDE_BIT.items() if mask & bit) for mask in range(16))
 SIDE_DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
-OPPOSITE_SIDE = {"N": "S", "S": "N", "E": "W", "W": "E"}
+OPPOSITE_SIDE = {side: BIT_SIDE[OPPOSITE_BIT[bit]] for side, bit in SIDE_BIT.items()}
 
 # Practical ceiling so width * height stays well inside native integer
 # arithmetic everywhere (profiles, bitmasks, file formats).
@@ -106,16 +118,16 @@ def edge_between(a: Cell, b: Cell) -> Edge:
     raise ValueError(f"cells {a} and {b} are not adjacent")
 
 
+def side_steps(width: int) -> dict[int, int]:
+    """Side bit -> the flat-id step (``r * width + c``) to the neighbour on that side."""
+    return {SIDE_BIT[side]: dc + dr * width for side, (dc, dr) in SIDE_DELTAS.items()}
+
+
 def side_edge(cell: Cell, side: str) -> Edge:
-    """The internal edge through one side of a cell (it may lie off the grid)."""
-    c, r = cell
-    if side == "E":
-        return ("h", c, r)
-    if side == "W":
-        return ("h", c - 1, r)
-    if side == "S":
-        return ("v", c, r)
-    return ("v", c, r - 1)
+    """The internal edge through one side of a cell (it may lie off the grid):
+    "h" across E and W, "v" across N and S, named by its lesser cell."""
+    (c, r), (dc, dr) = cell, SIDE_DELTAS[side]
+    return ("h" if dc else "v", c + min(dc, 0), r + min(dr, 0))
 
 
 def edge_in_bounds(dims: GridDims, edge: Edge) -> bool:
@@ -224,9 +236,9 @@ _HALF = bytes(d // 2 if d in (0, 2) else 0 for d in range(256))
 
 @functools.lru_cache(maxsize=8)
 def _moves(width: int) -> tuple[int, ...]:
-    """A :func:`flat_ids` code byte (1 east, 2 west, 4 south, 8 north per nibble) -> its two moves."""
-    step = {1: 1, 2: -1, 4: width, 8: -width}
-    return tuple(step.get(code & 15, 0) + step.get(code >> 4, 0) for code in range(256))
+    """A :func:`flat_ids` code byte (one side bit per nibble) -> its two moves."""
+    step = side_steps(width)
+    return tuple(step.get(code & ALL_SIDES, 0) + step.get(code >> 4, 0) for code in range(256))
 
 
 def loop_ids(
@@ -311,16 +323,16 @@ def flat_ids(
     # With the inside on its left, an "h" edge at i leaves i east over an
     # outside face i, else i + 1 west; a "v" edge leaves i south beside an
     # inside face i, else i + width north.  ``go_*`` holds 1 at the ids
-    # leaving that way (bit 1, 2, 4 or 8 of ``low``); spent ints are dropped.
+    # leaving that way, and ``low`` that side's bit; spent ints are dropped.
     go_w, go_s = e & odd, s & odd
     del full, odd
     go_e, go_n, go_w = e ^ go_w, (s ^ go_s) << 8 * width, go_w << 8
     del e, s
-    low = go_e + (go_w << 1) + (go_s << 2) + (go_n << 3)
-    ahead = low >> 8 & go_e * 15
-    ahead |= low << 8 & go_w * 15
-    ahead |= low >> 8 * width & go_s * 15
-    ahead |= low << 8 * width & go_n * 15
+    low = go_n * N + go_e * E + go_s * S + go_w * W
+    ahead = low >> 8 & go_e * ALL_SIDES
+    ahead |= low << 8 & go_w * ALL_SIDES
+    ahead |= low >> 8 * width & go_s * ALL_SIDES
+    ahead |= low << 8 * width & go_n * ALL_SIDES
     codes = (low | ahead << 4).to_bytes(n, "little")
 
     move = _moves(width)

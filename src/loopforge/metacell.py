@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .bsl import BslPuzzle, CubicBslPuzzle, check_cubic, open_sides, verify_bsl
+from .bsl import BslPuzzle, CubicBslPuzzle, check_cubic, verify_bsl
 from .errors import FormatError, ReductionError, malformed
 from .genres.base import build_cell_graph
-from .grid import SIDES, Cell, CellLoop, Edge, GridDims, checkerboard_color, edge_between
+from .grid import ALL_SIDES, MASK_SIDES, SIDES, Cell, CellLoop, Edge, GridDims, checkerboard_color, edge_between
 from .search import EXACT2, LoopSearch
 from .tileart import parse_exits, parse_fragment_grid, read_tile_file
 from .tiling import boundary_positions, crossings, lift_loop, misaligned, place_fragment
@@ -198,7 +198,7 @@ def reduce_to_cubic(
     # unbarred source edge.
     bars = _walls(tpl.dims, tpl.bars, dims.width, dims.height)
     bars -= {image for edge, image in crossings(tpl, transforms).items() if edge not in puzzle.bars}
-    blocked = {cell: frozenset(SIDES) - sides for cell, sides in open_sides(puzzle).items()}
+    blocked = dict(zip(dims.cells(), (MASK_SIDES[ALL_SIDES ^ m] for m in puzzle.sides)))
 
     image = CubicBslPuzzle(BslPuzzle(GridDims(TEMPLATE_W * dims.width, TEMPLATE_H * dims.height), frozenset(bars)))
     return image, CubicReductionManifest(puzzle, image, transforms, blocked, tpl)

@@ -3,30 +3,27 @@
 The bar graph's vertices are the cells plus one vertex outside each
 exterior edge position, with one graph edge per bar (grid-boundary sides
 count as bars to their exterior vertex).  It is read off the puzzle's
-side masks (``sides_cache``): a cell's closed sides are its graph edges,
-and no vertex or adjacency is built.  Cells with two exits then have
-degree 2, cells with three exits and exterior vertices have degree 1, so
-the graph is a disjoint union of paths and cycles.  Walking every
-component in a consistent direction gives each degree-2 cell an outgoing
-side; pointing the unused third opening of its tile that way guarantees
-no two unused openings face each other across a bar.
+side masks (``BslPuzzle.sides``, in ``grid``'s bits): a cell's closed
+sides are its graph edges, and no vertex or adjacency is built.  Cells
+with two exits then have degree 2, cells with three exits and exterior
+vertices have degree 1, so the graph is a disjoint union of paths and
+cycles.  Walking every component in a consistent direction gives each
+degree-2 cell an outgoing side; pointing the unused third opening of its
+tile that way guarantees no two unused openings face each other across a
+bar.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 
-from .bsl import CubicBslPuzzle, open_sides
+from .bsl import CubicBslPuzzle, degenerate_cells
 from .errors import ReductionError
-from .grid import SIDES, Cell
+from .grid import ALL_SIDES, BIT_SIDE, OPPOSITE_BIT, Cell, E, N, S, W, side_steps
 
-# Per sides mask (bit k open for SIDES[k]): the closed sides, 1 for one
-# closed side (degree 1), and 1 for fewer than two exits.
-_CLOSED = bytes(~m & 15 for m in range(256))
-_DEGREE_1 = bytes(bin(~m & 15).count("1") == 1 for m in range(256))
-_FEW_EXITS = bytes(bin(m & 15).count("1") < 2 for m in range(256))
-_SIDE = {1 << k: side for k, side in enumerate(SIDES)}
-_BACK = {1: 4, 2: 8, 4: 1, 8: 2}
+# Per side mask: the closed sides, and 1 for one closed side (degree 1).
+_CLOSED = bytes(~m & ALL_SIDES for m in range(256))
+_DEGREE_1 = bytes(bin(~m & ALL_SIDES).count("1") == 1 for m in range(256))
 
 
 def orient(puzzle: CubicBslPuzzle) -> dict[Cell, str]:
@@ -37,18 +34,16 @@ def orient(puzzle: CubicBslPuzzle) -> dict[Cell, str]:
     side).  Whatever is left is a cycle, walked from its least cell.
     """
     grid = puzzle.inner
-    w, n = grid.dims.width, grid.dims.cell_count
-    if grid.sides_cache is None:
-        open_sides(grid)
-    masks = grid.sides_cache
-    few = masks.translate(_FEW_EXITS).find(1)
-    if few >= 0:
+    w, n, masks = grid.dims.width, grid.dims.cell_count, grid.sides
+    few = degenerate_cells(grid)
+    if few:
+        c, r = few[0]
         raise ReductionError(
-            f"bar-graph vertex {('cell', few % w, few // w)} has degree {4 - bin(masks[few]).count('1')}; "
+            f"bar-graph vertex {('cell', c, r)} has degree {4 - bin(masks[r * w + c]).count('1')}; "
             "the puzzle has a cell with fewer than two exits"
         )
     closed = masks.translate(_CLOSED)
-    step = {1: -w, 2: 1, 4: w, 8: -1}
+    step = side_steps(w)
     seen = bytearray(n)
     directions: dict[Cell, str] = {}
 
@@ -58,13 +53,13 @@ def orient(puzzle: CubicBslPuzzle) -> dict[Cell, str]:
         seen[i] = 1
         while True:
             j = i + step[out]
-            if (out == 2 and j % w == 0) or (out == 8 and i % w == 0) or not 0 <= j < n or seen[j]:
+            if (out == E and j % w == 0) or (out == W and i % w == 0) or not 0 <= j < n or seen[j]:
                 return
             seen[j] = 1
-            out = closed[j] & ~_BACK[out]
+            out = closed[j] & ~OPPOSITE_BIT[out]
             if not out:
                 return
-            directions[(j % w, j // w)] = _SIDE[out]
+            directions[(j % w, j // w)] = BIT_SIDE[out]
             i = j
 
     for i in compress(range(n), masks.translate(_DEGREE_1)):
@@ -76,14 +71,14 @@ def orient(puzzle: CubicBslPuzzle) -> dict[Cell, str]:
     for r in range(h):
         for c in range(w) if r in (0, h - 1) else (0, w - 1):
             if not seen[r * w + c]:
-                outside = (r == 0) | (c == w - 1) << 1 | (r == h - 1) << 2 | (c == 0) << 3
+                outside = N * (r == 0) | E * (c == w - 1) | S * (r == h - 1) | W * (c == 0)
                 out = closed[r * w + c] & ~(outside & -outside)
-                directions[(c, r)] = _SIDE[out]
+                directions[(c, r)] = BIT_SIDE[out]
                 walk(r * w + c, out)
     # A cycle's least cell has its cycle neighbours east and south, and
     # east comes first in the canonical neighbour order N, W, E, S.
     for i in compress(range(n), closed):
         if not seen[i]:
-            directions[(i % w, i // w)] = "E"
-            walk(i, 2)
+            directions[(i % w, i // w)] = BIT_SIDE[E]
+            walk(i, E)
     return directions

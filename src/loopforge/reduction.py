@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bsl import CubicBslPuzzle, degenerate_cells, open_sides, verify_bsl
+from .bsl import CubicBslPuzzle, degenerate_cells, verify_bsl
 from .catalog import GadgetDescriptor, assemble_board, default_gadget
 from .errors import ReductionError
 from .genres import GENRES
-from .grid import SIDES, Cell, CellLoop
+from .grid import MASK_SIDES, SIDES, Cell, CellLoop
 from .orientation import orient
 from .tiling import lift_loop
 from .transforms import Transform
@@ -63,18 +63,19 @@ def reduce_to_genre(
     else:
         tiles_w, tiles_h = puzzle.dims.width, puzzle.dims.height
         directions = orient(puzzle)
-        # One placement per open sides and free edge, shared by every cell with them.
-        shared: dict[tuple[frozenset[str], Optional[str]], TilePlacement] = {}
-        for cell, open_dirs in open_sides(puzzle.inner).items():
+        # One placement per side mask and free edge, shared by every cell with them.
+        shared: dict[tuple[int, Optional[str]], TilePlacement] = {}
+        for cell, mask in zip(puzzle.dims.cells(), puzzle.inner.sides):
             free_edge = directions.get(cell)
-            p = shared.get((open_dirs, free_edge))
+            p = shared.get((mask, free_edge))
             if p is None:
+                open_dirs = MASK_SIDES[mask]
                 if len(open_dirs) not in (2, 3):
                     raise ReductionError(f"cell {cell} has {len(open_dirs)} exits after the degenerate check")
                 exits = open_dirs | {free_edge} if free_edge else open_dirs
                 walled = next(side for side in SIDES if side not in exits)
                 t = desc.transform_for_free_side(walled)
-                p = shared[(open_dirs, free_edge)] = TilePlacement(t, exits, free_edge)
+                p = shared[(mask, free_edge)] = TilePlacement(t, exits, free_edge)
             placements[cell] = p
 
     layout = {cell: p.transform for cell, p in placements.items()}

@@ -36,7 +36,7 @@ from itertools import chain
 from typing import Iterable
 
 from .errors import ReductionError
-from .grid import OPPOSITE_SIDE, SIDES, Cell, CellLoop, Edge, edge_cells
+from .grid import MASK_SIDES, OPPOSITE_SIDE, Cell, CellLoop, E, Edge, N, S, W, edge_cells
 from .transforms import Transform
 
 
@@ -130,15 +130,15 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
         raise ReductionError("tile positions must not be negative")
     tiles_w, tiles_h = max(cols) + 1, max(rows) + 1
     cross = crossings(tile, layout)
-    # The sides the loop leaves each cell by, bit k for SIDES[k]: E and W
-    # for an "h" edge, S and N for a "v" edge.
+    # The sides the loop leaves each cell by, as a side mask: E and W for
+    # an "h" edge, S and N for a "v" edge.
     used: dict[Cell, int] = {}
     crossed, uncrossed = [], None
     for edge in loop.scan():
         a, b = edge_cells(edge)
         vertical = edge[0] == "v"
-        used[a] = used.get(a, 0) | (4 if vertical else 2)
-        used[b] = used.get(b, 0) | (1 if vertical else 8)
+        used[a] = used.get(a, 0) | (S if vertical else E)
+        used[b] = used.get(b, 0) | (N if vertical else W)
         image = cross.get(edge)
         if image is None:
             uncrossed = uncrossed or edge
@@ -152,7 +152,7 @@ def lift_loop(tile, layout: dict[Cell, Transform], loop: CellLoop) -> CellLoop:
         mask = used.get((c, r), 0)
         frag = oriented.get((t, mask))
         if frag is None:
-            pair = frozenset(t.inverse().apply_side(side) for k, side in enumerate(SIDES) if mask >> k & 1)
+            pair = frozenset(map(t.inverse().apply_side, MASK_SIDES[mask]))
             if pair not in tile.bank:
                 raise ReductionError(f"no bank fragment for local exit pair {sorted(pair)} at cell {(c, r)}")
             frag = oriented[(t, mask)] = fragment_rows(tile.frame, tile.bank[pair], t)

@@ -9,7 +9,7 @@ from loopforge import formats
 from loopforge.bsl import BslPuzzle
 from loopforge.genres import GENRES
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
-from loopforge.grid import CellLoop, GridDims, edge_between, edge_sort_key
+from loopforge.grid import MASK_SIDES, CellLoop, GridDims, edge_between, edge_sort_key
 from loopforge.metacell import lift_to_cubic, reduce_to_cubic
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,6 +42,12 @@ def neighbors(dims: GridDims, cell, bars=frozenset()) -> list:
         if dims.contains(nbr) and edge_between(cell, nbr) not in bars:
             out.append((nbr, edge_between(cell, nbr)))
     return out
+
+
+def sides_by_cell(puzzle: BslPuzzle) -> dict:
+    """Each cell's open sides (``puzzle.sides``) as a frozenset of letters,
+    with the cells in row-major order."""
+    return dict(zip(puzzle.dims.cells(), map(MASK_SIDES.__getitem__, puzzle.sides)))
 
 
 def boundary_edges(dims: GridDims) -> list:

@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +20,7 @@ from loopforge.bsl import (
 )
 from loopforge.errors import CapabilityError
 from loopforge.genres.base import build_cell_graph
-from loopforge.grid import CellLoop, GridDims, edge_sort_key, internal_edges
+from loopforge.grid import MASK_SIDES, SIDE_DELTAS, CellLoop, GridDims, edge_sort_key, internal_edges
 from loopforge.search import EXACT2, LoopSearch
 
 
@@ -57,6 +62,53 @@ def test_bar_crossings_built_flat_and_from_edges():
         assert verify_bsl(puzzle, flat_loop(w, h, frozenset(edges))) == want
         crossed += want is not None and want.code == "bar"
     assert crossed > 100
+
+
+def test_sides_are_the_neighbours_across_no_bar():
+    """``BslPuzzle.sides`` holds, for every cell, the sides that
+    ``neighbors`` finds: on 1x1, on 1 x k and k x 1 strips, and on seeded
+    barred boards."""
+    rng = random.Random(26)
+    letter = {delta: side for side, delta in SIDE_DELTAS.items()}
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 2)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(60)]
+    for w, h in shapes:
+        dims = GridDims(w, h)
+        bars = frozenset(e for e in internal_edges(dims) if rng.random() < rng.choice((0.0, 0.2, 0.5, 1.0)))
+        puzzle = BslPuzzle(dims, bars)
+        assert len(puzzle.sides) == dims.cell_count
+        for (c, r), mask in zip(dims.cells(), puzzle.sides):
+            found = {letter[(nc - c, nr - r)] for (nc, nr), _ in neighbors(dims, (c, r), bars)}
+            assert MASK_SIDES[mask] == found, (w, h, (c, r))
+
+
+# Four bars off a 3x3 grid; a set of them iterates in an order that
+# depends on the hash seed, and the least by edge_sort_key is ("h", 5, 0).
+OFF_GRID_BARS = [["h", 5, 0], ["v", 0, 9], ["h", 7, 7], ["v", 4, 1]]
+PARSE_OFF_GRID = """
+import sys
+from loopforge.cli import main
+sys.exit(main(["solve", sys.argv[1]]))
+"""
+
+
+def test_off_grid_bar_parse_error_names_the_least_bar_under_any_hash_seed(tmp_path):
+    doc = {"genre": "bsl", "width": 3, "height": 3, "bars": [dict(zip(("axis", "col", "row"), b)) for b in OFF_GRID_BARS]}
+    path = tmp_path / "bars.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", PARSE_OFF_GRID, str(path)],
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 64, proc.stderr
+        want = "parse error: bad puzzle document: bar ('h', 5, 0) is not an internal edge of the grid\n"
+        assert proc.stderr == want, seed
 
 
 def test_check_cubic():

@@ -174,6 +174,17 @@ def test_simple_loop_every_mutation_flips(descriptors):
         assert cert.overall == "no", f"removing {cell} should flip a condition"
 
 
+def test_shading_a_bank_path_fails_without_raising(descriptors):
+    # Tile cell (2, 3) lies on bank paths, so the lifted ring tours seed
+    # edges that the mutated board's graph does not hold.
+    mutated = copy.copy(descriptors["simple-loop"])
+    mutated.art = {**descriptors["simple-loop"].art, (2, 3): "#"}
+    cert = certify_gadget(mutated, budget_ms=60000)
+    assert cert.overall == "no"
+    assert cert.conditions["e"].status == "fail"
+    assert "no board solution extends the sub-solution" in cert.conditions["e"].detail
+
+
 def test_listing_format(descriptors):
     lines = catalog_listing(certify=False)
     assert len(lines) == 4

@@ -120,6 +120,15 @@ def test_slitherlink_clue_check():
     assert GENRES["slitherlink"].verify(puzzle, toggled) is not None
 
 
+def test_seed_outside_the_graph_is_unsat():
+    # A shaded cell has no edges, so no loop holds a seed edge through it.
+    board = SimpleLoopPuzzle(GridDims(3, 3), [(1, 1)])
+    seeds = [("h", 0, 0), ("h", 0, 1)]
+    assert GENRES["simple-loop"].solve(board, seeds_in=seeds).status == "unsat"
+    assert list(GENRES["simple-loop"].solve(board, seeds_in=seeds, enumerate_all=True)) == []
+    assert GENRES["simple-loop"].solve(board, seeds_in=seeds[:1]).status == "sat"
+
+
 def test_solvers_prove_unsat_with_exhaustion():
     # A clue pattern with no solutions: an isolated 3 beside a 0.
     puzzle = SlitherlinkPuzzle(GridDims(2, 1), tuple(sorted((((0, 0), 3), ((1, 0), 0)))))

@@ -39,9 +39,9 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, fixture_puzzle, fixture_solution
+from conftest import FIXTURES, fixture_puzzle, fixture_solution, sides_by_cell
 from loopforge import formats
-from loopforge.bsl import BslPuzzle, CubicBslPuzzle, check_cubic, open_sides, solve_bsl_backtrack
+from loopforge.bsl import BslPuzzle, CubicBslPuzzle, check_cubic, solve_bsl_backtrack
 from loopforge.cli import main
 from loopforge.errors import ReductionError
 from loopforge.grid import SIDES, GridDims, edge_cells, edge_sort_key, internal_edges, side_edge
@@ -205,7 +205,7 @@ def _random_source(rng: random.Random, dims: GridDims, share: float, cubic: bool
     edges = internal_edges(dims)
     rng.shuffle(edges)
     bars: set = set()
-    left = {cell: len(sides) for cell, sides in open_sides(BslPuzzle(dims, frozenset())).items()}
+    left = {cell: len(sides) for cell, sides in sides_by_cell(BslPuzzle(dims, frozenset())).items()}
     for edge in edges:
         a, b = edge_cells(edge)
         if rng.random() < share and left[a] > 2 and left[b] > 2:
@@ -245,7 +245,7 @@ def _corpus() -> list[BslPuzzle]:
     for _ in range(4):
         source = _random_source(rng, GridDims(rng.randint(3, 5), rng.randint(3, 5)), 0.3, cubic=True)
         cell = (rng.randrange(source.dims.width), rng.randrange(source.dims.height))
-        walls = sorted((side_edge(cell, side) for side in open_sides(source)[cell]), key=edge_sort_key)
+        walls = sorted((side_edge(cell, side) for side in sides_by_cell(source)[cell]), key=edge_sort_key)
         sources.append(BslPuzzle(source.dims, source.bars | frozenset(walls[1:])))
     return sources
 

@@ -4,6 +4,14 @@ import pytest
 
 from conftest import boundary_edges, cell_mask, flat_loop, ring
 from loopforge.grid import (
+    ALL_SIDES,
+    BIT_SIDE,
+    MASK_SIDES,
+    OPPOSITE_BIT,
+    OPPOSITE_SIDE,
+    SIDE_BIT,
+    SIDE_DELTAS,
+    SIDES,
     CellLoop,
     GridDims,
     Violation,
@@ -13,6 +21,8 @@ from loopforge.grid import (
     edge_sort_key,
     internal_edges,
     loop_ids,
+    side_edge,
+    side_steps,
     validate_loop,
 )
 from loopforge.genres.slitherlink import SlitherlinkPuzzle
@@ -58,6 +68,29 @@ def test_edge_helpers():
     assert edge_between((2, 1), (2, 2)) == ("v", 2, 1)
     with pytest.raises(ValueError):
         edge_between((0, 0), (2, 0))
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 13])
+def test_every_side_agrees_across_the_side_table(width):
+    """Letter, bit, opposite, delta, flat-id step and ``side_edge`` of each
+    side describe the same side."""
+    assert [SIDE_BIT[side] for side in SIDES] == [1, 2, 4, 8]
+    assert sum(SIDE_BIT.values()) == ALL_SIDES == 15
+    steps = side_steps(width)
+    cell = (6, 4)
+    for side in SIDES:
+        bit = SIDE_BIT[side]
+        assert BIT_SIDE[bit] == side
+        assert OPPOSITE_BIT[bit] == SIDE_BIT[OPPOSITE_SIDE[side]]
+        assert OPPOSITE_SIDE[OPPOSITE_SIDE[side]] == side
+        dc, dr = SIDE_DELTAS[side]
+        assert SIDE_DELTAS[OPPOSITE_SIDE[side]] == (-dc, -dr) and abs(dc) + abs(dr) == 1
+        assert steps[bit] == dc + dr * width
+        assert steps[OPPOSITE_BIT[bit]] == -steps[bit]
+        nbr = (cell[0] + dc, cell[1] + dr)
+        assert side_edge(cell, side) == edge_between(cell, nbr) == side_edge(nbr, OPPOSITE_SIDE[side])
+    for mask in range(16):
+        assert MASK_SIDES[mask] == {side for side in SIDES if mask & SIDE_BIT[side]}
 
 
 def test_cell_loop_names_its_non_internal_edge():

@@ -26,8 +26,9 @@ import random
 
 import pytest
 
+from conftest import sides_by_cell
 from loopforge import formats
-from loopforge.bsl import BslPuzzle, CubicBslPuzzle, open_sides
+from loopforge.bsl import BslPuzzle, CubicBslPuzzle
 from loopforge.genres import GENRES
 from loopforge.genres.yajilin import YajilinPuzzle
 from loopforge.grid import CellLoop, GridDims, edge_sort_key, internal_edges
@@ -195,7 +196,7 @@ def test_bar_text_matches_the_reference():
         assert written(puzzle) == ref_puzzle_text("bsl", puzzle)
         # Bar one side of each cell left with four open sides: cubic.
         bars = set(puzzle.bars)
-        for (c, r), sides in open_sides(puzzle).items():
+        for (c, r), sides in sides_by_cell(puzzle).items():
             if len(sides) == 4:
                 bars.add(("h", c, r) if rng.random() < 0.5 else ("v", c, r))
         cubic = CubicBslPuzzle(BslPuzzle(dims, frozenset(bars)))

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from conftest import neighbors
-from loopforge.bsl import BslPuzzle, CubicBslPuzzle, check_cubic, degenerate_cells, open_sides
+from conftest import neighbors, sides_by_cell
+from loopforge.bsl import BslPuzzle, CubicBslPuzzle, check_cubic, degenerate_cells
 from loopforge.errors import ReductionError
 from loopforge.grid import OPPOSITE_SIDE, SIDE_DELTAS, SIDES, GridDims, internal_edges, side_edge
 from loopforge.orientation import orient
@@ -30,7 +30,7 @@ def ref_bar_graph(puzzle: CubicBslPuzzle) -> dict:
     each entry pairs a neighbour with the side the vertex leaves by toward it."""
     dims = puzzle.dims
     adjacency = {}
-    for (c, r), sides in open_sides(puzzle.inner).items():
+    for (c, r), sides in sides_by_cell(puzzle.inner).items():
         cell = ("cell", c, r)
         if len(sides) < 2:
             raise ReductionError(
@@ -274,7 +274,7 @@ def seeded_cubic(rng, w, h):
         if not crowded:
             return CubicBslPuzzle(puzzle)
         # Prefer a side whose neighbour keeps two exits or more.
-        cell, exits = rng.choice(crowded), open_sides(puzzle)
+        cell, exits = rng.choice(crowded), sides_by_cell(puzzle)
         sides = [s for s in SIDES if len(exits[(cell[0] + DELTAS[s][0], cell[1] + DELTAS[s][1])]) > 2]
         bars.add(side_edge(cell, rng.choice(sides or SIDES)))
 
