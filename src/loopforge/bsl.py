@@ -124,7 +124,7 @@ def _crossed_bar(puzzle: BslPuzzle, east: bytearray, south: bytearray) -> Option
 
 def solve_bsl_backtrack(puzzle: BslPuzzle, budget_ms: Optional[float] = None) -> SolveResult:
     """Exact search; returns the canonically least solution when one exists."""
-    edges, pairs, _ = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+    edges, pairs = build_cell_graph(puzzle.dims, bars=puzzle.bars)
     n = puzzle.dims.cell_count
     faces = grid_faces(puzzle.dims, edges)
     search = LoopSearch(n, pairs, [EXACT2] * n, budget_ms=budget_ms, connectivity_every=32, faces=faces)

@@ -25,21 +25,35 @@ class SolveResult:
 
 
 def build_cell_graph(
-    dims: GridDims, closed: frozenset[Cell] = frozenset(), bars: frozenset[Edge] = frozenset()
-) -> tuple[list[Edge], list[tuple[int, int]], dict[Cell, int]]:
-    """Canonical edges joining cells outside ``closed`` across no bar, plus a node index."""
+    dims: GridDims, closed: bytes = b"", bars: frozenset[Edge] = frozenset()
+) -> tuple[list[Edge], list[tuple[int, int]]]:
+    """The canonical edges joining open cells across no bar, and each one's
+    flat node ids ``(a, b)``, ``a = r * width + c`` its lesser cell's.
+    ``closed`` is one byte per cell, row-major (a board's art bytes): a
+    nonzero byte shuts its cell."""
     w = dims.width
-    index = {cell: i for i, cell in enumerate(dims.cells())}
-    shut = {index.get(cell) for cell in closed}
+    shut = closed or bytes(dims.cell_count)
     edges, pairs = [], []
     for edge in filterfalse(bars.__contains__, internal_edges(dims)):
         axis, c, r = edge
         a = r * w + c
         b = a + 1 if axis == "h" else a + w
-        if a not in shut and b not in shut:
+        if not (shut[a] or shut[b]):
             edges.append(edge)
             pairs.append((a, b))
-    return edges, pairs, index
+    return edges, pairs
+
+
+def side_table(width: int, n_nodes: int, pairs: list[tuple[int, int]]) -> list[dict[str, int]]:
+    """Each node's edge ids by side letter, for the flat ``pairs`` of a
+    ``width``-wide grid: an edge with ``b - a == width`` is S of a and N of
+    b, any other E of a and W of b.  The step alone would not tell: on a
+    1-wide grid E and S both step by 1."""
+    table: list[dict[str, int]] = [{} for _ in range(n_nodes)]
+    for i, (a, b) in enumerate(pairs):
+        ahead, back = ("S", "N") if b - a == width else ("E", "W")
+        table[a][ahead] = table[b][back] = i
+    return table
 
 
 def grid_faces(dims: GridDims, edges: list[Edge]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -184,7 +198,8 @@ def run_search(
         return CellLoop(frozenset(edges[i] for i in ids))
 
     search.accept = lambda ids: verify(solution(ids)) is None
-    eidx = {e: i for i, e in enumerate(edges)}
+    # Only seeds read the edge -> id map.
+    eidx = {e: i for i, e in enumerate(edges)} if seeds_in else {}
     seeds = [(eidx.get(e), IN) for e in seeds_in]
     if (None, IN) in seeds:
         return iter(()) if enumerate_all else SolveResult("unsat")

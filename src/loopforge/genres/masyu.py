@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import json_int
-from ..grid import OPPOSITE_SIDE, SIDES, Cell, CellLoop, GridDims, LoopIds, Violation, least_cell, side_edge
+from ..grid import OPPOSITE_SIDE, SIDES, Cell, CellLoop, GridDims, LoopIds, Violation, least_cell
 from ..search import EXACT2, OPT, OUT, LoopSearch
-from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search, side_table
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -99,20 +99,17 @@ def _pearl_faults(cells: bytes, loop: LoopIds) -> list[tuple[str, int]]:
 
 
 class _MasyuSearch(LoopSearch):
-    def __init__(self, puzzle: MasyuPuzzle, edges, pairs, index, **kw):
-        n = puzzle.dims.cell_count
+    """Pearl rules as propagation on the flat cell graph: a pearl reads its
+    own sides and the same sides of the nodes beyond through ``side_table``."""
+
+    def __init__(self, puzzle: MasyuPuzzle, pairs, **kw):
+        w, n = puzzle.dims.width, puzzle.dims.cell_count
         super().__init__(n, pairs, [EXACT2 if ch else OPT for ch in puzzle.cells], **kw)
-        # For every cell: side -> edge id, to express the local pearl rules.
-        self.side_edge: list[dict[str, int]] = [dict() for _ in range(n)]
-        eidx = {e: i for i, e in enumerate(edges)}
-        for cell in puzzle.dims.cells():
-            for d in SIDES:
-                edge = side_edge(cell, d)
-                if edge in eidx:
-                    self.side_edge[index[cell]][d] = eidx[edge]
+        # For every node: side -> edge id, to express the local pearl rules.
+        self.side_edge = side_table(w, n, pairs)
         # node -> pearls to recheck (the pearl itself and cells whose
         # edges appear in its straight-continuation rules).
-        self.pearl_at: dict[int, str] = {index[c]: colour for c, colour in puzzle.pearls}
+        self.pearl_at: dict[int, str] = {r * w + c: COLOUR[ch] for c, r, ch in puzzle.scan()}
         self.watch: dict[int, list[int]] = {}
         for p in self.pearl_at:
             for node in self._rule_nodes(p):
@@ -214,8 +211,6 @@ def solve(
     seeds_in=(),
     enumerate_all: bool = False,
 ):
-    edges, pairs, index = build_cell_graph(puzzle.dims)
-    search = _MasyuSearch(
-        puzzle, edges, pairs, index, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
-    )
+    edges, pairs = build_cell_graph(puzzle.dims)
+    search = _MasyuSearch(puzzle, pairs, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True)
     return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

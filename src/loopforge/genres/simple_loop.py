@@ -57,7 +57,7 @@ def solve(
     enumerate_all: bool = False,
 ):
     """Exact solver; with ``enumerate_all`` returns a solution generator."""
-    edges, pairs, _ = build_cell_graph(puzzle.dims, closed=puzzle.shaded)
+    edges, pairs = build_cell_graph(puzzle.dims, puzzle.cells)
     n = puzzle.dims.cell_count
     # A shaded cell has no incident edges and is never required.
     req = [EXACT2 if b == 0 else OPT for b in puzzle.cells]

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import json_int
-from ..grid import Cell, CellLoop, Edge, GridDims, Violation, least_cell
+from ..grid import Cell, CellLoop, GridDims, Violation, least_cell
 from ..search import OPT, OUT, LoopSearch
-from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search
+from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search, side_table
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -62,11 +62,6 @@ def from_json(dims: GridDims, doc: dict) -> SlitherlinkPuzzle:
     return SlitherlinkPuzzle(dims, tuple(sorted(clues)))
 
 
-def cell_border_edges(cell: Cell) -> list[Edge]:
-    c, r = cell
-    return [("h", c, r), ("h", c, r + 1), ("v", c, r), ("v", c + 1, r)]
-
-
 LATTICE_LOOP_WORDS = ("a loop must be drawn", "edge outside the lattice", "dot has degree {}")
 
 
@@ -96,11 +91,20 @@ def verify(puzzle: SlitherlinkPuzzle, sol: CellLoop) -> Optional[Violation]:
 
 
 class _SlitherlinkSearch(LoopSearch):
-    def __init__(self, puzzle: SlitherlinkPuzzle, edges, pairs, n_dots, **kw):
+    """Clue counters on the flat dot-grid graph.  Cell (c, r) is bordered by
+    the E sides of dots (c, r) and (c, r+1) and the S sides of dots (c, r)
+    and (c+1, r), as ``side_table`` names them."""
+
+    def __init__(self, puzzle: SlitherlinkPuzzle, pairs, **kw):
+        dw = puzzle.dims.width + 1
+        n_dots = dw * (puzzle.dims.height + 1)
         super().__init__(n_dots, pairs, [OPT] * n_dots, **kw)
-        eidx = {e: i for i, e in enumerate(edges)}
-        # Clue counters: (target, edge ids); edge -> clue ids.
-        self.cells = [(count, [eidx[e] for e in cell_border_edges(cell)]) for cell, count in puzzle.clues]
+        # Clue counters: (target, border edge ids); edge -> clue ids.
+        side = side_table(dw, n_dots, pairs)
+        self.cells = []
+        for (c, r), count in puzzle.clues:
+            d = r * dw + c
+            self.cells.append((count, [side[d]["E"], side[d + dw]["E"], side[d]["S"], side[d + 1]["S"]]))
         self.cell_in = [0] * len(self.cells)
         self.cell_unk = [len(ids) for _, ids in self.cells]
         self.edge_cells: dict[int, list[int]] = {}
@@ -141,8 +145,8 @@ def solve(
     seeds_in=(),
     enumerate_all: bool = False,
 ):
-    edges, pairs, dots = build_cell_graph(GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1))
+    edges, pairs = build_cell_graph(GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1))
     search = _SlitherlinkSearch(
-        puzzle, edges, pairs, len(dots), budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
+        puzzle, pairs, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )
     return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

@@ -5,7 +5,6 @@ clue counts the shaded cells along its arrow."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Optional
 
 from ..errors import json_int
@@ -13,7 +12,7 @@ from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, least_cell
 from ..search import EXACT2, OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, grid_faces, run_search
 
-UNDET, VISITED, SHADED = 0, 1, 2
+UNDET, VISITED, SHADED, GREY = 0, 1, 2, 3
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -105,34 +104,25 @@ def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:
 
 
 class _YajilinSearch(LoopSearch):
-    def __init__(self, puzzle: YajilinPuzzle, edges, pairs, index, **kw):
-        n = puzzle.dims.cell_count
+    """Shading and arrow clues on the flat cell graph: a cell left off the
+    loop is shaded, and its neighbours, read off ``incident``, must be visited."""
+
+    def __init__(self, puzzle: YajilinPuzzle, pairs, **kw):
+        w, n = puzzle.dims.width, puzzle.dims.cell_count
         super().__init__(n, pairs, [OPT] * n, **kw)
-        self.grey_idx = set(compress(range(n), puzzle.cells))
-        # Grey cells are never visited and not subject to shading rules.
-        self.status = [SHADED if ch else UNDET for ch in puzzle.cells]
-        self.nbrs = [[] for _ in range(n)]
-        for cell in puzzle.dims.cells():
-            i = index[cell]
-            if i in self.grey_idx:
-                continue
-            c, r = cell
-            for d in SIDE_DELTAS.values():
-                x = (c + d[0], r + d[1])
-                if puzzle.dims.contains(x) and index[x] not in self.grey_idx:
-                    self.nbrs[i].append(index[x])
+        # Grey cells (nonzero art bytes) have no edges, and a status that
+        # no rule counts: never undetermined, never shaded.
+        self.status = [GREY if ch else UNDET for ch in puzzle.cells]
         # clue -> ray node ids; node -> clue ids
         self.rays = []
         self.watch: dict[int, list[int]] = {}
         for ci, (cell, count, direction) in enumerate(puzzle.clues):
-            ray = [index[x] for x in puzzle.ray(cell, direction)]
+            ray = [r * w + c for c, r in puzzle.ray(cell, direction)]
             self.rays.append((count, ray))
             for x in ray:
                 self.watch.setdefault(x, []).append(ci)
 
     def node_rules_extra(self, x: int) -> bool:
-        if x in self.grey_idx:
-            return True
         old = self.status[x]
         if old == UNDET:
             if self.in_cnt[x] > 0:
@@ -144,7 +134,7 @@ class _YajilinSearch(LoopSearch):
             self.trail_extra(("status", x, old))
             self.status[x] = new
             if new == SHADED:
-                for y in self.nbrs[x]:
+                for y, _ in self.incident[x]:
                     if self.status[y] == SHADED:
                         return False
                     if self.req[y] != EXACT2:
@@ -160,11 +150,8 @@ class _YajilinSearch(LoopSearch):
         count, ray = self.rays[ci]
         shaded = undet = 0
         status = self.status
-        grey = self.grey_idx
         undet_nodes = []
         for x in ray:
-            if x in grey:
-                continue
             st = status[x]
             if st == SHADED:
                 shaded += 1
@@ -200,15 +187,9 @@ def solve(
     seeds_in=(),
     enumerate_all: bool = False,
 ):
-    edges, pairs, index = build_cell_graph(puzzle.dims, closed=puzzle.grey)
+    edges, pairs = build_cell_graph(puzzle.dims, puzzle.cells)
+    faces = grid_faces(puzzle.dims, edges)
     search = _YajilinSearch(
-        puzzle,
-        edges,
-        pairs,
-        index,
-        budget_ms=budget_ms,
-        connectivity_every=CUT_CHECK_EVERY,
-        branch_frontier=True,
-        faces=grid_faces(puzzle.dims, edges),
+        puzzle, pairs, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True, faces=faces
     )
     return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

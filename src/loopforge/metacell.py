@@ -144,10 +144,10 @@ def _covering_tours(template: MetacellTemplate, a: str, b: str) -> Iterator[list
     An extra node joined to the two exit cells closes each tour into a
     loop through all 36 nodes, which ``LoopSearch`` enumerates.
     """
-    _, pairs, index = build_cell_graph(template.dims, bars=template.bars)
-    cells = list(index)
-    extra, start = len(cells), index[template.exits[a]]
-    graph = pairs + [(extra, start), (extra, index[template.exits[b]])]
+    _, pairs = build_cell_graph(template.dims, bars=template.bars)
+    w, extra = template.dims.width, template.dims.cell_count
+    start, end = (r * w + c for c, r in (template.exits[a], template.exits[b]))
+    graph = pairs + [(extra, start), (extra, end)]
     for loop in LoopSearch(extra + 1, graph, [EXACT2] * (extra + 1)).solutions():
         nbrs: dict[int, list[int]] = {}
         for ei in loop:
@@ -158,7 +158,7 @@ def _covering_tours(template: MetacellTemplate, a: str, b: str) -> Iterator[list
         while len(path) < len(loop):
             x, y = nbrs[path[-1]]
             path.append(y if x == path[-2] else x)
-        yield [cells[x] for x in path[1:]]
+        yield [(x % w, x // w) for x in path[1:]]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from loopforge.grid import MASK_SIDES, CellLoop, GridDims, edge_between, edge_so
 from loopforge.metacell import lift_to_cubic, reduce_to_cubic
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -107,3 +110,19 @@ def flat_loop(width: int, height: int, edges):
     loop = CellLoop.flat(width, height, east, south)
     assert loop.transitions == edges
     return loop
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded once as the module ``perfbench_<name>``;
+    the benchmark's files are only read."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[key]
+            raise
+    return sys.modules[key]

@@ -196,7 +196,7 @@ def test_backtrack_returns_lexicographically_least():
 
 def test_search_enumerates_every_cycle_once():
     for puzzle in SMALL_BOARDS:
-        edges, pairs, _ = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+        edges, pairs = build_cell_graph(puzzle.dims, bars=puzzle.bars)
         n = puzzle.dims.cell_count
         search = LoopSearch(n, pairs, [EXACT2] * n, connectivity_every=32)
         found = [frozenset(edges[i] for i in ids) for ids in search.solutions()]

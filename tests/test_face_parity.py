@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from conftest import cell_mask
 from loopforge.bsl import BslPuzzle, solve_bsl_backtrack
 from loopforge.genres.base import CUT_CHECK_EVERY, build_cell_graph, grid_faces
 from loopforge.genres.masyu import MasyuPuzzle, _MasyuSearch
@@ -53,12 +54,12 @@ def test_cell_grids_with_closed_cells(seed):
     closed = frozenset(rng.sample(cells, round(len(cells) * rng.uniform(0, 0.3))))
     grid_edges = internal_edges(dims)
     bars = frozenset(rng.sample(grid_edges, rng.randint(0, len(grid_edges) // 8)))
-    edges, pairs, index = build_cell_graph(dims, closed, bars)
+    edges, pairs = build_cell_graph(dims, cell_mask(dims, closed), bars)
     mode = _modes(rng)
     kind = seed % 3
     if kind == 2:
         puzzle = YajilinPuzzle(dims, closed)
-        plain, faced = _both(lambda **kw: _YajilinSearch(puzzle, edges, pairs, index, **mode, **kw), dims, edges)
+        plain, faced = _both(lambda **kw: _YajilinSearch(puzzle, pairs, **mode, **kw), dims, edges)
     else:
         req = [OPT if kind == 0 or cell in closed else EXACT2 for cell in cells]
         plain, faced = _both(lambda **kw: LoopSearch(len(cells), pairs, req, **mode, **kw), dims, edges)
@@ -73,9 +74,9 @@ def test_full_cell_grids_with_optional_nodes(seed):
     cells = list(dims.cells())
     pearls = tuple((cell, rng.choice(("white", "black"))) for cell in rng.sample(cells, rng.randint(0, 2)))
     puzzle = MasyuPuzzle(dims, pearls)
-    edges, pairs, index = build_cell_graph(dims)
+    edges, pairs = build_cell_graph(dims)
     mode = _modes(rng)
-    plain, faced = _both(lambda **kw: _MasyuSearch(puzzle, edges, pairs, index, **mode, **kw), dims, edges)
+    plain, faced = _both(lambda **kw: _MasyuSearch(puzzle, pairs, **mode, **kw), dims, edges)
     assert faced == plain
 
 
@@ -85,7 +86,7 @@ def test_dot_lattices_with_clues(seed):
     rng = random.Random(seed)
     cells = GridDims(rng.randint(1, 3), rng.randint(1, 3))
     dots = GridDims(cells.width + 1, cells.height + 1)
-    edges, pairs, _ = build_cell_graph(dots)
+    edges, pairs = build_cell_graph(dots)
     clued = rng.sample(list(cells.cells()), rng.randint(1, min(4, cells.cell_count)))
     if seed % 4:
         loops = sorted(sorted(s) for s in LoopSearch(dots.cell_count, pairs, [OPT] * dots.cell_count).solutions())
@@ -96,16 +97,14 @@ def test_dot_lattices_with_clues(seed):
         clues = tuple((cell, rng.randint(0, 3)) for cell in clued)
     puzzle = SlitherlinkPuzzle(cells, clues)
     mode = _modes(rng)
-    plain, faced = _both(
-        lambda **kw: _SlitherlinkSearch(puzzle, edges, pairs, dots.cell_count, **mode, **kw), dots, edges
-    )
+    plain, faced = _both(lambda **kw: _SlitherlinkSearch(puzzle, pairs, **mode, **kw), dots, edges)
     assert faced == plain
 
 
 def _bsl_orders(puzzle: BslPuzzle) -> tuple[list, list]:
     """Every solution of ``puzzle`` in the order BSL backtracking finds them
     (index order, a cut check every 32 decisions), without and with face ids."""
-    edges, pairs, _ = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+    edges, pairs = build_cell_graph(puzzle.dims, bars=puzzle.bars)
     n = puzzle.dims.cell_count
 
     def order(**kw) -> list:
@@ -153,14 +152,14 @@ def test_bsl_boards_have_both_verdicts_and_long_enumerations():
 def _square_search() -> tuple[LoopSearch, dict]:
     """A 3x3 node grid with faces: squares 1 2 / 3 4 around the centre, 0 outside."""
     dims = GridDims(3, 3)
-    edges, pairs, _ = build_cell_graph(dims)
+    edges, pairs = build_cell_graph(dims)
     search = LoopSearch(dims.cell_count, pairs, [OPT] * dims.cell_count, faces=grid_faces(dims, edges))
     return search, {e: i for i, e in enumerate(edges)}
 
 
 def test_grid_face_ids():
     dims = GridDims(3, 3)
-    edges, _, _ = build_cell_graph(dims, closed=frozenset({(2, 2)}))
+    edges, _ = build_cell_graph(dims, cell_mask(dims, {(2, 2)}))
     faces, absent = grid_faces(dims, edges)
     got = dict(zip(edges, faces))
     assert got[("h", 0, 0)] == (0, 1)
@@ -204,12 +203,10 @@ def test_transitive_relation_forces_an_edge():
 def test_solutions_restore_the_face_union_find():
     dims = GridDims(4, 4)
     closed = frozenset({(1, 1)})
-    edges, pairs, index = build_cell_graph(dims, closed)
+    edges, pairs = build_cell_graph(dims, cell_mask(dims, closed))
     search = _YajilinSearch(
         YajilinPuzzle(dims, closed),
-        edges,
         pairs,
-        index,
         connectivity_every=CUT_CHECK_EVERY,
         branch_frontier=True,
         faces=grid_faces(dims, edges),

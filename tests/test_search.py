@@ -49,6 +49,7 @@ from loopforge.genres.base import build_cell_graph
 from loopforge.grid import GridDims, edge_sort_key, internal_edges
 from loopforge.search import EXACT2, IN, OPT, OUT, UNKNOWN, LoopSearch
 from loopforge.tiling import crossings
+from conftest import perfbench_module
 from test_bsl import SMALL_BOARDS
 from test_dp import planted_bars
 
@@ -247,6 +248,34 @@ def test_degenerate_image_traversal(monkeypatch, genre, calls):
     assert searches[0]._calls == calls
 
 
+def _small_cubic_source(width: int, height: int, kind: str) -> BslPuzzle:
+    """The benchmark's small cubic source of this size and kind for ``random.Random(7)``."""
+    source = perfbench_module("inputs").small_cubic_source(random.Random(7), width, height, kind)
+    return BslPuzzle(GridDims(width, height), source.bars)
+
+
+# Genre images of small cubic sources, whole boards beyond the tile
+# rings.  (genre, source size, kind, status, decisions, first 16 hex digits)
+IMAGE_PINS = [
+    ("yajilin", (4, 2), "sat", "sat", 319, "273aa3d18a9817c6"),
+    ("yajilin", (2, 4), "unsat", "unsat", 7550, None),
+    ("masyu", (2, 2), "sat", "sat", 849, "b02811dfc3c180b7"),
+]
+
+
+@pytest.mark.parametrize(
+    "genre,size,kind,status,calls,digest", IMAGE_PINS, ids=[f"{p[0]}-{p[2]}-{p[1][0]}x{p[1][1]}" for p in IMAGE_PINS]
+)
+def test_small_source_image_traversal(monkeypatch, genre, size, kind, status, calls, digest):
+    board, _ = reduction.reduce_to_genre(CubicBslPuzzle(_small_cubic_source(*size, kind)), genre)
+    module = GENRES[genre]
+    searches = _capture(monkeypatch, module)
+    result = module.solve(board)
+    assert result.status == status
+    assert searches[0]._calls == calls
+    assert (_digest([result.solution])[:16] if result.solution else None) == digest
+
+
 def _reach(n: int, pairs, start: int) -> list:
     """Breadth-first distances from ``start`` over ``pairs``; None where unreached."""
     adj = [[] for _ in range(n)]
@@ -349,7 +378,7 @@ def test_cut_check_matches_brute_force_on_small_boards(monkeypatch):
     verdicts = _compare_checks(monkeypatch)
     odd = [BslPuzzle(GridDims(5, 5), frozenset()), BslPuzzle(GridDims(5, 7), frozenset())]
     for puzzle in SMALL_BOARDS + odd:
-        _, pairs, _ = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+        _, pairs = build_cell_graph(puzzle.dims, bars=puzzle.bars)
         n = puzzle.dims.cell_count
         list(LoopSearch(n, pairs, [EXACT2] * n, connectivity_every=1).solutions())
     assert True in verdicts and False in verdicts
@@ -361,7 +390,7 @@ def test_cut_check_matches_brute_force_on_random_states():
     for seed in range(40):
         rng = random.Random(seed)
         dims = GridDims(rng.randint(3, 6), rng.randint(3, 6))
-        _, pairs, _ = build_cell_graph(dims)
+        _, pairs = build_cell_graph(dims)
         n = dims.cell_count
         search = LoopSearch(n, pairs, [EXACT2 if rng.random() < 0.6 else OPT for _ in range(n)])
         order = list(range(len(pairs)))
@@ -436,7 +465,7 @@ def test_cut_check_matches_brute_force_on_rings(monkeypatch):
 def test_forcing_against_a_decided_edge_is_a_conflict():
     """A forcing popped for an edge already decided is skipped when it agrees
     and a conflict when it does not."""
-    _, pairs, _ = build_cell_graph(GridDims(3, 3))
+    _, pairs = build_cell_graph(GridDims(3, 3))
     search = LoopSearch(9, pairs, [OPT] * 9)
     search.queue.append((0, OUT))
     assert search._propagate()
@@ -449,7 +478,7 @@ def test_forcing_against_a_decided_edge_is_a_conflict():
 
 
 def test_spent_budget_stops_before_the_seeds_propagate():
-    _, pairs, _ = build_cell_graph(GridDims(4, 4))
+    _, pairs = build_cell_graph(GridDims(4, 4))
     search = LoopSearch(16, pairs, [EXACT2] * 16, budget_ms=0)
     search.deadline = time.monotonic() - 1.0
     with pytest.raises(SearchTimeout):
