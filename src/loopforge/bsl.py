@@ -17,8 +17,8 @@ from typing import Optional
 from . import dp
 from .errors import CapabilityError
 from .genres.base import SolveResult, build_cell_graph, grid_faces, run_search
-from .grid import ALL_SIDES, MASK_SIDES, OPPOSITE_BIT, Cell, CellLoop, E, Edge, GridDims, N, S, Violation, W
-from .grid import edge_in_bounds, edge_sort_key, side_steps, validate_loop
+from .grid import ALL_SIDES, MASK_SIDES, OPPOSITE_BIT, Cell, CellLoop, E, Edge, GridDims, S, Violation
+from .grid import edge_in_bounds, edge_sort_key, grid_sides, side_steps, validate_loop
 from .search import EXACT2, LoopSearch
 
 DEFAULT_PROFILE_CAP = 14
@@ -35,10 +35,8 @@ class BslPuzzle:
     sides: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        w, h = self.dims.width, self.dims.height
-        row = bytes([E, *[E | W] * (w - 2), W]) if w > 1 else b"\0"
-        top, middle, bottom = (bytes(m | v for m in row) for v in (S, N | S, N))
-        masks = bytearray(top + middle * (h - 2) + bottom if h > 1 else row)
+        w = self.dims.width
+        masks = grid_sides(self.dims)
         step = side_steps(w)
         for edge in self.bars:
             if not edge_in_bounds(self.dims, edge):
@@ -70,11 +68,15 @@ class CubicBslPuzzle:
     def bars(self) -> frozenset[Edge]:
         return self.inner.bars
 
+    @property
+    def sides(self) -> bytes:
+        return self.inner.sides
+
 
 def verify_bsl(puzzle: BslPuzzle, sol: CellLoop) -> Optional[Violation]:
     """Valid iff the loop covers every cell exactly once and avoids all bars.
     The least crossed bar (``edge_sort_key``) is reported first."""
-    if sol.size == (puzzle.dims.width, puzzle.dims.height) and isinstance(puzzle, BslPuzzle):
+    if sol.size == (puzzle.dims.width, puzzle.dims.height):
         bar = _crossed_bar(puzzle, sol.east, sol.south)
     else:
         bar = min(puzzle.bars & sol.transitions, key=edge_sort_key, default=None)
@@ -124,11 +126,11 @@ def _crossed_bar(puzzle: BslPuzzle, east: bytearray, south: bytearray) -> Option
 
 def solve_bsl_backtrack(puzzle: BslPuzzle, budget_ms: Optional[float] = None) -> SolveResult:
     """Exact search; returns the canonically least solution when one exists."""
-    edges, pairs = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+    pairs = build_cell_graph(puzzle.dims, sides=puzzle.sides)
     n = puzzle.dims.cell_count
-    faces = grid_faces(puzzle.dims, edges)
+    faces = grid_faces(puzzle.dims, pairs)
     search = LoopSearch(n, pairs, [EXACT2] * n, budget_ms=budget_ms, connectivity_every=32, faces=faces)
-    return run_search(search, edges, lambda loop: verify_bsl(puzzle, loop))
+    return run_search(search, puzzle.dims, lambda loop: verify_bsl(puzzle, loop))
 
 
 def solve_bsl_dp(puzzle: BslPuzzle) -> bool:

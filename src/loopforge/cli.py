@@ -1,9 +1,10 @@
 """Command-line front end: solve, verify, reduce, roundtrip, certify, catalog.
 
-Exit codes: 0 success/sat, 1 failure/unsat, 2 timeout, 64 parse error,
-65 genre mismatch, 66 missing or uncertified gadget, 70 internal error
-(any failure a command does not handle itself, such as an exceeded
-capability limit or a reduction or lift that fails its own checks).
+Exit codes: 0 success/sat, 1 failure/unsat, 2 timeout, 64 parse error
+(a malformed input file or command line), 65 genre mismatch, 66 missing
+or uncertified gadget, 70 internal error (any failure a command does not
+handle itself, such as an exceeded capability limit or a reduction or
+lift that fails its own checks).
 Stdout is machine-readable JSON with sorted keys; identical inputs
 produce byte-identical output.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -223,13 +225,22 @@ def cmd_catalog(args) -> int:
     return EXIT_SAT
 
 
+def budget(text: str) -> float:
+    """A ``--budget`` in milliseconds: finite, and 0 or more.  NaN is
+    refused, since no clock reading is ever past it."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loopforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a puzzle file")
     p.add_argument("file")
-    p.add_argument("--budget", type=float, default=60000.0, help="time budget in milliseconds")
+    p.add_argument("--budget", type=budget, default=60000.0, help="time budget in milliseconds")
     p.add_argument("--oracle", choices=("backtrack", "dp"), default="backtrack")
     p.set_defaults(func=cmd_solve)
 
@@ -248,25 +259,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="solve, reduce, lift and verify end to end")
     p.add_argument("file")
     p.add_argument("--genre", required=True)
-    p.add_argument("--budget", type=float, default=60000.0)
+    p.add_argument("--budget", type=budget, default=60000.0)
     p.add_argument("--confirm-cells", type=int, default=200, dest="confirm_cells",
                    help="largest unsat image the genre solver will try to confirm")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("certify", help="certify a gadget descriptor")
     p.add_argument("--genre", required=True)
-    p.add_argument("--budget", type=float, default=60000.0)
+    p.add_argument("--budget", type=budget, default=60000.0)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("catalog", help="list available gadgets")
     p.add_argument("--no-certify", action="store_true", help="skip certification, list only")
-    p.add_argument("--budget", type=float, default=30000.0)
+    p.add_argument("--budget", type=budget, default=30000.0)
     p.set_defaults(func=cmd_catalog)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means a timeout here.
+        raise SystemExit(EXIT_PARSE if exc.code == 2 else exc.code) from None
     try:
         return args.func(args)
     except _Refused as exc:

@@ -8,7 +8,7 @@ from operator import getitem
 from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import SearchTimeout
-from ..grid import Cell, CellLoop, Edge, GridDims, Violation, internal_edges, least_cell
+from ..grid import E, S, Cell, CellLoop, Edge, GridDims, Violation, edge_in_bounds, grid_sides, least_cell
 from ..search import IN, LoopSearch
 
 # The genre solvers run the cut check at every CUT_CHECK_EVERY-th
@@ -24,24 +24,23 @@ class SolveResult:
     solution: Optional[object] = None
 
 
-def build_cell_graph(
-    dims: GridDims, closed: bytes = b"", bars: frozenset[Edge] = frozenset()
-) -> tuple[list[Edge], list[tuple[int, int]]]:
-    """The canonical edges joining open cells across no bar, and each one's
-    flat node ids ``(a, b)``, ``a = r * width + c`` its lesser cell's.
-    ``closed`` is one byte per cell, row-major (a board's art bytes): a
-    nonzero byte shuts its cell."""
+def build_cell_graph(dims: GridDims, closed: bytes = b"", sides: bytes = b"") -> list[tuple[int, int]]:
+    """The graph's edges as flat node pairs ``(a, b)``: ``a = r * width + c``
+    and ``b`` the cell east (``a + 1``) or south (``a + width``) of it, in
+    canonical order, by ``a`` and east first.  ``closed`` is one byte per
+    cell (a board's art bytes): a nonzero byte shuts its cell.  ``sides`` is
+    one ``grid`` side mask per cell, as ``BslPuzzle.sides`` holds them; by
+    default every side inside the grid is open."""
     w = dims.width
     shut = closed or bytes(dims.cell_count)
-    edges, pairs = [], []
-    for edge in filterfalse(bars.__contains__, internal_edges(dims)):
-        axis, c, r = edge
-        a = r * w + c
-        b = a + 1 if axis == "h" else a + w
-        if not (shut[a] or shut[b]):
-            edges.append(edge)
-            pairs.append((a, b))
-    return edges, pairs
+    pairs = []
+    for a, m in enumerate(sides or grid_sides(dims)):
+        if not shut[a]:
+            if m & E and not shut[a + 1]:
+                pairs.append((a, a + 1))
+            if m & S and not shut[a + w]:
+                pairs.append((a, a + w))
+    return pairs
 
 
 def side_table(width: int, n_nodes: int, pairs: list[tuple[int, int]]) -> list[dict[str, int]]:
@@ -56,28 +55,30 @@ def side_table(width: int, n_nodes: int, pairs: list[tuple[int, int]]) -> list[d
     return table
 
 
-def grid_faces(dims: GridDims, edges: list[Edge]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The two face ids of each edge in ``edges``, and of each grid edge not in it.
+def grid_faces(dims: GridDims, pairs: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The two face ids of each flat pair in ``pairs``, and of each grid edge not in it.
 
     On the node grid ``dims``, face ``1 + x + y * (width - 1)`` is the
     unit square between nodes (x, y) and (x + 1, y + 1); face 0 is the
-    outer face.  ``("h", c, r)`` separates squares (c, r - 1) and (c, r),
-    ``("v", c, r)`` squares (c - 1, r) and (c, r).
+    outer face.  The edge east of node (c, r) separates squares (c, r - 1)
+    and (c, r), the edge south of it squares (c - 1, r) and (c, r).
     """
     w, h = dims.width, dims.height
     # Square (x, y) is above[(y + 1) * s + x + 1], padded with the outer face
-    # all round; the faces below an edge and left of it are the same table shifted.
+    # all round; the faces below an edge and left of it are the same table
+    # shifted.  Node a = r * w + c sits at k = r * s + c + 1 = a + r + 1.
     s = w + 1
     above = [0] * s
     for y in range(h - 1):
         above += (0, *range(1 + y * (w - 1), 1 + (y + 1) * (w - 1)), 0)
     above += above[:s]
-    below, shift = above[s:], {"h": above, "v": above[s - 1 :]}
+    below, left = above[s:], above[s - 1 :]
 
-    def sides(edges: Iterable[Edge]) -> list[tuple[int, int]]:
-        return [(shift[axis][k], below[k]) for axis, c, r in edges for k in (r * s + c + 1,)]
+    def faces(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        return [((left if b - a == w else above)[k], below[k]) for a, b in pairs for k in (a + a // w + 1,)]
 
-    return sides(edges), sides(filterfalse(set(edges).__contains__, internal_edges(dims)))
+    present = set(pairs)
+    return faces(pairs), faces(filterfalse(present.__contains__, build_cell_graph(dims)))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -178,29 +179,44 @@ def check_art(dims: GridDims, cells: bytes, alphabet: bytes) -> None:
 
 def run_search(
     search: LoopSearch,
-    edges: list[Edge],
+    dims: GridDims,
     verify: Callable[[CellLoop], Optional[Violation]],
     seeds_in=(),
     enumerate_all: bool = False,
 ):
-    """Solve with ``search`` over ``edges``, accepting only what ``verify`` passes.
+    """Solve with ``search`` over its flat pairs (``search.edges``) on the
+    node grid ``dims``, accepting only what ``verify`` passes.  Candidates
+    and solutions are ``CellLoop.flat`` on ``dims``: an edge is south of
+    ``a`` when ``b - a == width``, else east of it.
 
     Returns a generator of every solution with ``enumerate_all``, and
-    otherwise a SolveResult for the first one.  Seeds are edges forced
-    into the loop; no solution holds a seed outside ``edges``, so such a
-    seed gives "unsat" (an empty generator).  When the search's budget
-    runs out, the first-solution path returns status "timeout", while the
-    generator raises ``SearchTimeout`` from the ``next()`` call that finds
-    the budget spent; solutions it yielded before stay valid.
+    otherwise a SolveResult for the first one.  Seeds are edges forced into
+    the loop; no solution holds a seed outside the graph, so such a seed
+    gives "unsat" (an empty generator).  When the search's budget runs out,
+    the first-solution path returns status "timeout", while the generator
+    raises ``SearchTimeout`` from the ``next()`` call that finds the budget
+    spent; solutions it yielded before stay valid.
     """
+    w, h = dims.width, dims.height
+    pairs = search.edges
 
-    def solution(ids: frozenset[int]):
-        return CellLoop(frozenset(edges[i] for i in ids))
+    def solution(ids: frozenset[int]) -> CellLoop:
+        east, south = bytearray(w * h + 1), bytearray(w * h + w)
+        for i in ids:
+            a, b = pairs[i]
+            (south if b - a == w else east)[a] = 1
+        return CellLoop.flat(w, h, east, south)
+
+    def seed_id(edge: Edge) -> Optional[int]:
+        # Bounds first: ("h", w - 1, r) or a negative column would name
+        # another edge's pair.
+        a = edge[2] * w + edge[1]
+        return eidx.get((a, a + (1 if edge[0] == "h" else w))) if edge_in_bounds(dims, edge) else None
 
     search.accept = lambda ids: verify(solution(ids)) is None
-    # Only seeds read the edge -> id map.
-    eidx = {e: i for i, e in enumerate(edges)} if seeds_in else {}
-    seeds = [(eidx.get(e), IN) for e in seeds_in]
+    # Only seeds read the pair -> id map.
+    eidx = {pair: i for i, pair in enumerate(pairs)} if seeds_in else {}
+    seeds = [(seed_id(e), IN) for e in seeds_in]
     if (None, IN) in seeds:
         return iter(()) if enumerate_all else SolveResult("unsat")
     if enumerate_all:

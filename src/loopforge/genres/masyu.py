@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import json_int
-from ..grid import OPPOSITE_SIDE, SIDES, Cell, CellLoop, GridDims, LoopIds, Violation, least_cell
-from ..search import EXACT2, OPT, OUT, LoopSearch
+from ..grid import SIDES, Cell, CellLoop, GridDims, LoopIds, Violation, least_cell
+from ..search import EXACT2, IN, OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search, side_table
 
 
@@ -19,11 +19,6 @@ class MasyuPuzzle(ArtBoard):
 
     def __init__(self, dims: GridDims, pearls: tuple[tuple[Cell, str], ...]) -> None:
         ArtBoard.__init__(self, dims, entry_grid(dims, pearls, COLOURS, b"BW", "bad pearl colour {value!r}", "pearl"))
-
-    @property
-    def pearls(self) -> tuple[tuple[Cell, str], ...]:
-        """(cell, "white" | "black") in canonical order."""
-        return tuple(((c, r), COLOUR[ch]) for c, r, ch in self.scan())
 
 
 COLOURS = ("black", "white")  # as the art bytes B and W
@@ -99,41 +94,37 @@ def _pearl_faults(cells: bytes, loop: LoopIds) -> list[tuple[str, int]]:
 
 
 class _MasyuSearch(LoopSearch):
-    """Pearl rules as propagation on the flat cell graph: a pearl reads its
-    own sides and the same sides of the nodes beyond through ``side_table``."""
+    """Pearl rules as propagation on the flat cell graph.  Each pearl keeps
+    two 4-tuples of edge ids in ``SIDES`` order, read off ``side_table``
+    once: its own sides, and the same side of the node beyond each, which
+    the loop holds when it runs straight on through that node.  -1 stands
+    where there is no such edge, and reads as ``OUT``."""
 
     def __init__(self, puzzle: MasyuPuzzle, pairs, **kw):
         w, n = puzzle.dims.width, puzzle.dims.cell_count
         super().__init__(n, pairs, [EXACT2 if ch else OPT for ch in puzzle.cells], **kw)
-        # For every node: side -> edge id, to express the local pearl rules.
-        self.side_edge = side_table(w, n, pairs)
-        # node -> pearls to recheck (the pearl itself and cells whose
-        # edges appear in its straight-continuation rules).
-        self.pearl_at: dict[int, str] = {r * w + c: COLOUR[ch] for c, r, ch in puzzle.scan()}
+        side = side_table(w, n, pairs)
+        # node -> (black, own sides, sides beyond); node -> the pearls to
+        # recheck: the pearl itself and up to two nodes beyond it on each side.
+        self.pearl_at: dict[int, tuple[bool, tuple[int, ...], tuple[int, ...]]] = {}
         self.watch: dict[int, list[int]] = {}
-        for p in self.pearl_at:
-            for node in self._rule_nodes(p):
-                self.watch.setdefault(node, []).append(p)
+        for c, r, ch in puzzle.scan():
+            p = r * w + c
+            nodes, own, beyond = [p], [], []
+            for d in SIDES:
+                e, f = side[p].get(d, -1), -1
+                if e >= 0:
+                    x = sum(pairs[e]) - p
+                    f = side[x].get(d, -1)
+                    nodes += [x] if f < 0 else [x, sum(pairs[f]) - x]
+                own.append(e)
+                beyond.append(f)
+            self.pearl_at[p] = (COLOUR[ch] == "black", tuple(own), tuple(beyond))
+            for x in nodes:
+                self.watch.setdefault(x, []).append(p)
 
-    def _rule_nodes(self, p: int) -> list[int]:
-        """The pearl at node ``p`` and up to two nodes beyond it on each side."""
-        nodes = [p]
-        for d in SIDES:
-            x = self._side_neighbor(p, d)
-            if x is not None:
-                nodes.append(x)
-                y = self._side_neighbor(x, d)
-                if y is not None:
-                    nodes.append(y)
-        return nodes
-
-    def _edge_state(self, node: int, side: str) -> int:
-        ei = self.side_edge[node].get(side)
-        return OUT if ei is None else self.state[ei]
-
-    def _force(self, node: int, side: str, val: int) -> bool:
-        ei = self.side_edge[node].get(side)
-        if ei is None:
+    def _force(self, ei: int, val: int) -> bool:
+        if ei < 0:
             return val == OUT
         st = self.state[ei]
         if st:
@@ -148,61 +139,42 @@ class _MasyuSearch(LoopSearch):
         return True
 
     def _pearl_rules(self, p: int) -> bool:
-        colour = self.pearl_at[p]
-        state = self._edge_state
-        if colour == "black":
+        black, own, beyond = self.pearl_at[p]
+        state, force = self.state, self._force
+        at = [state[e] if e >= 0 else OUT for e in own]
+        if black:
             # Exactly one of each axis; straight continuation beyond both.
-            for d in SIDES:
-                o = OPPOSITE_SIDE[d]
-                if state(p, d) == 1:
-                    if not self._force(p, o, OUT):
-                        return False
-                    nxt = self._side_neighbor(p, d)
-                    if nxt is None or not self._force(nxt, d, 1):
+            for k in range(4):
+                e, o, f = own[k], own[k ^ 2], beyond[k]
+                if at[k] == IN:
+                    if not (force(o, OUT) and force(f, IN)):
                         return False
                 # One opening per axis: a dead side forces the opposite one in.
-                if state(p, d) == OUT and not self._force(p, o, 1):
-                    return False
+                elif at[k] == OUT:
+                    if not force(o, IN):
+                        return False
                 # An opening is unusable when its straight continuation
                 # cannot exist.
-                if state(p, d) == 0:
-                    nxt = self._side_neighbor(p, d)
-                    if nxt is None or state(nxt, d) == OUT:
-                        if not self._force(p, d, OUT):
-                            return False
+                elif (f < 0 or state[f] == OUT) and not force(e, OUT):
+                    return False
         else:
-            for d in ("N", "E"):
-                o = OPPOSITE_SIDE[d]
-                a, b = state(p, d), state(p, o)
-                if a == 1 and not self._force(p, o, 1):
+            # The two sides on each axis agree: a decided side forces the other.
+            for k in (0, 2, 1, 3):
+                if at[k] and not force(own[k ^ 2], at[k]):
                     return False
-                if b == 1 and not self._force(p, d, 1):
-                    return False
-                if a == OUT and not self._force(p, o, OUT):
-                    return False
-                if b == OUT and not self._force(p, d, OUT):
-                    return False
-            # If the loop runs through along axis d, at least one side turns.
-            for d in ("N", "E"):
-                o = OPPOSITE_SIDE[d]
-                if state(p, d) == 1 and state(p, o) == 1:
-                    na, nb = self._side_neighbor(p, d), self._side_neighbor(p, o)
-                    a_straight = state(na, d) == 1
-                    b_straight = state(nb, o) == 1
+            # If the loop runs through along an axis, at least one side turns.
+            for k in (0, 1):
+                if at[k] == IN and at[k + 2] == IN:
+                    a, b = beyond[k], beyond[k + 2]
+                    a_straight = a >= 0 and state[a] == IN
+                    b_straight = b >= 0 and state[b] == IN
                     if a_straight and b_straight:
                         return False
-                    if a_straight and not self._force(nb, o, OUT):
+                    if a_straight and not force(b, OUT):
                         return False
-                    if b_straight and not self._force(na, d, OUT):
+                    if b_straight and not force(a, OUT):
                         return False
         return True
-
-    def _side_neighbor(self, p: int, d: str) -> Optional[int]:
-        ei = self.side_edge[p].get(d)
-        if ei is None:
-            return None
-        u, v = self.edges[ei]
-        return v if u == p else u
 
 
 def solve(
@@ -211,6 +183,6 @@ def solve(
     seeds_in=(),
     enumerate_all: bool = False,
 ):
-    edges, pairs = build_cell_graph(puzzle.dims)
+    pairs = build_cell_graph(puzzle.dims)
     search = _MasyuSearch(puzzle, pairs, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True)
-    return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, puzzle.dims, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

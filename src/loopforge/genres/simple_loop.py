@@ -19,10 +19,6 @@ class SimpleLoopPuzzle(ArtBoard):
         grid = entry_grid(dims, ((cell, "#") for cell in shaded), ("#",), b"#", "", "shaded cell")
         ArtBoard.__init__(self, dims, grid)
 
-    @property
-    def shaded(self) -> frozenset[Cell]:
-        return frozenset((c, r) for c, r, _ in self.scan())
-
 
 def from_art(dims: GridDims, cells: bytes) -> SimpleLoopPuzzle:
     """Tile art as a puzzle: ``#`` is a shaded cell."""
@@ -57,11 +53,11 @@ def solve(
     enumerate_all: bool = False,
 ):
     """Exact solver; with ``enumerate_all`` returns a solution generator."""
-    edges, pairs = build_cell_graph(puzzle.dims, puzzle.cells)
+    pairs = build_cell_graph(puzzle.dims, puzzle.cells)
     n = puzzle.dims.cell_count
     # A shaded cell has no incident edges and is never required.
     req = [EXACT2 if b == 0 else OPT for b in puzzle.cells]
     search = LoopSearch(
         n, pairs, req, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )
-    return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, puzzle.dims, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

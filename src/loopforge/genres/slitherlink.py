@@ -145,8 +145,9 @@ def solve(
     seeds_in=(),
     enumerate_all: bool = False,
 ):
-    edges, pairs = build_cell_graph(GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1))
+    dots = GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1)
+    pairs = build_cell_graph(dots)
     search = _SlitherlinkSearch(
         puzzle, pairs, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )
-    return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, dots, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

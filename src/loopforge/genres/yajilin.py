@@ -31,10 +31,6 @@ class YajilinPuzzle(ArtBoard):
                 raise ValueError(f"bad clue {count}{direction} at {cell}")
         ArtBoard.__init__(self, dims, grid, clues)
 
-    @property
-    def grey(self) -> frozenset[Cell]:
-        return frozenset((c, r) for c, r, _ in self.scan())
-
     def ray(self, cell: Cell, direction: str) -> list[Cell]:
         dc, dr = SIDE_DELTAS[direction]
         c, r = cell
@@ -187,9 +183,9 @@ def solve(
     seeds_in=(),
     enumerate_all: bool = False,
 ):
-    edges, pairs = build_cell_graph(puzzle.dims, puzzle.cells)
-    faces = grid_faces(puzzle.dims, edges)
+    pairs = build_cell_graph(puzzle.dims, puzzle.cells)
+    faces = grid_faces(puzzle.dims, pairs)
     search = _YajilinSearch(
         puzzle, pairs, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True, faces=faces
     )
-    return run_search(search, edges, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, puzzle.dims, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)

@@ -15,18 +15,18 @@ order.
 
 A cell's sides are held as a side mask, ``N, E, S, W = 1, 2, 4, 8`` in
 ``SIDES`` order, defined here only, with each bit's letter, opposite and
-flat-id step (:func:`side_steps`); ``OPPOSITE_SIDE`` and :func:`side_edge`
-are derived from it.
+flat-id step (:func:`side_steps`); ``OPPOSITE_SIDE``, :func:`side_edge`
+and :func:`grid_sides` are derived from it.
 
 A loop (:class:`CellLoop`) is its set of internal edges, held either as
 those edge tuples or flat: as the ``east``/``south`` byte arrays of
-:class:`LoopIds` on its node grid, with no tuple per edge.  The lift
-writes flat loops; JSON input, tests and the solvers build loops from
-edges, and :func:`loop_ids` is the one checked conversion from edges to
-bytes.  On the flat form canonical order is scan order, so a flat loop
-lists its edges by a row scan, with nothing to sort.  Every loop check
-ends in :func:`flat_ids`, which orients the loop in bulk by the even-odd
-rule and then walks it two moves per look-up.
+:class:`LoopIds` on its node grid, with no tuple per edge.  The lift and
+the solvers write flat loops; JSON input, projection and tests build
+loops from edges, and :func:`loop_ids` is the one checked conversion from
+edges to bytes.  On the flat form canonical order is scan order, so a
+flat loop lists its edges by a row scan, with nothing to sort.  Every
+loop check ends in :func:`flat_ids`, which orients the loop in bulk by
+the even-odd rule and then walks it two moves per look-up.
 """
 
 from __future__ import annotations
@@ -140,17 +140,13 @@ def edge_in_bounds(dims: GridDims, edge: Edge) -> bool:
     return False
 
 
-def internal_edges(dims: GridDims) -> list[Edge]:
-    """All internal edges in canonical order: row by row, and within a row
-    by column, "h" before "v"."""
-    edges: list[Edge] = []
-    for r in range(dims.height):
-        for c in range(dims.width):
-            if c + 1 < dims.width:
-                edges.append(("h", c, r))
-            if r + 1 < dims.height:
-                edges.append(("v", c, r))
-    return edges
+def grid_sides(dims: GridDims) -> bytearray:
+    """Each cell's side mask on a grid with no bars: every side that leads to
+    a cell of the grid, one byte per cell in row-major order."""
+    w, h = dims.width, dims.height
+    row = bytes([E, *[E | W] * (w - 2), W]) if w > 1 else b"\0"
+    top, middle, bottom = (bytes(m | v for m in row) for v in (S, N | S, N))
+    return bytearray(top + middle * (h - 2) + bottom if h > 1 else row)
 
 
 def checkerboard_color(cell: Cell) -> str:
@@ -377,11 +373,10 @@ class CellLoop:
     ``transitions`` is the edge set, and equality and hashing are those of
     the edge set, whichever form the loop is held in:
 
-    * built from edges, ``CellLoop(edges)``: JSON input, tests and the
-      solvers;
-    * flat, ``CellLoop.flat(width, height, east, south)``: the lift.  It
-      holds only 0/1 byte arrays laid out as in :class:`LoopIds` on a
-      width x height node grid (``size``).  ``transitions`` and ``scan``
+    * built from edges, ``CellLoop(edges)``: JSON input, projection and tests;
+    * flat, ``CellLoop.flat(width, height, east, south)``: the lift and the
+      solvers.  It holds only 0/1 byte arrays laid out as in :class:`LoopIds`
+      on a width x height node grid (``size``).  ``transitions`` and ``scan``
       read the arrays afresh on every call and keep nothing, so a byte
       changed in place shows in the next read and the next check.
 

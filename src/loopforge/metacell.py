@@ -4,10 +4,12 @@ Each source cell becomes a 35-cell block with a fixed internal bar
 pattern and one blockable opening per side.  Blocks are reflected
 horizontally on odd columns and vertically on odd rows so openings of
 neighbouring blocks line up; a source bar blocks the shared opening.
-Every pair of openings admits a tour of all 35 cells, and the
-checkerboard count (18 black, 17 white, all openings on black) forces
-any full solution to pass through each block exactly once, so the image
-is solvable exactly when the source is.
+Every pair of openings admits a tour of all 35 cells.  That the image is
+solvable exactly when the source is, is checked rather than argued:
+``tests/test_metacell.py::test_cubic_stage_by_exhaustion`` enumerates
+every image cycle of every bar set on 2x2, 3x2 and 2x3, projects each
+back to a source solution, and finds each source solution reached by the
+product of its blocks' tour counts (2 per opening pair, 8 for E-W).
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def _covering_tours(template: MetacellTemplate, a: str, b: str) -> Iterator[list
     An extra node joined to the two exit cells closes each tour into a
     loop through all 36 nodes, which ``LoopSearch`` enumerates.
     """
-    _, pairs = build_cell_graph(template.dims, bars=template.bars)
+    pairs = build_cell_graph(template.dims, sides=BslPuzzle(template.dims, template.bars).sides)
     w, extra = template.dims.width, template.dims.cell_count
     start, end = (r * w + c for c, r in (template.exits[a], template.exits[b]))
     graph = pairs + [(extra, start), (extra, end)]

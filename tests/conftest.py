@@ -53,6 +53,25 @@ def sides_by_cell(puzzle: BslPuzzle) -> dict:
     return dict(zip(puzzle.dims.cells(), map(MASK_SIDES.__getitem__, puzzle.sides)))
 
 
+def internal_edges(dims: GridDims) -> list:
+    """All internal edges in canonical order: row by row, and within a row
+    by column, "h" before "v"."""
+    edges = []
+    for r in range(dims.height):
+        for c in range(dims.width):
+            if c + 1 < dims.width:
+                edges.append(("h", c, r))
+            if r + 1 < dims.height:
+                edges.append(("v", c, r))
+    return edges
+
+
+def pair_edges(width: int, pairs) -> list:
+    """The grid's name of each flat pair ``(a, b)`` of a ``width``-wide
+    node grid: "v" when ``b - a == width``, else "h", at a's cell."""
+    return [("v" if b - a == width else "h", a % width, a // width) for a, b in pairs]
+
+
 def boundary_edges(dims: GridDims) -> list:
     """Every boundary edge ``(side, c, r)`` of the grid, in canonical order."""
     edges = [
@@ -62,6 +81,12 @@ def boundary_edges(dims: GridDims) -> list:
         if not dims.contains(nbr)
     ]
     return sorted(edges, key=edge_sort_key)
+
+
+def art_entries(puzzle) -> dict:
+    """Each nonempty cell of a genre board and its art character, in
+    canonical (col, row) order, read off ``puzzle.scan()``."""
+    return {(c, r): chr(ch) for c, r, ch in puzzle.scan()}
 
 
 def cell_mask(dims: GridDims, cells) -> bytes:

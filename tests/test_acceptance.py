@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution, lifted_opening_pairs, neighbors
+from conftest import fixture_puzzle, fixture_solution, internal_edges, lifted_opening_pairs, neighbors
 from loopforge.bsl import (
     BslPuzzle,
     CubicBslPuzzle,
@@ -22,7 +22,7 @@ from loopforge.bsl import (
 )
 from loopforge.catalog import certify_gadget, load_gadget
 from loopforge.genres import GENRES
-from loopforge.grid import CellLoop, GridDims, checkerboard_color, internal_edges
+from loopforge.grid import CellLoop, GridDims, checkerboard_color
 from loopforge.metacell import build_metacell_bank, lift_to_cubic, load_metacell, reduce_to_cubic
 from loopforge.orientation import orient
 from loopforge.reduction import lift_to_genre, reduce_to_genre

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution, flat_loop, neighbors, ring
+from conftest import fixture_puzzle, fixture_solution, flat_loop, internal_edges, neighbors, pair_edges, ring
 from loopforge.bsl import (
     BslPuzzle,
     CubicBslPuzzle,
@@ -20,7 +20,7 @@ from loopforge.bsl import (
 )
 from loopforge.errors import CapabilityError
 from loopforge.genres.base import build_cell_graph
-from loopforge.grid import MASK_SIDES, SIDE_DELTAS, CellLoop, GridDims, edge_sort_key, internal_edges
+from loopforge.grid import MASK_SIDES, SIDE_DELTAS, CellLoop, GridDims, edge_sort_key
 from loopforge.search import EXACT2, LoopSearch
 
 
@@ -133,6 +133,8 @@ def test_backtrack_on_fixture():
     puzzle = fixture_puzzle("bsl_example")
     result = solve_bsl_backtrack(puzzle)
     assert result.status == "sat"
+    # A flat loop on the board's own grid, which the verifier reads in place.
+    assert result.solution.size == (puzzle.dims.width, puzzle.dims.height)
     assert verify_bsl(puzzle, result.solution) is None
 
 
@@ -196,7 +198,8 @@ def test_backtrack_returns_lexicographically_least():
 
 def test_search_enumerates_every_cycle_once():
     for puzzle in SMALL_BOARDS:
-        edges, pairs = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+        pairs = build_cell_graph(puzzle.dims, sides=puzzle.sides)
+        edges = pair_edges(puzzle.dims.width, pairs)
         n = puzzle.dims.cell_count
         search = LoopSearch(n, pairs, [EXACT2] * n, connectivity_every=32)
         found = [frozenset(edges[i] for i in ids) for ids in search.solutions()]

@@ -13,9 +13,10 @@ import random
 
 import pytest
 
+from conftest import internal_edges
 from loopforge import dp
 from loopforge.bsl import BslPuzzle, solve_bsl_backtrack, solve_bsl_dp, verify_bsl
-from loopforge.grid import GridDims, internal_edges
+from loopforge.grid import GridDims
 
 
 def planted_loop(rng: random.Random, width: int, height: int) -> frozenset:

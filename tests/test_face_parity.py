@@ -15,22 +15,22 @@ import random
 
 import pytest
 
-from conftest import cell_mask
+from conftest import cell_mask, internal_edges, pair_edges
 from loopforge.bsl import BslPuzzle, solve_bsl_backtrack
 from loopforge.genres.base import CUT_CHECK_EVERY, build_cell_graph, grid_faces
 from loopforge.genres.masyu import MasyuPuzzle, _MasyuSearch
 from loopforge.genres.slitherlink import SlitherlinkPuzzle, _SlitherlinkSearch
 from loopforge.genres import yajilin
 from loopforge.genres.yajilin import YajilinPuzzle, _YajilinSearch
-from loopforge.grid import GridDims, internal_edges
+from loopforge.grid import GridDims
 from loopforge.metacell import reduce_to_cubic
 from loopforge.search import EXACT2, IN, OPT, OUT, LoopSearch
 
 
-def _both(make, dims: GridDims, edges) -> tuple[set, set]:
+def _both(make, dims: GridDims, pairs) -> tuple[set, set]:
     """Every solution of the search ``make`` builds, without and with face ids."""
     plain = set(make().solutions())
-    faced = make(faces=grid_faces(dims, edges))
+    faced = make(faces=grid_faces(dims, pairs))
     return plain, set(faced.solutions())
 
 
@@ -54,15 +54,15 @@ def test_cell_grids_with_closed_cells(seed):
     closed = frozenset(rng.sample(cells, round(len(cells) * rng.uniform(0, 0.3))))
     grid_edges = internal_edges(dims)
     bars = frozenset(rng.sample(grid_edges, rng.randint(0, len(grid_edges) // 8)))
-    edges, pairs = build_cell_graph(dims, cell_mask(dims, closed), bars)
+    pairs = build_cell_graph(dims, cell_mask(dims, closed), BslPuzzle(dims, bars).sides)
     mode = _modes(rng)
     kind = seed % 3
     if kind == 2:
         puzzle = YajilinPuzzle(dims, closed)
-        plain, faced = _both(lambda **kw: _YajilinSearch(puzzle, pairs, **mode, **kw), dims, edges)
+        plain, faced = _both(lambda **kw: _YajilinSearch(puzzle, pairs, **mode, **kw), dims, pairs)
     else:
         req = [OPT if kind == 0 or cell in closed else EXACT2 for cell in cells]
-        plain, faced = _both(lambda **kw: LoopSearch(len(cells), pairs, req, **mode, **kw), dims, edges)
+        plain, faced = _both(lambda **kw: LoopSearch(len(cells), pairs, req, **mode, **kw), dims, pairs)
     assert faced == plain
 
 
@@ -74,9 +74,9 @@ def test_full_cell_grids_with_optional_nodes(seed):
     cells = list(dims.cells())
     pearls = tuple((cell, rng.choice(("white", "black"))) for cell in rng.sample(cells, rng.randint(0, 2)))
     puzzle = MasyuPuzzle(dims, pearls)
-    edges, pairs = build_cell_graph(dims)
+    pairs = build_cell_graph(dims)
     mode = _modes(rng)
-    plain, faced = _both(lambda **kw: _MasyuSearch(puzzle, pairs, **mode, **kw), dims, edges)
+    plain, faced = _both(lambda **kw: _MasyuSearch(puzzle, pairs, **mode, **kw), dims, pairs)
     assert faced == plain
 
 
@@ -86,7 +86,8 @@ def test_dot_lattices_with_clues(seed):
     rng = random.Random(seed)
     cells = GridDims(rng.randint(1, 3), rng.randint(1, 3))
     dots = GridDims(cells.width + 1, cells.height + 1)
-    edges, pairs = build_cell_graph(dots)
+    pairs = build_cell_graph(dots)
+    edges = pair_edges(dots.width, pairs)
     clued = rng.sample(list(cells.cells()), rng.randint(1, min(4, cells.cell_count)))
     if seed % 4:
         loops = sorted(sorted(s) for s in LoopSearch(dots.cell_count, pairs, [OPT] * dots.cell_count).solutions())
@@ -97,21 +98,22 @@ def test_dot_lattices_with_clues(seed):
         clues = tuple((cell, rng.randint(0, 3)) for cell in clued)
     puzzle = SlitherlinkPuzzle(cells, clues)
     mode = _modes(rng)
-    plain, faced = _both(lambda **kw: _SlitherlinkSearch(puzzle, pairs, **mode, **kw), dots, edges)
+    plain, faced = _both(lambda **kw: _SlitherlinkSearch(puzzle, pairs, **mode, **kw), dots, pairs)
     assert faced == plain
 
 
 def _bsl_orders(puzzle: BslPuzzle) -> tuple[list, list]:
     """Every solution of ``puzzle`` in the order BSL backtracking finds them
     (index order, a cut check every 32 decisions), without and with face ids."""
-    edges, pairs = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+    pairs = build_cell_graph(puzzle.dims, sides=puzzle.sides)
+    edges = pair_edges(puzzle.dims.width, pairs)
     n = puzzle.dims.cell_count
 
     def order(**kw) -> list:
         search = LoopSearch(n, pairs, [EXACT2] * n, connectivity_every=32, **kw)
         return [frozenset(edges[i] for i in ids) for ids in search.solutions()]
 
-    return order(), order(faces=grid_faces(puzzle.dims, edges))
+    return order(), order(faces=grid_faces(puzzle.dims, pairs))
 
 
 def _barred_board(seed: int) -> BslPuzzle:
@@ -152,15 +154,16 @@ def test_bsl_boards_have_both_verdicts_and_long_enumerations():
 def _square_search() -> tuple[LoopSearch, dict]:
     """A 3x3 node grid with faces: squares 1 2 / 3 4 around the centre, 0 outside."""
     dims = GridDims(3, 3)
-    edges, pairs = build_cell_graph(dims)
-    search = LoopSearch(dims.cell_count, pairs, [OPT] * dims.cell_count, faces=grid_faces(dims, edges))
-    return search, {e: i for i, e in enumerate(edges)}
+    pairs = build_cell_graph(dims)
+    search = LoopSearch(dims.cell_count, pairs, [OPT] * dims.cell_count, faces=grid_faces(dims, pairs))
+    return search, {e: i for i, e in enumerate(pair_edges(dims.width, pairs))}
 
 
 def test_grid_face_ids():
     dims = GridDims(3, 3)
-    edges, _ = build_cell_graph(dims, cell_mask(dims, {(2, 2)}))
-    faces, absent = grid_faces(dims, edges)
+    pairs = build_cell_graph(dims, cell_mask(dims, {(2, 2)}))
+    edges = pair_edges(dims.width, pairs)
+    faces, absent = grid_faces(dims, pairs)
     got = dict(zip(edges, faces))
     assert got[("h", 0, 0)] == (0, 1)
     assert got[("v", 1, 0)] == (1, 2)
@@ -203,13 +206,13 @@ def test_transitive_relation_forces_an_edge():
 def test_solutions_restore_the_face_union_find():
     dims = GridDims(4, 4)
     closed = frozenset({(1, 1)})
-    edges, pairs = build_cell_graph(dims, cell_mask(dims, closed))
+    pairs = build_cell_graph(dims, cell_mask(dims, closed))
     search = _YajilinSearch(
         YajilinPuzzle(dims, closed),
         pairs,
         connectivity_every=CUT_CHECK_EVERY,
         branch_frontier=True,
-        faces=grid_faces(dims, edges),
+        faces=grid_faces(dims, pairs),
     )
     before = (list(search.face_root), list(search.face_par), [list(c) for c in search.face_class])
     # The closed node's four absent edges joined its four squares already.

@@ -263,6 +263,25 @@ def test_cli_certify_missing():
     assert main(["certify", "--genre", "nosuch"]) == 66
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1", "abc"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "bsl_example"],
+        ["roundtrip", "bsl_example", "--genre", "simple-loop"],
+        ["certify", "--genre", "simple-loop"],
+    ],
+)
+def test_cli_budget_must_be_finite_and_not_negative(command, budget, capsys):
+    # No clock reading is past NaN, so a NaN budget would never run out.
+    # A usage error is a parse error (64), never argparse's 2, which is "timeout" here.
+    args = [fx(a) if a.endswith("_example") else a for a in command]
+    with pytest.raises(SystemExit) as exited:
+        main([*args, "--budget", budget])
+    assert exited.value.code == 64
+    assert f"argument --budget: invalid budget value: '{budget}'" in capsys.readouterr().err
+
+
 def test_cli_catalog(capsys):
     assert main(["catalog", "--no-certify"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -164,8 +164,9 @@ def test_unregistered_genre_is_refused(tmp_path, capsys):
     doc = _write(tmp_path / "toy.json", _toy_doc(load_fixture("simple_loop_example")))
     assert main(["solve", doc]) == 64
     assert "unknown genre 'toy-loop'" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exited:
         main(["reduce", str(FIXTURES / "bsl_example.json"), "--to", "toy-loop", "-o", str(tmp_path / "b.json")])
+    assert exited.value.code == 64
     assert main(["roundtrip", str(FIXTURES / "bsl_example.json"), "--genre", "toy-loop"]) == 66
 
 

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution, ring
+from conftest import art_entries, fixture_puzzle, fixture_solution, internal_edges, ring
 from loopforge.genres import GENRES
 from loopforge.genres.masyu import MasyuPuzzle
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
 from loopforge.genres.slitherlink import SlitherlinkPuzzle
 from loopforge.genres.yajilin import YajilinPuzzle
-from loopforge.grid import CellLoop, GridDims, edge_cells, internal_edges
+from loopforge.grid import CellLoop, GridDims, edge_cells
+from loopforge.search import LoopSearch
 
 FIXTURE_NAMES = {
     "slitherlink": "slitherlink_example",
@@ -30,6 +31,9 @@ def test_solver_finds_accepted_solution(genre):
     puzzle = fixture_puzzle(FIXTURE_NAMES[genre])
     result = GENRES[genre].solve(puzzle, budget_ms=60000)
     assert result.status == "sat"
+    # A flat loop on the solver's node grid (the dots for Slitherlink).
+    offset = GENRES[genre].FRAME_OFFSET
+    assert result.solution.size == (puzzle.dims.width + offset, puzzle.dims.height + offset)
     assert GENRES[genre].verify(puzzle, result.solution) is None
 
 
@@ -62,7 +66,7 @@ def test_yajilin_shading_derivation():
     puzzle = fixture_puzzle("yajilin_example")
     sol = fixture_solution("yajilin_example")
     visited = {cell for edge in sol.transitions for cell in edge_cells(edge)}
-    shaded = set(puzzle.dims.cells()) - visited - puzzle.grey
+    shaded = set(puzzle.dims.cells()) - visited - set(art_entries(puzzle))
     assert shaded == {(0, 0), (0, 3), (2, 2), (3, 3), (5, 1)}
     assert GENRES["yajilin"].verify(puzzle, sol) is None
 
@@ -80,7 +84,7 @@ def test_yajilin_rejects_adjacent_shading():
 def test_yajilin_clue_violation_located():
     puzzle = fixture_puzzle("yajilin_example")
     bad = YajilinPuzzle(
-        puzzle.dims, puzzle.grey, tuple((c, n + 1, d) for (c, n, d) in puzzle.clues[:1])
+        puzzle.dims, art_entries(puzzle), tuple((c, n + 1, d) for (c, n, d) in puzzle.clues[:1])
         + puzzle.clues[1:]
     )
     sol = fixture_solution("yajilin_example")
@@ -120,13 +124,43 @@ def test_slitherlink_clue_check():
     assert GENRES["slitherlink"].verify(puzzle, toggled) is not None
 
 
-def test_seed_outside_the_graph_is_unsat():
+# (genre, board, seed): seeds off the solver's graph.  The solvers name an
+# edge by its flat pair (a, b), a = r * width + c, so each of the first
+# four would name another pair if its bounds went unchecked.
+OFF_GRAPH_SEEDS = [
+    # The pair (a, a + 1) of the last column's "h" edge would run into the next row.
+    ("simple-loop", SimpleLoopPuzzle(GridDims(3, 2), ()), ("h", 2, 0)),
+    # On a 1-wide board (r, r + 1) is the vertical pair between rows r and r + 1.
+    ("masyu", MasyuPuzzle(GridDims(1, 3), ()), ("h", 0, 1)),
+    ("simple-loop", SimpleLoopPuzzle(GridDims(1, 4), ()), ("h", 0, 2)),
+    # Negative coordinates: ("v", -1, 1) would be (2, 5), an edge of the board's only loop.
+    ("simple-loop", SimpleLoopPuzzle(GridDims(3, 2), ()), ("v", -1, 1)),
+    ("simple-loop", SimpleLoopPuzzle(GridDims(3, 2), ()), ("h", 1, -1)),
+    # An edge into a closed cell.
+    ("yajilin", YajilinPuzzle(GridDims(3, 3), [(1, 1)]), ("v", 1, 0)),
+    ("simple-loop", SimpleLoopPuzzle(GridDims(4, 2), [(3, 1)]), ("h", 2, 1)),
+]
+
+
+def test_seed_outside_the_graph_is_unsat(monkeypatch):
     # A shaded cell has no edges, so no loop holds a seed edge through it.
     board = SimpleLoopPuzzle(GridDims(3, 3), [(1, 1)])
     seeds = [("h", 0, 0), ("h", 0, 1)]
     assert GENRES["simple-loop"].solve(board, seeds_in=seeds).status == "unsat"
     assert list(GENRES["simple-loop"].solve(board, seeds_in=seeds, enumerate_all=True)) == []
     assert GENRES["simple-loop"].solve(board, seeds_in=seeds[:1]).status == "sat"
+    ring = SimpleLoopPuzzle(GridDims(3, 2), ())
+    assert GENRES["simple-loop"].solve(ring, seeds_in=[("v", 2, 0)]).status == "sat"
+    for genre, puzzle, seed in OFF_GRAPH_SEEDS:
+        assert GENRES[genre].solve(puzzle, seeds_in=[seed]).status == "unsat", seed
+        assert list(GENRES[genre].solve(puzzle, seeds_in=[seed], enumerate_all=True)) == [], seed
+    # None of them reaches the search, even where no loop exists anyway.
+    asked = []
+    monkeypatch.setattr(LoopSearch, "solutions", lambda self, seeds=(): iter(asked.append(seeds) or ()))
+    for genre, puzzle, seed in OFF_GRAPH_SEEDS:
+        GENRES[genre].solve(puzzle, seeds_in=[seed])
+        list(GENRES[genre].solve(puzzle, seeds_in=[seed], enumerate_all=True))
+    assert asked == []
 
 
 def test_solvers_prove_unsat_with_exhaustion():

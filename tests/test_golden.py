@@ -39,12 +39,12 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, fixture_puzzle, fixture_solution, sides_by_cell
+from conftest import FIXTURES, fixture_puzzle, fixture_solution, internal_edges, sides_by_cell
 from loopforge import formats
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle, check_cubic, solve_bsl_backtrack
 from loopforge.cli import main
 from loopforge.errors import ReductionError
-from loopforge.grid import SIDES, GridDims, edge_cells, edge_sort_key, internal_edges, side_edge
+from loopforge.grid import SIDES, GridDims, edge_cells, edge_sort_key, side_edge
 from loopforge.metacell import default_metacell, lift_to_cubic, project_from_cubic, reduce_to_cubic
 from loopforge.orientation import orient
 from loopforge.reduction import lift_to_genre, reduce_to_genre

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import boundary_edges, cell_mask, flat_loop, ring
+from conftest import boundary_edges, cell_mask, flat_loop, internal_edges, ring
 from loopforge.grid import (
     ALL_SIDES,
     BIT_SIDE,
@@ -19,7 +19,6 @@ from loopforge.grid import (
     edge_between,
     edge_cells,
     edge_sort_key,
-    internal_edges,
     loop_ids,
     side_edge,
     side_steps,

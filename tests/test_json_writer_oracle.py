@@ -26,12 +26,12 @@ import random
 
 import pytest
 
-from conftest import sides_by_cell
+from conftest import internal_edges, sides_by_cell
 from loopforge import formats
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle
 from loopforge.genres import GENRES
 from loopforge.genres.yajilin import YajilinPuzzle
-from loopforge.grid import CellLoop, GridDims, edge_sort_key, internal_edges
+from loopforge.grid import CellLoop, GridDims, edge_sort_key
 
 BOARDS = 150
 

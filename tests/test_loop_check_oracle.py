@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from conftest import cell_mask, flat_loop, ring
+from conftest import art_entries, cell_mask, flat_loop, internal_edges, ring
 from loopforge.genres import masyu, simple_loop, slitherlink, yajilin
 from loopforge.grid import (
     CELL_LOOP_WORDS,
@@ -35,7 +35,6 @@ from loopforge.grid import (
     Violation,
     edge_cells,
     edge_sort_key,
-    internal_edges,
     loop_ids,
     validate_loop,
 )
@@ -118,7 +117,7 @@ def ref_masyu(puzzle, sol) -> Optional[Violation]:
     if isinstance(loop, Violation):
         return loop
     east, south = loop.east, loop.south
-    for (c, r), colour in puzzle.pearls:
+    for (c, r), art in art_entries(puzzle).items():
         p = r * w + c
         if p not in loop.visited:
             return Violation("pearl", "pearl not on the loop", cell=(c, r))
@@ -130,7 +129,7 @@ def ref_masyu(puzzle, sol) -> Optional[Violation]:
         )
         continues = [beyond for used, beyond in sides if used]
         straight_here = (sides[0][0] and sides[2][0]) or (sides[1][0] and sides[3][0])
-        if colour == "white":
+        if art == "W":
             if not straight_here:
                 return Violation("pearl", "loop must run straight through a white pearl", cell=(c, r))
             if all(continues):
@@ -162,7 +161,7 @@ def ref_yajilin(puzzle, sol) -> Optional[Violation]:
     loop = ref_loop_ids(w, h, sol.transitions)
     if isinstance(loop, Violation):
         return loop
-    grey = {r * w + c for c, r in puzzle.grey}
+    grey = {r * w + c for c, r in art_entries(puzzle)}
     hit = loop.visited & grey
     if hit:
         return Violation("grey", "loop passes through a grey cell", cell=loop.least(hit))
@@ -178,7 +177,7 @@ def ref_yajilin(puzzle, sol) -> Optional[Violation]:
 
 
 def ref_simple_loop(puzzle, sol) -> Optional[Violation]:
-    unshaded = [c for c in puzzle.dims.cells() if c not in puzzle.shaded]
+    unshaded = [c for c in puzzle.dims.cells() if c not in art_entries(puzzle)]
     return ref_validate_loop(puzzle.dims, sol, must_visit=unshaded)
 
 

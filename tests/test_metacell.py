@@ -1,12 +1,15 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
+from math import prod
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution, lifted_opening_pairs
+from conftest import fixture_puzzle, fixture_solution, internal_edges, lifted_opening_pairs, pair_edges
 from loopforge.bsl import BslPuzzle, check_cubic, solve_bsl_dp, verify_bsl
 from loopforge.errors import FormatError, ReductionError
-from loopforge.grid import SIDES, CellLoop, GridDims, checkerboard_color, edge_cells, edge_sort_key, internal_edges
+from loopforge.genres.base import build_cell_graph, grid_faces
+from loopforge.grid import SIDES, CellLoop, GridDims, checkerboard_color, edge_cells, edge_sort_key
 from loopforge.metacell import (
     _DATA_PATH,
     _covering_tours,
@@ -15,6 +18,7 @@ from loopforge.metacell import (
     project_from_cubic,
     reduce_to_cubic,
 )
+from loopforge.search import EXACT2, LoopSearch
 
 SQUARE_2X2 = CellLoop(frozenset({("h", 0, 0), ("h", 0, 1), ("v", 0, 0), ("v", 1, 0)}))
 
@@ -40,13 +44,55 @@ def test_bank_covers_all_six_pairs(template):
     assert lifted_opening_pairs(template) == set(template.bank)
 
 
+# Covering tours of the block per opening pair, in the template's own frame.
+TOUR_COUNTS = {"N-E": 2, "N-S": 2, "N-W": 2, "E-S": 2, "E-W": 8, "S-W": 2}
+
+
 def test_tour_counts_per_pair(template):
     # The cubic stage is not parsimonious: a source solution has a
     # product of these counts as images.
     counts = {
         f"{a}-{b}": sum(1 for _ in _covering_tours(template, a, b)) for a, b in itertools.combinations(SIDES, 2)
     }
-    assert counts == {"N-E": 2, "N-S": 2, "N-W": 2, "E-S": 2, "E-W": 8, "S-W": 2}
+    assert counts == TOUR_COUNTS
+
+
+def _cycles(puzzle) -> list:
+    """Every Hamiltonian cycle of a BSL board, enumerated by ``LoopSearch``
+    over the board's flat pairs, as edge-built loops."""
+    dims, n = puzzle.dims, puzzle.dims.cell_count
+    pairs = build_cell_graph(dims, sides=puzzle.sides)
+    edges = pair_edges(dims.width, pairs)
+    search = LoopSearch(n, pairs, [EXACT2] * n, connectivity_every=4, faces=grid_faces(dims, pairs))
+    return [CellLoop(frozenset(edges[i] for i in ids)) for ids in search.solutions()]
+
+
+def test_cubic_stage_by_exhaustion():
+    """The cubic stage's claim, checked outright on every bar set of 2x2,
+    3x2 and 2x3 (272 sources): every image cycle projects to a source
+    solution, every source solution is reached, and each is reached by as
+    many image cycles as the product of its blocks' tour counts."""
+    sources = image_cycles = 0
+    for dims in (GridDims(2, 2), GridDims(3, 2), GridDims(2, 3)):
+        pool = internal_edges(dims)
+        for bars in itertools.chain.from_iterable(itertools.combinations(pool, k) for k in range(len(pool) + 1)):
+            source = BslPuzzle(dims, frozenset(bars))
+            image, manifest = reduce_to_cubic(source)
+            cycles = _cycles(image)
+            projected = Counter(project_from_cubic(manifest, cycle) for cycle in cycles)
+            own = _cycles(source)
+            assert set(projected) == set(own), bars
+            assert bool(own) == solve_bsl_dp(source), bars
+            for loop in own:
+                # The opening pair each block uses, in the template's frame.
+                local = (
+                    "-".join(sorted((t.inverse().apply_side(side) for side in loop.sides(cell)), key=SIDES.index))
+                    for cell, t in manifest.transforms.items()
+                )
+                assert projected[loop] == prod(TOUR_COUNTS[pair] for pair in local), (bars, loop)
+            sources += 1
+            image_cycles += len(cycles)
+    assert (sources, image_cycles) == (272, 2192)
 
 
 def test_bank_mutation_detected(template):

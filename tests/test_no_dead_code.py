@@ -1,8 +1,11 @@
 """Every definition in the package has a caller in the package.
 
-A top-level function, class or module constant, or a method, that no
-code under ``src/`` names outside its own definition is only reachable
-from tests and should be deleted along with them.  Dunder names are
+A top-level function, class or module constant that no code under
+``src/`` names outside its own definition, or a method or property
+whose name no code under ``src/`` reads as an attribute outside its own
+definition, is only reachable from tests and should be deleted along
+with them.  A method is only ever reached as an attribute, so a local
+variable or parameter of the same name is no caller.  Dunder names are
 called by Python itself and are left out.  Likewise every name a module
 imports is read somewhere in that module; ``from __future__`` imports
 are directives, not names, and are left out.  Every import sits at
@@ -29,29 +32,31 @@ def _is_dunder(name: str) -> bool:
 
 
 def _definitions(tree: ast.Module):
-    """(name, node) for top-level functions, classes, constants and methods."""
+    """(name, node, whether it is a method) for top-level functions,
+    classes, constants and methods (properties included)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield item.name, item
+                        yield item.name, item, True
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, node
+                    yield target.id, node, False
 
 
 def _uses(tree: ast.AST) -> Counter:
-    """How often each name is read, or taken as an attribute, within ``tree``."""
+    """How often each name is read within ``tree``: ``("name", x)`` counts
+    reads of the bare name x, ``("attr", x)`` reads of an attribute x."""
     found: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            found["name", node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found["attr", node.attr] += 1
     return found
 
 
@@ -62,12 +67,14 @@ def test_every_definition_is_named_elsewhere_in_src():
         total.update(_uses(tree))
     defined, unused = set(), []
     for path, tree in trees.items():
-        for name, node in _definitions(tree):
+        for name, node, method in _definitions(tree):
             defined.add(name)
             if _is_dunder(name) or name in ALLOWED:
                 continue
             # A definition's own body does not count as a caller.
-            if total[name] == _uses(node)[name]:
+            own = _uses(node)
+            kinds = ("attr",) if method else ("name", "attr")
+            if all(total[kind, name] == own[kind, name] for kind in kinds):
                 unused.append(f"{path.relative_to(SRC)}: {name}")
     assert unused == []
     assert ALLOWED <= defined, "an allowlisted name is gone; drop it from ALLOWED"

@@ -12,10 +12,10 @@ import random
 
 import pytest
 
-from conftest import neighbors, sides_by_cell
+from conftest import internal_edges, neighbors, sides_by_cell
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle, check_cubic, degenerate_cells
 from loopforge.errors import ReductionError
-from loopforge.grid import OPPOSITE_SIDE, SIDE_DELTAS, SIDES, GridDims, internal_edges, side_edge
+from loopforge.grid import OPPOSITE_SIDE, SIDE_DELTAS, SIDES, GridDims, side_edge
 from loopforge.orientation import orient
 
 DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from conftest import fixture_puzzle, fixture_solution, neighbors
+from conftest import art_entries, fixture_puzzle, fixture_solution, internal_edges, neighbors
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle, solve_bsl_dp, verify_bsl
 from loopforge.errors import ReductionError
 from loopforge.genres import GENRES
-from loopforge.grid import CellLoop, GridDims, edge_cells, internal_edges
+from loopforge.grid import CellLoop, GridDims, edge_cells
 from loopforge.metacell import lift_to_cubic, reduce_to_cubic
 from loopforge.reduction import lift_to_genre, reduce_to_genre
 
@@ -74,7 +74,7 @@ def test_lifted_yajilin_never_shades():
     board, manifest = reduce_to_genre(cubic, "yajilin")
     lifted = lift_to_genre(manifest, cubic_sol)
     visited = {cell for edge in lifted.transitions for cell in edge_cells(edge)}
-    assert set(board.dims.cells()) - visited - board.grey == set()
+    assert set(board.dims.cells()) - visited - set(art_entries(board)) == set()
 
 
 def test_small_scale_equivalence_direct():

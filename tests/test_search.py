@@ -46,10 +46,10 @@ from loopforge.catalog import (
 from loopforge.errors import SearchTimeout
 from loopforge.genres import GENRES
 from loopforge.genres.base import build_cell_graph
-from loopforge.grid import GridDims, edge_sort_key, internal_edges
+from loopforge.grid import GridDims, edge_sort_key
 from loopforge.search import EXACT2, IN, OPT, OUT, UNKNOWN, LoopSearch
 from loopforge.tiling import crossings
-from conftest import perfbench_module
+from conftest import internal_edges, perfbench_module
 from test_bsl import SMALL_BOARDS
 from test_dp import planted_bars
 
@@ -378,7 +378,7 @@ def test_cut_check_matches_brute_force_on_small_boards(monkeypatch):
     verdicts = _compare_checks(monkeypatch)
     odd = [BslPuzzle(GridDims(5, 5), frozenset()), BslPuzzle(GridDims(5, 7), frozenset())]
     for puzzle in SMALL_BOARDS + odd:
-        _, pairs = build_cell_graph(puzzle.dims, bars=puzzle.bars)
+        pairs = build_cell_graph(puzzle.dims, sides=puzzle.sides)
         n = puzzle.dims.cell_count
         list(LoopSearch(n, pairs, [EXACT2] * n, connectivity_every=1).solutions())
     assert True in verdicts and False in verdicts
@@ -390,7 +390,7 @@ def test_cut_check_matches_brute_force_on_random_states():
     for seed in range(40):
         rng = random.Random(seed)
         dims = GridDims(rng.randint(3, 6), rng.randint(3, 6))
-        _, pairs = build_cell_graph(dims)
+        pairs = build_cell_graph(dims)
         n = dims.cell_count
         search = LoopSearch(n, pairs, [EXACT2 if rng.random() < 0.6 else OPT for _ in range(n)])
         order = list(range(len(pairs)))
@@ -465,7 +465,7 @@ def test_cut_check_matches_brute_force_on_rings(monkeypatch):
 def test_forcing_against_a_decided_edge_is_a_conflict():
     """A forcing popped for an edge already decided is skipped when it agrees
     and a conflict when it does not."""
-    _, pairs = build_cell_graph(GridDims(3, 3))
+    pairs = build_cell_graph(GridDims(3, 3))
     search = LoopSearch(9, pairs, [OPT] * 9)
     search.queue.append((0, OUT))
     assert search._propagate()
@@ -478,7 +478,7 @@ def test_forcing_against_a_decided_edge_is_a_conflict():
 
 
 def test_spent_budget_stops_before_the_seeds_propagate():
-    _, pairs = build_cell_graph(GridDims(4, 4))
+    pairs = build_cell_graph(GridDims(4, 4))
     search = LoopSearch(16, pairs, [EXACT2] * 16, budget_ms=0)
     search.deadline = time.monotonic() - 1.0
     with pytest.raises(SearchTimeout):

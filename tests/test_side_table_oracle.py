@@ -1,9 +1,13 @@
-"""The solvers' side table and Yajilin's neighbours, against the grid's edge names.
+"""The solvers' side table, Masyu's pearl tables and Yajilin's neighbours,
+against the grid's edge names.
 
 ``genres.base.side_table`` gives each flat node its edge ids by side
 letter, from the flat ids of the edges alone.  The reference here names
 each side's edge with ``grid.side_edge`` and looks it up among the
-graph's edges.  The boards include 1-wide and 1-high ones, where E and S
+graph's edges, which are checked to be the grid's own edges in
+canonical order.  Masyu's per-pearl tables,
+its own sides and the same sides of the cells beyond, are read off the
+same reference.  The boards include 1-wide and 1-high ones, where E and S
 both step by 1 and only the width tells them apart, boards with closed
 cells and bars, and Slitherlink's dot grids.
 """
@@ -14,12 +18,13 @@ import random
 
 import pytest
 
-from conftest import cell_mask
+from conftest import cell_mask, internal_edges, pair_edges
+from loopforge.bsl import BslPuzzle
 from loopforge.genres.base import build_cell_graph, side_table
 from loopforge.genres.masyu import MasyuPuzzle, _MasyuSearch
 from loopforge.genres.slitherlink import SlitherlinkPuzzle, _SlitherlinkSearch
 from loopforge.genres.yajilin import YajilinPuzzle, _YajilinSearch
-from loopforge.grid import SIDE_DELTAS, SIDES, GridDims, internal_edges, side_edge
+from loopforge.grid import SIDE_DELTAS, SIDES, GridDims, edge_cells, side_edge
 
 
 def _reference(dims: GridDims, edges) -> list[dict]:
@@ -51,7 +56,11 @@ def _board(seed: int) -> tuple[GridDims, frozenset, frozenset]:
 @pytest.mark.parametrize("seed", range(60))
 def test_side_table_names_each_edge_as_the_grid_does(seed):
     dims, closed, bars = _board(seed)
-    edges, pairs = build_cell_graph(dims, cell_mask(dims, closed), bars)
+    pairs = build_cell_graph(dims, cell_mask(dims, closed), BslPuzzle(dims, bars).sides)
+    # The graph as the grid names it: each internal edge across no bar
+    # between open cells, in canonical order.
+    edges = [e for e in internal_edges(dims) if e not in bars and not closed & set(edge_cells(e))]
+    assert pair_edges(dims.width, pairs) == edges
     assert side_table(dims.width, dims.cell_count, pairs) == _reference(dims, edges)
 
 
@@ -61,12 +70,20 @@ def test_masyu_and_slitherlink_read_the_reference_sides(seed):
     dims = GridDims(rng.randint(1, 6), rng.randint(1, 6))
     cells = list(dims.cells())
     pearls = tuple((cell, rng.choice(("white", "black"))) for cell in rng.sample(cells, rng.randint(0, len(cells))))
-    edges, pairs = build_cell_graph(dims)
-    assert _MasyuSearch(MasyuPuzzle(dims, pearls), pairs).side_edge == _reference(dims, edges)
+    pairs = build_cell_graph(dims)
+    # Each pearl's own sides, and the same sides of the cells beyond: -1 off the grid.
+    w, ref = dims.width, _reference(dims, internal_edges(dims))
+    want = {}
+    for (c, r), colour in pearls:
+        beyond = [(c + dc, r + dr) for dc, dr in map(SIDE_DELTAS.get, SIDES)]
+        own = tuple(ref[r * w + c].get(d, -1) for d in SIDES)
+        ahead = tuple(ref[y * w + x].get(d, -1) if dims.contains((x, y)) else -1 for (x, y), d in zip(beyond, SIDES))
+        want[r * w + c] = (colour == "black", own, ahead)
+    assert _MasyuSearch(MasyuPuzzle(dims, pearls), pairs).pearl_at == want
     # A clue's four borders, as the edges of its cell on the dot grid.
     dots = GridDims(dims.width + 1, dims.height + 1)
-    edges, pairs = build_cell_graph(dots)
-    eidx = {e: i for i, e in enumerate(edges)}
+    pairs = build_cell_graph(dots)
+    eidx = {e: i for i, e in enumerate(internal_edges(dots))}
     clues = tuple((cell, rng.randint(0, 3)) for cell in rng.sample(cells, rng.randint(1, len(cells))))
     search = _SlitherlinkSearch(SlitherlinkPuzzle(dims, clues), pairs)
     want = []
@@ -82,7 +99,7 @@ def test_yajilin_neighbours_are_the_open_cells_beside_each_cell(seed):
     cells = list(dims.cells())
     grey = frozenset(rng.sample(cells, round(len(cells) * rng.uniform(0, 0.4))))
     puzzle = YajilinPuzzle(dims, grey)
-    _, pairs = build_cell_graph(dims, puzzle.cells)
+    pairs = build_cell_graph(dims, puzzle.cells)
     search = _YajilinSearch(puzzle, pairs)
     for i, (c, r) in enumerate(cells):
         beside = {(c + dc, r + dr) for dc, dr in SIDE_DELTAS.values()}

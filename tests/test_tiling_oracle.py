@@ -42,7 +42,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import flat_loop, ring
+from conftest import art_entries, flat_loop, internal_edges, ring
 from loopforge.bsl import BslPuzzle, CubicBslPuzzle
 from loopforge.catalog import assemble_board, default_gadget
 from loopforge.errors import ReductionError
@@ -52,7 +52,7 @@ from loopforge.genres.masyu import MasyuPuzzle
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
 from loopforge.genres.slitherlink import SlitherlinkPuzzle
 from loopforge.genres.yajilin import YajilinPuzzle
-from loopforge.grid import OPPOSITE_SIDE, CellLoop, Edge, GridDims, edge_cells, edge_sort_key, internal_edges
+from loopforge.grid import OPPOSITE_SIDE, CellLoop, Edge, GridDims, edge_cells, edge_sort_key
 from loopforge.metacell import default_metacell, lift_to_cubic, reduce_to_cubic
 from loopforge.reduction import reduce_to_genre
 from loopforge.tiling import crossings, lift_loop, place_fragment
@@ -72,12 +72,13 @@ def ref_check_art(art, alphabet):
 
 
 PEARLS = {"B": "black", "W": "white"}
-# genre -> (art alphabet, puzzle from the sorted art, entry views, JSON field)
+# genre -> (art alphabet, puzzle from the sorted art, entry views, JSON field);
+# every genre's art itself is compared too, as ``art_entries`` reads it.
 REF_GENRES = {
     "masyu": (
         "BW",
         lambda dims, art: MasyuPuzzle(dims, tuple((cell, PEARLS[ch]) for cell, ch in art.items())),
-        lambda art: {"pearls": tuple((cell, PEARLS[ch]) for cell, ch in art.items())},
+        lambda art: {},
         lambda art: {"pearls": [{"col": c, "row": r, "color": PEARLS[ch]} for (c, r), ch in art.items()]},
     ),
     "slitherlink": (
@@ -89,13 +90,13 @@ REF_GENRES = {
     "yajilin": (
         "#",
         lambda dims, art: YajilinPuzzle(dims, frozenset(art)),
-        lambda art: {"grey": frozenset(art), "clues": ()},
+        lambda art: {"clues": ()},
         lambda art: {"grey": [{"col": c, "row": r, "count": None, "dir": None} for c, r in art]},
     ),
     "simple-loop": (
         "#",
         lambda dims, art: SimpleLoopPuzzle(dims, frozenset(art)),
-        lambda art: {"shaded": frozenset(art)},
+        lambda art: {},
         lambda art: {"shaded": [{"col": c, "row": r} for c, r in art]},
     ),
 }
@@ -118,13 +119,13 @@ def ref_from_art(genre, dims, art):
     alphabet, build, views, to_json = REF_GENRES[genre]
     art = dict(sorted(art.items()))
     ref_check_art(art, alphabet)
-    return build(dims, art), views(art), to_json(art)
+    return build(dims, art), {"art": art, **views(art)}, to_json(art)
 
 
 def assert_same_board(board, ref):
     puzzle, views, doc = ref
     assert board == puzzle
-    assert {name: getattr(board, name) for name in views} == views
+    assert {name: art_entries(board) if name == "art" else getattr(board, name) for name in views} == views
     fields = GENRES[puzzle_genre(board)].to_json(board)
     assert json.loads(dumps_canonical(fields)) == doc
 
