@@ -17,13 +17,14 @@ conditions a working tile must satisfy:
 (e) every exit pair extends to a full board solution;
 (f) transforms point the exits in any three of the four directions.
 
-(b) and (f) are static.  (e) is witnessed by a solver run on a tile ring,
-seeded with the ring's tour lifted through the bank: the same lift the
-reduction places, for every tile size.  (a), (c) and (d) are exhausted
-where the tile is small enough to enumerate every board solution.
-Otherwise (a) is recorded as budget-limited, never as a false pass, and
-(c) and (d), audited over the (e) witnesses only, take (e)'s status.
-No search starts once the budget is spent.
+(b) and (f) are static.  (e)'s witness is the lifted ring tour, checked
+by the genre's verify: a tile ring's tour lifted through the bank, the
+same lift the reduction places, for every tile size, so no search runs
+for it.  (a), (c) and (d) are exhausted, in the budget left, where the
+tile is small enough to enumerate every board solution.  Otherwise (a)
+is recorded as budget-limited, never as a false pass, and (c) and (d),
+audited over the (e) witnesses only, take (e)'s status.  No search
+starts once the budget is spent.
 """
 
 from __future__ import annotations
@@ -336,13 +337,6 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
     start = time.monotonic()
     conditions: dict[str, ConditionVerdict] = {}
 
-    def search(board, cap_ms, seeds, enumerate_all=False):
-        # At most cap_ms and the budget left; none starts once it is spent.
-        left = budget_ms - (time.monotonic() - start) * 1000.0
-        if left <= 0:
-            raise SearchTimeout("certification budget spent")
-        return GENRES[desc.genre].solve(board, budget_ms=min(cap_ms, left), seeds_in=seeds, enumerate_all=enumerate_all)
-
     # (b) square tiling with aligned exits; alignment is re-checked here
     # although load-time validation already enforces it.
     align = validate_descriptor(desc)
@@ -361,47 +355,11 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
     except FormatError as exc:
         conditions["f"] = ConditionVerdict("fail", str(exc))
 
-    # (e) one witness per bank pair on the smallest ring realising it.
-    witness_budget = budget_ms / (len(desc.bank) + 1)
-    witness_solutions = []
-    e_status, e_details = "pass", []
-    for pair in sorted(desc.bank, key=sorted):
-        ctx = _witness_context(pair)
-        if ctx is None:
-            e_status, detail = "fail", f"no ring context realises pair {sorted(pair)}"
-            e_details.append(detail)
-            continue
-        layout, ring, tiles_w, tiles_h = ctx
-        board = assemble_board(desc, layout, tiles_w, tiles_h)
-        # Seed the whole ring tour lifted through the bank, so the solver
-        # only has to validate the board.
-        try:
-            seeds = lift_loop(desc, layout, ring).scan()
-        except ReductionError as exc:
-            e_status = "fail"
-            e_details.append(f"{sorted(pair)}: {exc}")
-            continue
-        try:
-            result = search(board, witness_budget, seeds)
-        except SearchTimeout:
-            result = None
-        if result is None or result.status == "timeout":
-            e_status = "budget-limited" if e_status != "fail" else e_status
-            e_details.append(f"{sorted(pair)}: witness search hit the budget")
-            continue
-        if result.status != "sat":
-            e_status = "fail"
-            e_details.append(f"{sorted(pair)}: no board solution extends the sub-solution")
-            continue
-        edges = result.solution.transitions
-        problem = _auditor(desc, layout, tiles_w, tiles_h)(edges)
-        if problem:
-            e_status = "fail"
-            e_details.append(f"{sorted(pair)}: witness violates boundary rules: {problem}")
-            continue
-        witness_solutions.append((layout, tiles_w, tiles_h, edges))
-        e_details.append(f"{sorted(pair)}: witnessed on {tiles_w}x{tiles_h} ring")
-    conditions["e"] = ConditionVerdict(e_status, "; ".join(e_details), len(witness_solutions))
+    # (e) one witness per bank pair.
+    checked = [_witness(desc, pair) for pair in sorted(desc.bank, key=sorted)]
+    witnessed = sum(ok for ok, _ in checked)
+    e_status = "pass" if witnessed == len(checked) else "fail"
+    conditions["e"] = ConditionVerdict(e_status, "; ".join(detail for _, detail in checked), witnessed)
 
     # (a), (c), (d): exhaustive enumeration at 2x2 for small tiles.
     if desc.tile.cell_count <= EXHAUSTIVE_TILE_CELLS:
@@ -410,7 +368,11 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
         count = 0
         problem = None
         try:
-            for sol in search(board, budget_ms, (), enumerate_all=True):
+            # Only the budget left, and no search once it is spent.
+            left = budget_ms - (time.monotonic() - start) * 1000.0
+            if left <= 0:
+                raise SearchTimeout("certification budget spent")
+            for sol in GENRES[desc.genre].solve(board, budget_ms=left, enumerate_all=True):
                 count += 1
                 problem = audit(sol.transitions)
                 if problem:
@@ -429,16 +391,35 @@ def certify_gadget(desc: GadgetDescriptor, budget_ms: float = 60000.0) -> Gadget
     else:
         # (c) and (d) are audited over the witnesses only, so they stand
         # or fall with (e).
-        n = len(witness_solutions)
         conditions["a"] = ConditionVerdict(
             "budget-limited",
             "tile too large to enumerate every board solution; wall forcing argued, not machine-exhausted",
-            n,
+            witnessed,
         )
-        conditions["c"] = ConditionVerdict(e_status, f"boundary audit over {n} witnesses", n)
-        conditions["d"] = ConditionVerdict(e_status, f"facing-exit audit over {n} witnesses", n)
+        conditions["c"] = ConditionVerdict(e_status, f"boundary audit over {witnessed} witnesses", witnessed)
+        conditions["d"] = ConditionVerdict(e_status, f"facing-exit audit over {witnessed} witnesses", witnessed)
 
     return GadgetCertificate(desc.genre, conditions, (time.monotonic() - start) * 1000.0)
+
+
+def _witness(desc: GadgetDescriptor, pair: frozenset) -> tuple[bool, str]:
+    """Whether ``pair`` is witnessed, and the detail: the ring tour lifted
+    through the bank must pass the genre's verify on the assembled ring
+    and the audit of (c) and (d)."""
+    ctx = _witness_context(pair)
+    if ctx is None:
+        return False, f"no ring context realises pair {sorted(pair)}"
+    layout, ring, tiles_w, tiles_h = ctx
+    try:
+        loop = lift_loop(desc, layout, ring)
+    except ReductionError as exc:
+        return False, f"{sorted(pair)}: {exc}"
+    if GENRES[desc.genre].verify(assemble_board(desc, layout, tiles_w, tiles_h), loop) is not None:
+        return False, f"{sorted(pair)}: no board solution extends the sub-solution"
+    problem = _auditor(desc, layout, tiles_w, tiles_h)(loop.transitions)
+    if problem:
+        return False, f"{sorted(pair)}: witness violates boundary rules: {problem}"
+    return True, f"{sorted(pair)}: witnessed on {tiles_w}x{tiles_h} ring"
 
 
 def _witness_context(pair: frozenset):

@@ -4,7 +4,8 @@ Exit codes: 0 success/sat, 1 failure/unsat, 2 timeout, 64 parse error
 (a malformed input file or command line), 65 genre mismatch, 66 missing
 or uncertified gadget, 70 internal error (any failure a command does not
 handle itself, such as an exceeded capability limit or a reduction or
-lift that fails its own checks).
+lift that fails its own checks), 73 an output file that cannot be
+written.
 Stdout is machine-readable JSON with sorted keys; identical inputs
 produce byte-identical output.
 """
@@ -33,6 +34,10 @@ EXIT_PARSE = 64
 EXIT_MISMATCH = 65
 EXIT_NO_GADGET = 66
 EXIT_INTERNAL = 70
+EXIT_CANT_CREATE = 73
+
+# The largest unsat genre image roundtrip asks the genre solver to confirm.
+CONFIRM_CELLS = 200
 
 
 class _Refused(Exception):
@@ -48,8 +53,11 @@ def _emit(doc: dict) -> None:
 
 
 def _write(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:  # boards and manifests grow with the source
-        formats.write_canonical(doc, f)
+    try:
+        with open(path, "w", encoding="utf-8") as f:  # boards and manifests grow with the source
+            formats.write_canonical(doc, f)
+    except OSError as exc:
+        raise _Refused(EXIT_CANT_CREATE, f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _digest(path: str) -> str:
@@ -187,7 +195,7 @@ def cmd_roundtrip(args) -> int:
         stages["genre-reduce"] = f"{board.dims.width}x{board.dims.height}"
         if gman.degenerate:
             stages["genre-image"] = "canonical-unsolvable"
-        if board.dims.cell_count <= args.confirm_cells:
+        if board.dims.cell_count <= CONFIRM_CELLS:
             result = GENRES[genre].solve(board, budget_ms=args.budget)
             stages["genre-solve"] = result.status
             if result.status == "sat":
@@ -260,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--genre", required=True)
     p.add_argument("--budget", type=budget, default=60000.0)
-    p.add_argument("--confirm-cells", type=int, default=200, dest="confirm_cells",
-                   help="largest unsat image the genre solver will try to confirm")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("certify", help="certify a gadget descriptor")

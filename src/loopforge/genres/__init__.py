@@ -15,8 +15,8 @@ rest of the package learns the genres from.  Each module exports:
   tile spans a (W+1) x (H+1) frame and a solution's edges are
   ``lattice_edges``; 0 when it runs on the cells;
 * ``verify(puzzle, loop)``, None or the first Violation;
-* ``solve(puzzle, budget_ms, seeds_in, enumerate_all)``, a sat, unsat or
-  timeout result, or a generator of every solution.
+* ``solve(puzzle, budget_ms=None, enumerate_all=False)``, a sat, unsat
+  or timeout result, or a generator of every solution.
 
 A new genre is one such module, one descriptor file in the catalog and
 one entry here.

@@ -8,8 +8,8 @@ from operator import getitem
 from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import SearchTimeout
-from ..grid import E, S, Cell, CellLoop, Edge, GridDims, Violation, edge_in_bounds, grid_sides, least_cell
-from ..search import IN, LoopSearch
+from ..grid import E, S, Cell, CellLoop, GridDims, Violation, grid_sides, least_cell
+from ..search import LoopSearch
 
 # The genre solvers run the cut check at every CUT_CHECK_EVERY-th
 # decision.  At 1 the check costs more time than the branches it prunes
@@ -181,7 +181,6 @@ def run_search(
     search: LoopSearch,
     dims: GridDims,
     verify: Callable[[CellLoop], Optional[Violation]],
-    seeds_in=(),
     enumerate_all: bool = False,
 ):
     """Solve with ``search`` over its flat pairs (``search.edges``) on the
@@ -190,12 +189,10 @@ def run_search(
     ``a`` when ``b - a == width``, else east of it.
 
     Returns a generator of every solution with ``enumerate_all``, and
-    otherwise a SolveResult for the first one.  Seeds are edges forced into
-    the loop; no solution holds a seed outside the graph, so such a seed
-    gives "unsat" (an empty generator).  When the search's budget runs out,
-    the first-solution path returns status "timeout", while the generator
-    raises ``SearchTimeout`` from the ``next()`` call that finds the budget
-    spent; solutions it yielded before stay valid.
+    otherwise a SolveResult for the first one.  When the search's budget
+    runs out, the first-solution path returns status "timeout", while the
+    generator raises ``SearchTimeout`` from the ``next()`` call that finds
+    the budget spent; solutions it yielded before stay valid.
     """
     w, h = dims.width, dims.height
     pairs = search.edges
@@ -207,22 +204,11 @@ def run_search(
             (south if b - a == w else east)[a] = 1
         return CellLoop.flat(w, h, east, south)
 
-    def seed_id(edge: Edge) -> Optional[int]:
-        # Bounds first: ("h", w - 1, r) or a negative column would name
-        # another edge's pair.
-        a = edge[2] * w + edge[1]
-        return eidx.get((a, a + (1 if edge[0] == "h" else w))) if edge_in_bounds(dims, edge) else None
-
     search.accept = lambda ids: verify(solution(ids)) is None
-    # Only seeds read the pair -> id map.
-    eidx = {pair: i for i, pair in enumerate(pairs)} if seeds_in else {}
-    seeds = [(seed_id(e), IN) for e in seeds_in]
-    if (None, IN) in seeds:
-        return iter(()) if enumerate_all else SolveResult("unsat")
     if enumerate_all:
-        return (solution(ids) for ids in search.solutions(seeds))
+        return (solution(ids) for ids in search.solutions())
     try:
-        found = next(search.solutions(seeds), None)
+        found = next(search.solutions(), None)
     except SearchTimeout:
         return SolveResult("timeout")
     if found is None:

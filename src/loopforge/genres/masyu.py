@@ -177,12 +177,7 @@ class _MasyuSearch(LoopSearch):
         return True
 
 
-def solve(
-    puzzle: MasyuPuzzle,
-    budget_ms: Optional[float] = None,
-    seeds_in=(),
-    enumerate_all: bool = False,
-):
+def solve(puzzle: MasyuPuzzle, budget_ms: Optional[float] = None, enumerate_all: bool = False):
     pairs = build_cell_graph(puzzle.dims)
     search = _MasyuSearch(puzzle, pairs, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True)
-    return run_search(search, puzzle.dims, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, puzzle.dims, lambda sol: verify(puzzle, sol), enumerate_all)

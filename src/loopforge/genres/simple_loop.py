@@ -46,12 +46,7 @@ def verify(puzzle: SimpleLoopPuzzle, sol: CellLoop) -> Optional[Violation]:
     return loop.cover(art_mask(puzzle.cells, b"\0"))
 
 
-def solve(
-    puzzle: SimpleLoopPuzzle,
-    budget_ms: Optional[float] = None,
-    seeds_in=(),
-    enumerate_all: bool = False,
-):
+def solve(puzzle: SimpleLoopPuzzle, budget_ms: Optional[float] = None, enumerate_all: bool = False):
     """Exact solver; with ``enumerate_all`` returns a solution generator."""
     pairs = build_cell_graph(puzzle.dims, puzzle.cells)
     n = puzzle.dims.cell_count
@@ -60,4 +55,4 @@ def solve(
     search = LoopSearch(
         n, pairs, req, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )
-    return run_search(search, puzzle.dims, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, puzzle.dims, lambda sol: verify(puzzle, sol), enumerate_all)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..errors import json_int
 from ..grid import Cell, CellLoop, GridDims, Violation, least_cell
-from ..search import OPT, OUT, LoopSearch
+from ..search import IN, OPT, OUT, UNKNOWN, LoopSearch
 from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, run_search, side_table
 
 
@@ -91,7 +91,7 @@ def verify(puzzle: SlitherlinkPuzzle, sol: CellLoop) -> Optional[Violation]:
 
 
 class _SlitherlinkSearch(LoopSearch):
-    """Clue counters on the flat dot-grid graph.  Cell (c, r) is bordered by
+    """Clue counts on the flat dot-grid graph.  Cell (c, r) is bordered by
     the E sides of dots (c, r) and (c, r+1) and the S sides of dots (c, r)
     and (c+1, r), as ``side_table`` names them."""
 
@@ -99,55 +99,42 @@ class _SlitherlinkSearch(LoopSearch):
         dw = puzzle.dims.width + 1
         n_dots = dw * (puzzle.dims.height + 1)
         super().__init__(n_dots, pairs, [OPT] * n_dots, **kw)
-        # Clue counters: (target, border edge ids); edge -> clue ids.
+        # Clues: (target, border edge ids), counted off the edge states;
+        # edge -> clue ids.
         side = side_table(dw, n_dots, pairs)
         self.cells = []
         for (c, r), count in puzzle.clues:
             d = r * dw + c
             self.cells.append((count, [side[d]["E"], side[d + dw]["E"], side[d]["S"], side[d + 1]["S"]]))
-        self.cell_in = [0] * len(self.cells)
-        self.cell_unk = [len(ids) for _, ids in self.cells]
         self.edge_cells: dict[int, list[int]] = {}
         for ci, (_, ids) in enumerate(self.cells):
             for ei in ids:
                 self.edge_cells.setdefault(ei, []).append(ci)
 
     def on_assigned(self, ei: int, val: int) -> bool:
+        state = self.state
         for ci in self.edge_cells.get(ei, ()):
-            self.trail_extra((ci, self.cell_in[ci], self.cell_unk[ci]))
-            self.cell_unk[ci] -= 1
-            if val == 1:
-                self.cell_in[ci] += 1
             target, ids = self.cells[ci]
-            got, unk = self.cell_in[ci], self.cell_unk[ci]
+            around = [state[e] for e in ids]
+            got, unk = around.count(IN), around.count(UNKNOWN)
             if got > target or got + unk < target:
                 return False
             if unk:
                 if got == target:
                     for e2 in ids:
-                        if not self.state[e2]:
+                        if not state[e2]:
                             self.queue.append((e2, OUT))
                 elif got + unk == target:
                     for e2 in ids:
-                        if not self.state[e2]:
-                            self.queue.append((e2, 1))
+                        if not state[e2]:
+                            self.queue.append((e2, IN))
         return True
 
-    def undo_extra(self, entry: tuple) -> None:
-        ci, got, unk = entry
-        self.cell_in[ci] = got
-        self.cell_unk[ci] = unk
 
-
-def solve(
-    puzzle: SlitherlinkPuzzle,
-    budget_ms: Optional[float] = None,
-    seeds_in=(),
-    enumerate_all: bool = False,
-):
+def solve(puzzle: SlitherlinkPuzzle, budget_ms: Optional[float] = None, enumerate_all: bool = False):
     dots = GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1)
     pairs = build_cell_graph(dots)
     search = _SlitherlinkSearch(
         puzzle, pairs, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True
     )
-    return run_search(search, dots, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, dots, lambda sol: verify(puzzle, sol), enumerate_all)

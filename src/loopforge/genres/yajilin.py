@@ -177,15 +177,10 @@ class _YajilinSearch(LoopSearch):
         self.status[x] = old
 
 
-def solve(
-    puzzle: YajilinPuzzle,
-    budget_ms: Optional[float] = None,
-    seeds_in=(),
-    enumerate_all: bool = False,
-):
+def solve(puzzle: YajilinPuzzle, budget_ms: Optional[float] = None, enumerate_all: bool = False):
     pairs = build_cell_graph(puzzle.dims, puzzle.cells)
     faces = grid_faces(puzzle.dims, pairs)
     search = _YajilinSearch(
         puzzle, pairs, budget_ms=budget_ms, connectivity_every=CUT_CHECK_EVERY, branch_frontier=True, faces=faces
     )
-    return run_search(search, puzzle.dims, lambda sol: verify(puzzle, sol), seeds_in, enumerate_all)
+    return run_search(search, puzzle.dims, lambda sol: verify(puzzle, sol), enumerate_all)

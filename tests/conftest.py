@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import sys
@@ -13,6 +14,7 @@ from loopforge.genres import GENRES
 from loopforge.genres.simple_loop import SimpleLoopPuzzle
 from loopforge.grid import MASK_SIDES, CellLoop, GridDims, edge_between, edge_sort_key
 from loopforge.metacell import lift_to_cubic, reduce_to_cubic
+from loopforge.search import IN
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -135,6 +137,24 @@ def flat_loop(width: int, height: int, edges):
     loop = CellLoop.flat(width, height, east, south)
     assert loop.transitions == edges
     return loop
+
+
+def solve_seeded(monkeypatch, module, puzzle, seeds):
+    """``module.solve(puzzle)`` with the edges ``seeds`` forced into the
+    loop.  The module's ``run_search`` is wrapped: each ``(axis, c, r)``
+    becomes the id of its flat pair in ``search.edges`` on the node grid
+    the search runs on, and the ids are bound to ``search.solutions``."""
+    run_search = module.run_search
+
+    def seeded(search, dims, *args):
+        ids = {pair: i for i, pair in enumerate(search.edges)}
+        w = dims.width
+        forced = [(ids[r * w + c, r * w + c + (w if axis == "v" else 1)], IN) for axis, c, r in seeds]
+        search.solutions = functools.partial(search.solutions, forced)
+        return run_search(search, dims, *args)
+
+    monkeypatch.setattr(module, "run_search", seeded)
+    return module.solve(puzzle)
 
 
 def perfbench_module(name: str):

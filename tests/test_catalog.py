@@ -15,7 +15,6 @@ from loopforge.catalog import (
 from loopforge.cli import main
 from loopforge.errors import FormatError, SearchTimeout
 from loopforge.genres import GENRES
-from loopforge.genres.base import SolveResult
 from loopforge.tiling import crossings, placed_exits
 
 
@@ -175,14 +174,28 @@ def test_simple_loop_every_mutation_flips(descriptors):
 
 
 def test_shading_a_bank_path_fails_without_raising(descriptors):
-    # Tile cell (2, 3) lies on bank paths, so the lifted ring tours seed
-    # edges that the mutated board's graph does not hold.
+    # Tile cell (2, 3) lies on bank paths, so the lifted ring tours run
+    # through a shaded cell of the mutated board.
     mutated = copy.copy(descriptors["simple-loop"])
     mutated.art = {**descriptors["simple-loop"].art, (2, 3): "#"}
     cert = certify_gadget(mutated, budget_ms=60000)
     assert cert.overall == "no"
     assert cert.conditions["e"].status == "fail"
     assert "no board solution extends the sub-solution" in cert.conditions["e"].detail
+
+
+def test_fragment_that_misses_its_exits_fails_b_and_e(descriptors):
+    # The lifted ring tour is checked as it stands: a gap in a bank
+    # fragment is no board solution, whatever a search could complete.
+    desc = descriptors["simple-loop"]
+    pair = min(desc.bank, key=sorted)
+    mutated = copy.copy(desc)
+    mutated.bank = {**desc.bank, pair: frozenset(sorted(desc.bank[pair] - desc.forced)[1:]) | desc.forced}
+    cert = certify_gadget(mutated, budget_ms=60000)
+    assert cert.conditions["b"].status == "fail" and "ends at" in cert.conditions["b"].detail
+    assert cert.conditions["e"].status == "fail"
+    assert f"{sorted(pair)}: no board solution extends the sub-solution" in cert.conditions["e"].detail
+    assert cert.overall == "no"
 
 
 def test_listing_format(descriptors):
@@ -196,8 +209,8 @@ def test_listing_format(descriptors):
 
 @pytest.mark.parametrize("genre", ["slitherlink", "masyu", "yajilin", "simple-loop"])
 def test_missing_bank_pair_fails_without_raising(descriptors, genre):
-    # Every tile's witness seeds are the ring tour lifted through the
-    # bank; a ring tile whose pair is missing fails that pair's (e).
+    # Every witness is the ring tour lifted through the bank; a ring tile
+    # whose pair is missing fails that pair's (e).
     desc = descriptors[genre]
     for missing in sorted(desc.bank, key=sorted):
         mutated = copy.copy(desc)
@@ -213,43 +226,71 @@ def test_missing_bank_pair_fails_without_raising(descriptors, genre):
 
 @pytest.mark.parametrize("genre", ["yajilin", "masyu"])
 def test_tiny_budget_is_budget_limited_never_no(descriptors, genre):
+    # (e) checks its witnesses without a search, so only (a) is cut short.
     cert = certify_gadget(descriptors[genre], budget_ms=1)
     statuses = {key: verdict.status for key, verdict in cert.conditions.items()}
-    assert statuses["e"] == "budget-limited"
+    assert statuses["e"] == "pass"
+    assert statuses["a"] == "budget-limited"
     assert "fail" not in statuses.values()
     assert cert.overall == "partial"
 
 
 def test_enumeration_gets_only_the_budget_left(monkeypatch, descriptors):
-    calls = []  # (budget given, seconds the call took to return)
-    original = GENRES["yajilin"].solve
+    module = GENRES["yajilin"]
+    checks = []  # seconds each verify call took
+    calls = []  # (budget given, seconds of verify calls before it)
+    verify, solve = module.verify, module.solve
 
-    def wrapper(board, budget_ms, seeds_in, enumerate_all=False):
+    def timed_verify(puzzle, loop):
         start = time.monotonic()
-        result = original(board, budget_ms=budget_ms, seeds_in=seeds_in, enumerate_all=enumerate_all)
-        calls.append((budget_ms, time.monotonic() - start))
-        return result
+        violation = verify(puzzle, loop)
+        checks.append(time.monotonic() - start)
+        return violation
 
-    monkeypatch.setattr(GENRES["yajilin"], "solve", wrapper)
-    budget_ms = 1.0
-    certify_gadget(descriptors["yajilin"], budget_ms=budget_ms)
-    assert calls
-    for i, (budget, _) in enumerate(calls):
-        # None starts once the budget is spent, and the searches before
-        # it ran inside certification, so at least their time is gone.
-        assert 0 < budget <= budget_ms - 1000.0 * sum(seconds for _, seconds in calls[:i])
+    def recorded_solve(board, budget_ms, enumerate_all=False):
+        calls.append((budget_ms, sum(checks)))
+        return solve(board, budget_ms=budget_ms, enumerate_all=enumerate_all)
+
+    monkeypatch.setattr(module, "verify", timed_verify)
+    monkeypatch.setattr(module, "solve", recorded_solve)
+    budget_ms = 60000.0
+    cert = certify_gadget(descriptors["yajilin"], budget_ms=budget_ms)
+    assert cert.conditions["a"].status == "pass"
+    # The (e) checks ran inside certification before the enumeration
+    # started, so at least their time is gone from its budget.
+    [(budget, checked)] = calls
+    assert checked > 0
+    assert 0 < budget <= budget_ms - 1000.0 * checked
 
 
 @pytest.mark.parametrize("genre", ["slitherlink", "masyu", "yajilin", "simple-loop"])
 def test_witness_timeouts_are_partial_never_no(monkeypatch, descriptors, genre):
-    def timing_out(board, budget_ms, seeds_in, enumerate_all=False):
-        if enumerate_all:
-            raise SearchTimeout("budget spent")
-        return SolveResult("timeout")
+    # The witnesses start no search; only the enumeration does, and its
+    # timeout leaves (a), (c) and (d) budget-limited.
+    asked = []
+
+    def timing_out(board, budget_ms, enumerate_all=False):
+        asked.append(enumerate_all)
+        raise SearchTimeout("budget spent")
 
     monkeypatch.setattr(GENRES[genre], "solve", timing_out)
     cert = certify_gadget(descriptors[genre], budget_ms=60000)
-    assert cert.conditions["e"].status == "budget-limited"
+    statuses = {key: verdict.status for key, verdict in cert.conditions.items()}
+    enumerated = genre in ("yajilin", "simple-loop")
+    assert asked == ([True] if enumerated else [])
+    if enumerated:
+        assert statuses["a"] == statuses["c"] == statuses["d"] == "budget-limited"
+    assert statuses["a"] == "budget-limited" and statuses["e"] == "pass"
+    assert cert.overall == "partial"
+
+
+@pytest.mark.parametrize("genre", ["slitherlink", "masyu"])
+def test_large_tiles_are_certified_without_a_search(monkeypatch, descriptors, genre):
+    calls = []
+    monkeypatch.setattr(GENRES[genre], "solve", lambda *args, **kwargs: calls.append(args))
+    cert = certify_gadget(descriptors[genre], budget_ms=60000)
+    assert calls == []
+    assert cert.conditions["e"].status == "pass" and cert.conditions["e"].witnesses == 3
     assert cert.overall == "partial"
 
 

@@ -197,6 +197,16 @@ def test_cli_reduce_chain(tmp_path, capsys):
     assert doc["genre"] == "masyu"
 
 
+@pytest.mark.parametrize("flag", ["-o", "--manifest"])
+def test_cli_reduce_unwritable_output_cannot_create(flag, tmp_path, capsys):
+    outputs = {"-o": str(tmp_path / "out.json"), "--manifest": str(tmp_path / "man.json")}
+    outputs[flag] = str(tmp_path / "missing" / "x.json")
+    args = ["reduce", fx("bsl_example"), "--to", "cubic", "-o", outputs["-o"], "--manifest", outputs["--manifest"]]
+    assert main(args) == 73
+    err = capsys.readouterr().err
+    assert err == f"cannot write {outputs[flag]}: No such file or directory\n"
+
+
 def test_cli_reduce_unknown_genre(tmp_path):
     assert main(["reduce", fx("cubic_example"), "--to", "cubic", "-o", str(tmp_path / "x.json")]) == 0
     # missing descriptor -> exit 66 (argparse rejects unknown --to values,

@@ -68,8 +68,8 @@ def verify(puzzle, loop):
     return simple_loop.verify(_simple(puzzle), loop)
 
 
-def solve(puzzle, budget_ms=None, seeds_in=(), enumerate_all=False):
-    return simple_loop.solve(_simple(puzzle), budget_ms, seeds_in, enumerate_all)
+def solve(puzzle, budget_ms=None, enumerate_all=False):
+    return simple_loop.solve(_simple(puzzle), budget_ms, enumerate_all)
 '''
 
 

@@ -9,7 +9,6 @@ from loopforge.genres.simple_loop import SimpleLoopPuzzle
 from loopforge.genres.slitherlink import SlitherlinkPuzzle
 from loopforge.genres.yajilin import YajilinPuzzle
 from loopforge.grid import CellLoop, GridDims, edge_cells
-from loopforge.search import LoopSearch
 
 FIXTURE_NAMES = {
     "slitherlink": "slitherlink_example",
@@ -122,45 +121,6 @@ def test_slitherlink_clue_check():
     sol = fixture_solution("slitherlink_example")
     toggled = CellLoop(sol.transitions ^ {("h", 2, 3)})
     assert GENRES["slitherlink"].verify(puzzle, toggled) is not None
-
-
-# (genre, board, seed): seeds off the solver's graph.  The solvers name an
-# edge by its flat pair (a, b), a = r * width + c, so each of the first
-# four would name another pair if its bounds went unchecked.
-OFF_GRAPH_SEEDS = [
-    # The pair (a, a + 1) of the last column's "h" edge would run into the next row.
-    ("simple-loop", SimpleLoopPuzzle(GridDims(3, 2), ()), ("h", 2, 0)),
-    # On a 1-wide board (r, r + 1) is the vertical pair between rows r and r + 1.
-    ("masyu", MasyuPuzzle(GridDims(1, 3), ()), ("h", 0, 1)),
-    ("simple-loop", SimpleLoopPuzzle(GridDims(1, 4), ()), ("h", 0, 2)),
-    # Negative coordinates: ("v", -1, 1) would be (2, 5), an edge of the board's only loop.
-    ("simple-loop", SimpleLoopPuzzle(GridDims(3, 2), ()), ("v", -1, 1)),
-    ("simple-loop", SimpleLoopPuzzle(GridDims(3, 2), ()), ("h", 1, -1)),
-    # An edge into a closed cell.
-    ("yajilin", YajilinPuzzle(GridDims(3, 3), [(1, 1)]), ("v", 1, 0)),
-    ("simple-loop", SimpleLoopPuzzle(GridDims(4, 2), [(3, 1)]), ("h", 2, 1)),
-]
-
-
-def test_seed_outside_the_graph_is_unsat(monkeypatch):
-    # A shaded cell has no edges, so no loop holds a seed edge through it.
-    board = SimpleLoopPuzzle(GridDims(3, 3), [(1, 1)])
-    seeds = [("h", 0, 0), ("h", 0, 1)]
-    assert GENRES["simple-loop"].solve(board, seeds_in=seeds).status == "unsat"
-    assert list(GENRES["simple-loop"].solve(board, seeds_in=seeds, enumerate_all=True)) == []
-    assert GENRES["simple-loop"].solve(board, seeds_in=seeds[:1]).status == "sat"
-    ring = SimpleLoopPuzzle(GridDims(3, 2), ())
-    assert GENRES["simple-loop"].solve(ring, seeds_in=[("v", 2, 0)]).status == "sat"
-    for genre, puzzle, seed in OFF_GRAPH_SEEDS:
-        assert GENRES[genre].solve(puzzle, seeds_in=[seed]).status == "unsat", seed
-        assert list(GENRES[genre].solve(puzzle, seeds_in=[seed], enumerate_all=True)) == [], seed
-    # None of them reaches the search, even where no loop exists anyway.
-    asked = []
-    monkeypatch.setattr(LoopSearch, "solutions", lambda self, seeds=(): iter(asked.append(seeds) or ()))
-    for genre, puzzle, seed in OFF_GRAPH_SEEDS:
-        GENRES[genre].solve(puzzle, seeds_in=[seed])
-        list(GENRES[genre].solve(puzzle, seeds_in=[seed], enumerate_all=True))
-    assert asked == []
 
 
 def test_solvers_prove_unsat_with_exhaustion():

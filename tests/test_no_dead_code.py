@@ -9,7 +9,10 @@ variable or parameter of the same name is no caller.  Dunder names are
 called by Python itself and are left out.  Likewise every name a module
 imports is read somewhere in that module; ``from __future__`` imports
 are directives, not names, and are left out.  Every import sits at
-module level, where an import cycle shows at once.
+module level, where an import cycle shows at once.  Every optional
+parameter of a ``def`` is passed by some call in the package that names
+the function or attribute (a class call is its ``__init__``'s): by
+keyword, by position, or through ``*`` or ``**`` forwarding.
 """
 
 import ast
@@ -135,3 +138,73 @@ def test_no_function_calls_itself():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(fn):
                 recursive.append(f"{path.relative_to(SRC)}:{fn.lineno}: {fn.name}")
     assert recursive == []
+
+
+# Optional parameters kept although no call in the package passes them, with the reason.
+UNPASSED_ALLOWED = {
+    # The console entry point reads sys.argv; tests drive it with argument lists.
+    ("main", "argv"),
+    # Tests load broken templates from files of their own.
+    ("load_metacell", "path"),
+    # Tests drive partly seeded rings through it.
+    ("solutions", "seeds"),
+}
+
+
+def _optional_params(fn: ast.FunctionDef, method: bool):
+    """(name, index among the positional arguments a call writes, or None)
+    for each parameter of ``fn`` with a default.  A method's call does not
+    write ``self`` or ``cls``; a keyword-only parameter has no index."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    return found + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _passes(call: ast.Call, name: str, index) -> bool:
+    """Whether ``call`` passes the parameter ``name`` at positional ``index``:
+    by keyword, by position, or through ``*`` or ``**`` forwarding."""
+    if any(k.arg == name or k.arg is None for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return index >= i
+    return index < len(call.args)
+
+
+def test_every_optional_parameter_is_passed_somewhere_in_src():
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(PACKAGE.rglob("*.py"))]
+    classes = {node.name for _, tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    # Calls by the function's or attribute's name; a class call is its __init__'s.
+    calls: dict[str, list[ast.Call]] = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault("__init__" if name in classes else name, []).append(node)
+    methods = {
+        id(item)
+        for _, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    unpassed, flagged = [], set()
+    for path, tree in trees:
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for name, index in _optional_params(fn, id(fn) in methods):
+                if not any(_passes(call, name, index) for call in calls.get(fn.name, ())):
+                    flagged.add((fn.name, name))
+                    if (fn.name, name) not in UNPASSED_ALLOWED:
+                        unpassed.append(f"{path.relative_to(SRC)}:{fn.lineno}: {fn.name}({name})")
+    assert unpassed == []
+    assert UNPASSED_ALLOWED <= flagged, "an allowlisted parameter is passed now or gone; drop it"

@@ -49,7 +49,7 @@ from loopforge.genres.base import build_cell_graph
 from loopforge.grid import GridDims, edge_sort_key
 from loopforge.search import EXACT2, IN, OPT, OUT, UNKNOWN, LoopSearch
 from loopforge.tiling import crossings
-from conftest import internal_edges, perfbench_module
+from conftest import internal_edges, perfbench_module, solve_seeded
 from test_bsl import SMALL_BOARDS
 from test_dp import planted_bars
 
@@ -192,7 +192,7 @@ def test_genre_ring_traversal(monkeypatch, genre, tiles_w, status, calls, digest
     board, seeds = _ring_board(genre, tiles_w)
     module = GENRES[genre]
     searches = _capture(monkeypatch, module)
-    result = module.solve(board, seeds_in=seeds)
+    result = solve_seeded(monkeypatch, module, board, seeds)
     assert result.status == status
     assert searches[0]._calls == calls
     assert _digest([result.solution])[:16] == digest
@@ -451,7 +451,7 @@ def test_cut_check_matches_brute_force_on_rings(monkeypatch):
         board, seeds = _ring_board(genre, 2)
         with monkeypatch.context() as m:
             verdicts = _compare_cuts(m, every)
-            assert GENRES[genre].solve(board, seeds_in=seeds).status == "sat"
+            assert solve_seeded(m, GENRES[genre], board, seeds).status == "sat"
         seen += verdicts
     # The unseeded Yajilin ring shades cells, which raises their
     # neighbours to must-visit through ``require``.
