@@ -46,10 +46,11 @@ from loopforge.catalog import (
 from loopforge.errors import SearchTimeout
 from loopforge.genres import GENRES
 from loopforge.genres.base import build_cell_graph
+from loopforge.genres.yajilin import YajilinPuzzle
 from loopforge.grid import GridDims, edge_sort_key
 from loopforge.search import EXACT2, IN, OPT, OUT, UNKNOWN, LoopSearch
 from loopforge.tiling import crossings
-from conftest import internal_edges, perfbench_module, solve_seeded
+from conftest import fixture_puzzle, internal_edges, perfbench_module, solve_seeded
 from test_bsl import SMALL_BOARDS
 from test_dp import planted_bars
 
@@ -274,6 +275,53 @@ def test_small_source_image_traversal(monkeypatch, genre, size, kind, status, ca
     assert result.status == status
     assert searches[0]._calls == calls
     assert (_digest([result.solution])[:16] if result.solution else None) == digest
+
+
+def _clued_yajilin(seed: int) -> YajilinPuzzle:
+    """A 5-7 x 5-7 Yajilin board with about an eighth of its cells grey, an
+    arrow clue of count 0 or 1 on most of them."""
+    rng = random.Random(seed)
+    dims = GridDims(rng.choice((5, 6, 7)), rng.choice((5, 6, 7)))
+    grey = [c for c in dims.cells() if rng.random() < 0.12]
+    clues = tuple((c, rng.randint(0, 1), rng.choice("ENSW")) for c in grey if rng.random() < 0.6)
+    return YajilinPuzzle(dims, grey, clues)
+
+
+# Yajilin boards with arrow clues: the fixture and seeded boards.  (board,
+# status, decisions, first 16 hex digits, solutions, enumeration decisions,
+# first 16 hex digits of the solution set's digest as in RING_SET_DIGESTS)
+CLUED_YAJILIN_PINS = [
+    ("fixture", "sat", 3, "76e32848df251c23", 1, 7, "76e32848df251c23"),
+    ("seed2", "sat", 9, "e1615235955ce64f", 23, 61, "2a479785a18a04bf"),
+    ("seed3", "unsat", 86, None, 0, 86, "e3b0c44298fc1c14"),
+    ("seed6", "sat", 15, "b920e1eae4dcce5c", 112, 290, "be3b686785f43506"),
+    ("seed14", "sat", 8, "3043fccdc93da2d5", 145, 644, "9750f181627c30d2"),
+    ("seed19", "sat", 14, "7693c19543a4f3a7", 162, 451, "3dcda2796c02cd44"),
+    ("seed20", "unsat", 103, None, 0, 103, "e3b0c44298fc1c14"),
+    ("seed22", "sat", 5, "f83b5b6bd7b92cdf", 38, 94, "4095de79bc06ed0f"),
+    ("seed23", "unsat", 78, None, 0, 78, "e3b0c44298fc1c14"),
+    ("seed31", "unsat", 157, None, 0, 157, "e3b0c44298fc1c14"),
+    ("seed35", "sat", 9, "b0fe248e24801188", 151, 313, "a9b2a8093921abcb"),
+]
+
+
+@pytest.mark.parametrize(
+    "board,status,calls,digest,count,enum_calls,set_digest", CLUED_YAJILIN_PINS, ids=[p[0] for p in CLUED_YAJILIN_PINS]
+)
+def test_clued_yajilin_traversal(monkeypatch, board, status, calls, digest, count, enum_calls, set_digest):
+    puzzle = fixture_puzzle("yajilin_example") if board == "fixture" else _clued_yajilin(int(board[len("seed"):]))
+    assert puzzle.clues
+    module = GENRES["yajilin"]
+    searches = _capture(monkeypatch, module)
+    result = module.solve(puzzle, budget_ms=60000)
+    solutions = list(module.solve(puzzle, budget_ms=60000, enumerate_all=True))
+    assert result.status == status
+    assert searches[0]._calls == calls
+    assert (_digest([result.solution])[:16] if result.solution else None) == digest
+    assert len(solutions) == len(set(solutions)) == count
+    assert searches[1]._calls == enum_calls
+    text = "\n".join(sorted(repr(sorted(s.transitions)) for s in solutions))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == set_digest
 
 
 def _reach(n: int, pairs, start: int) -> list:
