@@ -101,7 +101,11 @@ def load_gadget(genre: str, directory: Optional[Path] = None) -> GadgetDescripto
     path = (directory or catalog_dir()) / f"{genre.replace('-', '_')}.txt"
     if not path.exists():
         raise FormatError(f"no descriptor for genre {genre!r} at {path}")
-    headers, sections = read_tile_file(path.read_text(encoding="utf-8"), HEADER_KEYS)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    headers, sections = read_tile_file(text, HEADER_KEYS)
 
     if headers.get("genre") != genre:
         raise FormatError(f"descriptor genre {headers.get('genre')!r} does not match {genre!r}")

@@ -5,7 +5,7 @@ Exit codes: 0 success/sat, 1 failure/unsat, 2 timeout, 64 parse error
 or uncertified gadget, 70 internal error (any failure a command does not
 handle itself, such as an exceeded capability limit or a reduction or
 lift that fails its own checks), 73 an output file that cannot be
-written.
+written (``reduce`` then writes neither of its files).
 Stdout is machine-readable JSON with sorted keys; identical inputs
 produce byte-identical output.
 """
@@ -13,8 +13,10 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -52,12 +54,25 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(formats.dumps_canonical(doc))  # reports and solutions: small
 
 
-def _write(path: str, doc: dict) -> None:
+def _write(files: list[tuple[str, dict]]) -> None:
+    """Write each (path, doc) to a temporary file beside its path, and move
+    them into place once all are written: a failed write changes no path."""
+    temps: list[str] = []
     try:
-        with open(path, "w", encoding="utf-8") as f:  # boards and manifests grow with the source
-            formats.write_canonical(doc, f)
+        for path, doc in files:
+            temp = f"{path}.{os.getpid()}-{len(temps)}.tmp"
+            with open(temp, "x", encoding="utf-8") as f:  # boards and manifests grow with the source
+                temps.append(temp)
+                formats.write_canonical(doc, f)
+        for path, _ in files:
+            os.replace(temps[0], path)
+            del temps[0]
     except OSError as exc:
         raise _Refused(EXIT_CANT_CREATE, f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for temp in temps:  # those not moved into place
+            with contextlib.suppress(OSError):
+                os.remove(temp)
 
 
 def _digest(path: str) -> str:
@@ -147,11 +162,10 @@ def cmd_reduce(args) -> int:
         out_puzzle, gman = reduce_to_genre(current, target, _load_gadget(target))
         manifests.append(formats.manifest_to_json(gman))
 
-    out_doc = formats.puzzle_to_json(out_puzzle)
-    _write(args.output, out_doc)
+    files = [(args.output, formats.puzzle_to_json(out_puzzle))]
     if args.manifest:
-        mdoc = manifests[0] if len(manifests) == 1 else {"kind": "chain", "stages": manifests}
-        _write(args.manifest, mdoc)
+        files.append((args.manifest, manifests[0] if len(manifests) == 1 else {"kind": "chain", "stages": manifests}))
+    _write(files)
     print(
         f"{puzzle.dims.width}x{puzzle.dims.height} -> {out_puzzle.dims.width}x{out_puzzle.dims.height}"
     )

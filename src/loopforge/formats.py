@@ -188,7 +188,7 @@ def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path} does not hold a JSON object")

@@ -184,9 +184,9 @@ def run_search(
     enumerate_all: bool = False,
 ):
     """Solve with ``search`` over its flat pairs (``search.edges``) on the
-    node grid ``dims``, accepting only what ``verify`` passes.  Candidates
-    and solutions are ``CellLoop.flat`` on ``dims``: an edge is south of
-    ``a`` when ``b - a == width``, else east of it.
+    node grid ``dims``, keeping only the candidates ``verify`` passes.
+    Candidates and solutions are ``CellLoop.flat`` on ``dims``: an edge is
+    south of ``a`` when ``b - a == width``, else east of it.
 
     Returns a generator of every solution with ``enumerate_all``, and
     otherwise a SolveResult for the first one.  When the search's budget
@@ -204,13 +204,11 @@ def run_search(
             (south if b - a == w else east)[a] = 1
         return CellLoop.flat(w, h, east, south)
 
-    search.accept = lambda ids: verify(solution(ids)) is None
+    solutions = (loop for loop in map(solution, search.solutions()) if verify(loop) is None)
     if enumerate_all:
-        return (solution(ids) for ids in search.solutions())
+        return solutions
     try:
-        found = next(search.solutions(), None)
+        found = next(solutions, None)
     except SearchTimeout:
         return SolveResult("timeout")
-    if found is None:
-        return SolveResult("unsat")
-    return SolveResult("sat", solution(found))
+    return SolveResult("unsat") if found is None else SolveResult("sat", found)

@@ -12,8 +12,6 @@ from ..grid import SIDE_DELTAS, Cell, CellLoop, GridDims, Violation, least_cell
 from ..search import EXACT2, OPT, OUT, LoopSearch
 from .base import CUT_CHECK_EVERY, ArtBoard, art_mask, build_cell_graph, check_art, entry_grid, grid_faces, run_search
 
-UNDET, VISITED, SHADED, GREY = 0, 1, 2, 3
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class YajilinPuzzle(ArtBoard):
@@ -100,15 +98,18 @@ def verify(puzzle: YajilinPuzzle, sol: CellLoop) -> Optional[Violation]:
 
 
 class _YajilinSearch(LoopSearch):
-    """Shading and arrow clues on the flat cell graph: a cell left off the
-    loop is shaded, and its neighbours, read off ``incident``, must be visited."""
+    """Shading and arrow clues on the flat cell graph, read off the
+    engine's counts: a cell that is not grey is visited once it has an
+    ``IN`` edge and shaded once every edge of it is ``OUT``; otherwise it is
+    undetermined.  A shaded cell's neighbours, read off ``incident``, must
+    be visited, and a clue is checked whenever a cell on its ray is
+    visited or shaded."""
 
     def __init__(self, puzzle: YajilinPuzzle, pairs, **kw):
         w, n = puzzle.dims.width, puzzle.dims.cell_count
         super().__init__(n, pairs, [OPT] * n, **kw)
-        # Grey cells (nonzero art bytes) have no edges, and a status that
-        # no rule counts: never undetermined, never shaded.
-        self.status = [GREY if ch else UNDET for ch in puzzle.cells]
+        # Grey cells (nonzero art bytes) have no edges and are never shaded.
+        self.grey = puzzle.cells
         # clue -> ray node ids; node -> clue ids
         self.rays = []
         self.watch: dict[int, list[int]] = {}
@@ -119,41 +120,35 @@ class _YajilinSearch(LoopSearch):
                 self.watch.setdefault(x, []).append(ci)
 
     def node_rules_extra(self, x: int) -> bool:
-        old = self.status[x]
-        if old == UNDET:
-            if self.in_cnt[x] > 0:
-                new = VISITED
-            elif self.unk_cnt[x] == 0:
-                new = SHADED
-            else:
+        in_cnt, unk_cnt = self.in_cnt, self.unk_cnt
+        if not in_cnt[x]:
+            if unk_cnt[x] or self.grey[x]:
                 return True
-            self.trail_extra(("status", x, old))
-            self.status[x] = new
-            if new == SHADED:
-                for y, _ in self.incident[x]:
-                    if self.status[y] == SHADED:
-                        return False
-                    if self.req[y] != EXACT2:
-                        self.require(y)
-                        if not self._node_rules(y):
-                            return False
-            for ci in self.watch.get(x, ()):
-                if not self._check_clue(ci):
+            # x is shaded; its neighbours (never grey) must not be.
+            for y, _ in self.incident[x]:
+                if not (in_cnt[y] or unk_cnt[y]):
                     return False
+                if self.req[y] != EXACT2:
+                    self.require(y)
+                    if not self._node_rules(y):
+                        return False
+        for ci in self.watch.get(x, ()):
+            if not self._check_clue(ci):
+                return False
         return True
 
     def _check_clue(self, ci: int) -> bool:
         count, ray = self.rays[ci]
-        shaded = undet = 0
-        status = self.status
+        in_cnt, unk_cnt = self.in_cnt, self.unk_cnt
+        shaded = 0
         undet_nodes = []
         for x in ray:
-            st = status[x]
-            if st == SHADED:
-                shaded += 1
-            elif st == UNDET:
-                undet += 1
-                undet_nodes.append(x)
+            if not in_cnt[x]:
+                if unk_cnt[x]:
+                    undet_nodes.append(x)
+                elif not self.grey[x]:
+                    shaded += 1
+        undet = len(undet_nodes)
         if shaded > count or shaded + undet < count:
             return False
         if undet:
@@ -171,10 +166,6 @@ class _YajilinSearch(LoopSearch):
                         if not self.state[ei]:
                             self.queue.append((ei, OUT))
         return True
-
-    def undo_extra(self, entry: tuple) -> None:
-        _, x, old = entry
-        self.status[x] = old
 
 
 def solve(puzzle: YajilinPuzzle, budget_ms: Optional[float] = None, enumerate_all: bool = False):

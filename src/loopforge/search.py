@@ -10,8 +10,11 @@ their ends.  Whenever an ``IN`` edge grows a chain while a must-visit
 node or another chain is still off it, any undecided edge joining that
 chain's two ends is forced ``OUT``: a premature cycle is propagated
 away, not only detected once it closes.
-Genre-specific rules plug in through the ``on_assigned`` /
-``node_rules_extra`` / ``accept`` hooks.
+Genre-specific rules plug in through the ``on_assigned`` and
+``node_rules_extra`` hooks, which read the engine's own state (edge
+states and per-node counts) and keep none of their own.  ``solutions``
+yields every closed candidate; a genre's final check on the whole loop
+is its caller's (``genres.base.run_search`` filters by ``verify``).
 
 The search is one loop over an explicit stack with an (edge, trail mark,
 index-order floor) entry for each decision whose ``OUT`` branch has not
@@ -176,18 +179,8 @@ class LoopSearch:
         """Extra per-node rules run alongside degree arithmetic."""
         return True
 
-    def accept(self, in_edges: frozenset[int]) -> bool:
-        """Final filter on a complete candidate assignment."""
-        return True
-
-    def undo_extra(self, entry: tuple) -> None:
-        """Restore adapter state recorded with :meth:`trail_extra`."""
-
     # ------------------------------------------------------------------
     # state updates
-
-    def trail_extra(self, entry: tuple) -> None:
-        self.trail.append((3, entry))
 
     def require(self, x: int) -> None:
         """Raise an ``OPT`` node to ``EXACT2``; within a branch ``req`` only rises."""
@@ -385,8 +378,6 @@ class LoopSearch:
                     self.face_root[x] = rf
                     self.face_par[x] ^= p
                 del self.face_class[rg][-len(moved) :]
-            else:
-                self.undo_extra(entry[1])
 
     # ------------------------------------------------------------------
     # search
@@ -489,7 +480,7 @@ class LoopSearch:
         return frozenset(ei for ei in range(len(state)) if state[ei] == IN)
 
     def solutions(self, seeds: Iterable[tuple[int, int]] = ()) -> Iterator[frozenset[int]]:
-        """Enumerate every valid assignment in deterministic order."""
+        """Enumerate every closed candidate in deterministic order."""
         mark = len(self.trail)
         self._check_deadline()
         for x in range(self.n_nodes):
@@ -506,9 +497,7 @@ class LoopSearch:
             if ok:
                 if self.closed:
                     if self._sweep_out():
-                        cand = self._candidate()
-                        if self.accept(cand):
-                            yield cand
+                        yield self._candidate()
                 else:
                     branch = self._branch(lo)
                     if branch is not None:

@@ -207,6 +207,51 @@ def test_cli_reduce_unwritable_output_cannot_create(flag, tmp_path, capsys):
     assert err == f"cannot write {outputs[flag]}: No such file or directory\n"
 
 
+def test_cli_reduce_unwritable_manifest_writes_no_board(tmp_path, capsys):
+    # A board written earlier keeps its bytes, and no new board is left
+    # behind by a manifest that cannot be written.
+    out = tmp_path / "out.json"
+    out.write_bytes(b"earlier board")
+    manifest = str(tmp_path / "missing" / "m.json")
+    assert main(["reduce", fx("bsl_example"), "--to", "cubic", "-o", str(out), "--manifest", manifest]) == 73
+    assert capsys.readouterr().err == f"cannot write {manifest}: No such file or directory\n"
+    assert out.read_bytes() == b"earlier board"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+    out.unlink()
+    assert main(["reduce", fx("bsl_example"), "--to", "cubic", "-o", str(out), "--manifest", manifest]) == 73
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_cli_reduce_write_that_fails_part_way_leaves_nothing(failing_call, tmp_path, monkeypatch, capsys):
+    # The board (call 1) or the manifest (call 2) fails after a first chunk.
+    calls = []
+    write_canonical = formats.write_canonical
+
+    def failing(doc, stream):
+        calls.append(doc)
+        if len(calls) == failing_call:
+            stream.write("{")
+            raise OSError(28, "No space left on device")
+        write_canonical(doc, stream)
+
+    monkeypatch.setattr(formats, "write_canonical", failing)
+    out, manifest = tmp_path / "out.json", tmp_path / "man.json"
+    assert main(["reduce", fx("bsl_example"), "--to", "cubic", "-o", str(out), "--manifest", str(manifest)]) == 73
+    failed = (out, manifest)[failing_call - 1]
+    assert capsys.readouterr().err == f"cannot write {failed}: No space left on device\n"
+    assert len(calls) == failing_call
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_reduce_files_get_the_mode_of_a_plain_open(tmp_path):
+    out, manifest, plain = tmp_path / "out.json", tmp_path / "man.json", tmp_path / "plain"
+    assert main(["reduce", fx("bsl_example"), "--to", "cubic", "-o", str(out), "--manifest", str(manifest)]) == 0
+    plain.touch()
+    assert out.stat().st_mode == manifest.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["man.json", "out.json", "plain"]
+
+
 def test_cli_reduce_unknown_genre(tmp_path):
     assert main(["reduce", fx("cubic_example"), "--to", "cubic", "-o", str(tmp_path / "x.json")]) == 0
     # missing descriptor -> exit 66 (argparse rejects unknown --to values,
@@ -446,3 +491,59 @@ def test_non_integer_solution_edges_are_parse_errors(name, field, value, tmp_pat
     p.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", fx(name), str(p)]) == 64
     assert "parse error" in capsys.readouterr().err
+
+
+# Bytes that are no UTF-8, JSON too deep to decode, and a descriptor that
+# cannot be read are input errors, never a verdict (exit 1).
+def _malformed_input(tmp_path, monkeypatch, case):
+    if case == "not-utf8":
+        (tmp_path / "in.json").write_bytes(b'{"genre":"bsl","width":2,"height":2,"bars":[]\xff}')
+    elif case == "too-deep":
+        (tmp_path / "in.json").write_text("[" * 200_000 + "]" * 200_000)
+    else:
+        catalog = tmp_path / "catalog"
+        catalog.mkdir()
+        for genre in GENRES:
+            name = genre.replace("-", "_") + ".txt"
+            (catalog / name).write_bytes((DEFAULT_CATALOG / name).read_bytes())
+        if case == "descriptor-not-utf8":
+            (catalog / "masyu.txt").write_bytes(b"genre: masyu\xff\n")
+        else:
+            (catalog / "masyu.txt").unlink()
+            (catalog / "masyu.txt").mkdir()
+        monkeypatch.setenv("LOOPFORGE_CATALOG", str(catalog))
+    return str(tmp_path / "in.json")
+
+
+@pytest.mark.parametrize(
+    "case,command,code,err",
+    [
+        ("not-utf8", ["solve", "{in}"], 64, "parse error: cannot read"),
+        ("not-utf8", ["verify", "{in}", fx("bsl_example_solution")], 64, "parse error: cannot read"),
+        ("not-utf8", ["verify", fx("bsl_example"), "{in}"], 64, "parse error: cannot read"),
+        ("too-deep", ["solve", "{in}"], 64, "parse error: cannot read"),
+        ("too-deep", ["verify", fx("bsl_example"), "{in}"], 64, "parse error: cannot read"),
+        ("descriptor-not-utf8", ["certify", "--genre", "masyu"], 66, "gadget unavailable: cannot read"),
+        ("descriptor-is-a-directory", ["certify", "--genre", "masyu"], 66, "gadget unavailable: cannot read"),
+        ("descriptor-not-utf8", ["catalog", "--no-certify"], 0, ""),
+        ("descriptor-is-a-directory", ["catalog", "--no-certify"], 0, ""),
+    ],
+    ids=[
+        "solve-not-utf8",
+        "verify-puzzle-not-utf8",
+        "verify-solution-not-utf8",
+        "solve-too-deep",
+        "verify-too-deep",
+        "certify-descriptor-not-utf8",
+        "certify-descriptor-is-a-directory",
+        "catalog-descriptor-not-utf8",
+        "catalog-descriptor-is-a-directory",
+    ],
+)
+def test_cli_malformed_bytes_are_input_errors(case, command, code, err, tmp_path, monkeypatch, capsys):
+    path = _malformed_input(tmp_path, monkeypatch, case)
+    assert main([arg.replace("{in}", path) for arg in command]) == code
+    out = capsys.readouterr()
+    assert out.err.startswith(err) if err else out.err == ""
+    if command[0] == "catalog":
+        assert "masyu - transforms=- certified=no" in out.out.splitlines()

@@ -143,28 +143,24 @@ def test_solver_determinism():
 
 def test_solver_verdicts_match_brute_force_on_tiny_boards():
     # Exhaustive ground truth: enumerate every edge subset of tiny boards
-    # and compare the verifier-backed truth with the solver verdict.
+    # and compare the verifier-backed truth with the solver: its verdict,
+    # and for Yajilin with arrow clues every solution it enumerates.
     import itertools
 
     from loopforge.genres.slitherlink import SlitherlinkPuzzle
 
     rng = random.Random(31)
 
+    def brute_force_loops(genre, dims, puzzle):
+        pool = internal_edges(dims)
+        combos = itertools.chain.from_iterable(itertools.combinations(pool, k) for k in range(1, len(pool) + 1))
+        return {edges for edges in map(frozenset, combos) if GENRES[genre].verify(puzzle, CellLoop(edges)) is None}
+
     def brute_force_cell(genre, puzzle):
-        pool = internal_edges(puzzle.dims)
-        for k in range(1, len(pool) + 1):
-            for combo in itertools.combinations(pool, k):
-                if GENRES[genre].verify(puzzle, CellLoop(frozenset(combo))) is None:
-                    return True
-        return False
+        return bool(brute_force_loops(genre, puzzle.dims, puzzle))
 
     def brute_force_lattice(puzzle):
-        pool = internal_edges(GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1))
-        for k in range(1, len(pool) + 1):
-            for combo in itertools.combinations(pool, k):
-                if GENRES["slitherlink"].verify(puzzle, CellLoop(frozenset(combo))) is None:
-                    return True
-        return False
+        return bool(brute_force_loops("slitherlink", GridDims(puzzle.dims.width + 1, puzzle.dims.height + 1), puzzle))
 
     for _ in range(12):
         dims = GridDims(rng.choice([2, 3]), 2)
@@ -172,10 +168,6 @@ def test_solver_verdicts_match_brute_force_on_tiny_boards():
         shaded = frozenset(c for c in cells if rng.random() < 0.25)
         p = SimpleLoopPuzzle(dims, shaded)
         assert (GENRES["simple-loop"].solve(p).status == "sat") == brute_force_cell("simple-loop", p)
-
-        grey = frozenset(c for c in cells if rng.random() < 0.2)
-        p = YajilinPuzzle(dims, grey, ())
-        assert (GENRES["yajilin"].solve(p).status == "sat") == brute_force_cell("yajilin", p)
 
         pearls = tuple(
             (c, rng.choice(["white", "black"])) for c in cells if rng.random() < 0.3
@@ -190,6 +182,31 @@ def test_solver_verdicts_match_brute_force_on_tiny_boards():
         )
         p = SlitherlinkPuzzle(dims, tuple(sorted(clues)))
         assert (GENRES["slitherlink"].solve(p).status == "sat") == brute_force_lattice(p)
+
+    # Yajilin: cells off a random loop are shaded (none touching) or grey,
+    # and most grey cells get an arrow clue, counted off that shading and
+    # one too high a fifth of the time.
+    rng = random.Random(37)
+    for _ in range(40):
+        dims = GridDims(rng.choice([2, 3]), rng.choice([2, 3]))
+        loops = sorted(map(sorted, brute_force_loops("masyu", dims, MasyuPuzzle(dims, ()))))
+        visited = {cell for edge in rng.choice(loops) for cell in edge_cells(edge)}
+        shaded = set()
+        for c, r in sorted(set(dims.cells()) - visited):
+            if rng.random() < 0.5 and not shaded & {(c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1)}:
+                shaded.add((c, r))
+        grey = sorted(set(dims.cells()) - visited - shaded)
+        plain = YajilinPuzzle(dims, grey)
+        clues = []
+        for cell in grey:
+            if rng.random() < 0.8:
+                direction = rng.choice("ENSW")
+                count = len(shaded.intersection(plain.ray(cell, direction))) + (rng.random() < 0.2)
+                clues.append((cell, count, direction))
+        p = YajilinPuzzle(dims, grey, tuple(clues))
+        found = [s.transitions for s in GENRES["yajilin"].solve(p, enumerate_all=True)]
+        assert len(found) == len(set(found))
+        assert set(found) == brute_force_loops("yajilin", dims, p)
 
 
 def _verdict(genre, puzzle, sol):
